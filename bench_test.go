@@ -406,14 +406,10 @@ func BenchmarkNATPortChurn(b *testing.B) { perf.NATPortChurn(b) }
 // carrier-NAT realms on a four-worker realm pool (see perf.TrafficWeek).
 func BenchmarkTrafficWeek(b *testing.B) { perf.TrafficWeek(b) }
 
-// BenchmarkTrafficMetro measures the engine at ISP scale: one iteration
-// drives a million-subscriber metro (16 realms × 65,536 subscribers)
-// through one simulated day, realm-parallel (see perf.TrafficMetro).
-func BenchmarkTrafficMetro(b *testing.B) { perf.TrafficMetro(b) }
-
-// BenchmarkTrafficMetroSharded is the same metro day on the intra-realm
-// sharded NAT engine — realm workers × per-realm lane shards (see
-// perf.TrafficMetroSharded).
+// BenchmarkTrafficMetroSharded measures the engine at ISP scale: one
+// iteration drives a million-subscriber metro (16 realms × 65,536
+// subscribers) through one simulated day — realm workers × per-realm
+// lane shards (see perf.TrafficMetroSharded).
 func BenchmarkTrafficMetroSharded(b *testing.B) { perf.TrafficMetroSharded(b) }
 
 // BenchmarkTrafficMetroShardedMP4 pins GOMAXPROCS=4 for the sharded

@@ -39,7 +39,7 @@ func main() {
 	portSpan := flag.Int("portspan", 0, "narrow every CGN realm to this many external ports (0 keeps the scenario's setting)")
 	portQuota := flag.Int("portquota", 0, "per-subscriber CGN port quota (0 keeps the scenario's setting)")
 	trafficWorkers := flag.Int("traffic-workers", 0, "traffic-engine (E18) realm worker pool; 0 or 1 replays realms sequentially (results are byte-identical at any value)")
-	trafficShards := flag.Int("traffic-shards", 0, "traffic-engine (E18) NAT shards per realm; 0 keeps the legacy engine, >=1 uses the intra-realm sharded engine (identical at any shard count, distinct universe from 0)")
+	trafficShards := flag.Int("traffic-shards", 0, "traffic-engine (E18/E19/E22) NAT shards per realm (values below 1 mean 1; never affects results)")
 	attackFrac := flag.Float64("attackers", -1, "E19 override: fraction of subscribers acting as port-flood attackers (negative keeps the scenario's setting)")
 	attackFlows := flag.Float64("attack-flows", -1, "E19 override: flood flows per attacker per tick (negative keeps the scenario's setting)")
 	scanProbes := flag.Float64("scan-probes", -1, "E19 override: external scanner probes per pool IP per tick (negative keeps the scenario's setting)")

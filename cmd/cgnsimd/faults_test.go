@@ -130,11 +130,12 @@ func TestCheckpointFailureDegradesDaemon(t *testing.T) {
 // smoke to an active fault schedule: a -faults run stopped mid-horizon
 // (its cuts landing around lane outages and restarts) and resumed at
 // different worker/shard counts produces a digests file byte-identical
-// to the uninterrupted faulted reference.
+// to the uninterrupted faulted reference, which runs at the default
+// shard count.
 func TestFaultedResumeMatchesUninterrupted(t *testing.T) {
 	dir := t.TempDir()
 	faulted := func(extra ...string) []string {
-		return append(append(baseArgs(), "-faults", "1", "-shards", "2"), extra...)
+		return append(append(baseArgs(), "-faults", "1"), extra...)
 	}
 	refPath := filepath.Join(dir, "ref.txt")
 	var out syncBuffer
@@ -143,7 +144,7 @@ func TestFaultedResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	ck := filepath.Join(dir, "fleet.ckpt")
-	if err := run(faulted("-workers", "3", "-checkpoint", ck, "-checkpoint-every", "1",
+	if err := run(faulted("-shards", "2", "-workers", "3", "-checkpoint", ck, "-checkpoint-every", "1",
 		"-stop-after-days", "3"), &out); err != nil {
 		t.Fatalf("interrupted faulted run: %v\n%s", err, out.String())
 	}

@@ -8,7 +8,7 @@
 // The contract that makes it a daemon worth killing: a run interrupted
 // at any checkpoint and restarted with -resume continues byte-identically
 // — the final per-realm NAT state digests and the E21 detection scores
-// match an uninterrupted run exactly, whatever -workers or -shards (>= 1)
+// match an uninterrupted run exactly, whatever -workers or -shards
 // values either process used.
 //
 //	cgnsimd -days 90 -carriers 8 -subscribers 200 \
@@ -77,14 +77,14 @@ func run(args []string, stdout io.Writer) error {
 		days        = fs.Int("days", 90, "virtual horizon in days")
 		seed        = fs.Int64("seed", 1, "master seed (fleet, timeline, traffic, observation)")
 		workers     = fs.Int("workers", 0, "realm worker pool size (0 = sequential; never affects results)")
-		shards      = fs.Int("shards", 0, "per-realm NAT shards (0 = legacy engine; any value >= 1 is the sharded engine and gives identical results)")
+		shards      = fs.Int("shards", 0, "per-realm NAT shards (values below 1 mean 1; never affects results)")
 		dayTicks    = fs.Int("day-ticks", 288, "virtual ticks per day")
 		ckPath      = fs.String("checkpoint", "", "checkpoint file path (enables checkpointing)")
 		ckEvery     = fs.Int("checkpoint-every", 7, "checkpoint cadence in virtual days")
 		ckKeep      = fs.Int("checkpoint-keep", 3, "checkpoint generations to retain (path, path.1, ...); resume scans back to the newest that validates")
 		ckStale     = fs.Duration("checkpoint-stale-after", 0, "report degraded on /healthz when the last checkpoint write is older than this (0 disables)")
 		resume      = fs.Bool("resume", false, "restore state from the newest valid -checkpoint generation and continue")
-		faults      = fs.Float64("faults", 0, "fault-schedule severity in [0,1]: pool-lane outages and engine restarts scripted over the run (requires -shards >= 1)")
+		faults      = fs.Float64("faults", 0, "fault-schedule severity in [0,1]: pool-lane outages and engine restarts scripted over the run")
 		ckFailProb  = fs.Float64("fault-checkpoint-fail", 0, "inject checkpoint write failures with this probability per attempt, exercising the retry path (a fault drill; deterministic in -seed)")
 		listen      = fs.String("listen", "", "serve /metrics, /status and /healthz on this address (e.g. 127.0.0.1:9400)")
 		digests     = fs.String("digests", "", "write final per-realm state digests and E21 scores to this file")
@@ -122,9 +122,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *faults < 0 || *faults > 1 {
 		return fmt.Errorf("-faults %v: want a severity in [0,1]", *faults)
-	}
-	if *faults > 0 && *shards < 1 {
-		return fmt.Errorf("-faults requires -shards >= 1: the pool lane is the outage's unit")
 	}
 	if *ckFailProb < 0 || *ckFailProb > 1 {
 		return fmt.Errorf("-fault-checkpoint-fail %v: want a probability in [0,1]", *ckFailProb)

@@ -57,11 +57,9 @@ type Config struct {
 	// byte-identical at any value, so the grid aggregates never depend
 	// on it.
 	TrafficWorkers int
-	// TrafficShards selects each world's E18 NAT engine: 0 keeps the
-	// legacy single-table replay (the goldens' universe); >= 1 switches
-	// to the intra-realm sharded engine, identical at any shard count
-	// but a distinct universe from legacy (report.CollectOptions has the
-	// full contract).
+	// TrafficShards is each world's traffic-replay NAT shard count per
+	// realm, a pure resource knob like TrafficWorkers
+	// (report.CollectOptions has the full contract).
 	TrafficShards int
 	// OnWorld, when set, is called after each world completes, from the
 	// worker that ran it. Progress reporting only — results arrive in

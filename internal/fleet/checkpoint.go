@@ -34,22 +34,24 @@ import (
 // cut from; 4 added the sharded pool's lane-outage flags
 // (RealmCkpt.LanesDown) when fault injection landed — a version-3
 // checkpoint would decode but restore every lane up, diverging from a
-// run cut mid-outage.
+// run cut mid-outage; 5 dropped the single-table engine's state
+// (RealmCkpt.Engine and the realm-stream DstSeq) when the sharded
+// engine became the only one, so every enabled realm carries exactly
+// its per-lane snapshots.
 const (
 	checkpointMagic   = "CGNFLEET"
-	checkpointVersion = 4
+	checkpointVersion = 5
 )
 
 // Checkpoint is the serialized fleet state at a day boundary. Together
 // with the (unserialized) Config it fully determines the rest of the
 // run: Resume continues byte-identically — per-realm StateDigests and
 // E21 output match an uninterrupted run exactly, at any Workers value
-// and any shard count within the same engine universe.
+// and any shard count.
 type Checkpoint struct {
 	// Sig fingerprints the determinism-relevant configuration; Resume
 	// refuses a checkpoint taken under a different one. Workers and the
-	// shard count are excluded — they never affect results — but the
-	// engine universe (legacy vs sharded) is included, because it does.
+	// shard count are excluded: they never affect results.
 	Sig string
 	// Day is the next virtual day to run (== days completed).
 	Day           int
@@ -92,20 +94,20 @@ type RealmCkpt struct {
 	Subs  []SubCkpt
 	Flows []FlowCkpt
 
-	Fr     uint64
-	DstSeq uint64
+	// Fr is the realm stream: subscriber classes and the seeds of each
+	// provisioned engine's per-lane streams.
+	Fr uint64
 
-	// FrLanes and DstSeqs are the sharded universe's per-lane arrival
-	// streams and destination sequences, in lane order — set exactly
-	// when EngineLanes is, one entry per lane. The legacy universe
-	// leaves them nil (it draws arrivals from Fr/DstSeq).
+	// FrLanes and DstSeqs are the per-lane arrival streams and
+	// destination sequences, in lane order — set exactly when
+	// EngineLanes is, one entry per lane.
 	FrLanes []uint64
 	DstSeqs []uint64
 
-	// LanesDown flags the sharded pool's lanes currently dark to a
-	// fault-injection outage, in lane order — nil when every lane is up
-	// (always, in the legacy universe). A down lane holds no mappings,
-	// so restore reapplies the flag without dropping anything.
+	// LanesDown flags the pool's lanes currently dark to a
+	// fault-injection outage, in lane order — nil when every lane is up.
+	// A down lane holds no mappings, so restore reapplies the flag
+	// without dropping anything.
 	LanesDown []bool
 
 	Created    uint64
@@ -119,22 +121,18 @@ type RealmCkpt struct {
 
 	EvRing, EnRing []bool
 
-	// Exactly one of Engine (legacy universe) and EngineLanes (sharded
-	// universe) is set for an enabled carrier; both are nil when
-	// disabled.
-	Engine      *nat.Snapshot
+	// EngineLanes is the engine's per-lane state for an enabled carrier,
+	// nil when disabled.
 	EngineLanes []*nat.Snapshot
 }
 
 // signature fingerprints the parts of the configuration that determine
-// results. Workers is execution-only; the shard count collapses to the
-// engine-universe bit.
+// results. Workers and Shards are execution-only.
 func (c Config) signature() string {
 	d := c.withDefaults()
-	sharded := d.Shards > 0
 	d.Workers = 0
 	d.Shards = 0
-	sum := sha256.Sum256([]byte(fmt.Sprintf("cgn fleet v%d sharded=%v %#v", checkpointVersion, sharded, d)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("cgn fleet v%d %#v", checkpointVersion, d)))
 	return hex.EncodeToString(sum[:8])
 }
 
@@ -154,7 +152,6 @@ func (s *Sim) Checkpoint() *Checkpoint {
 			PoolSize:   r.poolSize,
 			Epoch:      r.epoch,
 			Fr:         uint64(r.fr),
-			DstSeq:     r.dstSeq,
 			Created:    r.created,
 			Expired:    r.expired,
 			Refreshes:  r.refreshes,
@@ -175,12 +172,9 @@ func (s *Sim) Checkpoint() *Checkpoint {
 				rc.Flows = append(rc.Flows, FlowCkpt{Sub: int32(j), F: nd.f, TicksLeft: nd.ticksLeft})
 			}
 		}
-		switch e := r.eng.(type) {
-		case *nat.NAT:
-			rc.Engine = e.Snapshot()
-		case *nat.Sharded:
-			rc.EngineLanes = e.Snapshot()
-			rc.LanesDown = e.DownLanes()
+		if r.eng != nil {
+			rc.EngineLanes = r.eng.Snapshot()
+			rc.LanesDown = r.eng.DownLanes()
 			rc.FrLanes = make([]uint64, len(r.frLanes))
 			for l := range r.frLanes {
 				rc.FrLanes[l] = uint64(r.frLanes[l])
@@ -199,14 +193,14 @@ func histState(h *traffic.Hist) HistState {
 
 // Resume rebuilds a simulation from a checkpoint taken under the same
 // configuration. Workers and the shard count may differ from the
-// checkpointing process's — only the engine universe must match.
+// checkpointing process's.
 func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	d := cfg.withDefaults()
 	if sig := cfg.signature(); ck.Sig != sig {
-		return nil, fmt.Errorf("fleet: checkpoint config signature %s does not match this configuration (%s); resume needs the run's exact fleet, timeline, profile, seed and engine universe", ck.Sig, sig)
+		return nil, fmt.Errorf("fleet: checkpoint config signature %s does not match this configuration (%s); resume needs the run's exact fleet, timeline, profile and seed", ck.Sig, sig)
 	}
 	if ck.Day < 0 || ck.Day > d.Days {
 		return nil, fmt.Errorf("fleet: checkpoint day %d outside horizon [0,%d]", ck.Day, d.Days)
@@ -243,7 +237,6 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 			epoch:      rc.Epoch,
 			freeHead:   -1,
 			fr:         traffic.NewFastRand(rc.Fr),
-			dstSeq:     rc.DstSeq,
 			created:    rc.Created,
 			expired:    rc.Expired,
 			refreshes:  rc.Refreshes,
@@ -267,49 +260,37 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 			r.subs[j] = fleetSub{class: traffic.Class(sc.Class), active: sc.Active, head: -1, tail: -1}
 		}
 		if rc.Enabled {
-			ecfg := r.engineConfig()
-			switch {
-			case d.Shards > 0 && rc.EngineLanes != nil:
-				eng, err := nat.NewShardedFromSnapshot(ecfg, d.Shards, rc.EngineLanes)
-				if err != nil {
-					return nil, fmt.Errorf("fleet: realm %d: %w", i, err)
-				}
-				if lanes := eng.NumLanes(); len(rc.FrLanes) != lanes || len(rc.DstSeqs) != lanes {
-					return nil, fmt.Errorf("fleet: realm %d carries %d/%d per-lane arrival streams, engine has %d lanes", i, len(rc.FrLanes), len(rc.DstSeqs), lanes)
-				}
-				r.frLanes = make([]traffic.FastRand, len(rc.FrLanes))
-				for l, s := range rc.FrLanes {
-					r.frLanes[l] = traffic.NewFastRand(s)
-				}
-				r.dstSeqs = append([]uint64(nil), rc.DstSeqs...)
-				if rc.LanesDown != nil {
-					if len(rc.LanesDown) != eng.NumLanes() {
-						return nil, fmt.Errorf("fleet: realm %d carries %d lane-outage flags, engine has %d lanes", i, len(rc.LanesDown), eng.NumLanes())
-					}
-					// Reapply outage flags before hooks: a down lane
-					// checkpointed empty, so nothing drops here.
-					for l, dn := range rc.LanesDown {
-						if dn {
-							eng.SetLaneDown(l)
-						}
-					}
-				}
-				r.eng = eng
-			case d.Shards <= 0 && rc.Engine != nil:
-				eng, err := nat.NewFromSnapshot(ecfg, rc.Engine)
-				if err != nil {
-					return nil, fmt.Errorf("fleet: realm %d: %w", i, err)
-				}
-				r.eng = eng
-			case rc.Engine == nil && rc.EngineLanes == nil:
+			if rc.EngineLanes == nil {
 				return nil, fmt.Errorf("fleet: realm %d enabled but has no engine state", i)
-			default:
-				return nil, fmt.Errorf("fleet: realm %d checkpointed in a different engine universe (legacy vs sharded); Shards must stay on the same side of zero", i)
 			}
+			eng, err := nat.NewShardedFromSnapshot(r.engineConfig(), d.Shards, rc.EngineLanes)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: realm %d: %w", i, err)
+			}
+			lanes := eng.NumLanes()
+			if len(rc.FrLanes) != lanes || len(rc.DstSeqs) != lanes {
+				return nil, fmt.Errorf("fleet: realm %d carries %d/%d per-lane arrival streams, engine has %d lanes", i, len(rc.FrLanes), len(rc.DstSeqs), lanes)
+			}
+			r.frLanes = make([]traffic.FastRand, lanes)
+			for l, s := range rc.FrLanes {
+				r.frLanes[l] = traffic.NewFastRand(s)
+			}
+			r.dstSeqs = append([]uint64(nil), rc.DstSeqs...)
+			if rc.LanesDown != nil && len(rc.LanesDown) != lanes {
+				return nil, fmt.Errorf("fleet: realm %d carries %d lane-outage flags, engine has %d lanes", i, len(rc.LanesDown), lanes)
+			}
+			// Reapply outage flags before hooks: a down lane checkpointed
+			// empty, so nothing drops here.
+			for l, dn := range rc.LanesDown {
+				if dn {
+					eng.SetLaneDown(l)
+				}
+			}
+			r.eng = eng
 			for j := range r.subs {
-				r.subs[j].live = int32(r.eng.Sessions(subAddr(j)))
+				r.subs[j].live = int32(eng.Sessions(subAddr(j)))
 			}
-		} else if rc.Engine != nil || rc.EngineLanes != nil || len(rc.Flows) != 0 || len(rc.FrLanes) != 0 || rc.LanesDown != nil {
+		} else if rc.EngineLanes != nil || len(rc.Flows) != 0 || len(rc.FrLanes) != 0 || rc.LanesDown != nil {
 			return nil, fmt.Errorf("fleet: realm %d disabled but carries engine or flow state", i)
 		}
 		r.rebuildLC()

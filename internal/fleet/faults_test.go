@@ -36,8 +36,8 @@ func faultedConfig(workers, shards int) Config {
 // TestFaultedResumeDeterminism extends the resume pin to active faults:
 // cuts landing inside an outage window (day 4), between the mid-outage
 // restart and the restore (day 6) and after recovery (day 8) must all
-// resume byte-identically — across worker and shard counts, with the
-// checkpoint round-tripped through the file codec.
+// resume byte-identically — across worker and shard counts, 0 included,
+// with the checkpoint round-tripped through the file codec.
 func TestFaultedResumeDeterminism(t *testing.T) {
 	ref, err := Run(faultedConfig(1, 1))
 	if err != nil {
@@ -55,7 +55,11 @@ func TestFaultedResumeDeterminism(t *testing.T) {
 	if calm.Realms[0].Digest == ref.Realms[0].Digest {
 		t.Fatal("fault schedule left carrier 0 byte-identical to the calm run")
 	}
-	for _, cut := range []int{2, 4, 6, 8} {
+	for i, cut := range []int{2, 4, 6, 8} {
+		reShards := 3
+		if i%2 == 1 {
+			reShards = 0
+		}
 		s, err := New(faultedConfig(3, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +75,7 @@ func TestFaultedResumeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := Resume(faultedConfig(2, 3), ck)
+		resumed, err := Resume(faultedConfig(2, reShards), ck)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -302,8 +306,8 @@ func TestSaveCheckpointRetry(t *testing.T) {
 }
 
 // TestScriptFaults pins the generator: deterministic, zero at zero
-// severity, valid against a sharded config at full severity, and
-// refused by Validate in the legacy universe.
+// severity, and valid against the zero-value shard count at full
+// severity.
 func TestScriptFaults(t *testing.T) {
 	specs := SyntheticFleet(11, 12, 20)
 	a := ScriptFaults(99, specs, 60, 1)
@@ -328,12 +332,8 @@ func TestScriptFaults(t *testing.T) {
 	if downs == 0 || restarts == 0 {
 		t.Fatalf("schedule lacks variety: %d lane-downs, %d restarts", downs, restarts)
 	}
-	cfg := Config{Seed: 99, Days: 60, Carriers: specs, Timeline: a, Shards: 1}
+	cfg := Config{Seed: 99, Days: 60, Carriers: specs, Timeline: a}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	cfg.Shards = 0
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "sharded engine") {
-		t.Fatalf("legacy universe accepted lane events: %v", err)
 	}
 }

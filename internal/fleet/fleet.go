@@ -12,10 +12,9 @@
 // time only — the clock is the Unix epoch plus tick × TickStep, never
 // the wall. One seed, one config, one Result, byte-identical at any
 // Workers value (realms accumulate privately and merge in input order)
-// and at any Shards value >= 1 (the intra-realm sharded NAT is
-// shard-count-invariant by construction; Shards == 0 selects the legacy
-// single-table engine, a distinct universe as everywhere else in the
-// repository). Memory is bounded regardless of virtual duration:
+// and at any Shards value (every realm runs on the intra-realm sharded
+// NAT, which is shard-count-invariant by construction). Memory is
+// bounded regardless of virtual duration:
 // per-tick series are never kept, aggregation is windowed into
 // fixed-size day rings sized by the longest observation window, and
 // histograms are dense over bounded port counts.
@@ -75,12 +74,10 @@ const (
 	// EventChurn deactivates the Arg longest-standing active subscribers
 	// and adds Arg fresh ones — subscriber turnover at constant size.
 	EventChurn
-	// EventLaneDown takes one pool IP (sharded-engine lane Arg, wrapped
-	// modulo the pool size) offline: its mappings drop and its
-	// subscribers re-pin to surviving lanes by the deterministic
-	// failover hash. Requires the sharded universe (Shards >= 1) — the
-	// lane is the fault's unit. The engine keeps at least one lane up;
-	// a no-op on disabled carriers.
+	// EventLaneDown takes one pool IP (engine lane Arg, wrapped modulo
+	// the pool size) offline: its mappings drop and its subscribers
+	// re-pin to surviving lanes by the deterministic failover hash. The
+	// engine keeps at least one lane up; a no-op on disabled carriers.
 	EventLaneDown
 	// EventLaneUp restores lane Arg; its subscribers route home again.
 	// Failover-era mappings stay live on the lanes that carried them and
@@ -89,7 +86,7 @@ const (
 	// EventRestart restarts the carrier's whole NAT engine: all mapping
 	// state is lost (no expiry hooks — a crash, not a timeout), live
 	// flows re-establish through the refresh fallback, and lanes that
-	// were down stay down. Works in both engine universes.
+	// were down stay down.
 	EventRestart
 )
 
@@ -246,11 +243,10 @@ type Config struct {
 	// Workers is the realm worker-pool size; 0 or 1 steps realms
 	// sequentially. Results are byte-identical at any value.
 	Workers int
-	// Shards selects each realm's NAT engine, like traffic.Config.Shards:
-	// 0 is the legacy single-table engine, >= 1 the intra-realm sharded
-	// engine (identical at any shard count >= 1, a distinct universe
-	// from 0). Fleet drives sharded engines through the facade, so the
-	// count never affects results — only the engine family does.
+	// Shards is each realm's NAT shard count, like
+	// traffic.Config.Shards: any value below 1 means 1. Fleet drives a
+	// realm's lanes sequentially through the facade, so the count never
+	// affects results or speed; it only shapes the engine it builds.
 	Shards int
 }
 
@@ -305,9 +301,6 @@ func (c Config) Validate() error {
 				return fmt.Errorf("fleet: %v by %d", ev.Kind, ev.Arg)
 			}
 		case EventLaneDown, EventLaneUp:
-			if c.Shards < 1 {
-				return fmt.Errorf("fleet: %v event requires the sharded engine (Shards >= 1): the lane is the fault's unit", ev.Kind)
-			}
 			if ev.Arg < 0 {
 				return fmt.Errorf("fleet: %v names negative lane %d", ev.Kind, ev.Arg)
 			}
@@ -387,8 +380,7 @@ func ScriptTimeline(seed int64, carriers []CarrierSpec, days int) Timeline {
 // multi-IP carriers suffer one pool outage (a lane dark for up to an
 // eighth of the run, then restored) and s/2 of all carriers suffer one
 // engine restart. Zero severity is the zero timeline. The schedule is
-// additive — merge its events into the main timeline — and requires the
-// sharded universe, like the lane events it emits.
+// additive — merge its events into the main timeline.
 func ScriptFaults(seed int64, carriers []CarrierSpec, days int, severity float64) Timeline {
 	if severity <= 0 || days < 2 {
 		return Timeline{}

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"cgn/internal/nat"
 	"cgn/internal/traffic"
@@ -54,38 +55,76 @@ func testConfig(workers, shards int) Config {
 	}
 }
 
-// TestResumeDeterminism is the PR's core acceptance pin: killing the
+// heavyConfig is a one-carrier fleet loaded hard enough that every
+// subscriber holds dozens of live mappings — three flows a tick against
+// a 300 s idle timeout — with a growth event on day 1. The growth and
+// every resume rebuild the live-count census with subscribers far above
+// its initial buckets.
+func heavyConfig(workers, shards int) Config {
+	specs := SyntheticFleet(5, 1, 8)
+	specs[0].CGNEnabled = true
+	specs[0].NAT.UDPTimeout = 300 * time.Second
+	return Config{
+		Seed:     5,
+		Days:     4,
+		Profile:  traffic.Profile{DayTicks: 96, FlowsPerTick: 3},
+		Carriers: specs,
+		Timeline: Timeline{Events: []Event{{Day: 1, Carrier: 0, Kind: EventGrow, Arg: 4}}},
+		Obs:      ObservationConfig{Windows: []int{1, 2, 4}},
+		Workers:  workers,
+		Shards:   shards,
+	}
+}
+
+// peakLive is the largest live-mapping count any subscriber holds.
+func (s *Sim) peakLive() int32 {
+	var peak int32
+	for _, r := range s.realms {
+		for j := range r.subs {
+			peak = max(peak, r.subs[j].live)
+		}
+	}
+	return peak
+}
+
+// TestResumeDeterminism is the fleet's core acceptance pin: killing the
 // run at any day boundary and resuming from the serialized checkpoint
-// — across worker counts AND shard counts — yields a Result (per-realm
-// StateDigests, E21 window scores, every counter and histogram stat)
-// byte-identical to the uninterrupted run.
+// — across worker counts AND shard counts, 0 included — yields a Result
+// (per-realm StateDigests, E21 window scores, every counter and
+// histogram stat) byte-identical to the uninterrupted run. Each row runs
+// the reference, the checkpointed run and the resumed run at its own
+// shard count. The heavy-load row cuts after a growth event while
+// subscribers hold at least 16 live mappings each.
 func TestResumeDeterminism(t *testing.T) {
-	for _, universe := range []struct {
-		name                       string
-		refShards, ckShards, reSha int
+	for _, tc := range []struct {
+		name                          string
+		cfg                           func(workers, shards int) Config
+		refShards, ckShards, reShards int
+		cuts                          []int
+		minPeakLive                   int32
 	}{
-		// Legacy single-table universe (Shards == 0 everywhere).
-		{"legacy", 0, 0, 0},
-		// Sharded universe: reference at 1 shard, checkpoint taken at 2,
-		// resumed at 3 — the engine is shard-count-invariant, so all
-		// three must agree.
-		{"sharded", 1, 2, 3},
+		{"sharded", testConfig, 1, 2, 3, []int{1, 5, 9}, 0},
+		{"zero-shards", testConfig, 0, 3, 0, []int{1, 5, 9}, 0},
+		{"heavy-load", heavyConfig, 2, 0, 1, []int{2, 3}, 16},
 	} {
-		t.Run(universe.name, func(t *testing.T) {
-			ref, err := Run(testConfig(1, universe.refShards))
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := Run(tc.cfg(1, tc.refShards))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref.Created == 0 || ref.EventsApplied != 7 {
+			if ref.Created == 0 || ref.EventsApplied != len(tc.cfg(1, 0).Timeline.Events) {
 				t.Fatalf("degenerate reference run: %+v", ref)
 			}
-			for _, cut := range []int{1, 5, 9} {
-				s, err := New(testConfig(3, universe.ckShards))
+			for _, cut := range tc.cuts {
+				s, err := New(tc.cfg(3, tc.ckShards))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for s.Day() < cut {
 					s.StepDay()
+				}
+				if peak := s.peakLive(); peak < tc.minPeakLive {
+					t.Fatalf("cut %d: peak live mappings per subscriber %d, want >= %d", cut, peak, tc.minPeakLive)
 				}
 				// Round-trip the checkpoint through the file codec, as the
 				// daemon would across a kill.
@@ -97,7 +136,7 @@ func TestResumeDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed, err := Resume(testConfig(2, universe.reSha), ck)
+				resumed, err := Resume(tc.cfg(2, tc.reShards), ck)
 				if err != nil {
 					t.Fatalf("cut %d: %v", cut, err)
 				}
@@ -136,19 +175,19 @@ func defendedConfig(workers, shards int) Config {
 // TestResumeDeterminismDefended extends the resume pin to the defense
 // machinery: with the token bucket and eviction policy active, a cut
 // must serialize bucket levels and the eviction counters such that the
-// resumed run stays byte-identical to the uninterrupted one — in both
-// engine universes. The reference run must actually exercise both
-// defenses, or the pin proves nothing.
+// resumed run stays byte-identical to the uninterrupted one, at any
+// shard counts, 0 included. The reference run must actually exercise
+// both defenses, or the pin proves nothing.
 func TestResumeDeterminismDefended(t *testing.T) {
-	for _, universe := range []struct {
+	for _, tc := range []struct {
 		name                          string
 		refShards, ckShards, reShards int
 	}{
-		{"legacy", 0, 0, 0},
 		{"sharded", 1, 2, 1},
+		{"zero-shards", 0, 3, 0},
 	} {
-		t.Run(universe.name, func(t *testing.T) {
-			refSim, err := New(defendedConfig(1, universe.refShards))
+		t.Run(tc.name, func(t *testing.T) {
+			refSim, err := New(defendedConfig(1, tc.refShards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +204,7 @@ func TestResumeDeterminismDefended(t *testing.T) {
 			}
 			ref := refSim.Result()
 			for _, cut := range []int{2, 6} {
-				s, err := New(defendedConfig(2, universe.ckShards))
+				s, err := New(defendedConfig(2, tc.ckShards))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +219,7 @@ func TestResumeDeterminismDefended(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed, err := Resume(defendedConfig(3, universe.reShards), ck)
+				resumed, err := Resume(defendedConfig(3, tc.reShards), ck)
 				if err != nil {
 					t.Fatalf("cut %d: %v", cut, err)
 				}
@@ -352,11 +391,6 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	other.Seed++
 	if _, err := Resume(other, ck); err == nil {
 		t.Error("seed change accepted")
-	}
-	sharded := cfg
-	sharded.Shards = 2
-	if _, err := Resume(sharded, ck); err == nil {
-		t.Error("engine-universe change accepted")
 	}
 	tampered := *ck
 	tampered.Day = cfg.Days + 1

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"cgn/internal/nat"
 )
 
 // RealmMetrics is one carrier's instantaneous observability view.
@@ -27,7 +25,7 @@ type RealmMetrics struct {
 	RateLimited uint64
 	Evictions   uint64
 	// LanesDown counts the carrier's pool lanes currently dark to a
-	// fault-injection outage (always zero in the legacy universe).
+	// fault-injection outage.
 	LanesDown int
 }
 
@@ -87,9 +85,7 @@ func (s *Sim) Metrics() MetricsSnapshot {
 			rm.QuotaDrops = ps.QuotaDrops
 			rm.RateLimited = ps.RateLimited
 			rm.Evictions = ps.Evictions
-			if sn, ok := r.eng.(*nat.Sharded); ok {
-				rm.LanesDown = sn.LanesDown()
-			}
+			rm.LanesDown = r.eng.LanesDown()
 			m.ActiveCGN++
 		}
 		m.LanesDown += rm.LanesDown

@@ -11,31 +11,6 @@ import (
 	"cgn/internal/traffic"
 )
 
-// engine is the per-realm NAT surface the fleet drives — satisfied by
-// both *nat.NAT (the legacy single-table engine, Shards == 0) and
-// *nat.Sharded (the pool-partitioned engine, Shards >= 1). Fleet calls
-// it sequentially within a realm, so the shard count is an execution
-// detail that never shows in results.
-type engine interface {
-	TranslateOutRef(f netaddr.Flow, now time.Time) (netaddr.Flow, nat.MappingRef, nat.Verdict)
-	Refresh(r nat.MappingRef, dst netaddr.Endpoint, now time.Time) bool
-	RefForFlow(f netaddr.Flow) (nat.MappingRef, bool)
-	Sweep(now time.Time) int
-	SetMappingHooks(onCreate, onExpire func(m *nat.Mapping))
-	PortStats() nat.PortStats
-	StateDigest() string
-	NumMappings() int
-	Sessions(a netaddr.Addr) int
-}
-
-// newEngine builds a realm engine in the configured universe.
-func newEngine(cfg nat.Config, shards int) engine {
-	if shards <= 0 {
-		return nat.New(cfg)
-	}
-	return nat.NewSharded(cfg, shards)
-}
-
 // fleetSub is one subscriber of a realm. The address is derived — realm
 // base plus index — and never stored. Churned-out subscribers stay in
 // the slice (indices are stable identities) with active cleared; their
@@ -75,21 +50,19 @@ type realmSim struct {
 	// poolSize is the current pool's size. epoch counts engine builds —
 	// every enable or re-provision starts a fresh allocation stream.
 	provision, poolSize, epoch int
-	eng                        engine
+	eng                        *nat.Sharded
 
 	subs      []fleetSub
 	classSubs [3]int // active subscribers per class
 	arena     []flowNode
 	freeHead  int32
 	fr        traffic.FastRand
-	dstSeq    uint64
 
-	// Sharded-universe arrival state: one draw stream and destination
-	// sequence per lane of the sharded engine (nil in the legacy
-	// universe), plus the per-lane, per-class active-subscriber lists
-	// the skip-sampling decode walks. The streams are seeded from the
-	// realm stream at provisioning and checkpointed, so resume
-	// continues the exact draw sequences.
+	// Arrival state: one draw stream and destination sequence per lane
+	// of the engine (nil while CGN is disabled), plus the per-lane,
+	// per-class active-subscriber lists the skip-sampling decode walks.
+	// The streams are seeded from the realm stream at provisioning and
+	// checkpointed, so resume continues the exact draw sequences.
 	frLanes  []traffic.FastRand
 	dstSeqs  []uint64
 	laneSubs [][3][]int32
@@ -207,19 +180,17 @@ func (r *realmSim) rebuildLC() {
 	r.rebuildLaneSubs()
 }
 
-// rebuildLaneSubs reconstructs the sharded universe's per-lane,
-// per-class subscriber lists (ascending by index — the skip-sampling
-// decode order), keyed by each subscriber's *active* lane so pool
-// outages move the displaced onto their failover lane's arrival stream.
-// A no-op holding nil lists when the realm runs the legacy engine or is
-// disabled.
+// rebuildLaneSubs reconstructs the per-lane, per-class subscriber lists
+// (ascending by index — the skip-sampling decode order), keyed by each
+// subscriber's *active* lane so pool outages move the displaced onto
+// their failover lane's arrival stream. A no-op holding nil lists when
+// the realm is disabled.
 func (r *realmSim) rebuildLaneSubs() {
-	sn, ok := r.eng.(*nat.Sharded)
-	if !ok {
+	if r.eng == nil {
 		r.laneSubs = nil
 		return
 	}
-	lanes := sn.NumLanes()
+	lanes := r.eng.NumLanes()
 	if len(r.laneSubs) != lanes {
 		r.laneSubs = make([][3][]int32, lanes)
 	} else {
@@ -233,7 +204,7 @@ func (r *realmSim) rebuildLaneSubs() {
 		if !r.subs[j].active {
 			continue
 		}
-		l := sn.ActiveLaneFor(subAddr(j))
+		l := r.eng.ActiveLaneFor(subAddr(j))
 		c := r.subs[j].class
 		r.laneSubs[l][c] = append(r.laneSubs[l][c], int32(j))
 	}
@@ -259,23 +230,21 @@ func (r *realmSim) teardown() {
 }
 
 // provisionEngine builds and wires a fresh engine for the realm's
-// current configuration. In the sharded universe it also seeds the
-// per-lane arrival streams from the realm stream — a fixed draw count
-// per provisioning, in lane order, so the sequence is deterministic and
-// survives checkpointing through the serialized realm stream.
+// current configuration and seeds the per-lane arrival streams from the
+// realm stream — a fixed draw count per provisioning, in lane order, so
+// the sequence is deterministic and survives checkpointing through the
+// serialized realm stream.
 func (r *realmSim) provisionEngine(shards int) {
 	r.epoch++
-	r.eng = newEngine(r.engineConfig(), shards)
+	r.eng = nat.NewSharded(r.engineConfig(), shards)
 	r.installHooks()
-	if sn, ok := r.eng.(*nat.Sharded); ok {
-		lanes := sn.NumLanes()
-		r.frLanes = make([]traffic.FastRand, lanes)
-		for l := range r.frLanes {
-			r.frLanes[l] = traffic.NewFastRand(r.fr.Next())
-		}
-		r.dstSeqs = make([]uint64, lanes)
-		r.rebuildLaneSubs()
+	lanes := r.eng.NumLanes()
+	r.frLanes = make([]traffic.FastRand, lanes)
+	for l := range r.frLanes {
+		r.frLanes[l] = traffic.NewFastRand(r.fr.Next())
 	}
+	r.dstSeqs = make([]uint64, lanes)
+	r.rebuildLaneSubs()
 }
 
 // addSubscribers appends n fresh active subscribers, drawing classes
@@ -345,14 +314,14 @@ func (r *realmSim) apply(ev Event, p traffic.Profile, shards int) {
 		// A pool IP goes dark: its mappings drop (expiry hooks keep the
 		// live counts honest) and its subscribers re-pin to survivors.
 		// The engine refuses to down the last standing lane, and a
-		// disabled or legacy-engine carrier has no lanes to lose.
-		if sn, ok := r.eng.(*nat.Sharded); ok {
-			sn.SetLaneDown(ev.Arg % sn.NumLanes())
+		// disabled carrier has no lanes to lose.
+		if r.eng != nil {
+			r.eng.SetLaneDown(ev.Arg % r.eng.NumLanes())
 			r.rebuildLaneSubs()
 		}
 	case EventLaneUp:
-		if sn, ok := r.eng.(*nat.Sharded); ok {
-			sn.SetLaneUp(ev.Arg % sn.NumLanes())
+		if r.eng != nil {
+			r.eng.SetLaneUp(ev.Arg % r.eng.NumLanes())
 			r.rebuildLaneSubs()
 		}
 	case EventRestart:
@@ -364,10 +333,7 @@ func (r *realmSim) apply(ev Event, p traffic.Profile, shards int) {
 		// same re-establishment machinery resume uses.
 		if r.eng != nil {
 			r.failFolded += r.eng.PortStats().Failures()
-			var downs []bool
-			if sn, ok := r.eng.(*nat.Sharded); ok {
-				downs = sn.DownLanes()
-			}
+			downs := r.eng.DownLanes()
 			for j := range r.subs {
 				r.subs[j].live = 0
 			}
@@ -375,11 +341,9 @@ func (r *realmSim) apply(ev Event, p traffic.Profile, shards int) {
 				r.arena[idx].ref = nat.MappingRef{}
 			}
 			r.provisionEngine(shards)
-			if sn, ok := r.eng.(*nat.Sharded); ok {
-				for l, dn := range downs {
-					if dn {
-						sn.SetLaneDown(l)
-					}
+			for l, dn := range downs {
+				if dn {
+					r.eng.SetLaneDown(l)
 				}
 			}
 			r.rebuildLC()
@@ -392,21 +356,12 @@ func (r *realmSim) activeSubscribers() int {
 	return r.classSubs[0] + r.classSubs[1] + r.classSubs[2]
 }
 
-// runDay drives the realm through one virtual day: the same
-// refresh/arrive/sample tick the traffic engine runs, against the
-// realm's live engine, then the day's observation bits into the rings.
-// The two engine universes have distinct tick bodies: the legacy one
-// gates every subscriber on the realm stream (byte-identical to every
-// prior release), the sharded one skip-samples arrivals on per-lane
-// streams like the sharded traffic engine.
+// runDay drives the realm through one virtual day of ticks against its
+// live engine, then the day's observation bits into the rings.
 func (r *realmSim) runDay(day int, p traffic.Profile, obs ObservationConfig, seed int64) {
 	r.dayBaseCreated = r.created
 	if r.eng != nil {
-		if _, ok := r.eng.(*nat.Sharded); ok {
-			r.runDaySharded(day, p)
-		} else {
-			r.runDayLegacy(day, p)
-		}
+		r.runTicks(day, p)
 	}
 	// The day's observation bits. A CGN-active day (enabled, traffic
 	// actually translated) is seen with VantageProb — the chance the
@@ -421,57 +376,14 @@ func (r *realmSim) runDay(day int, p traffic.Profile, obs ObservationConfig, see
 	}
 }
 
-// runDayLegacy is the legacy universe's day: one Poisson gate per
-// subscriber per tick on the realm's private draw stream — the draw
-// sequence every Shards == 0 golden depends on, kept verbatim.
-func (r *realmSim) runDayLegacy(day int, p traffic.Profile) {
-	var rates [3]float64
-	for c := 0; c < 3; c++ {
-		rates[c] = p.FlowsPerTick * traffic.ClassRate(p, traffic.Class(c))
-	}
-	holdSpan := uint32(2*p.FlowHoldTicks - 1)
-	epoch := time.Unix(0, 0)
-	for t := day * p.DayTicks; t < (day+1)*p.DayTicks; t++ {
-		now := epoch.Add(time.Duration(t) * p.TickStep)
-		r.eng.Sweep(now)
-		df := traffic.DiurnalFactor(p, t)
-		var expNegLambda [3]float64
-		for c := range rates {
-			expNegLambda[c] = math.Exp(-(rates[c] * df))
-		}
-		for j := range r.subs {
-			sub := &r.subs[j]
-			if !sub.active {
-				continue
-			}
-			addr := subAddr(j)
-			r.refreshFlows(sub, now)
-			// Poisson arrivals under the diurnal curve, one gate per
-			// subscriber, from the realm's private draw stream.
-			k := 0
-			if rates[sub.class]*df > 0 {
-				k = r.fr.Poisson(expNegLambda[sub.class])
-			}
-			for ; k > 0; k-- {
-				r.dstSeq++
-				f := netaddr.FlowOf(netaddr.UDP,
-					netaddr.EndpointOf(addr, uint16(1024+r.fr.Intn(64512))),
-					netaddr.EndpointOf(trafficDstBase+netaddr.Addr(uint32(r.dstSeq)), uint16(443+(r.dstSeq>>32))))
-				hold := 1 + r.fr.Intn(holdSpan)
-				r.openFlow(sub, f, int32(hold), now)
-			}
-		}
-		r.sampleTick()
-	}
-}
-
-// runDaySharded is the sharded universe's day: arrivals decode by
-// geometric skip-sampling over the per-lane, per-class subscriber lists
-// on per-lane streams — tick cost scales with arrivals and live flows,
-// not population, and the draw sequences are lane-confined exactly like
-// the sharded traffic engine's (fleet drives a realm sequentially, so
-// shard count still never shows in results).
-func (r *realmSim) runDaySharded(day int, p traffic.Profile) {
+// runTicks runs the day's refresh/arrive/sample ticks, the same tick the
+// traffic engine runs: arrivals decode by geometric skip-sampling over
+// the per-lane, per-class subscriber lists on per-lane streams — tick
+// cost scales with arrivals and live flows, not population, and the
+// draw sequences are lane-confined exactly like the traffic engine's
+// (fleet drives a realm sequentially, so shard count never shows in
+// results).
+func (r *realmSim) runTicks(day int, p traffic.Profile) {
 	var rates [3]float64
 	for c := 0; c < 3; c++ {
 		rates[c] = p.FlowsPerTick * traffic.ClassRate(p, traffic.Class(c))
@@ -651,8 +563,8 @@ func (s *Sim) FaultsInjected() [3]uint64 { return s.faultsInjected }
 func (s *Sim) LanesDown() int {
 	total := 0
 	for _, r := range s.realms {
-		if sn, ok := r.eng.(*nat.Sharded); ok {
-			total += sn.LanesDown()
+		if r.eng != nil {
+			total += r.eng.LanesDown()
 		}
 	}
 	return total

@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// This file is the direct KRPC wire parser. parseGeneric (krpc.go)
-// decodes through the generic bencode codec, which materializes every
-// message as maps, lists and copied byte strings — ~26 allocations per
-// find_node response, and the DHT crawl parses one message per packet,
+// This file is the direct KRPC wire parser. parseGeneric, the test-only
+// reference in parse_diff_test.go, decodes through the generic bencode
+// codec, which materializes every message as maps, lists and copied
+// byte strings — ~26 allocations per find_node response, and the DHT
+// crawl parses one message per packet,
 // millions of times per campaign. The scanner below validates the exact
 // same grammar (strictly sorted dictionary keys, canonical integers,
 // bounded nesting, no trailing bytes) while touching the wire bytes in

@@ -1,10 +1,12 @@
 package krpc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"cgn/internal/bencode"
 	"cgn/internal/netaddr"
 )
 
@@ -83,4 +85,130 @@ func FuzzParseMatchesGeneric(f *testing.F) {
 			t.Fatalf("messages differ on %q:\n direct:  %+v\n generic: %+v", data, got, want)
 		}
 	})
+}
+
+// parseGeneric decodes one KRPC message through the generic bencode
+// decoder. It is the reference implementation for Parse (parse.go),
+// which scans the wire directly: FuzzParseMatchesGeneric pins the two
+// to identical accept/reject decisions and identical Messages.
+func parseGeneric(data []byte) (*Message, error) {
+	v, err := bencode.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	d, ok := bencode.AsDict(v)
+	if !ok {
+		return nil, fmt.Errorf("%w: not a dictionary", ErrMalformed)
+	}
+	tid, ok := d.Bytes("t")
+	if !ok {
+		return nil, fmt.Errorf("%w: missing transaction id", ErrMalformed)
+	}
+	y, _ := d.Str("y")
+	m := &Message{TID: tid}
+	switch y {
+	case "q":
+		m.Kind = Query
+		m.Method, ok = d.Str("q")
+		if !ok {
+			return nil, fmt.Errorf("%w: query without method", ErrMalformed)
+		}
+		args, ok := d.Dict("a")
+		if !ok {
+			return nil, fmt.Errorf("%w: query without args", ErrMalformed)
+		}
+		idb, ok := args.Bytes("id")
+		if !ok {
+			return nil, fmt.Errorf("%w: query without id", ErrMalformed)
+		}
+		if m.ID, ok = NodeIDFromBytes(idb); !ok {
+			return nil, fmt.Errorf("%w: bad node id length", ErrMalformed)
+		}
+		switch m.Method {
+		case MethodFindNode:
+			tb, ok := args.Bytes("target")
+			if !ok {
+				return nil, fmt.Errorf("%w: find_node without target", ErrMalformed)
+			}
+			if m.Target, ok = NodeIDFromBytes(tb); !ok {
+				return nil, fmt.Errorf("%w: bad target length", ErrMalformed)
+			}
+		case MethodGetPeers, MethodAnnouncePeer:
+			hb, ok := args.Bytes("info_hash")
+			if !ok {
+				return nil, fmt.Errorf("%w: %s without info_hash", ErrMalformed, m.Method)
+			}
+			if m.Target, ok = NodeIDFromBytes(hb); !ok {
+				return nil, fmt.Errorf("%w: bad info_hash length", ErrMalformed)
+			}
+			if m.Method == MethodAnnouncePeer {
+				port, ok := args.Int("port")
+				if !ok || port < 0 || port > 65535 {
+					return nil, fmt.Errorf("%w: bad announce port", ErrMalformed)
+				}
+				m.Port = uint16(port)
+				if implied, ok := args.Int("implied_port"); ok && implied != 0 {
+					m.ImpliedPort = true
+				}
+				m.Token, ok = args.Bytes("token")
+				if !ok {
+					return nil, fmt.Errorf("%w: announce without token", ErrMalformed)
+				}
+			}
+		}
+	case "r":
+		m.Kind = Response
+		r, ok := d.Dict("r")
+		if !ok {
+			return nil, fmt.Errorf("%w: response without body", ErrMalformed)
+		}
+		idb, ok := r.Bytes("id")
+		if !ok {
+			return nil, fmt.Errorf("%w: response without id", ErrMalformed)
+		}
+		if m.ID, ok = NodeIDFromBytes(idb); !ok {
+			return nil, fmt.Errorf("%w: bad node id length", ErrMalformed)
+		}
+		if nb, ok := r.Bytes("nodes"); ok {
+			nodes, err := DecodeCompactNodes(nb)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			}
+			m.Nodes = nodes
+		}
+		if tok, ok := r.Bytes("token"); ok {
+			m.Token = tok
+		}
+		if vals, ok := r.List("values"); ok {
+			for _, v := range vals {
+				raw, ok := v.([]byte)
+				if !ok {
+					return nil, fmt.Errorf("%w: non-string peer value", ErrMalformed)
+				}
+				ep, ok := DecodeCompactPeer(raw)
+				if !ok {
+					return nil, fmt.Errorf("%w: bad compact peer length %d", ErrMalformed, len(raw))
+				}
+				m.Values = append(m.Values, ep)
+			}
+		}
+	case "e":
+		m.Kind = Error
+		e, ok := d.List("e")
+		if !ok || len(e) < 2 {
+			return nil, fmt.Errorf("%w: bad error body", ErrMalformed)
+		}
+		code, ok := e[0].(int64)
+		if !ok {
+			return nil, fmt.Errorf("%w: bad error code", ErrMalformed)
+		}
+		msg, ok := e[1].([]byte)
+		if !ok {
+			return nil, fmt.Errorf("%w: bad error string", ErrMalformed)
+		}
+		m.Code, m.Msg = code, string(msg)
+	default:
+		return nil, fmt.Errorf("%w: unknown message type %q", ErrMalformed, y)
+	}
+	return m, nil
 }

@@ -58,12 +58,12 @@ const shardedLaneSeedMix int64 = 0x2545F4914F6CDD1D
 // single-IP realm cannot split further. Like New it panics on an
 // unusable configuration.
 //
-// A Sharded is its own deterministic universe: results are identical
-// across every shard count, but not to an unsharded New(cfg) — the
-// single engine draws allocation randomness from one RNG stream and
-// assigns Paired IPs by first-appearance round-robin, where lanes draw
-// per-lane streams and pin subscribers by address hash. Callers choose
-// an engine per run, not per measurement.
+// Results are identical across every shard count, but not to an
+// unsharded New(cfg): the single engine draws allocation randomness
+// from one RNG stream and assigns Paired IPs by first-appearance
+// round-robin, where lanes draw per-lane streams and pin subscribers by
+// address hash. The traffic and fleet engines drive only Sharded; New
+// is the lane engine and the simnet device.
 func NewSharded(cfg Config, shards int) *Sharded {
 	c := cfg.withDefaults()
 	if len(c.ExternalIPs) == 0 {

@@ -31,8 +31,8 @@ type Bench struct {
 	// Workers and Shards record the concurrency shape a parallel
 	// benchmark runs at — realm worker-pool size and NAT shards per
 	// realm — so trajectory files carry the knobs a number was measured
-	// under. Zero means the benchmark has no such axis (single-threaded
-	// bodies) or runs the legacy unsharded engine.
+	// under. Zero means the benchmark sets no such knob: single-threaded
+	// bodies, or a traffic run at the default of one shard per realm.
 	Workers int
 	Shards  int
 	// Procs is the GOMAXPROCS the benchmark pins for its own duration
@@ -53,7 +53,6 @@ func All() []Bench {
 		{Name: "NATTranslateIn", F: NATTranslateIn},
 		{Name: "NATPortChurn", F: NATPortChurn},
 		{Name: "TrafficWeek", F: TrafficWeek, Workers: 4},
-		{Name: "TrafficMetro", F: TrafficMetro, Workers: procs},
 		{Name: "TrafficMetroSharded", F: TrafficMetroSharded, Workers: procs, Shards: procs},
 		{Name: "TrafficMetroSharded/mp4", F: TrafficMetroShardedMP4, Workers: 4, Shards: 4, Procs: 4},
 		{Name: "BencodeDecode", F: BencodeDecode},
@@ -287,21 +286,15 @@ func TrafficWeek(b *testing.B) {
 	}
 }
 
-// TrafficMetro measures the engine at ISP scale: a million-subscriber
-// metro — 16 carrier realms of 65,536 subscribers each, four external
-// IPs per realm — driven through one simulated day of diurnal churn on
-// a GOMAXPROCS-wide realm pool. One iteration is the full day
-// (~100 million subscriber-tick samples plus tens of millions of
-// mapping events), so ns/op is the whole-run wall clock the ROADMAP's
-// "millions of users" target is measured by.
-func TrafficMetro(b *testing.B) { trafficMetro(b, 0) }
-
-// TrafficMetroSharded is the same metro day on the intra-realm sharded
-// NAT engine: each realm's four external IPs become four lanes split
-// across GOMAXPROCS shards (clamped to 4), on top of the realm worker
-// pool. Against TrafficMetro this measures what the lane partition buys
-// — per-lane table locality single-core, a second parallelism axis when
-// cores outnumber realms.
+// TrafficMetroSharded measures the engine at ISP scale: a
+// million-subscriber metro — 16 carrier realms of 65,536 subscribers
+// each, four external IPs (lanes) per realm — driven through one
+// simulated day of diurnal churn on a GOMAXPROCS-wide realm pool, each
+// realm split across GOMAXPROCS shards (clamped to its 4 lanes). One
+// iteration is the full day (~100 million subscriber-tick samples plus
+// tens of millions of mapping events), so ns/op is the whole-run wall
+// clock the ROADMAP's "millions of users" target is measured by; at
+// GOMAXPROCS=1 it is the single-core cost of that day.
 func TrafficMetroSharded(b *testing.B) { trafficMetro(b, runtime.GOMAXPROCS(0)) }
 
 // TrafficMetroShardedMP4 is the sharded metro day pinned to

@@ -18,8 +18,9 @@ type AdversarialRun struct {
 	Enabled bool
 	// Profile echoes the adversarial profile (defaults applied).
 	Profile traffic.Profile
-	// Realms is the replayed carrier realm count; Rate/Burst the token
-	// bucket the defended cells arm.
+	// Realms counts the replayed carrier realms the engine drove (those
+	// with subscribers); Rate/Burst the token bucket the defended cells
+	// arm.
 	Realms int
 	Rate   float64
 	Burst  int
@@ -59,21 +60,13 @@ type AdversarialCell struct {
 // scenario's own CGNAllocRatePerSec/CGNAllocBurst when set and a
 // documented default otherwise, so an undefended attack scenario still
 // yields a full matrix. workers and shards are the traffic engine's
-// resource knobs (byte-identical results at any value).
+// resource knobs (byte-identical results at any values).
 func AnalyzeAdversarial(w *internet.World, workers, shards int) *AdversarialRun {
 	p := w.Scenario.Traffic
 	if !p.Enabled() || !p.AttacksEnabled() {
 		return &AdversarialRun{}
 	}
-	specs := make([]traffic.RealmSpec, 0, len(w.CGNs))
-	for _, d := range w.CGNs {
-		specs = append(specs, traffic.RealmSpec{
-			ID:          fmt.Sprintf("AS%d/%d", d.ASN, d.Realm),
-			Cellular:    d.Cellular,
-			NAT:         d.Dev.NAT.Config(),
-			Subscribers: d.Dev.NAT.PortStats().Subscribers,
-		})
-	}
+	specs := realmSpecs(w)
 	if len(specs) == 0 {
 		return &AdversarialRun{}
 	}
@@ -87,7 +80,7 @@ func AnalyzeAdversarial(w *internet.World, workers, shards int) *AdversarialRun 
 	run := &AdversarialRun{
 		Enabled: true,
 		Profile: p.WithDefaults(),
-		Realms:  len(specs),
+		Realms:  drivenRealms(specs),
 		Rate:    rate,
 		Burst:   burst,
 	}

@@ -70,13 +70,10 @@ type CollectOptions struct {
 	// Results are byte-identical at any value (the engine's determinism
 	// contract), so this only trades goroutines for wall time.
 	TrafficWorkers int
-	// TrafficShards selects the E18 NAT engine: 0 (the default) replays
-	// on the legacy single-table engine — the universe every committed
-	// golden was recorded in — and any value >= 1 replays on the
-	// intra-realm sharded engine. Shard counts are a pure resource knob
-	// within the sharded engine (identical results at 1, 2, N), but the
-	// two engines are distinct deterministic universes, so flipping
-	// between 0 and >= 1 legitimately changes E18 numbers.
+	// TrafficShards is the NAT shard count per realm for the E18, E19
+	// and E22 traffic replays; any value below 1 means 1. Like
+	// TrafficWorkers it is a pure resource knob: the report is
+	// byte-identical at any value.
 	TrafficShards int
 }
 

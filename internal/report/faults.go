@@ -20,15 +20,15 @@ import (
 // its pre-fault baseline after restoration.
 type FaultRun struct {
 	Enabled bool
-	// Profile echoes the traffic profile (defaults applied); Realms is
-	// the replayed carrier realm count.
+	// Profile echoes the traffic profile (defaults applied); Realms
+	// counts the replayed carrier realms the engine drove (those with
+	// subscribers).
 	Profile traffic.Profile
 	Realms  int
 	// Start is the fault onset tick; PortSpan the replay-only port-span
-	// narrowing (0 none); Shards the sharded-engine shard count used.
+	// narrowing (0 none).
 	Start    int
 	PortSpan int
-	Shards   int
 	Cells    []FaultCell
 }
 
@@ -95,23 +95,18 @@ func recoveryTicks(d traffic.DegradationStats, restore, win, ticks int, threshol
 // every carrier NAT, exactly like E18's replay (same population, a
 // distinct seed stream). It only runs when the scenario schedules
 // faults and offers traffic; otherwise the result is disabled and every
-// prior experiment is untouched. The replay always uses the intra-realm
-// sharded NAT engine — the pool lane is the fault's unit — so a shards
-// value of 0 is promoted to 1; within the sharded engine, workers and
-// shards are pure resource knobs (byte-identical results at any value).
+// prior experiment is untouched. workers and shards are the traffic
+// engine's resource knobs (byte-identical results at any values).
 func AnalyzeFaults(w *internet.World, workers, shards int) *FaultRun {
 	p := w.Scenario.Traffic
 	spec := w.Scenario.Faults
 	if !p.Enabled() || !spec.Enabled() {
 		return &FaultRun{}
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	specs := make([]traffic.RealmSpec, 0, len(w.CGNs))
-	for _, d := range w.CGNs {
-		cfg := d.Dev.NAT.Config()
-		if span := spec.PortSpan; span > 0 {
+	specs := realmSpecs(w)
+	if span := spec.PortSpan; span > 0 {
+		for i := range specs {
+			cfg := &specs[i].NAT
 			cfg.PortLo = 1024
 			cfg.PortHi = uint16(1024 + span - 1)
 			// Same guard as world generation: a chunk wider than half the
@@ -120,12 +115,6 @@ func AnalyzeFaults(w *internet.World, workers, shards int) *FaultRun {
 				cfg.ChunkSize /= 2
 			}
 		}
-		specs = append(specs, traffic.RealmSpec{
-			ID:          fmt.Sprintf("AS%d/%d", d.ASN, d.Realm),
-			Cellular:    d.Cellular,
-			NAT:         cfg,
-			Subscribers: d.Dev.NAT.PortStats().Subscribers,
-		})
 	}
 	if len(specs) == 0 {
 		return &FaultRun{}
@@ -139,10 +128,9 @@ func AnalyzeFaults(w *internet.World, workers, shards int) *FaultRun {
 	run := &FaultRun{
 		Enabled:  true,
 		Profile:  pd,
-		Realms:   len(specs),
+		Realms:   drivenRealms(specs),
 		Start:    start,
 		PortSpan: spec.PortSpan,
-		Shards:   shards,
 	}
 
 	type plan struct {
@@ -301,8 +289,8 @@ func (b *Bundle) E22() string {
 	if fr.PortSpan > 0 {
 		span = fmt.Sprintf("replay port span narrowed to %d", fr.PortSpan)
 	}
-	sb.WriteString(fmt.Sprintf("  faults: onset tick %d of %d (x %v); %d realms on the sharded engine (shards=%d); %s\n",
-		fr.Start, p.Ticks, p.TickStep, fr.Realms, fr.Shards, span))
+	sb.WriteString(fmt.Sprintf("  faults: onset tick %d of %d (x %v); %d realms; %s\n",
+		fr.Start, p.Ticks, p.TickStep, fr.Realms, span))
 	sb.WriteString("  cell                      lanes-lost  outage  fail-rate pre  during  recovery      disrupted  events\n")
 	for _, c := range fr.Cells {
 		lanes, outage, during, rec, disr, ev := "-", "-", "-", "-", "-", "-"

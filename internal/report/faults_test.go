@@ -77,13 +77,10 @@ func TestE22DegradationAndRecovery(t *testing.T) {
 		t.Errorf("restart row missing: %+v", fr.Cells)
 	}
 
-	// Workers and shards are pure resource knobs: everything but the
-	// recorded shard count must be identical at any combination.
+	// Workers and shards are pure resource knobs: the run must be
+	// identical at any combination.
 	for _, alt := range []struct{ workers, shards int }{{1, 1}, {3, 5}} {
-		again := AnalyzeFaults(w, alt.workers, alt.shards)
-		norm, again2 := *fr, *again
-		norm.Shards, again2.Shards = 0, 0
-		if !reflect.DeepEqual(norm, again2) {
+		if again := AnalyzeFaults(w, alt.workers, alt.shards); !reflect.DeepEqual(fr, again) {
 			t.Fatalf("E22 differs at workers=%d shards=%d", alt.workers, alt.shards)
 		}
 	}
@@ -108,7 +105,7 @@ func TestE22DegradationAndRecovery(t *testing.T) {
 }
 
 // internetFaultOpts is the collected-run option set the acceptance test
-// replays under: a parallel realm pool on the sharded engine.
+// replays under: a parallel realm pool and two shards per realm.
 func internetFaultOpts() CollectOptions {
 	return CollectOptions{TrafficWorkers: 4, TrafficShards: 2}
 }

@@ -162,18 +162,22 @@ func TestE18TrafficShape(t *testing.T) {
 	}
 }
 
-// TestCollectMatchesSequential pins the stage-concurrency refactor: the
-// parallel analysis stages must render byte-identically to a fully
-// sequential pass over a fresh world of the same seed.
+// TestCollectMatchesSequential pins the stage-concurrency refactor and
+// the resource knobs: the parallel analysis stages, and a run with a
+// traffic worker pool and several shards per realm, must render
+// byte-identically to a fully sequential pass over a fresh world of the
+// same seed.
 func TestCollectMatchesSequential(t *testing.T) {
 	build := func() *internet.World {
 		sc := internet.Small()
 		sc.Seed = 11
 		return internet.Build(sc)
 	}
-	par := Collect(build()).All()
 	seq := CollectSequential(build()).All()
-	if par != seq {
+	if par := Collect(build()).All(); par != seq {
 		t.Error("Collect and CollectSequential render different reports for the same seed")
+	}
+	if knobs := CollectWith(build(), CollectOptions{TrafficWorkers: 2, TrafficShards: 3}).All(); knobs != seq {
+		t.Error("TrafficWorkers=2 TrafficShards=3 renders a different report than CollectSequential")
 	}
 }

@@ -103,6 +103,28 @@ func TestPaperShapeInvariants(t *testing.T) {
 	if chunked*2 > len(b.Ports.PerAS) {
 		t.Errorf("chunked ASes = %d of %d, should be a minority", chunked, len(b.Ports.PerAS))
 	}
+
+	// E18 / §6.2 Figure 8: per-subscriber concurrent ports are heavy-
+	// tailed — max above p99 above a nonzero median.
+	all := b.Traffic.Res.All
+	if !(all.Max > all.P99 && all.P99 > all.Median && all.Median > 0) {
+		t.Errorf("E18 Figure 8 ordering violated: max=%d p99=%d median=%d", all.Max, all.P99, all.Median)
+	}
+
+	// E21: detection recall rises with observation length — the longest
+	// window beats the shortest and catches nearly every CGN.
+	if b.Observe.Err != nil {
+		t.Fatalf("E21 fleet run failed: %v", b.Observe.Err)
+	}
+	wins := b.Observe.Res.Windows
+	if len(wins) < 2 {
+		t.Fatalf("E21 scored %d observation windows, want at least 2", len(wins))
+	}
+	short, long := wins[0], wins[len(wins)-1]
+	if long.Recall <= short.Recall || long.Recall < 0.9 {
+		t.Errorf("E21 recall %.3f at %d days vs %.3f at %d days, want rising to >= 0.9",
+			short.Recall, short.Days, long.Recall, long.Days)
+	}
 }
 
 type regionRate struct{ rate float64 }

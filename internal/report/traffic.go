@@ -19,31 +19,40 @@ type TrafficLoad struct {
 // goroutine; AnalyzeTrafficWorkers spreads them over a worker pool.
 func AnalyzeTraffic(w *internet.World) *TrafficLoad { return AnalyzeTrafficWorkers(w, 0) }
 
-// AnalyzeTrafficWorkers is AnalyzeTrafficOpts on the legacy
-// (unsharded) NAT engine.
+// AnalyzeTrafficWorkers is AnalyzeTrafficOpts at the default shard
+// count.
 func AnalyzeTrafficWorkers(w *internet.World, workers int) *TrafficLoad {
 	return AnalyzeTrafficOpts(w, workers, 0)
 }
 
 // AnalyzeTrafficOpts drives the scenario's traffic profile through a
-// fresh replica of every carrier NAT: each realm's configuration
-// (including its device seed) is replayed into a new NAT engine, so the
-// campaign's own translation state — which E17 snapshots — is never
-// touched, and the analysis stays a pure, stage-parallel function of the
-// world. The subscriber population per realm is the one the campaign
-// actually exercised (PortStats().Subscribers). workers is the traffic
-// engine's realm worker-pool size; every value — 0 or 1 meaning
-// sequential — produces the identical result, so it is purely a
-// resource knob. shards selects the engine: 0 replays on the legacy
-// single-table engine (the goldens' universe), and any value >= 1
-// replays on the intra-realm sharded engine, whose results are
-// identical at every shard count but deliberately distinct from the
-// legacy engine's (see traffic.Config.Shards).
+// fresh replica of every carrier NAT (realmSpecs), so the campaign's own
+// translation state — which E17 snapshots — is never touched, and the
+// analysis stays a pure, stage-parallel function of the world. workers
+// is the traffic engine's realm worker-pool size and shards its NAT
+// shards per realm; both are pure resource knobs (any value below 1
+// means 1), and every combination produces the identical result.
 func AnalyzeTrafficOpts(w *internet.World, workers, shards int) *TrafficLoad {
 	p := w.Scenario.Traffic
 	if !p.Enabled() {
 		return &TrafficLoad{Res: &traffic.Result{}}
 	}
+	res := traffic.Run(traffic.Config{
+		Seed:    w.Scenario.Seed ^ 0x7AFF1C0DE,
+		Profile: p,
+		Realms:  realmSpecs(w),
+		Workers: workers,
+		Shards:  shards,
+	})
+	return &TrafficLoad{Res: res}
+}
+
+// realmSpecs replays every carrier NAT in the world as a traffic realm:
+// the device's configuration, its seed included, so the replica's
+// random choices match the deployed device's, and the subscriber
+// population the campaign actually exercised (PortStats().Subscribers).
+// E18, E19 and E22 all drive this realm set.
+func realmSpecs(w *internet.World) []traffic.RealmSpec {
 	specs := make([]traffic.RealmSpec, 0, len(w.CGNs))
 	for _, d := range w.CGNs {
 		specs = append(specs, traffic.RealmSpec{
@@ -53,14 +62,19 @@ func AnalyzeTrafficOpts(w *internet.World, workers, shards int) *TrafficLoad {
 			Subscribers: d.Dev.NAT.PortStats().Subscribers,
 		})
 	}
-	res := traffic.Run(traffic.Config{
-		Seed:    w.Scenario.Seed ^ 0x7AFF1C0DE,
-		Profile: p,
-		Realms:  specs,
-		Workers: workers,
-		Shards:  shards,
-	})
-	return &TrafficLoad{Res: res}
+	return specs
+}
+
+// drivenRealms counts the realms traffic.Run actually drives: it skips
+// realms without subscribers.
+func drivenRealms(specs []traffic.RealmSpec) int {
+	n := 0
+	for _, s := range specs {
+		if s.Subscribers > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TrafficPressure is the scalar E18 summary sweep aggregation carries

@@ -11,7 +11,7 @@ import (
 
 // stressRealms builds realms with a deliberately tight port space so a
 // flooder population can actually exhaust it within a short test run:
-// one external IP (one lane when sharded), span ports per protocol.
+// one external IP (one lane), span ports per protocol.
 func stressRealms(n, subs int, span uint16, defend func(*nat.Config)) []RealmSpec {
 	realms := make([]RealmSpec, n)
 	for i := range realms {
@@ -49,66 +49,59 @@ func attackProfile() Profile {
 
 // TestAdversarialZeroWhenDisabled is the zero-attacker property: a
 // profile without adversarial knobs yields an Adversarial block that is
-// exactly the zero value — every collateral metric zero — on both
-// engines. (Byte-identity of the rest of the Result to pre-adversarial
+// exactly the zero value — every collateral metric zero. (Byte-identity of the rest of the Result to pre-adversarial
 // builds is pinned separately by the report goldens.)
 func TestAdversarialZeroWhenDisabled(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		res := Run(Config{Seed: 42, Profile: weekProfile(), Realms: testRealms(2, 24), Shards: shards})
-		if res.Adversarial != (AdversarialStats{}) {
-			t.Fatalf("shards=%d: adversarial stats nonzero without attackers: %+v", shards, res.Adversarial)
-		}
-		if got := res.ByClass[0].Subscribers + res.ByClass[1].Subscribers + res.ByClass[2].Subscribers; got != res.Subscribers {
-			t.Fatalf("shards=%d: class census %d != population %d without attackers", shards, got, res.Subscribers)
-		}
+	res := Run(Config{Seed: 42, Profile: weekProfile(), Realms: testRealms(2, 24)})
+	if res.Adversarial != (AdversarialStats{}) {
+		t.Fatalf("adversarial stats nonzero without attackers: %+v", res.Adversarial)
+	}
+	if got := res.ByClass[0].Subscribers + res.ByClass[1].Subscribers + res.ByClass[2].Subscribers; got != res.Subscribers {
+		t.Fatalf("class census %d != population %d without attackers", got, res.Subscribers)
 	}
 }
 
 // TestAdversarialFloodCollateral is E19's core claim at engine level: an
 // undefended flood starves legitimate subscribers, and the per-subscriber
-// token-bucket rate limiter claws the damage back — on both engines.
+// token-bucket rate limiter claws the damage back.
 func TestAdversarialFloodCollateral(t *testing.T) {
 	p := attackProfile()
-	for _, shards := range []int{0, 1} {
-		undefended := Run(Config{Seed: 11, Profile: p, Realms: stressRealms(2, 16, 96, nil), Shards: shards})
-		a := undefended.Adversarial
-		if !a.Enabled || a.Attackers != 2*4 {
-			t.Fatalf("shards=%d: attackers not designated: %+v", shards, a)
-		}
-		if a.AttackerAttempts == 0 || a.LegitAttempts == 0 {
-			t.Fatalf("shards=%d: no load offered: %+v", shards, a)
-		}
-		if a.LegitFailures == 0 || a.NoPorts == 0 {
-			t.Fatalf("shards=%d: undefended flood caused no legit collateral: %+v", shards, a)
-		}
-		if a.AttackerPorts.P99 <= undefended.All.P99 {
-			t.Errorf("shards=%d: attacker p99 %d not above legit p99 %d",
-				shards, a.AttackerPorts.P99, undefended.All.P99)
-		}
-		if a.ScannerProbes == 0 || a.ScannerBlocked == 0 {
-			t.Errorf("shards=%d: scanner idle: probes=%d blocked=%d",
-				shards, a.ScannerProbes, a.ScannerBlocked)
-		}
+	undefended := Run(Config{Seed: 11, Profile: p, Realms: stressRealms(2, 16, 96, nil)})
+	a := undefended.Adversarial
+	if !a.Enabled || a.Attackers != 2*4 {
+		t.Fatalf("attackers not designated: %+v", a)
+	}
+	if a.AttackerAttempts == 0 || a.LegitAttempts == 0 {
+		t.Fatalf("no load offered: %+v", a)
+	}
+	if a.LegitFailures == 0 || a.NoPorts == 0 {
+		t.Fatalf("undefended flood caused no legit collateral: %+v", a)
+	}
+	if a.AttackerPorts.P99 <= undefended.All.P99 {
+		t.Errorf("attacker p99 %d not above legit p99 %d", a.AttackerPorts.P99, undefended.All.P99)
+	}
+	if a.ScannerProbes == 0 || a.ScannerBlocked == 0 {
+		t.Errorf("scanner idle: probes=%d blocked=%d", a.ScannerProbes, a.ScannerBlocked)
+	}
 
-		// 0.06/s ≈ 1.8 allocations/tick: above the legit median peak
-		// (0.8 × 1.7 diurnal), far under the 10/tick flood — the rate
-		// separation the defense needs to discriminate.
-		defended := Run(Config{Seed: 11, Profile: p, Realms: stressRealms(2, 16, 96, func(c *nat.Config) {
-			c.AllocRatePerSec = 0.06
-			c.AllocBurst = 8
-		}), Shards: shards})
-		d := defended.Adversarial
-		if d.RateLimited == 0 {
-			t.Fatalf("shards=%d: token bucket never fired: %+v", shards, d)
-		}
-		if d.LegitFailRate() >= a.LegitFailRate() {
-			t.Errorf("shards=%d: defense did not reduce legit failure rate: %.4f (defended) vs %.4f (undefended)",
-				shards, d.LegitFailRate(), a.LegitFailRate())
-		}
-		if d.AttackerFailRate() <= a.AttackerFailRate() {
-			t.Errorf("shards=%d: defense did not starve attackers: %.4f (defended) vs %.4f (undefended)",
-				shards, d.AttackerFailRate(), a.AttackerFailRate())
-		}
+	// 0.06/s ≈ 1.8 allocations/tick: above the legit median peak
+	// (0.8 × 1.7 diurnal), far under the 10/tick flood — the rate
+	// separation the defense needs to discriminate.
+	defended := Run(Config{Seed: 11, Profile: p, Realms: stressRealms(2, 16, 96, func(c *nat.Config) {
+		c.AllocRatePerSec = 0.06
+		c.AllocBurst = 8
+	})})
+	d := defended.Adversarial
+	if d.RateLimited == 0 {
+		t.Fatalf("token bucket never fired: %+v", d)
+	}
+	if d.LegitFailRate() >= a.LegitFailRate() {
+		t.Errorf("defense did not reduce legit failure rate: %.4f (defended) vs %.4f (undefended)",
+			d.LegitFailRate(), a.LegitFailRate())
+	}
+	if d.AttackerFailRate() <= a.AttackerFailRate() {
+		t.Errorf("defense did not starve attackers: %.4f (defended) vs %.4f (undefended)",
+			d.AttackerFailRate(), a.AttackerFailRate())
 	}
 }
 
@@ -117,19 +110,16 @@ func TestAdversarialFloodCollateral(t *testing.T) {
 // chunk of the hard failures.
 func TestAdversarialEviction(t *testing.T) {
 	p := attackProfile()
-	for _, shards := range []int{0, 1} {
-		res := Run(Config{Seed: 13, Profile: p, Realms: stressRealms(1, 16, 96, func(c *nat.Config) {
-			c.Eviction = nat.EvictOldestIdle
-		}), Shards: shards})
-		a := res.Adversarial
-		if a.Evictions == 0 {
-			t.Fatalf("shards=%d: eviction policy never evicted: %+v", shards, a)
-		}
+	res := Run(Config{Seed: 13, Profile: p, Realms: stressRealms(1, 16, 96, func(c *nat.Config) {
+		c.Eviction = nat.EvictOldestIdle
+	})})
+	if a := res.Adversarial; a.Evictions == 0 {
+		t.Fatalf("eviction policy never evicted: %+v", a)
 	}
 }
 
 // TestAdversarialShardedInvariance: with flood, scanner and both defenses
-// live, the sharded engine's Result stays byte-identical at any
+// live, the engine's Result stays byte-identical at any
 // workers × shards split — and under -race this is also the concurrency
 // exercise over the token-bucket and eviction paths.
 func TestAdversarialShardedInvariance(t *testing.T) {

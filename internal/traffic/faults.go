@@ -7,13 +7,13 @@ import (
 )
 
 // FaultPlan is the engine's seeded virtual-time fault schedule: pool-IP
-// outages (sharded-engine lanes going dark, their mappings dropped and
-// their subscribers re-pinned to survivors by a deterministic failover
-// hash) and whole-engine restarts (all mapping state lost; live flows
-// re-establish through the refresh fallback). Faults require the sharded
-// engine — the lane is the outage's unit — so Run refuses a plan with
-// Config.Shards == 0. A zero plan is exactly the pre-fault engine: no
-// extra draws, no extra state, byte-identical results.
+// outages (lanes going dark, their mappings dropped and their
+// subscribers re-pinned to survivors by a deterministic failover hash)
+// and whole-engine restarts (all mapping state lost; live flows
+// re-establish through the refresh fallback). The lane — one pool IP —
+// is the outage's unit, so a plan runs at any Config.Shards. A zero plan
+// is exactly the pre-fault engine: no extra draws, no extra state,
+// byte-identical results.
 //
 // The schedule is part of the deterministic universe: which lanes an
 // outage takes is a pure function of the seed, the realm and the pool
@@ -194,20 +194,4 @@ func (f FaultPlan) boundaries(lanes int, salt uint64) map[int]*faultBoundary {
 		at(rt).restart = true
 	}
 	return b
-}
-
-// Rebucket moves one class-c subscriber from bucket 0 to bucket v,
-// growing as far as needed — unlike Move's single doubling (sized for
-// hooks' ±1 steps), the fault-boundary census rebuild jumps a
-// subscriber straight to its live count.
-func (lc *LiveCounts) Rebucket(c Class, v int32) {
-	s := lc.cnt[c]
-	s[0]--
-	for int(v) >= len(s) {
-		grown := make([]uint64, 2*len(s))
-		copy(grown, s)
-		lc.cnt[c] = grown
-		s = grown
-	}
-	s[v]++
 }

@@ -57,7 +57,9 @@ func faultPlanForTests() traffic.FaultPlan {
 // active fault schedule — two pool outages and an engine restart, with
 // boundaries landing inside and outside outage windows — asserting
 // deeply equal Results (including the degradation series) and identical
-// final-tick digests against the workers=1 shards=1 baseline.
+// final-tick digests against the workers=1 shards=1 baseline. Shards 0
+// is one more input: it means 1, so a plan runs on the zero-value
+// config too.
 func TestFaultedRunInvariance(t *testing.T) {
 	profile := traffic.Profile{
 		Ticks:         40,
@@ -92,7 +94,7 @@ func TestFaultedRunInvariance(t *testing.T) {
 		t.Fatal("degradation series recorded no allocation attempts")
 	}
 	for _, tc := range []struct{ workers, shards int }{
-		{1, 2}, {1, 3}, {1, 5}, {1, 16}, {3, 4}, {4, 2},
+		{1, 0}, {1, 2}, {1, 3}, {1, 5}, {1, 16}, {3, 4}, {4, 2}, {4, 0},
 	} {
 		res, dig := runFaulted(profile, 99, specs, plan, tc.workers, tc.shards)
 		if !reflect.DeepEqual(baseRes, res) {
@@ -221,21 +223,4 @@ func TestFaultPlanValidate(t *testing.T) {
 	if ok.Enabled() == false || (traffic.FaultPlan{}).Enabled() {
 		t.Error("Enabled() misreports")
 	}
-}
-
-// TestFaultsRequireShardedEngine pins the refusal: a fault plan on the
-// legacy engine (Shards == 0) panics rather than silently ignoring the
-// schedule.
-func TestFaultsRequireShardedEngine(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("Run accepted a fault plan with Shards == 0")
-		}
-	}()
-	traffic.Run(traffic.Config{
-		Seed:    1,
-		Profile: traffic.Profile{Ticks: 4, TickStep: time.Second, FlowsPerTick: 0.1, FlowHoldTicks: 1},
-		Realms:  multiLaneSpecs()[:1],
-		Faults:  traffic.FaultPlan{Restarts: []int{1}},
-	})
 }

@@ -1,9 +1,11 @@
-// Parallel-vs-sequential byte-identity: the engine's determinism
-// contract says Config.Workers is purely a resource knob. This test
-// drives every registry scenario with a traffic profile through the
-// engine at workers=1 and workers=N over real generated worlds and
-// asserts deeply identical Results and identical per-realm NAT state
-// digests at the final tick.
+// Zero-knob byte-identity: the engine's determinism contract says
+// Config.Workers and Config.Shards are purely resource knobs, and any
+// value below 1 means 1. This test drives every registry scenario with a
+// traffic profile through the engine at the zero-value knobs (the way
+// report.Collect and the campaign call it) and at workers=4 x shards=3
+// over real generated worlds, and asserts deeply identical Results and
+// identical per-realm NAT state digests at the final tick. The
+// shards >= 1 grid lives in sharded_diff_test.go.
 //
 // The test lives in package traffic_test because it builds worlds:
 // internet imports traffic (Scenario.Traffic), so an in-package test
@@ -13,12 +15,9 @@ package traffic_test
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"cgn/internal/internet"
-	"cgn/internal/nat"
 	"cgn/internal/traffic"
 )
 
@@ -54,7 +53,7 @@ func TestRegistryHasTrafficScenarios(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential is the workers=1 vs workers=N
+// TestParallelMatchesSequential is the zero-knob vs workers=4 x shards=3
 // differential over every registry traffic scenario.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, name := range trafficScenarios(t) {
@@ -64,63 +63,34 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.Seed = 5
-			w := internet.Build(sc)
-			// The same realm specs the E18 replay derives from the world.
-			specs := make([]traffic.RealmSpec, 0, len(w.CGNs))
-			for _, d := range w.CGNs {
-				specs = append(specs, traffic.RealmSpec{
-					ID:          fmt.Sprintf("AS%d/%d", d.ASN, d.Realm),
-					Cellular:    d.Cellular,
-					NAT:         d.Dev.NAT.Config(),
-					Subscribers: d.Dev.NAT.PortStats().Subscribers,
-				})
-			}
-			if len(specs) == 0 {
-				t.Fatalf("scenario %q built a world without carrier NATs", name)
-			}
-
-			lastTick := sc.Traffic.WithDefaults().Ticks - 1
-			run := func(workers int) (*traffic.Result, map[string]string) {
-				var mu sync.Mutex
-				digests := make(map[string]string)
-				res := traffic.Run(traffic.Config{
-					Seed:    sc.Seed ^ 0x7AFF1C0DE,
-					Profile: sc.Traffic,
-					Realms:  specs,
-					Workers: workers,
-					Observer: func(realm traffic.RealmSpec, tick int, _ time.Time, n nat.View) {
-						if tick != lastTick {
-							return
-						}
-						d := n.StateDigest()
-						mu.Lock()
-						digests[realm.ID] = d
-						mu.Unlock()
-					},
-				})
-				return res, digests
-			}
-
-			seqRes, seqDig := run(1)
-			parRes, parDig := run(4)
-
+			specs := worldSpecs(t, name, internet.Build(sc))
+			seqRes, seqDig := runShardedDiff(sc.Traffic, sc.Seed^0x7AFF1C0DE, specs, 0, 0)
+			parRes, parDig := runShardedDiff(sc.Traffic, sc.Seed^0x7AFF1C0DE, specs, 4, 3)
 			if !reflect.DeepEqual(seqRes, parRes) {
-				t.Errorf("workers=1 vs workers=4 Results differ:\n%+v\nvs\n%+v", seqRes, parRes)
-			}
-			if len(seqDig) != len(seqRes.Realms) {
-				t.Fatalf("digest observer saw %d realms, result has %d (realm IDs must be unique)",
-					len(seqDig), len(seqRes.Realms))
+				t.Errorf("zero knobs vs workers=4 shards=3 Results differ:\n%+v\nvs\n%+v", seqRes, parRes)
 			}
 			if !reflect.DeepEqual(seqDig, parDig) {
-				t.Errorf("workers=1 vs workers=4 NAT state digests differ:\n%v\nvs\n%v", seqDig, parDig)
-			}
-			// Some scenarios (e.g. sparse-cgn) can build worlds whose
-			// carrier NATs saw no subscribers at this seed; the identity
-			// check above still holds, but only loaded runs must have
-			// driven flows.
-			if len(seqRes.Realms) > 0 && seqRes.Created == 0 {
-				t.Fatalf("scenario %q loaded %d realms but drove no flows", name, len(seqRes.Realms))
+				t.Errorf("zero knobs vs workers=4 shards=3 NAT state digests differ:\n%v\nvs\n%v", seqDig, parDig)
 			}
 		})
 	}
+}
+
+// worldSpecs derives the same realm specs the E18 replay derives from a
+// built world.
+func worldSpecs(t *testing.T, name string, w *internet.World) []traffic.RealmSpec {
+	t.Helper()
+	specs := make([]traffic.RealmSpec, 0, len(w.CGNs))
+	for _, d := range w.CGNs {
+		specs = append(specs, traffic.RealmSpec{
+			ID:          fmt.Sprintf("AS%d/%d", d.ASN, d.Realm),
+			Cellular:    d.Cellular,
+			NAT:         d.Dev.NAT.Config(),
+			Subscribers: d.Dev.NAT.PortStats().Subscribers,
+		})
+	}
+	if len(specs) == 0 {
+		t.Fatalf("scenario %q built a world without carrier NATs", name)
+	}
+	return specs
 }

@@ -10,16 +10,17 @@ import (
 	"cgn/internal/netaddr"
 )
 
-// The intra-realm sharded engine. One realm's work splits across the
-// lanes of a nat.Sharded — one lane per external pool IP, subscribers
-// pinned to lanes by address hash — and lanes group into shards, each
-// driven by a persistent worker goroutine. A tick is a single parallel
-// phase: every shard, over its owned lanes in ascending lane order,
-// sweeps the lane, refreshes its live flows, draws the tick's arrivals
-// from the lane's own RNG stream and applies them immediately, then
-// folds its sampling buckets and port occupancy. There is no serial
-// driver section — arrival generation is lane-confined, so nothing has
-// to be drawn centrally or handed across shards.
+// The intra-realm sharded engine, the only engine Run drives. One
+// realm's work splits across the lanes of a nat.Sharded — one lane per
+// external pool IP, subscribers pinned to lanes by address hash — and
+// lanes group into shards, each driven by a persistent worker
+// goroutine. A tick is a single parallel phase: every shard, over its
+// owned lanes in ascending lane order, sweeps the lane, refreshes its
+// live flows, draws the tick's arrivals from the lane's own RNG stream
+// and applies them immediately, then folds its sampling buckets and
+// port occupancy. There is no serial driver section — arrival
+// generation is lane-confined, so nothing has to be drawn centrally or
+// handed across shards.
 //
 // Arrivals are decoded by geometric skip-sampling (ForEachArrival): for
 // each (lane, class) the decoder jumps straight from arriving subscriber
@@ -60,10 +61,10 @@ type shardState struct {
 	// through.
 	active, fresh, scratch []int32
 	// The shard flow arena: the shard's subscribers' flow lists live in
-	// one slice, dead nodes chain through the freelist, exactly like the
-	// legacy engine's realm arena (head/tail in subscriber index into
-	// the owning shard's arena — well defined, a subscriber has exactly
-	// one).
+	// one slice and dead nodes chain through the freelist, so
+	// steady-state ticks never allocate (head/tail in subscriber index
+	// into the owning shard's arena — well defined, a subscriber has
+	// exactly one).
 	arena    []flowNode
 	freeHead int32
 	// emit is the shard's arrival sink, allocated once at setup and
@@ -87,13 +88,10 @@ type shardState struct {
 	degA, degF []uint64
 }
 
-// FastRand is the sharded engine's arrival-draw stream: a SplitMix64
-// generator, statistically sound for simulation draws at a fraction of
-// math/rand's per-draw cost. Each lane owns one, so arrival draws are
-// lane-confined and byte-identical at any shards × workers split. The
-// sharded engine is its own deterministic universe (see Config.Shards),
-// so its draw stream only has to be deterministic, not match the legacy
-// engine's generator.
+// FastRand is the engine's arrival-draw stream: a SplitMix64 generator,
+// statistically sound for simulation draws at a fraction of math/rand's
+// per-draw cost. Each lane owns one, so arrival draws are lane-confined
+// and byte-identical at any shards × workers split.
 type FastRand uint64
 
 func (r *FastRand) Next() uint64 {
@@ -122,8 +120,8 @@ func (r *FastRand) Intn(n uint32) uint32 {
 	return uint32(uint64(uint32(r.Next())) * uint64(n) >> 32)
 }
 
-// Poisson draws a Poisson variate by Knuth's method, like the package
-// poisson but on the fast stream.
+// Poisson draws a Poisson variate by Knuth's method. Rates are small (a
+// few events per tick), so the loop stays short.
 func (r *FastRand) Poisson(expNegLambda float64) int {
 	k, p := 0, 1.0
 	for {
@@ -174,8 +172,8 @@ func (r *FastRand) PoissonGE1(lambda, expNegLambda float64) int {
 // Cost is O(arrivals + 1) draws, never worse than per-subscriber gating,
 // and the emitted multiset follows the exact same distribution.
 //
-// n == 0 or lambda <= 0 consumes no draws. This decode IS the sharded
-// universe's arrival process (always on, no rate threshold); the
+// n == 0 or lambda <= 0 consumes no draws. This decode IS the engine's
+// arrival process (always on, no rate threshold); the
 // differential test pins its jump arithmetic against a transparent
 // per-subscriber walk over the same stream.
 func ForEachArrival(r *FastRand, n int, lambda, expNegLambda float64, emit func(i, k int)) {
@@ -195,10 +193,11 @@ func ForEachArrival(r *FastRand, n int, lambda, expNegLambda float64, emit func(
 }
 
 // runRealmSharded drives one realm through every tick against a fresh
-// sharded NAT built from the realm's configuration. Same signature and
-// accumulator contract as runRealm; engine selection happens in Run.
+// sharded NAT built from the realm's configuration, accumulating into
+// the realm's private realmOut.
 func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
-	// Same realm-stream seed mix as the legacy engine: the realm RNG
+	// Mix the realm index into the seed with a 64-bit odd constant so
+	// realms draw independent streams whatever their order. The realm RNG
 	// serves the class draws and seeds the per-lane arrival streams; the
 	// lanes draw allocation randomness from their own per-lane streams.
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(realmIdx+1)*-0x61c8864680b583eb))
@@ -354,8 +353,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 
 	// One arrival sink per shard, allocated once: ForEachArrival calls
 	// it for every arriving subscriber of the pass set up in the cur*
-	// fields. Hold spans 1..2*FlowHoldTicks-1 like the legacy engine's
-	// draw.
+	// fields. Hold spans 1..2*FlowHoldTicks-1 ticks.
 	for _, st := range shards {
 		st.atkEmit = func(i, k int) {
 			sub := &subs[st.curList[i]]
@@ -483,8 +481,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 		// skip-sampled on the lane's stream and applied immediately —
 		// the single-phase replacement for the old sequential driver.
 		// The adversarial pass rides the same per-lane order, after the
-		// legitimate classes (matching the legacy engine), on the
-		// lane's own attack stream.
+		// legitimate classes, on the lane's own attack stream.
 		for _, l := range st.lanes {
 			st.curLane = l
 			st.curLn = sn.Lane(l)
@@ -704,7 +701,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 		for j := range subs {
 			sub := &subs[j]
 			if !sub.attacker && sub.live > 0 {
-				shards[sn.ShardOf(int(laneOf[j]))].lc.Rebucket(sub.class, sub.live)
+				shards[sn.ShardOf(int(laneOf[j]))].lc.Move(sub.class, 0, sub.live)
 			}
 		}
 	}
@@ -756,8 +753,11 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 			<-workers[i].done
 		}
 
-		// Aggregation, after the barrier. See runRealm for the UDP
-		// capacity share.
+		// Aggregation, after the barrier. The engine generates UDP flows
+		// only, so utilization divides by the UDP share of the capacity
+		// (PortStats counts UDP and TCP segments); against the full
+		// dual-protocol capacity a fully exhausted realm would misreport
+		// as 50%.
 		inUse := 0
 		for _, st := range shards {
 			inUse += st.inUse

@@ -1,5 +1,5 @@
-// Shard-count byte-identity: the sharded engine's determinism contract
-// says Config.Shards (>= 1) is purely a resource knob — subscribers pin
+// Shard-count byte-identity: the engine's determinism contract says
+// Config.Shards is purely a resource knob — subscribers pin
 // to lanes by address hash and every lane is driven in the same order
 // whatever shard drives it, so Results and per-realm NAT state digests
 // are identical at any shard count. This test is the differential: every
@@ -12,7 +12,6 @@
 package traffic_test
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -65,21 +64,16 @@ func TestShardedShardCountInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.Seed = 5
-			w := internet.Build(sc)
-			specs := make([]traffic.RealmSpec, 0, len(w.CGNs))
-			for _, d := range w.CGNs {
-				specs = append(specs, traffic.RealmSpec{
-					ID:          fmt.Sprintf("AS%d/%d", d.ASN, d.Realm),
-					Cellular:    d.Cellular,
-					NAT:         d.Dev.NAT.Config(),
-					Subscribers: d.Dev.NAT.PortStats().Subscribers,
-				})
-			}
-			if len(specs) == 0 {
-				t.Fatalf("scenario %q built a world without carrier NATs", name)
-			}
-
+			specs := worldSpecs(t, name, internet.Build(sc))
 			baseRes, baseDig := runShardedDiff(sc.Traffic, sc.Seed^0x7AFF1C0DE, specs, 1, 1)
+			if len(baseDig) != len(baseRes.Realms) {
+				t.Fatalf("digest observer saw %d realms, result has %d (realm IDs must be unique)",
+					len(baseDig), len(baseRes.Realms))
+			}
+			// Some scenarios (e.g. sparse-cgn) can build worlds whose
+			// carrier NATs saw no subscribers at this seed; the identity
+			// checks below still hold, but only loaded runs must have
+			// driven flows.
 			if len(baseRes.Realms) > 0 && baseRes.Created == 0 {
 				t.Fatalf("scenario %q loaded %d realms but drove no flows", name, len(baseRes.Realms))
 			}
@@ -300,38 +294,5 @@ func TestShardedMultiLaneInvariance(t *testing.T) {
 			t.Errorf("workers=%d shards=%d: digests differ from shards=1 baseline:\n%v\nvs\n%v",
 				tc.workers, tc.shards, baseDig, dig)
 		}
-	}
-}
-
-// TestShardedEngineDistinctUniverse pins the design decision that the
-// sharded engine is its own deterministic universe: it must produce a
-// valid, loaded result, but nothing forces it to equal the legacy
-// engine's (per-lane RNG streams and hash-pinned pooling differ by
-// construction). What IS shared: population size, realm set, and the
-// conservation invariants checked elsewhere. A future change that
-// accidentally routes Shards>=1 through the legacy engine would trip
-// the digest comparison below.
-func TestShardedEngineDistinctUniverse(t *testing.T) {
-	profile := traffic.Profile{
-		Ticks:         20,
-		DayTicks:      12,
-		TickStep:      20 * time.Second,
-		HeavyFrac:     0.05,
-		LightFrac:     0.5,
-		FlowsPerTick:  1.2,
-		HeavyMult:     5,
-		FlowHoldTicks: 2,
-	}
-	specs := multiLaneSpecs()[:1]
-	legacy, legacyDig := runShardedDiff(profile, 42, specs, 1, 0)
-	sharded, shardedDig := runShardedDiff(profile, 42, specs, 1, 1)
-	if legacy.Subscribers != sharded.Subscribers {
-		t.Fatalf("population diverged: legacy %d, sharded %d", legacy.Subscribers, sharded.Subscribers)
-	}
-	if sharded.Created == 0 {
-		t.Fatal("sharded engine drove no flows")
-	}
-	if reflect.DeepEqual(legacyDig, shardedDig) {
-		t.Fatal("legacy and sharded digests are identical — Shards>=1 appears to run the legacy engine (one engine, two universes)")
 	}
 }

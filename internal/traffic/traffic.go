@@ -65,30 +65,25 @@ type Config struct {
 	// and accumulates into private state that Run merges in realm input
 	// order, so Result is byte-identical at any worker count.
 	Workers int
-	// Shards selects the NAT engine. 0 (the default) drives each realm
-	// on the single sequential engine, byte-identical to every prior
-	// release. >= 1 drives each realm on the intra-realm sharded engine
-	// (nat.NewSharded): the realm's external pool splits into per-IP
-	// lanes, lanes group into shards, and one goroutine drives each
-	// shard between per-tick barriers. The result is identical at ANY
-	// Shards value — the count only sets how many goroutines split the
-	// realm (clamped per realm to its external pool size) — but the
-	// sharded engine is its own deterministic universe, distinct from
-	// Shards == 0 (see nat.NewSharded). Total concurrency is
-	// Workers x Shards goroutines.
+	// Shards is how many goroutines split each realm. Every realm runs
+	// on the intra-realm sharded engine (nat.NewSharded): the realm's
+	// external pool splits into per-IP lanes, lanes group into shards,
+	// and one goroutine drives each shard between per-tick barriers.
+	// The count is a pure resource knob — any value below 1 means 1,
+	// values above the realm's pool size clamp to it, and Result is
+	// identical at every value. Total concurrency is Workers x Shards
+	// goroutines.
 	Shards int
 	// Faults is the seeded virtual-time fault schedule: pool-IP outages
-	// and engine restarts. Requires the sharded engine (Shards >= 1) —
-	// the lane is the outage's unit — and Run panics on a plan that
-	// fails validation, like nat.New on an unusable Config. The zero
-	// plan is exactly the pre-fault engine.
+	// and engine restarts. Run panics on a plan that fails validation,
+	// like nat.New on an unusable Config. The zero plan is exactly the
+	// pre-fault engine.
 	Faults FaultPlan
 	// Observer, when set, is called after every realm tick with a
-	// read-only view of the realm's NAT (the sequential engine or the
-	// sharded facade, per Shards). Test hooks only — with Workers > 1
-	// the observer is called concurrently from worker goroutines (never
-	// concurrently for the same realm), and always between shard
-	// barriers, never while shard workers run.
+	// read-only view of the realm's sharded NAT. Test hooks only — with
+	// Workers > 1 the observer is called concurrently from worker
+	// goroutines (never concurrently for the same realm), and always
+	// between shard barriers, never while shard workers run.
 	Observer func(realm RealmSpec, tick int, now time.Time, n nat.View)
 }
 
@@ -320,7 +315,7 @@ func (h *Hist) Max() int {
 }
 
 // subscriberBase anchors the dense synthetic 10.64/16-style internal
-// address block both engines place subscribers in; dstBase anchors the
+// address block the engine places subscribers in; dstBase anchors the
 // synthetic remote-destination space.
 var (
 	subscriberBase = netaddr.MustParseAddr("10.64.0.1")
@@ -331,13 +326,6 @@ var (
 	atkDstBase  = netaddr.MustParseAddr("6.0.0.0")
 	scannerAddr = netaddr.MustParseAddr("203.0.113.7")
 )
-
-// atkSeedMix derives the adversarial RNG stream's per-realm seed. It
-// differs from the realm-stream constant, and the adversarial stream is
-// never drawn from the realm RNG, so enabling attacks perturbs no
-// legitimate draw — a zero-attacker run is byte-identical to one built
-// before the knobs existed.
-const atkSeedMix int64 = 0x6A09E667F3BCC909
 
 // attackerCount returns how many of a realm's n subscribers the profile
 // designates as flooders: the leading int(AttackerFrac·n) by subscriber
@@ -384,13 +372,13 @@ func NewLiveCounts(classSubs [3]int) *LiveCounts {
 	return lc
 }
 
-// Move shifts one class-c subscriber from bucket from to bucket to.
-// Hooks only ever move by one, so after the doubling grow, to is always
-// in range.
+// Move shifts one class-c subscriber from bucket from to bucket to,
+// doubling the buckets until to is in range. Hooks move by one; census
+// rebuilds jump a subscriber from 0 straight to its live count.
 func (lc *LiveCounts) Move(c Class, from, to int32) {
 	s := lc.cnt[c]
 	s[from]--
-	if int(to) >= len(s) {
+	for int(to) >= len(s) {
 		grown := make([]uint64, 2*len(s))
 		copy(grown, s)
 		lc.cnt[c] = grown
@@ -413,10 +401,10 @@ func (lc *LiveCounts) Fold(classHists *[3]Hist, all *Hist) {
 }
 
 // buildSubscribers draws the realm population: one class draw per
-// subscriber in address order — the draw sequence both engines share —
-// over dense synthetic internal addresses above base (synthetic because
-// they never leave the engine; dense so RandomChunk's chunk table and
-// the hooks' address-to-index subtraction both work).
+// subscriber in address order, the realm stream's first draws — over
+// dense synthetic internal addresses above base (synthetic because they
+// never leave the engine; dense so RandomChunk's chunk table and the
+// hooks' address-to-index subtraction both work).
 func buildSubscribers(rng *rand.Rand, p Profile, spec RealmSpec, base netaddr.Addr, classSubs *[3]int) []subscriber {
 	subs := make([]subscriber, spec.Subscribers)
 	for j := range subs {
@@ -452,26 +440,6 @@ func DiurnalFactor(p Profile, tick int) float64 {
 	return f
 }
 
-// poisson draws a Poisson variate by Knuth's method; arrival rates are
-// small (a few flows per tick even for heavy hitters at peak), so the
-// loop stays short. expNegLambda is exp(-λ), hoisted by the caller: λ
-// takes one value per rate class per tick, so the engine computes the
-// exponential three times per tick instead of once per subscriber. The
-// draw sequence is identical to computing it inline.
-func poisson(rng *rand.Rand, expNegLambda float64) int {
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= expNegLambda {
-			return k
-		}
-		k++
-		if k >= 1024 { // unreachable at sane rates; bounds a corrupt profile
-			return k
-		}
-	}
-}
-
 // ClassRate is the per-class multiplier on the median arrival rate.
 func ClassRate(p Profile, c Class) float64 {
 	switch c {
@@ -484,11 +452,10 @@ func ClassRate(p Profile, c Class) float64 {
 	}
 }
 
-// realmOut is one realm's private accumulator set. The parallel engine
-// gives every realm its own and merges them in realm input order, which
-// reproduces the sequential engine's accumulation order exactly —
-// including the float-addition order into MeanUtil — so Result is
-// byte-identical at any worker count.
+// realmOut is one realm's private accumulator set. Every realm gets its
+// own, and Run merges them in realm input order whatever order the
+// workers finished in — fixing even the float-addition order into
+// MeanUtil — so Result is byte-identical at any worker count.
 type realmOut struct {
 	stat       RealmStat
 	classSubs  [3]int
@@ -507,9 +474,9 @@ type realmOut struct {
 	faultEvents int
 }
 
-// advAccum is the adversarial accumulator — per realm in the legacy
-// engine, per shard in the sharded one (merged in shard order, then in
-// realm order). All zero when the profile offers no adversaries.
+// advAccum is the adversarial accumulator, kept per shard and merged in
+// shard order, then in realm order. All zero when the profile offers no
+// adversaries.
 type advAccum struct {
 	attackers                                   int
 	legitAttempts, legitFailures                uint64
@@ -544,13 +511,8 @@ func Run(cfg Config) *Result {
 	if !p.Enabled() {
 		return res
 	}
-	if cfg.Faults.Enabled() {
-		if cfg.Shards <= 0 {
-			panic("traffic: fault injection requires the sharded engine (Config.Shards >= 1): the lane is the outage's unit")
-		}
-		if err := cfg.Faults.Validate(p.Ticks); err != nil {
-			panic("traffic: " + err.Error())
-		}
+	if err := cfg.Faults.Validate(p.Ticks); err != nil {
+		panic("traffic: " + err.Error())
 	}
 	// Realms without subscribers are skipped entirely (they appear
 	// nowhere in the result, not even as zero rows).
@@ -576,13 +538,9 @@ func Run(cfg Config) *Result {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	run := runRealm
-	if cfg.Shards > 0 {
-		run = runRealmSharded
-	}
 	if workers == 1 {
 		for ji, jb := range jobs {
-			outs[ji] = run(cfg, p, jb.spec, jb.idx)
+			outs[ji] = runRealmSharded(cfg, p, jb.spec, jb.idx)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -592,7 +550,7 @@ func Run(cfg Config) *Result {
 			go func() {
 				defer wg.Done()
 				for ji := range next {
-					outs[ji] = run(cfg, p, jobs[ji].spec, jobs[ji].idx)
+					outs[ji] = runRealmSharded(cfg, p, jobs[ji].spec, jobs[ji].idx)
 				}
 			}()
 		}
@@ -689,260 +647,4 @@ func Run(cfg Config) *Result {
 		}
 	}
 	return res
-}
-
-// runRealm drives one realm through every tick against a fresh NAT
-// replica built from the realm's configuration, accumulating into the
-// realm's private realmOut.
-func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
-	// Mix the realm index into the seed with a 64-bit odd constant so
-	// realms draw independent streams whatever their order.
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(realmIdx+1)*-0x61c8864680b583eb))
-	n := nat.New(spec.NAT)
-	out := &realmOut{
-		stat: RealmStat{ID: spec.ID, Cellular: spec.Cellular, Subscribers: spec.Subscribers},
-		util: make([]float64, p.Ticks),
-	}
-
-	// Per-class arrival rates, shared by subscriber init and the
-	// per-tick λ hoist below so both see bit-identical values.
-	var rates [3]float64
-	for c := Class(0); c < numClasses; c++ {
-		rates[c] = p.FlowsPerTick * ClassRate(p, c)
-	}
-
-	base := subscriberBase
-	subs := buildSubscribers(rng, p, spec, base, &out.classSubs)
-	numAtk := attackerCount(p, len(subs))
-	markAttackers(subs, numAtk, &out.classSubs)
-
-	// Incremental per-subscriber live-port counts: instead of probing
-	// nat.Sessions for every subscriber every tick, the NAT's mapping
-	// hooks maintain subscriber.live and the class-keyed bucket counts
-	// the per-tick sampling fold reads. Subscriber addresses are dense
-	// above base, so a hook resolves the owner with one subtraction.
-	// Attackers keep their live count but stay out of the class buckets;
-	// the adversarial pass samples them into its own histogram.
-	lc := NewLiveCounts(out.classSubs)
-	n.SetMappingHooks(
-		func(m *nat.Mapping) {
-			if j := uint32(m.Int.Addr - base); j < uint32(len(subs)) {
-				sub := &subs[j]
-				if !sub.attacker {
-					lc.Move(sub.class, sub.live, sub.live+1)
-				}
-				sub.live++
-			}
-		},
-		func(m *nat.Mapping) {
-			if j := uint32(m.Int.Addr - base); j < uint32(len(subs)) {
-				sub := &subs[j]
-				if !sub.attacker {
-					lc.Move(sub.class, sub.live, sub.live-1)
-				}
-				sub.live--
-			}
-		},
-	)
-
-	// Adversarial state, touched only when the profile offers attacks:
-	// the flood/scanner RNG is its own stream (atkSeedMix), so the
-	// legitimate draw sequence above and below never shifts.
-	attacks := p.AttacksEnabled()
-	var (
-		adv                     *advAccum
-		atkRng                  *rand.Rand
-		expNegFlood, expNegScan float64
-		atkSeq                  uint64
-		scanLo, scanSpan        int
-	)
-	if attacks {
-		adv = &out.adv
-		adv.attackers = numAtk
-		atkRng = rand.New(rand.NewSource(cfg.Seed + int64(realmIdx+1)*atkSeedMix))
-		expNegFlood = math.Exp(-p.AttackerFlowsPerTick)
-		expNegScan = math.Exp(-p.ScannerProbesPerTick)
-		eff := n.Config()
-		scanLo = int(eff.PortLo)
-		scanSpan = int(eff.PortHi) - int(eff.PortLo) + 1
-	}
-
-	// The realm flow arena: all subscribers' flow lists live in one
-	// slice, dead nodes chain through the freelist. Steady-state ticks
-	// therefore allocate nothing — the arena grows to the realm's peak
-	// concurrent flow count and is recycled from then on.
-	arena := make([]flowNode, 0, 4*spec.Subscribers)
-	freeHead := int32(-1)
-
-	epoch := time.Unix(0, 0)
-	var dstSeq uint64
-	for t := 0; t < p.Ticks; t++ {
-		now := epoch.Add(time.Duration(t) * p.TickStep)
-		n.Sweep(now)
-		df := DiurnalFactor(p, t)
-		// λ = rate·df takes one value per class per tick; hoist the
-		// exponential Knuth's method needs out of the subscriber loop.
-		var expNegLambda [3]float64
-		for c := range rates {
-			expNegLambda[c] = math.Exp(-(rates[c] * df))
-		}
-
-		for j := range subs {
-			sub := &subs[j]
-			// Refresh live flows through their mapping handles. A stale
-			// handle (the mapping idled out, or its struct was dropped)
-			// falls back to the full translation path, which re-creates
-			// the mapping exactly as the packet would; if even that
-			// fails (port space or quota now exhausted) the flow dies.
-			prev := int32(-1)
-			for idx := sub.head; idx >= 0; {
-				nd := &arena[idx]
-				next := nd.next
-				ok := n.Refresh(nd.ref, nd.f.Dst, now)
-				if !ok {
-					var v nat.Verdict
-					_, nd.ref, v = n.TranslateOutRef(nd.f, now)
-					ok = v == nat.Ok
-				}
-				if ok {
-					out.refreshes++
-				}
-				nd.ticksLeft--
-				if nd.ticksLeft > 0 && ok {
-					prev = idx
-				} else {
-					// Unlink and recycle the node.
-					if prev >= 0 {
-						arena[prev].next = next
-					} else {
-						sub.head = next
-					}
-					if next < 0 {
-						sub.tail = prev
-					}
-					nd.next = freeHead
-					freeHead = idx
-				}
-				idx = next
-			}
-
-			// New flow arrivals under the diurnal curve. Each flow gets
-			// a fresh source port (distinct mappings on cone NATs) and a
-			// fresh destination (distinct mappings on symmetric NATs).
-			// Attackers draw nothing here — their flood runs on its own
-			// stream after the legitimate pass.
-			k := 0
-			if !sub.attacker && rates[sub.class]*df > 0 {
-				k = poisson(rng, expNegLambda[sub.class])
-			}
-			for ; k > 0; k-- {
-				dstSeq++
-				// The destination address carries the low 32 bits of the
-				// sequence and the port the next 16, so 5-tuples stay
-				// distinct for 2^48 flows per realm; below 2^32 the
-				// address alone varies and the port is exactly 443.
-				f := netaddr.FlowOf(netaddr.UDP,
-					netaddr.EndpointOf(sub.addr, uint16(1024+rng.Intn(64512))),
-					netaddr.EndpointOf(dstBase+netaddr.Addr(uint32(dstSeq)), uint16(443+(dstSeq>>32))))
-				hold := 1 + rng.Intn(2*p.FlowHoldTicks-1)
-				_, ref, v := n.TranslateOutRef(f, now)
-				if adv != nil {
-					adv.legitAttempts++
-					if v != nat.Ok {
-						adv.legitFailures++
-					}
-				}
-				if v == nat.Ok {
-					var ni int32
-					if freeHead >= 0 {
-						ni = freeHead
-						freeHead = arena[ni].next
-					} else {
-						arena = append(arena, flowNode{})
-						ni = int32(len(arena) - 1)
-					}
-					arena[ni] = flowNode{f: f, ref: ref, ticksLeft: int32(hold), next: -1}
-					if sub.tail >= 0 {
-						arena[sub.tail].next = ni
-					} else {
-						sub.head = ni
-					}
-					sub.tail = ni
-				}
-			}
-		}
-
-		// Adversarial pass, after the legitimate one (the order the
-		// sharded engine also fixes per lane). Flood flows burn a fresh
-		// source port and destination each and are never refreshed:
-		// occupancy is sustained by rate × idle timeout alone, the
-		// mapping-table exhaustion attack's signature. Scanner probes
-		// tickle inbound filtering across the pool's port range.
-		if attacks {
-			for j := 0; j < numAtk; j++ {
-				sub := &subs[j]
-				for k := poisson(atkRng, expNegFlood); k > 0; k-- {
-					atkSeq++
-					f := netaddr.FlowOf(netaddr.UDP,
-						netaddr.EndpointOf(sub.addr, uint16(1024+atkRng.Intn(64512))),
-						netaddr.EndpointOf(atkDstBase+netaddr.Addr(uint32(atkSeq)), uint16(9+(atkSeq>>32))))
-					adv.attackerAttempts++
-					if _, v := n.TranslateOut(f, now); v != nat.Ok {
-						adv.attackerFailures++
-					}
-				}
-			}
-			if p.ScannerProbesPerTick > 0 {
-				for _, ip := range n.Config().ExternalIPs {
-					for k := poisson(atkRng, expNegScan); k > 0; k-- {
-						probe := netaddr.FlowOf(netaddr.UDP,
-							netaddr.EndpointOf(scannerAddr, uint16(1024+atkRng.Intn(64512))),
-							netaddr.EndpointOf(ip, uint16(scanLo+atkRng.Intn(scanSpan))))
-						adv.scannerProbes++
-						if _, v := n.TranslateIn(probe, now); v != nat.Ok {
-							adv.scannerBlocked++
-						}
-					}
-				}
-			}
-			// Attacker concurrent-port samples: the population is tiny
-			// (a fraction of the realm), so a direct walk beats keeping
-			// a second bucket set coherent.
-			for j := 0; j < numAtk; j++ {
-				adv.attackerHist.Add(int(subs[j].live))
-			}
-		}
-
-		// Sample: one per-subscriber concurrent-port sample each (the
-		// hook-maintained live-count buckets, folded in bulk) and the
-		// realm's instantaneous port-space utilization.
-		lc.Fold(&out.classHists, &out.allHist)
-		// The engine generates UDP flows only, so utilization divides by
-		// the UDP share of the capacity (PortStats counts UDP and TCP
-		// segments); against the full dual-protocol capacity a fully
-		// exhausted realm would misreport as 50%.
-		ps := n.PortStats()
-		if udpCapacity := ps.Capacity / 2; udpCapacity > 0 {
-			u := float64(ps.InUse) / float64(udpCapacity)
-			out.util[t] = u
-			if u > out.stat.PeakUtil {
-				out.stat.PeakUtil = u
-			}
-		}
-		if cfg.Observer != nil {
-			cfg.Observer(spec, t, now, n)
-		}
-	}
-
-	final := n.PortStats()
-	out.stat.Created = final.Allocs
-	out.stat.Failures = final.Failures()
-	out.stat.Expired = n.Metrics.Counter("mappings_expired").Value()
-	if attacks {
-		out.adv.quotaDrops = final.QuotaDrops
-		out.adv.noPorts = final.NoPorts
-		out.adv.rateLimited = final.RateLimited
-		out.adv.evictions = final.Evictions
-	}
-	return out
 }
