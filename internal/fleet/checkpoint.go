@@ -11,10 +11,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
-	"cgn/internal/nat"
-	"cgn/internal/netaddr"
 	"cgn/internal/traffic"
 )
 
@@ -37,10 +36,15 @@ import (
 // run cut mid-outage; 5 dropped the single-table engine's state
 // (RealmCkpt.Engine and the realm-stream DstSeq) when the sharded
 // engine became the only one, so every enabled realm carries exactly
-// its per-lane snapshots.
+// its per-lane snapshots; 6 replaced the fleet's own flow and stream
+// state with the traffic realm kernel's snapshot (RealmCkpt.Kernel)
+// when the fleet began stepping that kernel, carried the population as
+// traffic.Member records, and dropped the provisioning state (Enabled,
+// Provision, PoolSize, Epoch), which Resume now replays from the
+// timeline.
 const (
 	checkpointMagic   = "CGNFLEET"
-	checkpointVersion = 5
+	checkpointVersion = 6
 )
 
 // Checkpoint is the serialized fleet state at a day boundary. Together
@@ -65,65 +69,31 @@ type HistState struct {
 	N      uint64
 }
 
-// SubCkpt is one subscriber: the address is derived from the index, the
-// live-mapping count from the restored engine, so only identity
-// survives serialization.
-type SubCkpt struct {
-	Class  uint8
-	Active bool
-}
-
-// FlowCkpt is one live flow, in per-subscriber FIFO order. The mapping
-// handle is deliberately absent: every checkpointed flow refreshed its
-// mapping on the day's last tick, so the restored engine resolves the
-// same mapping by key (RefForFlow) — and if two flows share a key they
-// resolve to the same mapping in both runs.
-type FlowCkpt struct {
-	Sub       int32
-	F         netaddr.Flow
-	TicksLeft int32
-}
-
-// RealmCkpt is one carrier's serialized state.
+// RealmCkpt is one carrier's serialized state: the fleet's own — the
+// population, the realm stream, the accumulated samples and counters,
+// the observation rings — plus the kernel's snapshot. The provisioning
+// state is not stored; Resume replays it from the timeline.
 type RealmCkpt struct {
-	Enabled   bool
-	Provision int
-	PoolSize  int
-	Epoch     int
+	// Pop is the subscriber population in member order.
+	Pop []traffic.Member
 
-	Subs  []SubCkpt
-	Flows []FlowCkpt
-
-	// Fr is the realm stream: subscriber classes and the seeds of each
-	// provisioned engine's per-lane streams.
+	// Fr is the realm stream: member classes and the seeds of each
+	// kernel's per-lane streams.
 	Fr uint64
-
-	// FrLanes and DstSeqs are the per-lane arrival streams and
-	// destination sequences, in lane order — set exactly when
-	// EngineLanes is, one entry per lane.
-	FrLanes []uint64
-	DstSeqs []uint64
-
-	// LanesDown flags the pool's lanes currently dark to a
-	// fault-injection outage, in lane order — nil when every lane is up.
-	// A down lane holds no mappings, so restore reapplies the flag
-	// without dropping anything.
-	LanesDown []bool
 
 	Created    uint64
 	Expired    uint64
 	Refreshes  uint64
-	FailFolded uint64
+	Failures   uint64
 	PeakUtil   float64
-
 	ClassHists [3]HistState
 	AllHist    HistState
 
 	EvRing, EnRing []bool
 
-	// EngineLanes is the engine's per-lane state for an enabled carrier,
-	// nil when disabled.
-	EngineLanes []*nat.Snapshot
+	// Kernel is the realm kernel's state for a carrier running CGN, nil
+	// while disabled.
+	Kernel *traffic.RealmSnapshot
 }
 
 // signature fingerprints the parts of the configuration that determine
@@ -147,39 +117,22 @@ func (s *Sim) Checkpoint() *Checkpoint {
 	}
 	for _, r := range s.realms {
 		rc := RealmCkpt{
-			Enabled:    r.enabled,
-			Provision:  r.provision,
-			PoolSize:   r.poolSize,
-			Epoch:      r.epoch,
-			Fr:         uint64(r.fr),
-			Created:    r.created,
-			Expired:    r.expired,
-			Refreshes:  r.refreshes,
-			FailFolded: r.failFolded,
-			PeakUtil:   r.peakUtil,
-			AllHist:    histState(&r.allHist),
-			EvRing:     append([]bool(nil), r.evRing...),
-			EnRing:     append([]bool(nil), r.enRing...),
+			Pop:       slices.Clone(r.pop),
+			Fr:        uint64(r.fr),
+			Created:   r.tally.Created,
+			Expired:   r.tally.Expired,
+			Refreshes: r.tally.Refreshes,
+			Failures:  r.tally.Failures,
+			PeakUtil:  r.tally.PeakUtil,
+			AllHist:   histState(&r.tally.AllHist),
+			EvRing:    slices.Clone(r.evRing),
+			EnRing:    slices.Clone(r.enRing),
 		}
-		for c := range r.classHists {
-			rc.ClassHists[c] = histState(&r.classHists[c])
+		for c := range rc.ClassHists {
+			rc.ClassHists[c] = histState(&r.tally.ClassHists[c])
 		}
-		rc.Subs = make([]SubCkpt, len(r.subs))
-		for j := range r.subs {
-			rc.Subs[j] = SubCkpt{Class: uint8(r.subs[j].class), Active: r.subs[j].active}
-			for idx := r.subs[j].head; idx >= 0; idx = r.arena[idx].next {
-				nd := &r.arena[idx]
-				rc.Flows = append(rc.Flows, FlowCkpt{Sub: int32(j), F: nd.f, TicksLeft: nd.ticksLeft})
-			}
-		}
-		if r.eng != nil {
-			rc.EngineLanes = r.eng.Snapshot()
-			rc.LanesDown = r.eng.DownLanes()
-			rc.FrLanes = make([]uint64, len(r.frLanes))
-			for l := range r.frLanes {
-				rc.FrLanes[l] = uint64(r.frLanes[l])
-			}
-			rc.DstSeqs = append([]uint64(nil), r.dstSeqs...)
+		if r.k != nil {
+			rc.Kernel = r.k.Snapshot()
 		}
 		ck.Realms = append(ck.Realms, rc)
 	}
@@ -193,7 +146,8 @@ func histState(h *traffic.Hist) HistState {
 
 // Resume rebuilds a simulation from a checkpoint taken under the same
 // configuration. Workers and the shard count may differ from the
-// checkpointing process's.
+// checkpointing process's. The checkpoint is untrusted input: anything
+// inconsistent with the configuration is an error, never a panic.
 func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -216,108 +170,59 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 	if s.applied != ck.EventsApplied {
 		return nil, fmt.Errorf("fleet: checkpoint records %d applied events, timeline implies %d by day %d", ck.EventsApplied, s.applied, ck.Day)
 	}
-	for _, ev := range s.events[:s.evIdx] {
-		s.countFault(ev)
-	}
 	ringLen := d.Obs.Windows[len(d.Obs.Windows)-1]
 	if ringLen > d.Days {
 		ringLen = d.Days
 	}
-	for i := range ck.Realms {
+	for i, spec := range d.Carriers {
+		s.realms = append(s.realms, newRealmSim(i, spec, d.Seed, ringLen))
+	}
+	// Replay the provisioning state — CGN on or off, pool generation,
+	// engine epoch — and the fault counts over the timeline so far.
+	for _, ev := range s.events[:s.evIdx] {
+		s.realms[ev.Carrier].replan(ev)
+		s.countFault(ev)
+	}
+	for i, r := range s.realms {
 		rc := &ck.Realms[i]
 		if len(rc.EvRing) != ringLen || len(rc.EnRing) != ringLen {
 			return nil, fmt.Errorf("fleet: realm %d observation rings have %d/%d days, configuration implies %d", i, len(rc.EvRing), len(rc.EnRing), ringLen)
 		}
-		r := &realmSim{
-			idx:        i,
-			spec:       d.Carriers[i],
-			enabled:    rc.Enabled,
-			provision:  rc.Provision,
-			poolSize:   rc.PoolSize,
-			epoch:      rc.Epoch,
-			freeHead:   -1,
-			fr:         traffic.NewFastRand(rc.Fr),
-			created:    rc.Created,
-			expired:    rc.Expired,
-			refreshes:  rc.Refreshes,
-			failFolded: rc.FailFolded,
-			peakUtil:   rc.PeakUtil,
-			allHist:    traffic.HistFromState(rc.AllHist.Counts, rc.AllHist.N),
-			evRing:     append([]bool(nil), rc.EvRing...),
-			enRing:     append([]bool(nil), rc.EnRing...),
+		if len(rc.Pop) > maxSubscribers {
+			return nil, fmt.Errorf("fleet: realm %d has %d subscribers, exceeding the %d cap", i, len(rc.Pop), maxSubscribers)
 		}
-		for c := range r.classHists {
-			r.classHists[c] = traffic.HistFromState(rc.ClassHists[c].Counts, rc.ClassHists[c].N)
-		}
-		if len(rc.Subs) > maxSubscribers {
-			return nil, fmt.Errorf("fleet: realm %d has %d subscribers, exceeding the %d cap", i, len(rc.Subs), maxSubscribers)
-		}
-		r.subs = make([]fleetSub, len(rc.Subs))
-		for j, sc := range rc.Subs {
-			if sc.Class > uint8(traffic.Heavy) {
-				return nil, fmt.Errorf("fleet: realm %d subscriber %d has unknown class %d", i, j, sc.Class)
+		for j, m := range rc.Pop {
+			if m.Class > traffic.Heavy {
+				return nil, fmt.Errorf("fleet: realm %d subscriber %d has unknown class %d", i, j, m.Class)
 			}
-			r.subs[j] = fleetSub{class: traffic.Class(sc.Class), active: sc.Active, head: -1, tail: -1}
 		}
-		if rc.Enabled {
-			if rc.EngineLanes == nil {
-				return nil, fmt.Errorf("fleet: realm %d enabled but has no engine state", i)
-			}
-			eng, err := nat.NewShardedFromSnapshot(r.engineConfig(), d.Shards, rc.EngineLanes)
+		r.pop = slices.Clone(rc.Pop)
+		r.fr = traffic.NewFastRand(rc.Fr)
+		r.tally = traffic.Tally{
+			AllHist:   traffic.HistFromState(rc.AllHist.Counts, rc.AllHist.N),
+			Refreshes: rc.Refreshes,
+			PeakUtil:  rc.PeakUtil,
+			Created:   rc.Created,
+			Expired:   rc.Expired,
+			Failures:  rc.Failures,
+		}
+		for c := range r.tally.ClassHists {
+			r.tally.ClassHists[c] = traffic.HistFromState(rc.ClassHists[c].Counts, rc.ClassHists[c].N)
+		}
+		r.evRing = slices.Clone(rc.EvRing)
+		r.enRing = slices.Clone(rc.EnRing)
+		switch {
+		case r.enabled && rc.Kernel == nil:
+			return nil, fmt.Errorf("fleet: realm %d runs CGN by day %d but has no kernel state", i, ck.Day)
+		case !r.enabled && rc.Kernel != nil:
+			return nil, fmt.Errorf("fleet: realm %d has CGN disabled by day %d but carries kernel state", i, ck.Day)
+		case r.enabled:
+			k, err := traffic.RestoreRealm(d.Profile, r.engineConfig(), d.Shards, r.pop, rc.Kernel)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: realm %d: %w", i, err)
 			}
-			lanes := eng.NumLanes()
-			if len(rc.FrLanes) != lanes || len(rc.DstSeqs) != lanes {
-				return nil, fmt.Errorf("fleet: realm %d carries %d/%d per-lane arrival streams, engine has %d lanes", i, len(rc.FrLanes), len(rc.DstSeqs), lanes)
-			}
-			r.frLanes = make([]traffic.FastRand, lanes)
-			for l, s := range rc.FrLanes {
-				r.frLanes[l] = traffic.NewFastRand(s)
-			}
-			r.dstSeqs = append([]uint64(nil), rc.DstSeqs...)
-			if rc.LanesDown != nil && len(rc.LanesDown) != lanes {
-				return nil, fmt.Errorf("fleet: realm %d carries %d lane-outage flags, engine has %d lanes", i, len(rc.LanesDown), lanes)
-			}
-			// Reapply outage flags before hooks: a down lane checkpointed
-			// empty, so nothing drops here.
-			for l, dn := range rc.LanesDown {
-				if dn {
-					eng.SetLaneDown(l)
-				}
-			}
-			r.eng = eng
-			for j := range r.subs {
-				r.subs[j].live = int32(eng.Sessions(subAddr(j)))
-			}
-		} else if rc.EngineLanes != nil || len(rc.Flows) != 0 || len(rc.FrLanes) != 0 || rc.LanesDown != nil {
-			return nil, fmt.Errorf("fleet: realm %d disabled but carries engine or flow state", i)
+			r.k = k
 		}
-		r.rebuildLC()
-		if r.eng != nil {
-			r.installHooks()
-		}
-		// Relink live flows in their serialized (per-subscriber FIFO)
-		// order. A flow whose key resolves to no live mapping gets a
-		// stale handle; the next tick's refresh falls back to the full
-		// translation path exactly as the uninterrupted run would.
-		for fi, fc := range rc.Flows {
-			if int(fc.Sub) < 0 || int(fc.Sub) >= len(r.subs) {
-				return nil, fmt.Errorf("fleet: realm %d flow %d names subscriber %d of %d", i, fi, fc.Sub, len(r.subs))
-			}
-			sub := &r.subs[fc.Sub]
-			nd := flowNode{f: fc.F, ticksLeft: fc.TicksLeft, next: -1}
-			nd.ref, _ = r.eng.RefForFlow(fc.F)
-			r.arena = append(r.arena, nd)
-			ni := int32(len(r.arena) - 1)
-			if sub.tail >= 0 {
-				r.arena[sub.tail].next = ni
-			} else {
-				sub.head = ni
-			}
-			sub.tail = ni
-		}
-		s.realms = append(s.realms, r)
 	}
 	return s, nil
 }

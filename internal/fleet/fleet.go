@@ -8,24 +8,32 @@
 // CGN deployment is not a snapshot, and detection confidence is a
 // function of how long you watch.
 //
+// Fleet does not drive subscriber flows itself: every carrier running
+// CGN is one traffic.Realm — the same realm kernel traffic.Run steps —
+// which the fleet steps one virtual day at a time, applying the day's
+// timeline events between days. Population changes, pool outages and
+// engine restarts go through the kernel's repartition, so they have the
+// traffic engine's semantics; the fleet keeps only what outlives a
+// kernel: the population, the realm stream, the accumulated samples and
+// counters (a traffic.Tally), and the observation rings.
+//
 // The engine follows the repository's determinism discipline. Virtual
 // time only — the clock is the Unix epoch plus tick × TickStep, never
 // the wall. One seed, one config, one Result, byte-identical at any
 // Workers value (realms accumulate privately and merge in input order)
-// and at any Shards value (every realm runs on the intra-realm sharded
-// NAT, which is shard-count-invariant by construction). Memory is
-// bounded regardless of virtual duration:
-// per-tick series are never kept, aggregation is windowed into
-// fixed-size day rings sized by the longest observation window, and
-// histograms are dense over bounded port counts.
+// and at any Shards value (the kernel's lane-confined shards are
+// shard-count-invariant by construction). Memory is bounded regardless
+// of virtual duration: per-tick series are never kept, aggregation is
+// windowed into fixed-size day rings sized by the longest observation
+// window, and histograms are dense over bounded port counts.
 //
-// State is checkpointable at day boundaries: Checkpoint captures realm
-// populations, live flows, RNG positions, histograms, rings and the
-// complete NAT state (via nat.Snapshot), and Resume continues
-// byte-identically — the restored run's per-realm StateDigests and E21
-// detection output match an uninterrupted run exactly. cgnsimd writes
-// these checkpoints atomically on a virtual-time cadence and on
-// SIGTERM.
+// State is checkpointable at day boundaries: Checkpoint captures each
+// carrier's population, realm stream, histograms, counters and rings
+// plus its kernel's snapshot (live flows, lane streams and the complete
+// NAT state via nat.Snapshot), and Resume continues byte-identically —
+// the restored run's per-realm StateDigests and E21 detection output
+// match an uninterrupted run exactly. cgnsimd writes these checkpoints
+// atomically on a virtual-time cadence and on SIGTERM.
 package fleet
 
 import (
@@ -69,24 +77,29 @@ const (
 	EventReprovision
 	// EventEnable turns the carrier's CGN on with its current pool.
 	EventEnable
-	// EventGrow adds Arg subscribers to the population.
+	// EventGrow adds Arg subscribers to the population, drawn like the
+	// day-zero population: classes from the realm stream and, when the
+	// profile sets AttackerFrac, the batch's leading fraction flooding.
 	EventGrow
-	// EventChurn deactivates the Arg longest-standing active subscribers
-	// and adds Arg fresh ones — subscriber turnover at constant size.
+	// EventChurn retires the Arg longest-standing active subscribers
+	// (their flows end, their mappings idle out) and adds Arg fresh ones
+	// like EventGrow — subscriber turnover at constant size.
 	EventChurn
 	// EventLaneDown takes one pool IP (engine lane Arg, wrapped modulo
 	// the pool size) offline: its mappings drop and its subscribers
 	// re-pin to surviving lanes by the deterministic failover hash. The
 	// engine keeps at least one lane up; a no-op on disabled carriers.
 	EventLaneDown
-	// EventLaneUp restores lane Arg; its subscribers route home again.
-	// Failover-era mappings stay live on the lanes that carried them and
-	// idle out normally.
+	// EventLaneUp restores lane Arg; its subscribers route home again,
+	// and the mappings they acquired on failover lanes are torn down with
+	// the move (a parallel shard cannot let one subscriber's mappings
+	// straddle lanes); their live flows re-establish on the home lane.
 	EventLaneUp
 	// EventRestart restarts the carrier's whole NAT engine: all mapping
-	// state is lost (no expiry hooks — a crash, not a timeout), live
-	// flows re-establish through the refresh fallback, and lanes that
-	// were down stay down.
+	// state is lost (no expiry hooks — a crash, not a timeout), the
+	// engine comes back from the same configuration with the lane
+	// streams continuing where they were, live flows re-establish
+	// through the refresh fallback, and lanes that were down stay down.
 	EventRestart
 )
 
@@ -243,10 +256,12 @@ type Config struct {
 	// Workers is the realm worker-pool size; 0 or 1 steps realms
 	// sequentially. Results are byte-identical at any value.
 	Workers int
-	// Shards is each realm's NAT shard count, like
-	// traffic.Config.Shards: any value below 1 means 1. Fleet drives a
-	// realm's lanes sequentially through the facade, so the count never
-	// affects results or speed; it only shapes the engine it builds.
+	// Shards is how many goroutines split each realm, exactly as in
+	// traffic.Config.Shards: the realm's pool lanes group into shards
+	// driven in parallel between per-tick barriers. Any value below 1
+	// means 1, values above a carrier's pool size clamp to it, and
+	// results are identical at every value. Total concurrency is
+	// Workers × Shards goroutines.
 	Shards int
 }
 

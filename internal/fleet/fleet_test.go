@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cgn/internal/nat"
+	"cgn/internal/netaddr"
 	"cgn/internal/traffic"
 )
 
@@ -76,13 +77,30 @@ func heavyConfig(workers, shards int) Config {
 	}
 }
 
+// attackConfig is testConfig with adversaries: a tenth of every
+// population batch floods twenty fresh ports a tick and a scanner
+// probes every pool IP. Churn on carrier 0 retires its day-zero
+// flooders along with the other longest-standing members.
+func attackConfig(workers, shards int) Config {
+	cfg := testConfig(workers, shards)
+	cfg.Profile.AttackerFrac = 0.1
+	cfg.Profile.AttackerFlowsPerTick = 20
+	cfg.Profile.ScannerProbesPerTick = 2
+	return cfg
+}
+
 // peakLive is the largest live-mapping count any subscriber holds.
 func (s *Sim) peakLive() int32 {
 	var peak int32
 	for _, r := range s.realms {
-		for j := range r.subs {
-			peak = max(peak, r.subs[j].live)
+		if r.k == nil {
+			continue
 		}
+		live := make(map[netaddr.Addr]int32)
+		r.k.NAT().ForEachMapping(func(m *nat.Mapping) {
+			live[m.Int.Addr]++
+			peak = max(peak, live[m.Int.Addr])
+		})
 	}
 	return peak
 }
@@ -94,7 +112,9 @@ func (s *Sim) peakLive() int32 {
 // histogram stat) byte-identical to the uninterrupted run. Each row runs
 // the reference, the checkpointed run and the resumed run at its own
 // shard count. The heavy-load row cuts after a growth event while
-// subscribers hold at least 16 live mappings each.
+// subscribers hold at least 16 live mappings each; the attackers row
+// cuts while flooders hold far more mappings than any legitimate
+// subscriber.
 func TestResumeDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name                          string
@@ -106,6 +126,7 @@ func TestResumeDeterminism(t *testing.T) {
 		{"sharded", testConfig, 1, 2, 3, []int{1, 5, 9}, 0},
 		{"zero-shards", testConfig, 0, 3, 0, []int{1, 5, 9}, 0},
 		{"heavy-load", heavyConfig, 2, 0, 1, []int{2, 3}, 16},
+		{"attackers", attackConfig, 3, 1, 2, []int{2, 5, 8}, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, err := Run(tc.cfg(1, tc.refShards))

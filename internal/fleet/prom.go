@@ -65,27 +65,29 @@ func (s *Sim) Metrics() MetricsSnapshot {
 		FaultsInjected: s.faultsInjected,
 	}
 	for _, r := range s.realms {
+		subs, _ := r.subscribers()
 		rm := RealmMetrics{
 			ID:          r.spec.ID,
 			Cellular:    r.spec.Cellular,
 			Enabled:     r.enabled,
-			Subscribers: r.activeSubscribers(),
-			Created:     r.created,
-			Expired:     r.expired,
-			Refreshes:   r.refreshes,
-			Failures:    r.failures(),
+			Subscribers: subs,
+			Created:     r.tally.Created,
+			Expired:     r.tally.Expired,
+			Refreshes:   r.tally.Refreshes,
+			Failures:    r.tally.Failures,
 		}
-		if r.eng != nil {
-			ps := r.eng.PortStats()
+		if r.k != nil {
+			eng := r.k.NAT()
+			ps := eng.PortStats()
 			rm.InUse, rm.Capacity = ps.InUse, ps.Capacity
 			if udpCapacity := ps.Capacity / 2; udpCapacity > 0 {
 				rm.Util = float64(ps.InUse) / float64(udpCapacity)
 			}
-			rm.Live = r.eng.NumMappings()
+			rm.Live = eng.NumMappings()
 			rm.QuotaDrops = ps.QuotaDrops
 			rm.RateLimited = ps.RateLimited
 			rm.Evictions = ps.Evictions
-			rm.LanesDown = r.eng.LanesDown()
+			rm.LanesDown = eng.LanesDown()
 			m.ActiveCGN++
 		}
 		m.LanesDown += rm.LanesDown

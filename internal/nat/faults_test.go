@@ -99,12 +99,14 @@ func TestSetLaneDownDropsMappingsAndFailsOver(t *testing.T) {
 	}
 
 	// Restoration routes everyone home; failover mappings stay live on
-	// the survivor lane and both Sessions and RefForFlow still see them.
+	// the survivor lane, where Sessions still counts them and Refresh
+	// still reaches them through the façade.
+	a := victims[0]
+	failover := s.ActiveLaneFor(a)
 	s.SetLaneUp(victim)
 	if s.LanesDown() != 0 || s.DownLanes() != nil {
 		t.Fatalf("after restore: LanesDown=%d DownLanes=%v", s.LanesDown(), s.DownLanes())
 	}
-	a := victims[0]
 	if got, want := s.ActiveLaneFor(a), victim; got != want {
 		t.Fatalf("restored sub routed to lane %d, want %d", got, want)
 	}
@@ -112,7 +114,7 @@ func TestSetLaneDownDropsMappingsAndFailsOver(t *testing.T) {
 	if n := s.Sessions(a); n != 1 {
 		t.Fatalf("Sessions(%v) = %d, want 1 (failover mapping alive)", a, n)
 	}
-	r, ok := s.RefForFlow(f)
+	r, ok := s.Lane(failover).RefForFlow(f)
 	if !ok {
 		t.Fatal("RefForFlow missed the surviving failover mapping")
 	}

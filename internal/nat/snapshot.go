@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"cgn/internal/netaddr"
 )
@@ -193,6 +194,12 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 	}
 
 	for _, ms := range s.Mappings {
+		if ms.Proto != netaddr.UDP && ms.Proto != netaddr.TCP {
+			return nil, fmt.Errorf("nat: restore: mapping for %v has protocol %v, want UDP or TCP", ms.Int, ms.Proto)
+		}
+		if !slices.Contains(n.cfg.ExternalIPs, ms.Ext.Addr) || ms.Ext.Port < n.cfg.PortLo || ms.Ext.Port > n.cfg.PortHi {
+			return nil, fmt.Errorf("nat: restore: mapping for %v holds external endpoint %v outside the pool", ms.Int, ms.Ext)
+		}
 		e, eSlot := n.subs.ensure(ms.Int.Addr)
 		if !e.seen {
 			return nil, fmt.Errorf("nat: restore: mapping for subscriber %v not in the subscriber list", ms.Int.Addr)
@@ -257,28 +264,6 @@ func (n *NAT) RefForFlow(f netaddr.Flow) (MappingRef, bool) {
 		return MappingRef{}, false
 	}
 	return MappingRef{m: m, gen: m.gen}, true
-}
-
-// RefForFlow resolves the handle on the subscriber's active lane, then
-// on the remaining lanes: a flow opened against a failover lane keeps
-// its mapping there after the primary is restored, and relink must find
-// it wherever it lives. A flow's mapping exists on at most one lane, so
-// the first hit is the answer; a full-scan miss (the mapping expired) is
-// rare and pool sizes are a handful of lanes.
-func (s *Sharded) RefForFlow(f netaddr.Flow) (MappingRef, bool) {
-	al := s.ActiveLaneFor(f.Src.Addr)
-	if r, ok := s.lanes[al].RefForFlow(f); ok {
-		return r, true
-	}
-	for l, lane := range s.lanes {
-		if l == al {
-			continue
-		}
-		if r, ok := lane.RefForFlow(f); ok {
-			return r, true
-		}
-	}
-	return MappingRef{}, false
 }
 
 // Snapshot serializes every lane's engine, in lane order. Lane state is

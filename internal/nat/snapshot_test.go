@@ -247,6 +247,33 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsMappingsOutsidePool pins the restore's endpoint
+// checks: a mapping whose external endpoint lies outside the engine's
+// pool — a foreign IP, a port beyond the range — or whose protocol the
+// engine never maps would restore a table no route resolves (the
+// sharded engine's first refresh of it dereferences a missing lane), so
+// it is refused with an error.
+func TestSnapshotRejectsMappingsOutsidePool(t *testing.T) {
+	cfg := snapshotConfigs()["sequential-arbitrary"]
+	n := New(cfg)
+	driveOps(n, scriptOps(3, 8, 4, 6), 0, 4)
+	if len(n.Snapshot().Mappings) == 0 {
+		t.Fatal("test script created no mappings")
+	}
+	for name, mutate := range map[string]func(*MappingState){
+		"foreign-ip":    func(ms *MappingState) { ms.Ext.Addr = netaddr.MustParseAddr("198.0.0.1") },
+		"port-low":      func(ms *MappingState) { ms.Ext.Port = cfg.PortLo - 1 },
+		"port-high":     func(ms *MappingState) { ms.Ext.Port = cfg.PortHi + 1 },
+		"unknown-proto": func(ms *MappingState) { ms.Proto = 99 },
+	} {
+		bad := n.Snapshot()
+		mutate(&bad.Mappings[0])
+		if _, err := NewFromSnapshot(cfg, bad); err == nil {
+			t.Errorf("%s: mapping outside the pool accepted: %+v", name, bad.Mappings[0])
+		}
+	}
+}
+
 // TestCountingSourceTransparent pins the pass-through property the
 // golden digests depend on: an engine drawing through countingSource
 // produces exactly the stream a bare math/rand source would.

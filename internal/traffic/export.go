@@ -1,12 +1,12 @@
 package traffic
 
-// Exported state accessors for the engine's reusable building blocks.
-// The fleet engine (internal/fleet) drives months of virtual time over
-// an evolving carrier population on top of this package's primitives —
-// Hist, LiveCounts, FastRand, the diurnal curve and the class rates —
-// and checkpoints mid-run, which needs histogram and RNG state to be
-// serializable. Everything here is a plain copy in or out; none of it
-// is on a hot path.
+// Serialization accessors for state a kernel's caller keeps across
+// steps. The fleet engine (internal/fleet) steps one Realm per carrier
+// over months of virtual time and checkpoints mid-run: the kernel's own
+// state travels as a RealmSnapshot, but the Tally histograms the fleet
+// accumulates and the FastRand streams it seeds kernels from are the
+// fleet's, so they must be serializable too. Everything here is a plain
+// copy in or out; none of it is on a hot path.
 
 // Count returns the number of samples recorded.
 func (h *Hist) Count() uint64 { return h.n }

@@ -13,7 +13,9 @@ import (
 // re-establish through the refresh fallback). The lane — one pool IP —
 // is the outage's unit, so a plan runs at any Config.Shards. A zero plan
 // is exactly the pre-fault engine: no extra draws, no extra state,
-// byte-identical results.
+// byte-identical results. Run applies each boundary between kernel
+// steps through Realm.ApplyFaults — the entry point the fleet engine's
+// fault events use too.
 //
 // The schedule is part of the deterministic universe: which lanes an
 // outage takes is a pure function of the seed, the realm and the pool
@@ -165,19 +167,20 @@ func (o Outage) victims(lanes int, salt uint64) []int {
 // runs, in the documented order: restorations, then new outages, then
 // the restart, then the re-pin/repartition pass.
 type faultBoundary struct {
+	tick       int
 	ups, downs []int
 	restart    bool
 }
 
 // boundaries compiles the plan into per-tick transitions for a pool of
-// the given lane count. A restoration landing past the horizon is
-// simply never reached.
-func (f FaultPlan) boundaries(lanes int, salt uint64) map[int]*faultBoundary {
+// the given lane count, ascending by tick. A restoration landing past
+// the horizon is simply never reached.
+func (f FaultPlan) boundaries(lanes int, salt uint64) []faultBoundary {
 	b := make(map[int]*faultBoundary)
 	at := func(t int) *faultBoundary {
 		fb := b[t]
 		if fb == nil {
-			fb = &faultBoundary{}
+			fb = &faultBoundary{tick: t}
 			b[t] = fb
 		}
 		return fb
@@ -193,5 +196,10 @@ func (f FaultPlan) boundaries(lanes int, salt uint64) map[int]*faultBoundary {
 	for _, rt := range f.Restarts {
 		at(rt).restart = true
 	}
-	return b
+	out := make([]faultBoundary, 0, len(b))
+	for _, fb := range b {
+		out = append(out, *fb)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].tick < out[j].tick })
+	return out
 }

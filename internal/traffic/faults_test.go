@@ -108,6 +108,39 @@ func TestFaultedRunInvariance(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsCounters pins that an engine restart folds the old
+// engine's counters into the run's totals rather than discarding them:
+// a run restarting at tick 36 of 40 shares its first 36 ticks with an
+// unfaulted 36-tick run, so every cumulative counter must reach at
+// least that run's value, realm by realm.
+func TestRestartKeepsCounters(t *testing.T) {
+	profile := traffic.Profile{
+		Ticks:         36,
+		DayTicks:      24,
+		TickStep:      15 * time.Second,
+		DiurnalAmp:    0.6,
+		HeavyFrac:     0.05,
+		LightFrac:     0.5,
+		FlowsPerTick:  0.8,
+		HeavyMult:     6,
+		FlowHoldTicks: 3,
+	}
+	specs := multiLaneSpecs()
+	prefix, _ := runFaulted(profile, 99, specs, traffic.FaultPlan{}, 1, 1)
+	profile.Ticks = 40
+	restarted, _ := runFaulted(profile, 99, specs, traffic.FaultPlan{Restarts: []int{36}}, 1, 2)
+	if prefix.Created == 0 || prefix.Expired == 0 || prefix.Failures == 0 {
+		t.Fatalf("prefix run exercised too little: %+v", prefix.Realms)
+	}
+	for i, want := range prefix.Realms {
+		got := restarted.Realms[i]
+		if got.Created < want.Created || got.Expired < want.Expired || got.Failures < want.Failures {
+			t.Errorf("realm %s: restart run reports created/expired/failures %d/%d/%d, below the shared 36-tick prefix's %d/%d/%d",
+				want.ID, got.Created, got.Expired, got.Failures, want.Created, want.Expired, want.Failures)
+		}
+	}
+}
+
 // TestZeroFaultPlanZeroDataset pins the zero-fault contract's visible
 // half: without a schedule the degradation dataset is exactly zero (the
 // byte-identity of everything else to pre-feature builds is pinned by

@@ -17,17 +17,19 @@
 // set) triple always produces the identical Result, whatever machine or
 // goroutine runs it.
 //
-// The engine scales to million-subscriber populations two ways. Realms
-// are embarrassingly parallel: each draws from its own seeded RNG
-// stream and accumulates into private histograms, utilization series and
-// counters, which Run merges in realm input order — reproducing the
-// sequential accumulation order exactly, float additions included — so
-// Result is byte-identical at any Config.Workers value. And the per-realm
-// hot loop is allocation-lean: flows live in a per-realm arena recycled
-// through a freelist, per-subscriber concurrent-port counts are
-// maintained incrementally from the NAT's mapping create/expire hooks
-// rather than recounted per tick, and steady-state ticks allocate
-// nothing.
+// One realm is one Realm — the realm kernel, which the fleet engine
+// (internal/fleet) steps as well — and Run steps one per realm over the
+// profile's horizon. The engine scales to million-subscriber
+// populations two ways. Realms are embarrassingly parallel: each draws
+// from its own seeded RNG stream and accumulates into private
+// histograms, utilization series and counters, which Run merges in
+// realm input order — reproducing the sequential accumulation order
+// exactly, float additions included — so Result is byte-identical at
+// any Config.Workers value. And the kernel's hot loop is
+// allocation-lean: flows live in per-shard arenas recycled through a
+// freelist, per-subscriber concurrent-port counts are maintained
+// incrementally from the NAT's mapping create/expire hooks rather than
+// recounted per tick, and steady-state ticks allocate nothing.
 package traffic
 
 import (

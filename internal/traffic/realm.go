@@ -1,0 +1,994 @@
+package traffic
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"time"
+
+	"cgn/internal/nat"
+	"cgn/internal/netaddr"
+)
+
+// Realm is the realm kernel: one carrier NAT — a nat.Sharded — and the
+// subscriber population behind it, stepped tick by tick in virtual
+// time. It is the only code that drives subscriber flows through a NAT:
+// Run steps one per realm over a fixed horizon, applying its fault plan
+// between steps, and the fleet engine (internal/fleet) steps one per
+// enabled carrier a virtual day at a time, applying timeline events
+// between days and checkpointing the kernel's Snapshot.
+//
+// One realm's work splits across the lanes of the nat.Sharded — one
+// lane per external pool IP, subscribers pinned to lanes by address
+// hash — and lanes group into shards, each driven by its own goroutine
+// for the length of a Step. A tick is a single parallel phase: every
+// shard, over its owned lanes in ascending lane order, sweeps the lane,
+// refreshes its live flows, draws the tick's arrivals from the lane's
+// own RNG stream and applies them immediately, then folds its sampling
+// buckets and port occupancy. There is no serial driver section —
+// arrival generation is lane-confined, so nothing has to be drawn
+// centrally or handed across shards.
+//
+// Arrivals are decoded by geometric skip-sampling (forEachArrival): for
+// each (lane, class) the decoder jumps straight from arriving subscriber
+// to arriving subscriber, so a tick costs O(arrivals + live flows), not
+// O(population) — at light per-subscriber rates (the common case) that
+// is an order of magnitude fewer draws than one Poisson gate per
+// subscriber.
+//
+// Determinism at any shard count follows from lane confinement: every
+// operation on lane l — sweep, refreshes of l's subscribers ascending,
+// l's arrival decode per class ascending — happens in a fixed order
+// whatever shard drives it, and all RNG a lane consumes is its own
+// stream, seeded in lane order before the first tick. Shard-private
+// accumulators merge in shard-index order, and all merged quantities are
+// integers, so the realm's outcome is identical at any shard count too.
+//
+// Everything between ticks — ApplyFaults, Repopulate, Snapshot — runs on
+// the caller's goroutine with no shard worker alive. Every mutating
+// method drains its counters into the caller's Tally before returning,
+// so the kernel never holds undrained results between calls.
+type Realm struct {
+	p Profile
+	// cfg is the engine's configuration; a restart rebuilds from it.
+	cfg  nat.Config
+	sn   *nat.Sharded
+	subs []subscriber
+	// laneOf memoizes each subscriber's ACTIVE lane — the address hash,
+	// until a fault re-pins displaced subscribers to failover lanes.
+	// laneSubs lists each lane's tracked subscribers per class,
+	// ascending — the skip-sampling decode's index space. Attackers land
+	// in laneAtk instead; retired subscribers in neither.
+	laneOf   []int32
+	laneSubs [][numClasses][]int32
+	laneAtk  [][]int32
+	// st holds the shard states; lane l belongs to shard l % len(st).
+	st []*shardState
+	// Per-lane arrival streams and destination sequences. Destination
+	// collisions across lanes are harmless (source addresses differ
+	// across lanes, so 5-tuples stay distinct); within a lane the counter
+	// keeps them distinct. The attack streams and sequences exist only
+	// when the profile offers adversaries.
+	frLane     []FastRand
+	dstSeq     []uint64
+	atkFrLane  []FastRand
+	atkSeqLane []uint64
+	attacks    bool
+	// Tick-invariant rates: the class arrival rates before the diurnal
+	// factor, the hold span, and the flood and scanner parameters (not
+	// diurnal, so hoisted entirely).
+	rates                   [numClasses]float64
+	holdSpan                uint32
+	floodLambda             float64
+	expNegFlood, expNegScan float64
+	scanLo, scanSpan        uint32
+	// drained is the engine counter state already folded into a Tally.
+	drained struct {
+		ps      nat.PortStats
+		expired uint64
+	}
+	// Per-tick inputs: written by the driver goroutine before the start
+	// barrier, read by shard workers after it (the channel send/receive
+	// orders the accesses).
+	curNow               time.Time
+	curLambda, curExpNeg [numClasses]float64
+}
+
+// shardState is one shard's private slice of a realm: its lanes, the
+// census and live counts of its subscribers, its flow arena and its
+// accumulators, which drain into the caller's Tally in shard-index
+// order at the end of every Step.
+type shardState struct {
+	// lanes this shard owns (ascending); nsubs counts the tracked
+	// subscribers those lanes own and classSubs splits them by class.
+	lanes     []int
+	nsubs     int
+	classSubs [numClasses]int
+	lc        *liveCounts
+	// Private accumulators, drained after every Step.
+	classHists [numClasses]Hist
+	allHist    Hist
+	refreshes  uint64
+	adv        advAccum
+	// inUse is the shard's per-tick port-occupancy fold over its owned
+	// lanes, and tickA/tickF its legitimate allocation attempts and
+	// refusals this tick (new flows plus refresh-fallback
+	// re-establishments); the driver sums the S values after the barrier.
+	inUse        int
+	tickA, tickF uint64
+	// active lists the shard's subscribers currently holding live flows,
+	// ascending — the refresh loop's worklist, so a tick's cost scales
+	// with flow-holding subscribers, not population. fresh collects the
+	// tick's empty-to-nonempty transitions (sorted before the merge —
+	// the per-lane, per-class arrival passes emit them out of global
+	// subscriber order); scratch is the merge buffer the two swap
+	// through.
+	active, fresh, scratch []int32
+	// The shard flow arena: the shard's subscribers' flow lists live in
+	// one slice and dead nodes chain through the freelist, so
+	// steady-state ticks never allocate (head/tail in subscriber index
+	// into the owning shard's arena — well defined, a subscriber has
+	// exactly one).
+	arena    []flowNode
+	freeHead int32
+	// emit is the shard's arrival sink, allocated once at construction
+	// and parameterized through curLane/curList/curLn/curFr so the
+	// per-tick decode passes allocate nothing. atkEmit is its adversarial
+	// twin: flood flows through the same decoder, but fire-and-forget (no
+	// arena node, never refreshed).
+	curLane int
+	curList []int32
+	curLn   *nat.NAT
+	curFr   *FastRand
+	emit    func(i, k int)
+	atkEmit func(i, k int)
+}
+
+// Tally is a realm's cumulative outcome: the per-tick concurrent-port
+// samples of its tracked subscribers and its flow counters. Step,
+// ApplyFaults and Repopulate add into the Tally the caller passes; a
+// caller that replaces a Realm (the fleet re-provisioning a carrier)
+// keeps one Tally across all of them.
+type Tally struct {
+	// ClassHists and AllHist hold one sample per tracked subscriber per
+	// tick: concurrent external ports held.
+	ClassHists [numClasses]Hist
+	AllHist    Hist
+	// Refreshes counts successful mapping keepalives and PeakUtil is the
+	// highest instantaneous UDP port-space utilization.
+	Refreshes uint64
+	PeakUtil  float64
+	// Created, Expired and Failures count mappings created and removed
+	// and allocations refused, folded across engine restarts.
+	Created, Expired, Failures uint64
+	// The adversarial and fault books (E19, E22), reported by Run only.
+	adv         advAccum
+	disrupted   uint64
+	faultEvents int
+}
+
+// Tick is one tick's realm-wide outcome, reported to Step's callback.
+type Tick struct {
+	// T is the tick index and Now its virtual time.
+	T   int
+	Now time.Time
+	// Util is the instantaneous UDP port-space utilization after the
+	// tick.
+	Util float64
+	// Attempts and Failures count the tick's legitimate allocation
+	// attempts (new flows plus refresh-fallback re-establishments) and
+	// refusals — the raw E22 degradation series.
+	Attempts, Failures uint64
+}
+
+// Member is one subscriber of a realm population as the kernel's caller
+// sees it. Members are identified by index — member j's internal address
+// is the realm's subscriber base plus j — so a population only grows: a
+// subscriber that leaves is marked Retired, never removed.
+type Member struct {
+	Class Class
+	// Attacker marks a flooder: it offers no legitimate flows, opens
+	// flood flows at the profile's attack rate, and stays out of the
+	// class census.
+	Attacker bool
+	// Retired marks a subscriber that has left: it offers no traffic,
+	// its flows are gone, its remaining mappings idle out, and it stays
+	// out of the census.
+	Retired bool
+}
+
+// NewMembers draws n fresh members: one class draw from u each, in
+// order — the realm stream's draws, so the sequence must not shift —
+// with the leading int(AttackerFrac·n) designated flooders. Attackers
+// keep their class draw; designation by index costs no random draw.
+func NewMembers(p Profile, n int, u func() float64) []Member {
+	pop := make([]Member, n)
+	for j := range pop {
+		class := Median
+		switch x := u(); {
+		case x < p.HeavyFrac:
+			class = Heavy
+		case x < p.HeavyFrac+p.LightFrac:
+			class = Light
+		}
+		pop[j].Class = class
+	}
+	for j := 0; j < attackerCount(p, n); j++ {
+		pop[j].Attacker = true
+	}
+	return pop
+}
+
+// NewRealm builds a realm kernel over a fresh sharded NAT from cfg, for
+// population pop under profile p (defaults applied). seed supplies the
+// per-lane stream seeds: one draw per lane in lane order, then — when
+// the profile offers adversaries — one more per lane for the attack
+// streams.
+func NewRealm(p Profile, cfg nat.Config, shards int, pop []Member, seed func() uint64) *Realm {
+	r := newRealm(p, cfg, pop, nat.NewSharded(cfg, shards))
+	for l := range r.frLane {
+		r.frLane[l] = FastRand(seed())
+	}
+	for l := range r.atkFrLane {
+		r.atkFrLane[l] = FastRand(seed())
+	}
+	r.repartition()
+	return r
+}
+
+// newRealm wires a kernel around engine sn: subscribers at their
+// derived addresses, shard states, zeroed streams, the hoisted rates,
+// the arrival sinks and the mapping hooks. The partition itself is left
+// to repartition.
+func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
+	lanes := sn.NumLanes()
+	r := &Realm{
+		p:        p,
+		cfg:      cfg,
+		sn:       sn,
+		laneSubs: make([][numClasses][]int32, lanes),
+		laneAtk:  make([][]int32, lanes),
+		st:       make([]*shardState, sn.NumShards()),
+		frLane:   make([]FastRand, lanes),
+		dstSeq:   make([]uint64, lanes),
+		attacks:  p.AttacksEnabled(),
+		holdSpan: uint32(2*p.FlowHoldTicks - 1),
+	}
+	r.addMembers(pop)
+	for c := Class(0); c < numClasses; c++ {
+		r.rates[c] = p.FlowsPerTick * classRate(p, c)
+	}
+	if r.attacks {
+		r.atkFrLane = make([]FastRand, lanes)
+		r.atkSeqLane = make([]uint64, lanes)
+		r.floodLambda = p.AttackerFlowsPerTick
+		r.expNegFlood = math.Exp(-r.floodLambda)
+		r.expNegScan = math.Exp(-p.ScannerProbesPerTick)
+		eff := sn.Config()
+		r.scanLo = uint32(eff.PortLo)
+		r.scanSpan = uint32(eff.PortHi) - uint32(eff.PortLo) + 1
+	}
+	for s := range r.st {
+		r.st[s] = &shardState{freeHead: -1}
+	}
+	for l := 0; l < lanes; l++ {
+		st := r.st[sn.ShardOf(l)]
+		st.lanes = append(st.lanes, l)
+	}
+	for _, st := range r.st {
+		r.installSinks(st)
+	}
+	r.installHooks()
+	return r
+}
+
+// addMembers appends pop's members beyond the current population, each
+// with no flows, memoized on its hash lane, at its derived address:
+// synthetic because it never leaves the engine, dense above the base so
+// RandomChunk's chunk table and the hooks' address-to-index subtraction
+// both work.
+func (r *Realm) addMembers(pop []Member) {
+	r.subs = slices.Grow(r.subs, len(pop)-len(r.subs))
+	r.laneOf = slices.Grow(r.laneOf, len(pop)-len(r.laneOf))
+	for j := len(r.subs); j < len(pop); j++ {
+		addr := subscriberBase + netaddr.Addr(j)
+		r.subs = append(r.subs, subscriber{
+			addr:     addr,
+			class:    pop[j].Class,
+			head:     -1,
+			tail:     -1,
+			attacker: pop[j].Attacker,
+			retired:  pop[j].Retired,
+		})
+		r.laneOf = append(r.laneOf, int32(r.sn.LaneFor(addr)))
+	}
+}
+
+// installSinks allocates the shard's arrival sinks once: forEachArrival
+// calls them for every arriving subscriber of the pass set up in the
+// cur* fields. Hold spans 1..2*FlowHoldTicks-1 ticks.
+func (r *Realm) installSinks(st *shardState) {
+	st.atkEmit = func(i, k int) {
+		sub := &r.subs[st.curList[i]]
+		fr := st.curFr
+		st.adv.attackerAttempts += uint64(k)
+		for ; k > 0; k-- {
+			r.atkSeqLane[st.curLane]++
+			seq := r.atkSeqLane[st.curLane]
+			f := netaddr.FlowOf(netaddr.UDP,
+				netaddr.EndpointOf(sub.addr, uint16(1024+fr.Intn(64512))),
+				netaddr.EndpointOf(atkDstBase+netaddr.Addr(uint32(seq)), uint16(9+(seq>>32))))
+			if _, v := st.curLn.TranslateOut(f, r.curNow); v != nat.Ok {
+				st.adv.attackerFailures++
+			}
+		}
+	}
+	st.emit = func(i, k int) {
+		j := st.curList[i]
+		sub := &r.subs[j]
+		fr := st.curFr
+		for ; k > 0; k-- {
+			r.dstSeq[st.curLane]++
+			seq := r.dstSeq[st.curLane]
+			f := netaddr.FlowOf(netaddr.UDP,
+				netaddr.EndpointOf(sub.addr, uint16(1024+fr.Intn(64512))),
+				netaddr.EndpointOf(dstBase+netaddr.Addr(uint32(seq)), uint16(443+(seq>>32))))
+			hold := 1 + fr.Intn(r.holdSpan)
+			_, ref, v := st.curLn.TranslateOutRef(f, r.curNow)
+			if r.attacks {
+				st.adv.legitAttempts++
+				if v != nat.Ok {
+					st.adv.legitFailures++
+				}
+			}
+			st.tickA++
+			if v != nat.Ok {
+				st.tickF++
+			}
+			if v == nat.Ok {
+				var ni int32
+				if st.freeHead >= 0 {
+					ni = st.freeHead
+					st.freeHead = st.arena[ni].next
+				} else {
+					st.arena = append(st.arena, flowNode{})
+					ni = int32(len(st.arena) - 1)
+				}
+				st.arena[ni] = flowNode{f: f, ref: ref, ticksLeft: int32(hold), next: -1}
+				if sub.tail >= 0 {
+					st.arena[sub.tail].next = ni
+				} else {
+					sub.head = ni
+					// Empty-to-nonempty: enters next tick's worklist.
+					st.fresh = append(st.fresh, j)
+				}
+				sub.tail = ni
+			}
+		}
+	}
+}
+
+// installHooks wires per-lane mapping hooks into the owning shard's
+// live-count buckets. A hook fires on the goroutine driving its lane,
+// and a lane's mappings belong to subscribers of that lane's shard (the
+// re-pin pass keeps that invariant: a subscriber's mappings never
+// outlive a move off their lane), so the buckets stay shard-confined. A
+// restart replaces the engine and re-arms the fresh lanes.
+func (r *Realm) installHooks() {
+	for l := 0; l < r.sn.NumLanes(); l++ {
+		st := r.st[r.sn.ShardOf(l)]
+		r.sn.Lane(l).SetMappingHooks(
+			func(m *nat.Mapping) {
+				if j := uint32(m.Int.Addr - subscriberBase); j < uint32(len(r.subs)) {
+					sub := &r.subs[j]
+					if sub.tracked() {
+						st.lc.Move(sub.class, sub.live, sub.live+1)
+					}
+					sub.live++
+				}
+			},
+			func(m *nat.Mapping) {
+				if j := uint32(m.Int.Addr - subscriberBase); j < uint32(len(r.subs)) {
+					sub := &r.subs[j]
+					if sub.tracked() {
+						st.lc.Move(sub.class, sub.live, sub.live-1)
+					}
+					sub.live--
+				}
+			},
+		)
+	}
+}
+
+// NAT returns the realm's engine for read-only inspection between
+// steps: digests, port statistics, lane state. Driving traffic through
+// it would break the kernel's lane-confinement invariants.
+func (r *Realm) NAT() *nat.Sharded { return r.sn }
+
+// Step runs ticks [from, to), adding their samples and counters to t.
+// each, when non-nil, is called after every tick with the tick's
+// realm-wide outcome, on the calling goroutine with every shard worker
+// idle (it may inspect NAT()).
+//
+// Shard workers are S-1 goroutines spawned for the step. Each tick the
+// driver publishes the tick inputs, releases every worker through its
+// start channel, runs shard 0 itself, then collects the done signals — a
+// reusable two-phase barrier in place of per-tick goroutine spawns and
+// WaitGroups. The channels are buffered so the driver never blocks on
+// the fan-out.
+func (r *Realm) Step(from, to int, t *Tally, each func(Tick)) {
+	type shardWorker struct {
+		start chan struct{}
+		done  chan struct{}
+	}
+	var workers []shardWorker
+	if len(r.st) > 1 && to > from {
+		workers = make([]shardWorker, len(r.st)-1)
+		for i := range workers {
+			workers[i] = shardWorker{start: make(chan struct{}, 1), done: make(chan struct{}, 1)}
+			go func(st *shardState, w *shardWorker) {
+				for range w.start {
+					r.shardTick(st)
+					w.done <- struct{}{}
+				}
+			}(r.st[i+1], &workers[i])
+		}
+	}
+	// Pool capacity is immutable; hoist it so per-tick aggregation is a
+	// sum of S integers instead of a full PortStats assembly.
+	capacity := r.sn.PortStats().Capacity
+	epoch := time.Unix(0, 0)
+	for tick := from; tick < to; tick++ {
+		r.curNow = epoch.Add(time.Duration(tick) * r.p.TickStep)
+		df := diurnalFactor(r.p, tick)
+		for c := range r.rates {
+			r.curLambda[c] = r.rates[c] * df
+			r.curExpNeg[c] = math.Exp(-r.curLambda[c])
+		}
+		for i := range workers {
+			workers[i].start <- struct{}{}
+		}
+		r.shardTick(r.st[0])
+		for i := range workers {
+			<-workers[i].done
+		}
+
+		// Aggregation, after the barrier. The engine generates UDP flows
+		// only, so utilization divides by the UDP share of the capacity
+		// (PortStats counts UDP and TCP segments); against the full
+		// dual-protocol capacity a fully exhausted realm would misreport
+		// as 50%.
+		tk := Tick{T: tick, Now: r.curNow}
+		inUse := 0
+		for _, st := range r.st {
+			inUse += st.inUse
+			tk.Attempts += st.tickA
+			tk.Failures += st.tickF
+		}
+		if udpCapacity := capacity / 2; udpCapacity > 0 {
+			tk.Util = float64(inUse) / float64(udpCapacity)
+			if tk.Util > t.PeakUtil {
+				t.PeakUtil = tk.Util
+			}
+		}
+		if each != nil {
+			each(tk)
+		}
+	}
+	for i := range workers {
+		close(workers[i].start)
+	}
+	r.drain(t)
+}
+
+// shardTick is one shard's whole tick: sweep owned lanes, refresh owned
+// subscribers' flows, decode and apply the tick's arrivals lane by
+// lane, fold the sampling buckets and port occupancy.
+func (r *Realm) shardTick(st *shardState) {
+	sn, subs, laneOf := r.sn, r.subs, r.laneOf
+	now := r.curNow
+	st.tickA, st.tickF = 0, 0
+	for _, l := range st.lanes {
+		sn.Lane(l).Sweep(now)
+	}
+	// Refresh pass over the active worklist, compacting out
+	// subscribers whose last flow died.
+	act := st.active
+	w := 0
+	for _, ji := range act {
+		sub := &subs[ji]
+		ln := sn.Lane(int(laneOf[ji]))
+		prev := int32(-1)
+		for idx := sub.head; idx >= 0; {
+			nd := &st.arena[idx]
+			next := nd.next
+			ok := ln.Refresh(nd.ref, nd.f.Dst, now)
+			if !ok {
+				var v nat.Verdict
+				_, nd.ref, v = ln.TranslateOutRef(nd.f, now)
+				ok = v == nat.Ok
+				// A re-establishment is a legitimate allocation
+				// attempt — during an outage this is exactly where
+				// displaced flows hit the surviving lanes.
+				st.tickA++
+				if !ok {
+					st.tickF++
+				}
+			}
+			if ok {
+				st.refreshes++
+			}
+			nd.ticksLeft--
+			if nd.ticksLeft > 0 && ok {
+				prev = idx
+			} else {
+				if prev >= 0 {
+					st.arena[prev].next = next
+				} else {
+					sub.head = next
+				}
+				if next < 0 {
+					sub.tail = prev
+				}
+				nd.next = st.freeHead
+				st.freeHead = idx
+			}
+			idx = next
+		}
+		if sub.head >= 0 {
+			act[w] = ji
+			w++
+		}
+	}
+	st.active = act[:w]
+	// Arrivals: per owned lane ascending, per class ascending,
+	// skip-sampled on the lane's stream and applied immediately. The
+	// adversarial pass rides the same per-lane order, after the
+	// legitimate classes, on the lane's own attack stream.
+	for _, l := range st.lanes {
+		st.curLane = l
+		st.curLn = sn.Lane(l)
+		st.curFr = &r.frLane[l]
+		for c := Class(0); c < numClasses; c++ {
+			if r.curLambda[c] <= 0 {
+				continue
+			}
+			list := r.laneSubs[l][c]
+			if len(list) == 0 {
+				continue
+			}
+			st.curList = list
+			forEachArrival(st.curFr, len(list), r.curLambda[c], r.curExpNeg[c], st.emit)
+		}
+		if r.attacks {
+			fr := &r.atkFrLane[l]
+			st.curFr = fr
+			if list := r.laneAtk[l]; len(list) > 0 && r.floodLambda > 0 {
+				st.curList = list
+				forEachArrival(fr, len(list), r.floodLambda, r.expNegFlood, st.atkEmit)
+			}
+			// Scanner probes against this lane's external IP — the
+			// lane-confined slice of the pool-wide sweep.
+			if r.p.ScannerProbesPerTick > 0 {
+				ip := sn.Config().ExternalIPs[l]
+				for k := fr.Poisson(r.expNegScan); k > 0; k-- {
+					probe := netaddr.FlowOf(netaddr.UDP,
+						netaddr.EndpointOf(scannerAddr, uint16(1024+fr.Intn(64512))),
+						netaddr.EndpointOf(ip, uint16(r.scanLo+fr.Intn(r.scanSpan))))
+					st.adv.scannerProbes++
+					if _, v := st.curLn.TranslateIn(probe, now); v != nat.Ok {
+						st.adv.scannerBlocked++
+					}
+				}
+			}
+		}
+	}
+	// Merge the newly active. The per-lane, per-class passes emit
+	// fresh out of global subscriber order, so sort first; entries
+	// are unique (a subscriber goes empty-to-nonempty at most once a
+	// tick) and disjoint from active.
+	if len(st.fresh) > 0 {
+		slices.Sort(st.fresh)
+		sc := st.scratch[:0]
+		i, k := 0, 0
+		for i < len(st.active) && k < len(st.fresh) {
+			if st.active[i] < st.fresh[k] {
+				sc = append(sc, st.active[i])
+				i++
+			} else {
+				sc = append(sc, st.fresh[k])
+				k++
+			}
+		}
+		sc = append(sc, st.active[i:]...)
+		sc = append(sc, st.fresh[k:]...)
+		st.active, st.scratch = sc, st.active[:0]
+		st.fresh = st.fresh[:0]
+	}
+	st.lc.Fold(&st.classHists, &st.allHist)
+	if r.attacks {
+		// Attacker concurrent-port samples: walked directly — the
+		// population is a small fraction of the shard, and its live
+		// counts are hook-maintained like everyone else's.
+		for _, l := range st.lanes {
+			for _, j := range r.laneAtk[l] {
+				st.adv.attackerHist.Add(int(subs[j].live))
+			}
+		}
+	}
+	inUse := 0
+	for _, l := range st.lanes {
+		inUse += sn.Lane(l).InUsePorts()
+	}
+	st.inUse = inUse
+}
+
+// drain folds the shard-private accumulators into t in shard-index
+// order, resetting them, and adds the engine counters' growth since the
+// last drain. Every merged quantity is an integer count, so the fold is
+// order-proof anyway.
+func (r *Realm) drain(t *Tally) {
+	for _, st := range r.st {
+		t.Refreshes += st.refreshes
+		st.refreshes = 0
+		for c := range t.ClassHists {
+			t.ClassHists[c].Merge(&st.classHists[c])
+			st.classHists[c].reset()
+		}
+		t.AllHist.Merge(&st.allHist)
+		st.allHist.reset()
+		t.adv.merge(&st.adv)
+		h := st.adv.attackerHist
+		h.reset()
+		st.adv = advAccum{attackerHist: h}
+	}
+	ps, expired := r.sn.PortStats(), r.sn.CounterTotal("mappings_expired")
+	d := &r.drained
+	t.Created += ps.Allocs - d.ps.Allocs
+	t.Expired += expired - d.expired
+	t.Failures += ps.Failures() - d.ps.Failures()
+	t.adv.noPorts += ps.NoPorts - d.ps.NoPorts
+	t.adv.quotaDrops += ps.QuotaDrops - d.ps.QuotaDrops
+	t.adv.rateLimited += ps.RateLimited - d.ps.RateLimited
+	t.adv.evictions += ps.Evictions - d.ps.Evictions
+	d.ps, d.expired = ps, expired
+}
+
+// ApplyFaults applies one fault boundary between steps: the ups lanes
+// restore, then the downs lanes go dark, then — with restart — the whole
+// engine reboots, and finally the re-pin/repartition pass restores the
+// two invariants the parallel phase rests on: a subscriber's mappings
+// live only on its active lane, and a subscriber is driven by the shard
+// owning that lane. Lane indexes must be in [0, NAT().NumLanes()).
+//
+// A restart loses every mapping but keeps an outage in progress (the
+// pool IPs are dark whatever the box does). The engine is rebuilt from
+// the same configuration, the lane streams continue, and live flows keep
+// their arena nodes and re-establish through the refresh fallback; the
+// old engine's counters fold into t first.
+func (r *Realm) ApplyFaults(ups, downs []int, restart bool, t *Tally) {
+	sn := r.sn
+	for _, l := range ups {
+		if sn.LaneDown(l) {
+			sn.SetLaneUp(l)
+			t.faultEvents++
+		}
+	}
+	for _, l := range downs {
+		if d, ok := sn.SetLaneDown(l); ok {
+			t.disrupted += uint64(d)
+			t.faultEvents++
+		}
+	}
+	if restart {
+		t.disrupted += uint64(sn.NumMappings())
+		t.faultEvents++
+		r.drain(t)
+		down := sn.DownLanes()
+		r.sn = nat.NewSharded(r.cfg, sn.NumShards())
+		for l, d := range down {
+			if d {
+				r.sn.SetLaneDown(l)
+			}
+		}
+		r.installHooks()
+		r.drained.ps, r.drained.expired = nat.PortStats{}, 0
+		for j := range r.subs {
+			r.subs[j].live = 0
+		}
+		// Old refs must be cleared, not left dangling into the discarded
+		// engine (a non-dead orphan would "refresh" against a table that
+		// no longer owns it).
+		for _, st := range r.st {
+			for i := range st.arena {
+				st.arena[i].ref = nat.MappingRef{}
+			}
+		}
+	}
+	t.disrupted += r.repartition()
+	r.drain(t)
+}
+
+// Repopulate moves the kernel to population pop: the current members in
+// the same order — any of them newly Retired — followed by any new
+// ones. A retiring member's flows end (its mappings idle out); new
+// members start with none. The partition is rebuilt wholesale, like a
+// fault boundary's.
+func (r *Realm) Repopulate(pop []Member, t *Tally) {
+	for j := range r.subs {
+		if sub := &r.subs[j]; pop[j].Retired && !sub.retired {
+			sub.retired = true
+			sub.head, sub.tail = -1, -1
+		}
+	}
+	r.addMembers(pop)
+	t.disrupted += r.repartition()
+	r.drain(t)
+}
+
+// repartition re-pins every subscriber to its active lane, drops any
+// mapping stranded on a lane its owner moved off (returned as the
+// disrupted count — the CGN re-homing the subscriber tears down its old
+// bindings; lanes going down already dropped theirs), and rebuilds the
+// partition wholesale: the per-lane subscriber lists, the per-shard
+// census and live counts, and the shard arenas — subscribers changing
+// shards take their flow chains along. Everything is rebuilt in
+// ascending subscriber order from scratch, so the result depends only on
+// the lane assignment and the population, not on which shard previously
+// held what.
+func (r *Realm) repartition() uint64 {
+	sn, subs := r.sn, r.subs
+	newLane := make([]int32, len(subs))
+	for j := range subs {
+		newLane[j] = int32(sn.ActiveLaneFor(subs[j].addr))
+	}
+	var disrupted uint64
+	for l := 0; l < sn.NumLanes(); l++ {
+		if sn.LaneDown(l) {
+			continue
+		}
+		ll := int32(l)
+		disrupted += uint64(sn.Lane(l).DropMatching(func(m *nat.Mapping) bool {
+			j := uint32(m.Int.Addr - subscriberBase)
+			return j < uint32(len(subs)) && newLane[j] != ll
+		}))
+	}
+	for l := range r.laneSubs {
+		for c := range r.laneSubs[l] {
+			r.laneSubs[l][c] = r.laneSubs[l][c][:0]
+		}
+		r.laneAtk[l] = r.laneAtk[l][:0]
+	}
+	for _, st := range r.st {
+		st.nsubs, st.classSubs = 0, [numClasses]int{}
+	}
+	for j := range subs {
+		sub := &subs[j]
+		l := int(newLane[j])
+		switch {
+		case sub.retired:
+		case sub.attacker:
+			r.laneAtk[l] = append(r.laneAtk[l], int32(j))
+		default:
+			r.laneSubs[l][sub.class] = append(r.laneSubs[l][sub.class], int32(j))
+			st := r.st[sn.ShardOf(l)]
+			st.nsubs++
+			st.classSubs[sub.class]++
+		}
+	}
+	type rebuilt struct {
+		arena  []flowNode
+		active []int32
+	}
+	nw := make([]rebuilt, len(r.st))
+	for s, st := range r.st {
+		nw[s].arena = make([]flowNode, 0, max(cap(st.arena), 4*st.nsubs))
+		nw[s].active = make([]int32, 0, cap(st.active))
+	}
+	for j := range subs {
+		sub := &subs[j]
+		oldSt := r.st[sn.ShardOf(int(r.laneOf[j]))]
+		// A subscriber changing lanes leaves dead mappings behind
+		// (dropped above, or with the dark lane) — but the arena refs
+		// still point into the old lane's slab. The dead/gen guard would
+		// reject them anyway; clearing them here keeps the next parallel
+		// phase from dereferencing another shard's slab memory at all
+		// (the refresh fallback is identical either way: a zero ref
+		// reports stale exactly like a dead one).
+		moved := newLane[j] != r.laneOf[j]
+		r.laneOf[j] = newLane[j]
+		if sub.head < 0 {
+			continue
+		}
+		ns := sn.ShardOf(int(newLane[j]))
+		a := nw[ns].arena
+		head, tail := int32(-1), int32(-1)
+		for idx := sub.head; idx >= 0; idx = oldSt.arena[idx].next {
+			nd := oldSt.arena[idx]
+			if moved {
+				nd.ref = nat.MappingRef{}
+			}
+			a = append(a, flowNode{f: nd.f, ref: nd.ref, ticksLeft: nd.ticksLeft, next: -1})
+			ni := int32(len(a) - 1)
+			if tail >= 0 {
+				a[tail].next = ni
+			} else {
+				head = ni
+			}
+			tail = ni
+		}
+		nw[ns].arena = a
+		sub.head, sub.tail = head, tail
+		nw[ns].active = append(nw[ns].active, int32(j))
+	}
+	for s, st := range r.st {
+		st.arena, st.freeHead = nw[s].arena, -1
+		st.active = nw[s].active
+		st.fresh, st.scratch = st.fresh[:0], st.scratch[:0]
+		st.lc = newLiveCounts(st.classSubs)
+	}
+	for j := range subs {
+		sub := &subs[j]
+		if sub.tracked() && sub.live > 0 {
+			r.st[sn.ShardOf(int(r.laneOf[j]))].lc.Move(sub.class, 0, sub.live)
+		}
+	}
+	return disrupted
+}
+
+// RealmSnapshot is a realm kernel's complete state between steps.
+// Together with the profile, NAT configuration and population it was
+// taken under, it determines the rest of the run: a kernel restored
+// from it continues byte-identically, at any shard count.
+type RealmSnapshot struct {
+	// Flows lists every live flow, subscriber by subscriber ascending and
+	// in FIFO order within one. Mapping handles are deliberately absent:
+	// every live flow refreshed its mapping on the last tick, so restore
+	// resolves the same mapping by key (RefForFlow) — and if two flows
+	// share a key they resolve to the same mapping in both runs.
+	Flows []FlowState
+	// Streams are the per-lane arrival streams and DstSeqs the matching
+	// destination sequences, in lane order; AttackStreams and AttackSeqs
+	// are their adversarial twins, nil when the profile offers none.
+	Streams, DstSeqs          []uint64
+	AttackStreams, AttackSeqs []uint64
+	// LanesDown flags the lanes dark to an outage, nil when every lane
+	// is up. A down lane holds no mappings, so restore reapplies the
+	// flag without dropping anything.
+	LanesDown []bool
+	// Lanes is the engine's per-lane state, in lane order.
+	Lanes []*nat.Snapshot
+}
+
+// FlowState is one live flow of a RealmSnapshot.
+type FlowState struct {
+	Sub       int32
+	F         netaddr.Flow
+	TicksLeft int32
+}
+
+// Snapshot captures the kernel's complete state. Call between steps.
+func (r *Realm) Snapshot() *RealmSnapshot {
+	s := &RealmSnapshot{
+		Streams:    make([]uint64, len(r.frLane)),
+		DstSeqs:    slices.Clone(r.dstSeq),
+		AttackSeqs: slices.Clone(r.atkSeqLane),
+		LanesDown:  r.sn.DownLanes(),
+		Lanes:      r.sn.Snapshot(),
+	}
+	for l, fr := range r.frLane {
+		s.Streams[l] = uint64(fr)
+	}
+	if r.attacks {
+		s.AttackStreams = make([]uint64, len(r.atkFrLane))
+		for l, fr := range r.atkFrLane {
+			s.AttackStreams[l] = uint64(fr)
+		}
+	}
+	for j := range r.subs {
+		st := r.st[r.sn.ShardOf(int(r.laneOf[j]))]
+		for idx := r.subs[j].head; idx >= 0; idx = st.arena[idx].next {
+			nd := &st.arena[idx]
+			s.Flows = append(s.Flows, FlowState{Sub: int32(j), F: nd.f, TicksLeft: nd.ticksLeft})
+		}
+	}
+	return s
+}
+
+// RestoreRealm rebuilds a kernel from a snapshot taken under the same
+// profile, NAT configuration and population; the shard count may
+// differ. The snapshot is untrusted input: every inconsistency — stream
+// counts that do not match the pool, a whole pool dark, a mapping that
+// belongs to no member or sits off its owner's active lane, a flow that
+// is not its member's — is an error, never a panic or a silently
+// different run.
+func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmSnapshot) (*Realm, error) {
+	if s == nil {
+		return nil, fmt.Errorf("traffic: restore: nil snapshot")
+	}
+	sn, err := nat.NewShardedFromSnapshot(cfg, shards, s.Lanes)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: restore: %w", err)
+	}
+	lanes := sn.NumLanes()
+	atkLanes := 0
+	if p.AttacksEnabled() {
+		atkLanes = lanes
+	}
+	if len(s.Streams) != lanes || len(s.DstSeqs) != lanes || len(s.AttackStreams) != atkLanes || len(s.AttackSeqs) != atkLanes {
+		return nil, fmt.Errorf("traffic: restore: %d/%d arrival and %d/%d attack streams for %d lanes", len(s.Streams), len(s.DstSeqs), len(s.AttackStreams), len(s.AttackSeqs), lanes)
+	}
+	if s.LanesDown != nil && len(s.LanesDown) != lanes {
+		return nil, fmt.Errorf("traffic: restore: %d lane-outage flags for %d lanes", len(s.LanesDown), lanes)
+	}
+	// Reapply outage flags before the hooks exist: a down lane was
+	// captured empty, so nothing drops here.
+	for l, d := range s.LanesDown {
+		if !d {
+			continue
+		}
+		if _, ok := sn.SetLaneDown(l); !ok {
+			return nil, fmt.Errorf("traffic: restore: every lane down")
+		}
+	}
+	r := newRealm(p, cfg, pop, sn)
+	for l := range r.frLane {
+		r.frLane[l] = FastRand(s.Streams[l])
+	}
+	copy(r.dstSeq, s.DstSeqs)
+	for l := range r.atkFrLane {
+		r.atkFrLane[l] = FastRand(s.AttackStreams[l])
+	}
+	copy(r.atkSeqLane, s.AttackSeqs)
+	for j := range r.subs {
+		r.laneOf[j] = int32(sn.ActiveLaneFor(r.subs[j].addr))
+	}
+	// Every mapping must be a member's, on the member's active lane —
+	// the invariant that keeps hooks and refreshes shard-confined. The
+	// walk also recovers the members' live counts.
+	for l := 0; l < lanes; l++ {
+		var bad error
+		sn.Lane(l).ForEachMapping(func(m *nat.Mapping) {
+			j := uint32(m.Int.Addr - subscriberBase)
+			switch {
+			case bad != nil:
+			case j >= uint32(len(r.subs)):
+				bad = fmt.Errorf("traffic: restore: lane %d maps %v, outside the %d-member population", l, m.Int, len(r.subs))
+			case r.laneOf[j] != int32(l):
+				bad = fmt.Errorf("traffic: restore: member %d's mapping sits on lane %d, its active lane is %d", j, l, r.laneOf[j])
+			default:
+				r.subs[j].live++
+			}
+		})
+		if bad != nil {
+			return nil, bad
+		}
+	}
+	// Relink the flows in their serialized order. A flow whose key
+	// resolves to no live mapping gets a stale handle; the next tick's
+	// refresh falls back to the full translation path exactly as the
+	// uninterrupted run would.
+	for fi, fs := range s.Flows {
+		if fs.Sub < 0 || int(fs.Sub) >= len(r.subs) {
+			return nil, fmt.Errorf("traffic: restore: flow %d names member %d of %d", fi, fs.Sub, len(r.subs))
+		}
+		sub := &r.subs[fs.Sub]
+		if !sub.tracked() || fs.F.Proto != netaddr.UDP || fs.F.Src.Addr != sub.addr {
+			return nil, fmt.Errorf("traffic: restore: flow %d (%v) is not a live flow of member %d", fi, fs.F, fs.Sub)
+		}
+		l := int(r.laneOf[fs.Sub])
+		st := r.st[sn.ShardOf(l)]
+		ref, _ := sn.Lane(l).RefForFlow(fs.F)
+		st.arena = append(st.arena, flowNode{f: fs.F, ref: ref, ticksLeft: fs.TicksLeft, next: -1})
+		ni := int32(len(st.arena) - 1)
+		if sub.tail >= 0 {
+			st.arena[sub.tail].next = ni
+		} else {
+			sub.head = ni
+		}
+		sub.tail = ni
+	}
+	r.repartition()
+	r.drained.ps, r.drained.expired = sn.PortStats(), sn.CounterTotal("mappings_expired")
+	return r, nil
+}

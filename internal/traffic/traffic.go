@@ -205,9 +205,10 @@ type flowNode struct {
 }
 
 // subscriber is one internal endpoint population member. head/tail
-// index the subscriber's flow list in the realm arena (-1 when empty);
-// live is the incrementally maintained live-mapping count — what
-// nat.Sessions would report — fed by the NAT's create/expire hooks.
+// index the subscriber's flow list in its shard's arena (-1 when
+// empty); live is the incrementally maintained live-mapping count —
+// what nat.Sessions would report — fed by the NAT's create/expire
+// hooks.
 type subscriber struct {
 	addr       netaddr.Addr
 	class      Class
@@ -215,9 +216,13 @@ type subscriber struct {
 	live       int32
 	// attacker marks a flooder: it offers no legitimate flows and its
 	// live count samples into the adversarial histogram, not the class
-	// buckets.
-	attacker bool
+	// buckets. retired marks a member that left: no traffic, no census.
+	attacker, retired bool
 }
+
+// tracked reports whether the subscriber counts in the class census
+// and its live-count buckets.
+func (s *subscriber) tracked() bool { return !s.attacker && !s.retired }
 
 // Hist is an exact integer histogram of concurrent-port samples; counts
 // are small (bounded by quota or port space), so percentiles come from a
@@ -266,6 +271,12 @@ func (h *Hist) grow(size int) {
 	grown := make([]uint64, newLen)
 	copy(grown, h.counts)
 	h.counts = grown
+}
+
+// reset empties the histogram, keeping its buckets for reuse.
+func (h *Hist) reset() {
+	clear(h.counts)
+	h.n = 0
 }
 
 // Merge folds o into h. The parallel engine accumulates one Hist set per
@@ -327,9 +338,9 @@ var (
 	scannerAddr = netaddr.MustParseAddr("203.0.113.7")
 )
 
-// attackerCount returns how many of a realm's n subscribers the profile
-// designates as flooders: the leading int(AttackerFrac·n) by subscriber
-// index. Designation by index costs no random draw.
+// attackerCount returns how many of n fresh members the profile
+// designates as flooders: the leading int(AttackerFrac·n) by index.
+// Designation by index costs no random draw.
 func attackerCount(p Profile, n int) int {
 	if p.AttackerFrac <= 0 || p.AttackerFlowsPerTick <= 0 {
 		return 0
@@ -341,30 +352,18 @@ func attackerCount(p Profile, n int) int {
 	return k
 }
 
-// markAttackers flags the leading numAtk subscribers and removes them
-// from the legitimate class census. They keep their class draw — the
-// shared draw sequence must not shift — but every legitimate statistic
-// (class subscriber counts, live-count buckets, histograms) excludes
-// them from here on.
-func markAttackers(subs []subscriber, numAtk int, classSubs *[3]int) {
-	for j := 0; j < numAtk; j++ {
-		subs[j].attacker = true
-		classSubs[subs[j].class]--
-	}
-}
-
-// LiveCounts tracks, per class, how many tracked subscribers currently
+// liveCounts tracks, per class, how many tracked subscribers currently
 // hold exactly v live mappings. The NAT's create/expire hooks move
 // subscribers between buckets as mappings come and go, and the per-tick
 // sampling fold adds each bucket's population to the histograms in one
 // addN — the same sample multiset the per-subscriber loop would record,
 // for O(distinct values) work per tick instead of O(subscribers).
-type LiveCounts struct {
+type liveCounts struct {
 	cnt [3][]uint64
 }
 
-func NewLiveCounts(classSubs [3]int) *LiveCounts {
-	lc := &LiveCounts{}
+func newLiveCounts(classSubs [3]int) *liveCounts {
+	lc := &liveCounts{}
 	for c := range lc.cnt {
 		lc.cnt[c] = make([]uint64, 8)
 		lc.cnt[c][0] = uint64(classSubs[c])
@@ -375,7 +374,7 @@ func NewLiveCounts(classSubs [3]int) *LiveCounts {
 // Move shifts one class-c subscriber from bucket from to bucket to,
 // doubling the buckets until to is in range. Hooks move by one; census
 // rebuilds jump a subscriber from 0 straight to its live count.
-func (lc *LiveCounts) Move(c Class, from, to int32) {
+func (lc *liveCounts) Move(c Class, from, to int32) {
 	s := lc.cnt[c]
 	s[from]--
 	for int(to) >= len(s) {
@@ -389,7 +388,7 @@ func (lc *LiveCounts) Move(c Class, from, to int32) {
 
 // Fold samples every tracked subscriber once — at its current bucket
 // value — into the class and aggregate histograms.
-func (lc *LiveCounts) Fold(classHists *[3]Hist, all *Hist) {
+func (lc *liveCounts) Fold(classHists *[3]Hist, all *Hist) {
 	for c := range lc.cnt {
 		for v, k := range lc.cnt[c] {
 			if k != 0 {
@@ -400,35 +399,9 @@ func (lc *LiveCounts) Fold(classHists *[3]Hist, all *Hist) {
 	}
 }
 
-// buildSubscribers draws the realm population: one class draw per
-// subscriber in address order, the realm stream's first draws — over
-// dense synthetic internal addresses above base (synthetic because they
-// never leave the engine; dense so RandomChunk's chunk table and the
-// hooks' address-to-index subtraction both work).
-func buildSubscribers(rng *rand.Rand, p Profile, spec RealmSpec, base netaddr.Addr, classSubs *[3]int) []subscriber {
-	subs := make([]subscriber, spec.Subscribers)
-	for j := range subs {
-		class := Median
-		switch x := rng.Float64(); {
-		case x < p.HeavyFrac:
-			class = Heavy
-		case x < p.HeavyFrac+p.LightFrac:
-			class = Light
-		}
-		subs[j] = subscriber{
-			addr:  base + netaddr.Addr(j),
-			class: class,
-			head:  -1,
-			tail:  -1,
-		}
-		classSubs[class]++
-	}
-	return subs
-}
-
-// DiurnalFactor modulates arrival rates over the day: trough (1-Amp) at
+// diurnalFactor modulates arrival rates over the day: trough (1-Amp) at
 // tick 0 of each period, peak (1+Amp) mid-period.
-func DiurnalFactor(p Profile, tick int) float64 {
+func diurnalFactor(p Profile, tick int) float64 {
 	if p.DiurnalAmp == 0 || p.DayTicks == 0 {
 		return 1
 	}
@@ -440,8 +413,8 @@ func DiurnalFactor(p Profile, tick int) float64 {
 	return f
 }
 
-// ClassRate is the per-class multiplier on the median arrival rate.
-func ClassRate(p Profile, c Class) float64 {
+// classRate is the per-class multiplier on the median arrival rate.
+func classRate(p Profile, c Class) float64 {
 	switch c {
 	case Light:
 		return 0.2
@@ -457,26 +430,22 @@ func ClassRate(p Profile, c Class) float64 {
 // workers finished in — fixing even the float-addition order into
 // MeanUtil — so Result is byte-identical at any worker count.
 type realmOut struct {
-	stat       RealmStat
-	classSubs  [3]int
-	classHists [3]Hist
-	allHist    Hist
+	stat      RealmStat
+	classSubs [3]int
+	tally     Tally
 	// util[t] is this realm's instantaneous port-space utilization at
 	// tick t (the realm's addend into Result.MeanUtil).
-	util      []float64
-	refreshes uint64
-	adv       advAccum
-	// degA/degF are the realm's per-tick legitimate allocation series
-	// and disrupted/faultEvents its fault-transition books; nil/zero
-	// unless the config schedules faults.
-	degA, degF  []uint64
-	disrupted   uint64
-	faultEvents int
+	util []float64
+	// degA/degF are the realm's per-tick legitimate allocation series;
+	// nil unless the config schedules faults.
+	degA, degF []uint64
 }
 
-// advAccum is the adversarial accumulator, kept per shard and merged in
-// shard order, then in realm order. All zero when the profile offers no
-// adversaries.
+// advAccum is the adversarial accumulator, kept per shard and drained
+// in shard order into the realm's Tally, then merged in realm order.
+// Its counters stay zero when the profile offers no adversaries, except
+// the engine's refusal and eviction counts, which Run reports only with
+// adversaries enabled.
 type advAccum struct {
 	attackers                                   int
 	legitAttempts, legitFailures                uint64
@@ -499,6 +468,60 @@ func (a *advAccum) merge(o *advAccum) {
 	a.rateLimited += o.rateLimited
 	a.evictions += o.evictions
 	a.attackerHist.Merge(&o.attackerHist)
+}
+
+// runRealm steps one realm's kernel over the whole horizon, applying
+// the fault plan's boundaries between steps.
+func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
+	// Mix the realm index into the seed with a 64-bit odd constant so
+	// realms draw independent streams whatever their order. The realm RNG
+	// serves the class draws and seeds the per-lane streams; the lanes
+	// draw allocation randomness from their own per-lane streams.
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(realmIdx+1)*-0x61c8864680b583eb))
+	pop := NewMembers(p, spec.Subscribers, rng.Float64)
+	k := NewRealm(p, spec.NAT, cfg.Shards, pop, rng.Uint64)
+	out := &realmOut{
+		stat: RealmStat{ID: spec.ID, Cellular: spec.Cellular, Subscribers: spec.Subscribers},
+		util: make([]float64, p.Ticks),
+	}
+	for _, m := range pop {
+		if m.Attacker {
+			out.tally.adv.attackers++
+		} else {
+			out.classSubs[m.Class]++
+		}
+	}
+	var bounds []faultBoundary
+	if cfg.Faults.Enabled() {
+		bounds = cfg.Faults.boundaries(k.NAT().NumLanes(), faultSalt(cfg.Seed, realmIdx))
+		out.degA = make([]uint64, p.Ticks)
+		out.degF = make([]uint64, p.Ticks)
+	}
+	each := func(tk Tick) {
+		out.util[tk.T] = tk.Util
+		if out.degA != nil {
+			out.degA[tk.T] = tk.Attempts
+			out.degF[tk.T] = tk.Failures
+		}
+		if cfg.Observer != nil {
+			cfg.Observer(spec, tk.T, tk.Now, k.NAT())
+		}
+	}
+	from := 0
+	for _, fb := range bounds {
+		if fb.tick >= p.Ticks {
+			break
+		}
+		k.Step(from, fb.tick, &out.tally, each)
+		k.ApplyFaults(fb.ups, fb.downs, fb.restart, &out.tally)
+		from = fb.tick
+	}
+	k.Step(from, p.Ticks, &out.tally, each)
+	out.stat.PeakUtil = out.tally.PeakUtil
+	out.stat.Created = out.tally.Created
+	out.stat.Expired = out.tally.Expired
+	out.stat.Failures = out.tally.Failures
+	return out
 }
 
 // Run executes the engine: every realm on the worker pool (input order
@@ -540,7 +563,7 @@ func Run(cfg Config) *Result {
 	}
 	if workers == 1 {
 		for ji, jb := range jobs {
-			outs[ji] = runRealmSharded(cfg, p, jb.spec, jb.idx)
+			outs[ji] = runRealm(cfg, p, jb.spec, jb.idx)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -550,7 +573,7 @@ func Run(cfg Config) *Result {
 			go func() {
 				defer wg.Done()
 				for ji := range next {
-					outs[ji] = runRealmSharded(cfg, p, jobs[ji].spec, jobs[ji].idx)
+					outs[ji] = runRealm(cfg, p, jobs[ji].spec, jobs[ji].idx)
 				}
 			}()
 		}
@@ -578,20 +601,20 @@ func Run(cfg Config) *Result {
 		res.Created += o.stat.Created
 		res.Expired += o.stat.Expired
 		res.Failures += o.stat.Failures
-		res.Refreshes += o.refreshes
+		res.Refreshes += o.tally.Refreshes
 		for c := range classHists {
 			res.ByClass[c].Subscribers += o.classSubs[c]
-			classHists[c].Merge(&o.classHists[c])
+			classHists[c].Merge(&o.tally.ClassHists[c])
 		}
-		allHist.Merge(&o.allHist)
-		adv.merge(&o.adv)
+		allHist.Merge(&o.tally.AllHist)
+		adv.merge(&o.tally.adv)
 		if o.degA != nil {
 			for t := range o.degA {
 				res.Degradation.Attempts[t] += o.degA[t]
 				res.Degradation.Failures[t] += o.degF[t]
 			}
-			res.Degradation.Disrupted += o.disrupted
-			res.Degradation.FaultEvents += o.faultEvents
+			res.Degradation.Disrupted += o.tally.disrupted
+			res.Degradation.FaultEvents += o.tally.faultEvents
 		}
 		for t, u := range o.util {
 			res.MeanUtil[t] += u

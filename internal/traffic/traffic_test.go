@@ -108,16 +108,16 @@ func TestDiurnalModulation(t *testing.T) {
 // TestDiurnalFactorShape pins the curve's endpoints and symmetry.
 func TestDiurnalFactorShape(t *testing.T) {
 	p := Profile{DayTicks: 100, DiurnalAmp: 0.5}
-	if f := DiurnalFactor(p, 0); f > 0.51 {
+	if f := diurnalFactor(p, 0); f > 0.51 {
 		t.Errorf("tick 0 should be the trough, factor %v", f)
 	}
-	if f := DiurnalFactor(p, 50); f < 1.49 {
+	if f := diurnalFactor(p, 50); f < 1.49 {
 		t.Errorf("mid-day should be the peak, factor %v", f)
 	}
-	if f := DiurnalFactor(p, 100); f > 0.51 {
+	if f := diurnalFactor(p, 100); f > 0.51 {
 		t.Errorf("next day's tick 0 should be the trough again, factor %v", f)
 	}
-	if f := DiurnalFactor(Profile{DayTicks: 100}, 50); f != 1 {
+	if f := diurnalFactor(Profile{DayTicks: 100}, 50); f != 1 {
 		t.Errorf("zero amplitude must not modulate, factor %v", f)
 	}
 }
