@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cgn/internal/fleet"
+	"cgn/internal/metrics"
 )
 
 // newMux builds the daemon's observability surface. Handlers read the
@@ -67,24 +68,21 @@ func newMux(st *obs, withPprof bool) *http.ServeMux {
 		// Daemon-level series the fleet snapshot cannot know: checkpoint
 		// recency (wall clock — this is operational, not virtual, time)
 		// and whether this process restored from a checkpoint.
-		fmt.Fprintf(w, "# HELP cgnsimd_checkpoint_writes_total Checkpoints written by this process.\n# TYPE cgnsimd_checkpoint_writes_total counter\n")
-		fmt.Fprintf(w, "cgnsimd_checkpoint_writes_total %d\n", st.ckWrites.Load())
-		fmt.Fprintf(w, "# HELP cgnsimd_checkpoint_age_seconds Wall seconds since the last checkpoint write (-1 before the first).\n# TYPE cgnsimd_checkpoint_age_seconds gauge\n")
+		age := -1
 		if last := st.lastCkUnix.Load(); last > 0 {
-			fmt.Fprintf(w, "cgnsimd_checkpoint_age_seconds %d\n", int64(time.Since(time.Unix(last, 0)).Seconds()))
-		} else {
-			fmt.Fprintf(w, "cgnsimd_checkpoint_age_seconds -1\n")
+			age = int(time.Since(time.Unix(last, 0)).Seconds())
 		}
-		fmt.Fprintf(w, "# HELP cgnsimd_checkpoint_retries_total Checkpoint write re-attempts after a failed attempt.\n# TYPE cgnsimd_checkpoint_retries_total counter\n")
-		fmt.Fprintf(w, "cgnsimd_checkpoint_retries_total %d\n", st.ckRetries.Load())
-		fmt.Fprintf(w, "# HELP cgnsimd_checkpoint_write_failures_total Failed checkpoint write attempts (injected or real).\n# TYPE cgnsimd_checkpoint_write_failures_total counter\n")
-		fmt.Fprintf(w, "cgnsimd_checkpoint_write_failures_total %d\n", st.ckFailures.Load())
-		fmt.Fprintf(w, "# HELP cgnsimd_resumed Whether this process restored from a checkpoint.\n# TYPE cgnsimd_resumed gauge\n")
-		resumed := 0
-		if st.resumed {
-			resumed = 1
-		}
-		fmt.Fprintf(w, "cgnsimd_resumed %d\n", resumed)
+		x := metrics.NewWriter(w)
+		x.Family(metrics.Family{Name: "cgnsimd_checkpoint_writes_total", Type: metrics.TypeCounter, Help: "Checkpoints written by this process."})
+		x.Sample("", metrics.Uint(st.ckWrites.Load()))
+		x.Family(metrics.Family{Name: "cgnsimd_checkpoint_age_seconds", Type: metrics.TypeGauge, Help: "Wall seconds since the last checkpoint write (-1 before the first)."})
+		x.Sample("", metrics.Int(age))
+		x.Family(metrics.Family{Name: "cgnsimd_checkpoint_retries_total", Type: metrics.TypeCounter, Help: "Checkpoint write re-attempts after a failed attempt."})
+		x.Sample("", metrics.Uint(st.ckRetries.Load()))
+		x.Family(metrics.Family{Name: "cgnsimd_checkpoint_write_failures_total", Type: metrics.TypeCounter, Help: "Failed checkpoint write attempts (injected or real)."})
+		x.Sample("", metrics.Uint(st.ckFailures.Load()))
+		x.Family(metrics.Family{Name: "cgnsimd_resumed", Type: metrics.TypeGauge, Help: "Whether this process restored from a checkpoint."})
+		x.Sample("", metrics.Bool(st.resumed))
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		v := st.view.Load()
@@ -104,7 +102,7 @@ func newMux(st *obs, withPprof bool) *http.ServeMux {
 				state = "on"
 			}
 			fmt.Fprintf(w, "%-12s %-4s %-9d %7d %9d %6.1f%% %12d %10d\n",
-				r.ID, state, r.Subscribers, r.Live, r.InUse, 100*r.Util, r.Created, r.Failures)
+				r.ID, state, r.Subscribers, r.Live, r.Ports.InUse, 100*r.Util, r.Created, r.Failures)
 		}
 	})
 	return mux

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -282,8 +281,13 @@ func writeDigests(path string, res *fleet.Result) error {
 	app := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
 	app("cgnsimd digests days=%d carriers=%d events=%d\n", res.Days, res.Carriers, res.EventsApplied)
 	for _, r := range res.Realms {
+		// StateDigest is already a hex SHA-256; a disabled carrier has none.
+		digest := r.Digest
+		if digest != "disabled" {
+			digest = "sha256:" + digest
+		}
 		app("realm %s enabled=%v subs=%d created=%d expired=%d failures=%d digest=%s\n",
-			r.ID, r.EnabledEnd, r.Subscribers, r.Created, r.Expired, r.Failures, shortDigest(r.Digest))
+			r.ID, r.EnabledEnd, r.Subscribers, r.Created, r.Expired, r.Failures, digest)
 	}
 	for _, w := range res.Windows {
 		app("window days=%d threshold=%d tp=%d fp=%d fn=%d tn=%d precision=%.6f recall=%.6f f1=%.6f\n",
@@ -294,13 +298,4 @@ func writeDigests(path string, res *fleet.Result) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// shortDigest collapses a multi-line state digest to a stable one-line
-// fingerprint (the digest text itself can run to megabytes).
-func shortDigest(d string) string {
-	if d == "disabled" {
-		return d
-	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256([]byte(d)))
 }

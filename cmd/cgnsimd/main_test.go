@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +14,12 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cgn/internal/fleet"
+	"cgn/internal/traffic"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the /metrics golden under testdata from the current daemon")
 
 // syncBuffer is a goroutine-safe output sink for driving run()
 // concurrently with assertions on what it printed.
@@ -258,5 +265,49 @@ func TestServesMetricsWhileRunning(t *testing.T) {
 	}
 	if _, err := os.Stat(ck); err != nil {
 		t.Errorf("no checkpoint file after SIGTERM: %v", err)
+	}
+}
+
+// TestMetricsGolden pins the daemon's full /metrics body byte for byte
+// against testdata/metrics_golden.txt: the fleet families over a
+// deterministic three-carrier snapshot, then the daemon's own series
+// for a resumed process that has retried and failed checkpoint writes
+// but not yet landed one (age -1). Regenerate with
+// `go test ./cmd/cgnsimd -run TestMetricsGolden -update` only for a
+// deliberate, reviewed change to the exposition.
+func TestMetricsGolden(t *testing.T) {
+	sim, err := fleet.New(fleet.Config{
+		Seed:     3,
+		Days:     4,
+		Profile:  traffic.Profile{DayTicks: 24},
+		Carriers: fleet.SyntheticFleet(3, 3, 10),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.StepDay()
+	st := &obs{resumed: true}
+	st.view.Store(&obsView{m: sim.Metrics()})
+	st.ckRetries.Store(2)
+	st.ckFailures.Store(3)
+
+	rec := httptest.NewRecorder()
+	newMux(st, false).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	path := filepath.Join("testdata", "metrics_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.String(); got != string(want) {
+		t.Fatalf("/metrics drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

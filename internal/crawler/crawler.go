@@ -205,9 +205,6 @@ func NewWithTransport(tr Transport, global *routing.Global, cfg Config) *Crawler
 // restrictive NATs crawlable at all.
 func (c *Crawler) Endpoint() netaddr.Endpoint { return c.tr.Endpoint() }
 
-// Dataset returns the accumulated observations.
-func (c *Crawler) Dataset() *Dataset { return c.ds }
-
 // HandlePacket processes one inbound datagram. Simulated transports call
 // it synchronously through the socket callback; real transports dispatch
 // through Poll.

@@ -217,8 +217,8 @@ func TestResumeDeterminismDefended(t *testing.T) {
 			}
 			var rateLimited, evictions uint64
 			for _, r := range refSim.Metrics().Realms {
-				rateLimited += r.RateLimited
-				evictions += r.Evictions
+				rateLimited += r.Ports.RateLimited
+				evictions += r.Ports.Evictions
 			}
 			if rateLimited == 0 || evictions == 0 {
 				t.Fatalf("defenses idle in reference run: rate-limited %d, evictions %d", rateLimited, evictions)

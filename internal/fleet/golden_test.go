@@ -1,15 +1,18 @@
 package fleet
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cgn/internal/nat"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the fleet golden under testdata from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the fleet goldens under testdata from the current engine")
 
 // renderResult prints every field of a fleet Result in a stable text
 // form: per-realm state digests and counters, the class census and
@@ -60,5 +63,48 @@ func TestFleetGolden(t *testing.T) {
 		if got != string(want) {
 			t.Fatalf("workers=%d shards=%d: fleet result drifted from %s:\n got:\n%s\nwant:\n%s", tc.workers, tc.shards, path, got, want)
 		}
+	}
+}
+
+// TestPrometheusGolden pins WritePrometheus byte for byte against
+// testdata/metrics_golden.txt over faultedConfig under attack, stopped
+// on day 4, mid-outage: carrier 3 is disabled and carrier 4 never ran
+// CGN, a pool lane is dark, fault events have been applied, the running
+// carriers report fractional utilizations, and the port quota (carrier
+// 0), the token bucket (carrier 1) and oldest-idle eviction (carrier 2)
+// each refuse or reclaim a distinct count. Every series name, HELP
+// text, TYPE, label and value format is part of the operator contract;
+// regenerate with `go test ./internal/fleet -run TestPrometheusGolden
+// -update` only for a deliberate, reviewed change to the exposition.
+func TestPrometheusGolden(t *testing.T) {
+	cfg := faultedConfig(1, 1)
+	cfg.Profile.AttackerFrac = 0.1
+	cfg.Profile.AttackerFlowsPerTick = 20
+	cfg.Carriers[1].NAT.AllocRatePerSec = 0.02
+	cfg.Carriers[1].NAT.AllocBurst = 4
+	cfg.Carriers[2].NAT.PortLo, cfg.Carriers[2].NAT.PortHi = 2048, 2048+255
+	cfg.Carriers[2].NAT.Eviction = nat.EvictOldestIdle
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Day() < 4 {
+		s.StepDay()
+	}
+	var buf bytes.Buffer
+	WritePrometheus(&buf, s.Metrics())
+	path := filepath.Join("testdata", "metrics_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("exposition drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

@@ -1,9 +1,10 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
-	"strings"
+
+	"cgn/internal/metrics"
+	"cgn/internal/nat"
 )
 
 // RealmMetrics is one carrier's instantaneous observability view.
@@ -12,18 +13,15 @@ type RealmMetrics struct {
 	Cellular    bool
 	Enabled     bool
 	Subscribers int
-	// Port-space occupancy of the live engine (zero while disabled).
-	InUse, Capacity int
-	Util            float64
-	Live            int
+	// Ports is the live engine's port-resource snapshot, zero while
+	// disabled: occupancy and capacity, and the engine's refusal and
+	// eviction counters since it was last built.
+	Ports nat.PortStats
+	// Util is Ports.InUse over the UDP half of Ports.Capacity.
+	Util float64
+	Live int
 	// Cumulative over the run, spanning engine re-provisionings.
 	Created, Expired, Refreshes, Failures uint64
-	// QuotaDrops counts allocations refused by the per-subscriber port
-	// quota; RateLimited counts token-bucket refusals; Evictions counts
-	// idle mappings reclaimed by the evict-oldest-idle policy.
-	QuotaDrops  uint64
-	RateLimited uint64
-	Evictions   uint64
 	// LanesDown counts the carrier's pool lanes currently dark to a
 	// fault-injection outage.
 	LanesDown int
@@ -78,15 +76,11 @@ func (s *Sim) Metrics() MetricsSnapshot {
 		}
 		if r.k != nil {
 			eng := r.k.NAT()
-			ps := eng.PortStats()
-			rm.InUse, rm.Capacity = ps.InUse, ps.Capacity
-			if udpCapacity := ps.Capacity / 2; udpCapacity > 0 {
-				rm.Util = float64(ps.InUse) / float64(udpCapacity)
+			rm.Ports = eng.PortStats()
+			if udpCapacity := rm.Ports.Capacity / 2; udpCapacity > 0 {
+				rm.Util = float64(rm.Ports.InUse) / float64(udpCapacity)
 			}
 			rm.Live = eng.NumMappings()
-			rm.QuotaDrops = ps.QuotaDrops
-			rm.RateLimited = ps.RateLimited
-			rm.Evictions = ps.Evictions
 			rm.LanesDown = eng.LanesDown()
 			m.ActiveCGN++
 		}
@@ -101,138 +95,65 @@ func (s *Sim) Metrics() MetricsSnapshot {
 	return m
 }
 
-// WritePrometheus renders the snapshot in Prometheus text exposition
-// format (version 0.0.4): # HELP / # TYPE preambles, one family per
-// series, realm-labelled where per-carrier. Hand-written on net/http —
-// no client library, per the repository's zero-dependency rule.
-func WritePrometheus(w io.Writer, m MetricsSnapshot) {
-	gauge := func(name, help string, write func()) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		write()
-	}
-	counter := func(name, help string, write func()) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		write()
-	}
-	gauge("cgnsimd_virtual_day", "Virtual days completed by the fleet simulation.", func() {
-		fmt.Fprintf(w, "cgnsimd_virtual_day %d\n", m.Day)
-	})
-	gauge("cgnsimd_virtual_horizon_days", "Configured virtual horizon in days.", func() {
-		fmt.Fprintf(w, "cgnsimd_virtual_horizon_days %d\n", m.Days)
-	})
-	gauge("cgnsimd_subscribers", "Active subscribers across the fleet.", func() {
-		fmt.Fprintf(w, "cgnsimd_subscribers %d\n", m.Subscribers)
-	})
-	gauge("cgnsimd_carriers", "Carriers in the fleet.", func() {
-		fmt.Fprintf(w, "cgnsimd_carriers %d\n", m.Carriers)
-	})
-	gauge("cgnsimd_carriers_cgn_active", "Carriers currently running CGN.", func() {
-		fmt.Fprintf(w, "cgnsimd_carriers_cgn_active %d\n", m.ActiveCGN)
-	})
-	counter("cgnsimd_timeline_events_applied_total", "Scripted fleet events applied so far.", func() {
-		fmt.Fprintf(w, "cgnsimd_timeline_events_applied_total %d\n", m.EventsApplied)
-	})
-	gauge("cgnsimd_lanes_down", "Pool lanes currently dark to a fault-injection outage, fleet-wide.", func() {
-		fmt.Fprintf(w, "cgnsimd_lanes_down %d\n", m.LanesDown)
-	})
-	counter("cgnsimd_faults_injected_total", "Fault events applied so far, by kind.", func() {
-		for k, kind := range []string{"lane-down", "lane-up", "restart"} {
-			fmt.Fprintf(w, "cgnsimd_faults_injected_total{kind=%q} %d\n", kind, m.FaultsInjected[k])
-		}
-	})
-	gauge("cgnsimd_carrier_cgn_enabled", "Whether the carrier currently runs CGN (1) or not (0).", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			v := 0
-			if r.Enabled {
-				v = 1
-			}
-			fmt.Fprintf(w, "cgnsimd_carrier_cgn_enabled{realm=%q} %d\n", promLabel(r.ID), v)
-		}
-	})
-	gauge("cgnsimd_port_inuse", "External ports currently allocated, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_port_inuse{realm=%q} %d\n", promLabel(r.ID), r.InUse)
-		}
-	})
-	gauge("cgnsimd_port_capacity", "External port capacity (both protocols), per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_port_capacity{realm=%q} %d\n", promLabel(r.ID), r.Capacity)
-		}
-	})
-	gauge("cgnsimd_port_utilization", "Instantaneous UDP port-space utilization, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_port_utilization{realm=%q} %g\n", promLabel(r.ID), r.Util)
-		}
-	})
-	gauge("cgnsimd_mappings_live", "Live NAT mappings, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_mappings_live{realm=%q} %d\n", promLabel(r.ID), r.Live)
-		}
-	})
-	counter("cgnsimd_mappings_created_total", "NAT mappings created over the run, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_mappings_created_total{realm=%q} %d\n", promLabel(r.ID), r.Created)
-		}
-	})
-	counter("cgnsimd_mappings_expired_total", "NAT mappings expired over the run, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_mappings_expired_total{realm=%q} %d\n", promLabel(r.ID), r.Expired)
-		}
-	})
-	counter("cgnsimd_refreshes_total", "Successful mapping keepalives, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_refreshes_total{realm=%q} %d\n", promLabel(r.ID), r.Refreshes)
-		}
-	})
-	counter("cgnsimd_allocation_failures_total", "Port allocation failures (space plus quota), per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_allocation_failures_total{realm=%q} %d\n", promLabel(r.ID), r.Failures)
-		}
-	})
-	// Historical note: quota refusals were exported as
-	// cgnsimd_quota_evictions_total before the eviction policy existed —
-	// a misnomer, since a quota drop refuses the allocation and evicts
-	// nothing. The family below carries the refusal count under its
-	// correct name; cgnsimd_quota_evictions_total now reports actual
-	// evictions (EvictOldestIdle reclamations).
-	counter("cgnsimd_quota_refusals_total", "Allocations refused by the per-subscriber port quota, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_quota_refusals_total{realm=%q} %d\n", promLabel(r.ID), r.QuotaDrops)
-		}
-	})
-	counter("cgnsimd_rate_limited_total", "Allocations refused by the per-subscriber token-bucket rate limiter, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_rate_limited_total{realm=%q} %d\n", promLabel(r.ID), r.RateLimited)
-		}
-	})
-	counter("cgnsimd_quota_evictions_total", "Idle mappings evicted to make room for new allocations (EvictOldestIdle policy), per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_quota_evictions_total{realm=%q} %d\n", promLabel(r.ID), r.Evictions)
-		}
-	})
-	gauge("cgnsimd_subscribers_by_realm", "Active subscribers, per realm.", func() {
-		for i := range m.Realms {
-			r := &m.Realms[i]
-			fmt.Fprintf(w, "cgnsimd_subscribers_by_realm{realm=%q} %d\n", promLabel(r.ID), r.Subscribers)
-		}
-	})
+// fleetSeries are the fleet-wide families, in exposition order.
+var fleetSeries = []struct {
+	typ        metrics.Type
+	name, help string
+	value      func(m *MetricsSnapshot) metrics.Value
+}{
+	{metrics.TypeGauge, "cgnsimd_virtual_day", "Virtual days completed by the fleet simulation.", func(m *MetricsSnapshot) metrics.Value { return metrics.Int(m.Day) }},
+	{metrics.TypeGauge, "cgnsimd_virtual_horizon_days", "Configured virtual horizon in days.", func(m *MetricsSnapshot) metrics.Value { return metrics.Int(m.Days) }},
+	{metrics.TypeGauge, "cgnsimd_subscribers", "Active subscribers across the fleet.", func(m *MetricsSnapshot) metrics.Value { return metrics.Int(m.Subscribers) }},
+	{metrics.TypeGauge, "cgnsimd_carriers", "Carriers in the fleet.", func(m *MetricsSnapshot) metrics.Value { return metrics.Int(m.Carriers) }},
+	{metrics.TypeGauge, "cgnsimd_carriers_cgn_active", "Carriers currently running CGN.", func(m *MetricsSnapshot) metrics.Value { return metrics.Int(m.ActiveCGN) }},
+	{metrics.TypeCounter, "cgnsimd_timeline_events_applied_total", "Scripted fleet events applied so far.", func(m *MetricsSnapshot) metrics.Value { return metrics.Int(m.EventsApplied) }},
+	{metrics.TypeGauge, "cgnsimd_lanes_down", "Pool lanes currently dark to a fault-injection outage, fleet-wide.", func(m *MetricsSnapshot) metrics.Value { return metrics.Int(m.LanesDown) }},
 }
 
-// promLabel sanitizes a realm ID for use inside a quoted label value
-// (the %q verb handles quotes and backslashes; newlines never occur in
-// realm IDs, but strip them anyway).
-func promLabel(id string) string {
-	return strings.NewReplacer("\n", " ", "\r", " ").Replace(id)
+// realmSeries are the per-carrier families, in exposition order; each
+// has one sample per realm, labelled realm="<CarrierSpec.ID>".
+var realmSeries = []struct {
+	typ        metrics.Type
+	name, help string
+	value      func(r *RealmMetrics) metrics.Value
+}{
+	{metrics.TypeGauge, "cgnsimd_carrier_cgn_enabled", "Whether the carrier currently runs CGN (1) or not (0).", func(r *RealmMetrics) metrics.Value { return metrics.Bool(r.Enabled) }},
+	{metrics.TypeGauge, "cgnsimd_port_inuse", "External ports currently allocated, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Int(r.Ports.InUse) }},
+	{metrics.TypeGauge, "cgnsimd_port_capacity", "External port capacity (both protocols), per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Int(r.Ports.Capacity) }},
+	{metrics.TypeGauge, "cgnsimd_port_utilization", "Instantaneous UDP port-space utilization, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Float(r.Util) }},
+	{metrics.TypeGauge, "cgnsimd_mappings_live", "Live NAT mappings, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Int(r.Live) }},
+	{metrics.TypeCounter, "cgnsimd_mappings_created_total", "NAT mappings created over the run, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Uint(r.Created) }},
+	{metrics.TypeCounter, "cgnsimd_mappings_expired_total", "NAT mappings expired over the run, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Uint(r.Expired) }},
+	{metrics.TypeCounter, "cgnsimd_refreshes_total", "Successful mapping keepalives, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Uint(r.Refreshes) }},
+	{metrics.TypeCounter, "cgnsimd_allocation_failures_total", "Port allocation failures (space plus quota), per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Uint(r.Failures) }},
+	// Quota refusals were exported as cgnsimd_quota_evictions_total
+	// before the eviction policy existed — a misnomer, since a quota drop
+	// refuses the allocation and evicts nothing. The refusals carry their
+	// own name; cgnsimd_quota_evictions_total reports actual evictions
+	// (EvictOldestIdle reclamations).
+	{metrics.TypeCounter, "cgnsimd_quota_refusals_total", "Allocations refused by the per-subscriber port quota, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Uint(r.Ports.QuotaDrops) }},
+	{metrics.TypeCounter, "cgnsimd_rate_limited_total", "Allocations refused by the per-subscriber token-bucket rate limiter, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Uint(r.Ports.RateLimited) }},
+	{metrics.TypeCounter, "cgnsimd_quota_evictions_total", "Idle mappings evicted to make room for new allocations (EvictOldestIdle policy), per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Uint(r.Ports.Evictions) }},
+	{metrics.TypeGauge, "cgnsimd_subscribers_by_realm", "Active subscribers, per realm.", func(r *RealmMetrics) metrics.Value { return metrics.Int(r.Subscribers) }},
+}
+
+// WritePrometheus renders the snapshot in Prometheus text exposition
+// format (version 0.0.4) through metrics.Writer: the fleet-wide
+// families, the fault counts by kind, then the realm-labelled families.
+func WritePrometheus(w io.Writer, m MetricsSnapshot) {
+	x := metrics.NewWriter(w)
+	for _, s := range fleetSeries {
+		x.Family(metrics.Family{Name: s.name, Type: s.typ, Help: s.help})
+		x.Sample("", s.value(&m))
+	}
+	x.Family(metrics.Family{Name: "cgnsimd_faults_injected_total", Type: metrics.TypeCounter, Help: "Fault events applied so far, by kind.", Label: "kind"})
+	for k, kind := range []string{"lane-down", "lane-up", "restart"} {
+		x.Sample(kind, metrics.Uint(m.FaultsInjected[k]))
+	}
+	for _, s := range realmSeries {
+		x.Family(metrics.Family{Name: s.name, Type: s.typ, Help: s.help, Label: "realm"})
+		for i := range m.Realms {
+			x.Sample(m.Realms[i].ID, s.value(&m.Realms[i]))
+		}
+	}
 }

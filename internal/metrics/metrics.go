@@ -1,13 +1,12 @@
 // Package metrics provides tiny counter/gauge instrumentation used by the
-// NAT engine, the DHT crawler and the simulator. The design mirrors the
-// packet-counter style of kernel dataplane observability: cheap atomic
-// counters registered in a set, rendered as sorted "name value" lines.
+// NAT engine, the DHT crawler and the simulator, and the one writer of
+// the Prometheus text exposition format the fleet daemon serves. The
+// counters mirror the packet-counter style of kernel dataplane
+// observability: cheap atomic cells registered in a set and read back
+// by name.
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -110,19 +109,4 @@ func (s *Set) Snapshot() map[string]int64 {
 		out[name] = g.Value()
 	}
 	return out
-}
-
-// String renders the set as sorted "name value" lines.
-func (s *Set) String() string {
-	snap := s.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s %d\n", n, snap[n])
-	}
-	return b.String()
 }

@@ -46,13 +46,16 @@ func TestSnapshotAndString(t *testing.T) {
 	if snap["a"] != 1 || snap["b"] != 2 || snap["c"] != -5 {
 		t.Errorf("Snapshot = %v", snap)
 	}
-	str := s.String()
-	if !strings.Contains(str, "a 1\n") || !strings.Contains(str, "c -5\n") {
-		t.Errorf("String = %q", str)
-	}
-	// Sorted output: a before b before c.
-	if strings.Index(str, "a 1") > strings.Index(str, "b 2") {
-		t.Error("String output must be sorted by name")
+	// The set's values render through the exposition writer as they
+	// read: counters at full width, gauges signed.
+	str := render(func(w *Writer) {
+		w.Family(Family{Name: "a", Type: TypeCounter, Help: "A."})
+		w.Sample("", Uint(s.Counter("a").Value()))
+		w.Family(Family{Name: "c", Type: TypeGauge, Help: "C."})
+		w.Sample("", Int(int(s.Gauge("c").Value())))
+	})
+	if !strings.Contains(str, "\na 1\n") || !strings.Contains(str, "\nc -5\n") {
+		t.Errorf("exposition = %q", str)
 	}
 }
 

@@ -305,6 +305,7 @@ func TestShardedFailureLaneSum(t *testing.T) {
 		want.QuotaDrops += ps.QuotaDrops
 		want.RateLimited += ps.RateLimited
 		want.Evictions += ps.Evictions
+		want.Expired += ps.Expired
 	}
 	if got != want {
 		t.Fatalf("facade PortStats %+v != lane sum %+v", got, want)
@@ -316,10 +317,18 @@ func TestShardedFailureLaneSum(t *testing.T) {
 	if got.Evictions == 0 || got.RateLimited == 0 || got.QuotaDrops == 0 {
 		t.Fatalf("stress too weak to audit: %+v", got)
 	}
-	if ct := sn.CounterTotal("mappings_evicted"); ct != got.Evictions {
-		t.Fatalf("CounterTotal(mappings_evicted) = %d, want %d", ct, got.Evictions)
-	}
-	if ct := sn.CounterTotal("drop_rate_limited"); ct != got.RateLimited {
-		t.Fatalf("CounterTotal(drop_rate_limited) = %d, want %d", ct, got.RateLimited)
+	// The named counters the checkpoint persists agree with the façade.
+	for name, want := range map[string]uint64{
+		"mappings_evicted":  got.Evictions,
+		"drop_rate_limited": got.RateLimited,
+		"mappings_expired":  got.Expired,
+	} {
+		var sum uint64
+		for l := 0; l < sn.NumLanes(); l++ {
+			sum += sn.Lane(l).Metrics.Counter(name).Value()
+		}
+		if sum != want {
+			t.Fatalf("lane sum of %s = %d, want %d", name, sum, want)
+		}
 	}
 }

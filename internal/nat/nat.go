@@ -391,9 +391,6 @@ type Mapping struct {
 	lastDst netaddr.Endpoint
 }
 
-// CreatedNano returns the mapping's creation time in Unix nanoseconds.
-func (m *Mapping) CreatedNano() int64 { return m.created }
-
 // LastActiveNano returns the mapping's last-activity time in Unix
 // nanoseconds; LastActiveNano plus the protocol timeout is the expiry
 // deadline.
@@ -1379,6 +1376,9 @@ type PortStats struct {
 	// the retried allocation usually succeeds — but it is collateral
 	// damage on whoever held the evicted mapping.
 	Evictions uint64
+	// Expired counts mappings removed from the table: idled out, evicted
+	// or dropped by DropMatching (the mappings_expired counter).
+	Expired uint64
 }
 
 // Failures returns all allocation failures: space and quota exhaustion
@@ -1418,6 +1418,7 @@ func (n *NAT) PortStats() PortStats {
 		QuotaDrops:  n.cDropQuota.Value(),
 		RateLimited: n.cDropRateLimited.Value(),
 		Evictions:   n.cEvicted.Value(),
+		Expired:     n.cMapExpired.Value(),
 	}
 }
 

@@ -207,9 +207,6 @@ func (s *Sharded) laneOfExt(a netaddr.Addr) *NAT {
 	return nil
 }
 
-// IsExternal reports whether a belongs to the external pool.
-func (s *Sharded) IsExternal(a netaddr.Addr) bool { return s.laneOfExt(a) != nil }
-
 // TranslateOut routes an outbound flow to the subscriber's active lane
 // (the hash lane, or its failover while that lane is down).
 func (s *Sharded) TranslateOut(f netaddr.Flow, now time.Time) (netaddr.Flow, Verdict) {
@@ -336,15 +333,6 @@ func (s *Sharded) ForEachMapping(fn func(m *Mapping)) {
 	}
 }
 
-// LookupByExternal resolves an external endpoint on its owning lane.
-func (s *Sharded) LookupByExternal(p netaddr.Proto, ext netaddr.Endpoint, now time.Time) (*Mapping, bool) {
-	lane := s.laneOfExt(ext.Addr)
-	if lane == nil {
-		return nil, false
-	}
-	return lane.LookupByExternal(p, ext, now)
-}
-
 // ExternalFor resolves a flow's current external endpoint without
 // creating state. The active lane almost always holds the mapping; on a
 // miss the other lanes are probed, because a flow established on a
@@ -383,18 +371,9 @@ func (s *Sharded) PortStats() PortStats {
 		out.QuotaDrops += ps.QuotaDrops
 		out.RateLimited += ps.RateLimited
 		out.Evictions += ps.Evictions
+		out.Expired += ps.Expired
 	}
 	return out
-}
-
-// CounterTotal sums a named metric counter across lanes (e.g.
-// "mappings_expired"); unknown names sum fresh zero counters.
-func (s *Sharded) CounterTotal(name string) uint64 {
-	var total uint64
-	for _, lane := range s.lanes {
-		total += lane.Metrics.Counter(name).Value()
-	}
-	return total
 }
 
 // StateDigest hashes the union of every lane's state lines under the

@@ -165,8 +165,8 @@ func TestShardedSweepShardPartition(t *testing.T) {
 	if removed != live || s.NumMappings() != 0 {
 		t.Fatalf("shard sweeps removed %d of %d, %d left", removed, live, s.NumMappings())
 	}
-	if expired := s.CounterTotal("mappings_expired"); expired != uint64(live) {
-		t.Fatalf("mappings_expired total %d, want %d", expired, live)
+	if expired := s.PortStats().Expired; expired != uint64(live) {
+		t.Fatalf("PortStats().Expired = %d, want %d", expired, live)
 	}
 }
 

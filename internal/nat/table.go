@@ -118,14 +118,6 @@ func (t *extTable) del(k uint64) {
 	t.n--
 }
 
-func (t *extTable) forEach(fn func(m *Mapping)) {
-	for _, v := range t.vals {
-		if v != nil {
-			fn(v)
-		}
-	}
-}
-
 // intTable maps two-word internal keys — intKey — to live mappings: the
 // byInt index.
 type intTable struct {

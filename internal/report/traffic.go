@@ -15,16 +15,6 @@ type TrafficLoad struct {
 	Res *traffic.Result
 }
 
-// AnalyzeTraffic runs the E18 replay with the realms on the calling
-// goroutine; AnalyzeTrafficWorkers spreads them over a worker pool.
-func AnalyzeTraffic(w *internet.World) *TrafficLoad { return AnalyzeTrafficWorkers(w, 0) }
-
-// AnalyzeTrafficWorkers is AnalyzeTrafficOpts at the default shard
-// count.
-func AnalyzeTrafficWorkers(w *internet.World, workers int) *TrafficLoad {
-	return AnalyzeTrafficOpts(w, workers, 0)
-}
-
 // AnalyzeTrafficOpts drives the scenario's traffic profile through a
 // fresh replica of every carrier NAT (realmSpecs), so the campaign's own
 // translation state — which E17 snapshots — is never touched, and the

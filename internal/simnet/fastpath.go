@@ -30,12 +30,14 @@
 //   - Handler dispatch at the destination host: Bind/Unbind change at
 //     runtime.
 //
-// The reference walk survives untouched as the slow path. It is used
-// verbatim when loss is enabled — per-hop Bernoulli draws must consume
-// the loss RNG hop by hop, identically — when the engine is disabled via
-// SetFastPath(false), and for any route deeper than maxCompileSteps.
+// The reference walk survives untouched as the slow path. TracePath
+// always takes it, since its walker records the per-hop labels. Sends
+// take it verbatim when loss is enabled — per-hop Bernoulli draws must
+// consume the loss RNG hop by hop, identically — when the engine is
+// disabled via SetFastPath(false), and for any route deeper than
+// maxCompileSteps.
 // Differential tests pin the two paths byte-identical: Results, metric
-// counters, trace labels and NAT state digests.
+// counters and NAT state digests.
 //
 // Caches invalidate by generation: every topology mutation (attachment
 // registration, NAT installation) bumps Network.topoGen, and a cached
@@ -92,27 +94,6 @@ type pathStep struct {
 	pre int
 }
 
-// opKind tags one instruction of a route's trace-replay program.
-type opKind uint8
-
-const (
-	// opHops consumes hops router hops, recording label once per hop.
-	opHops opKind = iota
-	// opAct executes the route's next pathStep (NAT translation,
-	// hairpin turn, descend entry, delivery or unreachable verdict).
-	opAct
-)
-
-// op is one instruction of the trace program. The arithmetic fast path
-// never touches ops; TracePath replays them so fast-path traces carry
-// exactly the labels the reference walker would record, in order.
-type op struct {
-	kind  opKind
-	hops  int
-	label string
-	step  int // opAct: index into route.steps
-}
-
 // route is a compiled forwarding path.
 type route struct {
 	// gen is the topology generation the route was compiled under.
@@ -120,12 +101,6 @@ type route struct {
 	// steps is the replayed path: the ordered NAT chain plus exactly one
 	// terminal step.
 	steps []pathStep
-	// ops is the trace-replay program (hop labels interleaved with the
-	// steps above). Compiled lazily on the first TracePath over the
-	// route: most routes serve sends only, and campaign traffic touches
-	// enough unique (realm, dst) pairs that the extra allocation per
-	// route is measurable sweep-wide.
-	ops []op
 }
 
 // maxCompileSteps bounds route compilation. The reference walk
@@ -184,26 +159,11 @@ func (n *Network) routeFor(realm *Realm, dst netaddr.Addr) *route {
 		n.seen[k] = struct{}{}
 		return nil
 	}
-	r := n.compileRoute(realm, dst, false)
+	r := n.compileRoute(realm, dst)
 	if r != nil {
 		// Uncompilable (too-deep) routes are not cached: they carry no
 		// generation to validate, and the topology may since have grown
 		// an attachment that shortens them.
-		n.routes[k] = r
-	}
-	return r
-}
-
-// routeForTrace is routeFor plus the trace-replay program: TracePath
-// needs the op list, which send-only routes skip. Traces are diagnostic
-// and rare, so they compile immediately (no seen-set deferral).
-func (n *Network) routeForTrace(realm *Realm, dst netaddr.Addr) *route {
-	k := routeKey{realm.id, dst}
-	if r, ok := n.routes[k]; ok && r.gen == n.topoGen && r.ops != nil {
-		return r
-	}
-	r := n.compileRoute(realm, dst, true)
-	if r != nil {
 		n.routes[k] = r
 	}
 	return r
@@ -225,7 +185,7 @@ func (n *Network) PrecompileRoutes(dsts ...netaddr.Addr) int {
 				compiled++
 				continue
 			}
-			if r := n.compileRoute(realm, dst, false); r != nil {
+			if r := n.compileRoute(realm, dst); r != nil {
 				n.routes[k] = r
 				compiled++
 			}
@@ -235,31 +195,26 @@ func (n *Network) PrecompileRoutes(dsts ...netaddr.Addr) int {
 }
 
 // compileRoute walks the topology — not a packet — from realm toward
-// dst and emits the step slice (plus, when withOps is set, the trace
-// program). It reads only static structure: attachment tables, upstream
-// pointers, hop counts and NAT pool membership. No NAT state is touched
-// and no RNG consumed.
-func (n *Network) compileRoute(realm *Realm, dst netaddr.Addr, withOps bool) *route {
+// dst and emits the step slice. It reads only static structure:
+// attachment tables, upstream pointers, hop counts and NAT pool
+// membership. No NAT state is touched and no RNG consumed.
+func (n *Network) compileRoute(realm *Realm, dst netaddr.Addr) *route {
 	r := &route{gen: n.topoGen, steps: make([]pathStep, 0, 4)}
 	cum := 0
-	hops := func(k int, label string) {
+	// hops mirrors walker.consume, which spends nothing on a count
+	// below one.
+	hops := func(k int) {
 		if k > 0 {
-			if withOps {
-				r.ops = append(r.ops, op{kind: opHops, hops: k, label: label})
-			}
 			cum += k
 		}
 	}
 	act := func(s pathStep) {
 		s.pre = cum
-		if withOps {
-			r.ops = append(r.ops, op{kind: opAct, step: len(r.steps)})
-		}
 		r.steps = append(r.steps, s)
 	}
 	for {
 		if att, ok := realm.attach[dst]; ok {
-			hops(realm.fabricHops, realm.lblFabric)
+			hops(realm.fabricHops)
 			switch a := att.(type) {
 			case *Host:
 				act(pathStep{kind: stepDeliver, host: a})
@@ -275,7 +230,7 @@ func (n *Network) compileRoute(realm *Realm, dst netaddr.Addr, withOps bool) *ro
 			act(pathStep{kind: stepUnreachable})
 			return r
 		}
-		hops(dev.innerHops, dev.lblInner)
+		hops(dev.innerHops)
 		if dev.NAT.IsExternal(dst) {
 			act(pathStep{kind: stepHairpin, dev: dev})
 			return r
@@ -284,8 +239,8 @@ func (n *Network) compileRoute(realm *Realm, dst netaddr.Addr, withOps bool) *ro
 		if len(r.steps) > maxCompileSteps {
 			return nil
 		}
-		hops(1, dev.lblNAT)
-		hops(dev.outerHops, dev.lblOuter)
+		cum++ // the NAT's own hop
+		hops(dev.outerHops)
 		realm = dev.outer
 	}
 }
@@ -405,103 +360,4 @@ func (h *Host) fastDeliver(f netaddr.Flow, payload []byte, ttl, cum int, n *Netw
 	n.cDelivered.Inc()
 	fn(f.Src, f.Dst, f.Proto, payload)
 	return Result{Reason: Delivered, Hops: cum}
-}
-
-// ---- Trace replay ----
-//
-// TracePath needs a label per hop, so it cannot use the prefix-sum
-// shortcut; instead it replays the route's op program through the same
-// walker the reference path uses, which makes label sequences identical
-// by construction. NAT state is exercised exactly as on a real packet.
-
-// traceWalk replays r's op program under w (which has already consumed
-// the sender's access hops).
-func (n *Network) traceWalk(f netaddr.Flow, r *route, w *walker, payload []byte) Result {
-	now := n.clock.now
-	for _, o := range r.ops {
-		if o.kind == opHops {
-			if !w.consume(o.hops, o.label, "", "") {
-				return n.dropTTL(w)
-			}
-			continue
-		}
-		s := &r.steps[o.step]
-		switch s.kind {
-		case stepNAT:
-			out, v := s.dev.NAT.TranslateOut(f, now)
-			if v != nat.Ok {
-				n.cNATDropped.Inc()
-				return Result{Reason: DropNAT, NATVerdict: v, Hops: w.hops}
-			}
-			f = out
-		case stepHairpin:
-			res, v := s.dev.NAT.Hairpin(f, now)
-			if v != nat.Ok {
-				n.cNATDropped.Inc()
-				return Result{Reason: DropNAT, NATVerdict: v, Hops: w.hops}
-			}
-			if !w.consume(1, s.dev.lblHairpin, "", "") {
-				return n.dropTTL(w)
-			}
-			if !w.consume(s.dev.innerHops, s.dev.lblInner, "", "") {
-				return n.dropTTL(w)
-			}
-			return n.traceTail(s.dev, res.Flow, w, payload)
-		case stepDescend:
-			return n.traceDescend(s.dev, f, w, payload)
-		case stepDeliver:
-			return s.host.deliver(f, payload, w, n)
-		case stepUnreachable:
-			n.cUnreachable.Inc()
-			return Result{Reason: DropUnreachable, Hops: w.hops}
-		}
-	}
-	panic("simnet: compiled route has no terminal step")
-}
-
-// traceTail resolves a hairpin turn's destination and finishes the walk.
-func (n *Network) traceTail(dev *NATDev, f netaddr.Flow, w *walker, payload []byte) Result {
-	t := dev.tailFor(f.Dst.Addr, n)
-	switch {
-	case t.host != nil:
-		return t.host.deliver(f, payload, w, n)
-	case t.next != nil:
-		return n.traceDescend(t.next, f, w, payload)
-	default:
-		n.cUnreachable.Inc()
-		return Result{Reason: DropUnreachable, Hops: w.hops}
-	}
-}
-
-// traceDescend is fastDescend under a walker: same chain, per-hop
-// labels.
-func (n *Network) traceDescend(dev *NATDev, f netaddr.Flow, w *walker, payload []byte) Result {
-	now := n.clock.now
-	for {
-		if !w.consume(dev.outerHops, dev.lblOuter, "", "") {
-			return n.dropTTL(w)
-		}
-		in, v := dev.NAT.TranslateIn(f, now)
-		if v != nat.Ok {
-			n.cNATDropped.Inc()
-			return Result{Reason: DropNAT, NATVerdict: v, Hops: w.hops}
-		}
-		f = in
-		if !w.consume(1, dev.lblNAT, "", "") {
-			return n.dropTTL(w)
-		}
-		if !w.consume(dev.innerHops, dev.lblInner, "", "") {
-			return n.dropTTL(w)
-		}
-		t := dev.tailFor(f.Dst.Addr, n)
-		switch {
-		case t.host != nil:
-			return t.host.deliver(f, payload, w, n)
-		case t.next != nil:
-			dev = t.next
-		default:
-			n.cUnreachable.Inc()
-			return Result{Reason: DropUnreachable, Hops: w.hops}
-		}
-	}
 }

@@ -67,7 +67,7 @@ func New() *Network {
 	n.cTTLExpired = n.Metrics.Counter("pkts_ttl_expired")
 	n.cDelivered = n.Metrics.Counter("pkts_delivered")
 	n.cNoListener = n.Metrics.Counter("pkts_no_listener")
-	n.public = &Realm{name: "public", net: n, attach: make(map[netaddr.Addr]attachment), lblFabric: "fabric:public"}
+	n.public = &Realm{name: "public", net: n, attach: make(map[netaddr.Addr]attachment)}
 	n.realms = append(n.realms, n.public)
 	return n
 }
@@ -134,9 +134,6 @@ type Realm struct {
 	// hosts lists attached hosts in creation order, for deterministic
 	// enumeration by population drivers (e.g. LAN peer discovery).
 	hosts []*Host
-	// lblFabric is the precomputed fabric trace label ("fabric:<name>"),
-	// built once so trace replay never concatenates on path.
-	lblFabric string
 	// id is the realm's dense creation index, used as the pointer-free
 	// half of route-cache keys.
 	id uint32
@@ -154,7 +151,6 @@ func (n *Network) NewRealm(name string, fabricHops int) *Realm {
 		net:        n,
 		attach:     make(map[netaddr.Addr]attachment),
 		fabricHops: fabricHops,
-		lblFabric:  "fabric:" + name,
 		id:         uint32(len(n.realms)),
 	}
 	n.realms = append(n.realms, r)
@@ -200,9 +196,6 @@ type NATDev struct {
 	// outerHops is the number of plain router hops between this NAT and
 	// the outer realm's fabric.
 	outerHops int
-	// Precomputed trace labels, so neither hot forwarding nor trace
-	// replay concatenates strings per hop.
-	lblInner, lblOuter, lblNAT, lblHairpin string
 	// inTail caches, per translated destination address, the resolved
 	// attachment in this device's inner realm — the inbound descend
 	// resolution, which varies with the NAT mapping a packet hits.
@@ -211,9 +204,6 @@ type NATDev struct {
 }
 
 func (d *NATDev) isAttachment() {}
-
-// Inner returns the realm on the subscriber side.
-func (d *NATDev) Inner() *Realm { return d.inner }
 
 // Outer returns the realm on the Internet side.
 func (d *NATDev) Outer() *Realm { return d.outer }
@@ -231,16 +221,12 @@ func (n *Network) AttachNAT(name string, inner, outer *Realm, cfg nat.Config, in
 	}
 	cfg.Name = name
 	d := &NATDev{
-		Name:       name,
-		NAT:        nat.New(cfg),
-		inner:      inner,
-		outer:      outer,
-		innerHops:  innerHops,
-		outerHops:  outerHops,
-		lblInner:   "router:" + name + "-inner",
-		lblOuter:   "router:" + name + "-outer",
-		lblNAT:     "nat:" + name,
-		lblHairpin: "nat:" + name + " (hairpin)",
+		Name:      name,
+		NAT:       nat.New(cfg),
+		inner:     inner,
+		outer:     outer,
+		innerHops: innerHops,
+		outerHops: outerHops,
 	}
 	for _, ip := range cfg.ExternalIPs {
 		outer.register(ip, d)
@@ -357,15 +343,6 @@ func (n *Network) TracePath(src *Host, proto netaddr.Proto, srcPort uint16, dst 
 	w := &walker{ttl: DefaultTTL, net: n, trace: &steps, traceOnly: true}
 	if !w.consume(src.extraHops, "router:", src.name, "-access") {
 		return steps, n.dropTTL(w)
-	}
-	// Traces replay the compiled route's op program so the label
-	// sequence is byte-identical to the reference walk.
-	if n.fastOK() {
-		if r := n.routeForTrace(src.realm, dst.Addr); r != nil {
-			res := n.traceWalk(f, r, w, nil)
-			res.Hops = w.hops
-			return steps, res
-		}
 	}
 	res := n.walk(src, f, w, nil)
 	res.Hops = w.hops

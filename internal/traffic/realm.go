@@ -83,10 +83,7 @@ type Realm struct {
 	expNegFlood, expNegScan float64
 	scanLo, scanSpan        uint32
 	// drained is the engine counter state already folded into a Tally.
-	drained struct {
-		ps      nat.PortStats
-		expired uint64
-	}
+	drained nat.PortStats
 	// Per-tick inputs: written by the driver goroutine before the start
 	// barrier, read by shard workers after it (the channel send/receive
 	// orders the accesses).
@@ -642,16 +639,15 @@ func (r *Realm) drain(t *Tally) {
 		h.reset()
 		st.adv = advAccum{attackerHist: h}
 	}
-	ps, expired := r.sn.PortStats(), r.sn.CounterTotal("mappings_expired")
-	d := &r.drained
-	t.Created += ps.Allocs - d.ps.Allocs
-	t.Expired += expired - d.expired
-	t.Failures += ps.Failures() - d.ps.Failures()
-	t.adv.noPorts += ps.NoPorts - d.ps.NoPorts
-	t.adv.quotaDrops += ps.QuotaDrops - d.ps.QuotaDrops
-	t.adv.rateLimited += ps.RateLimited - d.ps.RateLimited
-	t.adv.evictions += ps.Evictions - d.ps.Evictions
-	d.ps, d.expired = ps, expired
+	ps, d := r.sn.PortStats(), &r.drained
+	t.Created += ps.Allocs - d.Allocs
+	t.Expired += ps.Expired - d.Expired
+	t.Failures += ps.Failures() - d.Failures()
+	t.adv.noPorts += ps.NoPorts - d.NoPorts
+	t.adv.quotaDrops += ps.QuotaDrops - d.QuotaDrops
+	t.adv.rateLimited += ps.RateLimited - d.RateLimited
+	t.adv.evictions += ps.Evictions - d.Evictions
+	*d = ps
 }
 
 // ApplyFaults applies one fault boundary between steps: the ups lanes
@@ -692,7 +688,7 @@ func (r *Realm) ApplyFaults(ups, downs []int, restart bool, t *Tally) {
 			}
 		}
 		r.installHooks()
-		r.drained.ps, r.drained.expired = nat.PortStats{}, 0
+		r.drained = nat.PortStats{}
 		for j := range r.subs {
 			r.subs[j].live = 0
 		}
@@ -989,6 +985,6 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 		sub.tail = ni
 	}
 	r.repartition()
-	r.drained.ps, r.drained.expired = sn.PortStats(), sn.CounterTotal("mappings_expired")
+	r.drained = sn.PortStats()
 	return r, nil
 }
