@@ -14,6 +14,7 @@ import (
 	"slices"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/traffic"
 )
 
@@ -41,10 +42,16 @@ import (
 // when the fleet began stepping that kernel, carried the population as
 // traffic.Member records, and dropped the provisioning state (Enabled,
 // Provision, PoolSize, Epoch), which Resume now replays from the
-// timeline.
+// timeline; 7 replaced each lane's random-stream position — two draw
+// counts that restore replayed draw by draw — with the stream's
+// one-word state (nat.Snapshot.Rand) when the NAT moved onto the
+// engines' SplitMix64 generator, and dropped the sequential cursors'
+// always-true seeded flag — a version-6 checkpoint would decode, since
+// gob drops the unknown fields, but restore every lane's stream at word
+// 0, diverging from the run it was cut from.
 const (
 	checkpointMagic   = "CGNFLEET"
-	checkpointVersion = 6
+	checkpointVersion = 7
 )
 
 // Checkpoint is the serialized fleet state at a day boundary. Together
@@ -197,7 +204,7 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 			}
 		}
 		r.pop = slices.Clone(rc.Pop)
-		r.fr = traffic.NewFastRand(rc.Fr)
+		r.fr = fastrand.Rand(rc.Fr)
 		r.tally = traffic.Tally{
 			AllHist:   traffic.HistFromState(rc.AllHist.Counts, rc.AllHist.N),
 			Refreshes: rc.Refreshes,
@@ -457,7 +464,7 @@ func SaveCheckpointRetry(path string, ck *Checkpoint, pol RetryPolicy) (RetryOut
 	if attempts < 1 {
 		attempts = 1
 	}
-	fr := traffic.NewFastRand(uint64(pol.Seed)*0x9E3779B97F4A7C15 ^ (pol.Key+1)*0xD1B54A32D192ED03)
+	fr := fastrand.Rand(uint64(pol.Seed)*0x9E3779B97F4A7C15 ^ (pol.Key+1)*0xD1B54A32D192ED03)
 	var out RetryOutcome
 	var lastErr error
 	for a := 1; a <= attempts; a++ {

@@ -41,6 +41,7 @@ import (
 	"sort"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
 	"cgn/internal/traffic"
@@ -338,7 +339,7 @@ const maxSubscribers = 1 << 20
 // a few enabled carriers disable or re-provision, populations grow,
 // and cellular carriers churn subscribers monthly.
 func ScriptTimeline(seed int64, carriers []CarrierSpec, days int) Timeline {
-	fr := traffic.NewFastRand(uint64(seed) ^ 0xF1EE7F1EE7)
+	fr := fastrand.Rand(uint64(seed) ^ 0xF1EE7F1EE7)
 	var tl Timeline
 	add := func(day, carrier int, kind EventKind, arg int) {
 		if day < 1 {
@@ -403,7 +404,7 @@ func ScriptFaults(seed int64, carriers []CarrierSpec, days int, severity float64
 	if severity > 1 {
 		severity = 1
 	}
-	fr := traffic.NewFastRand(uint64(seed) ^ 0xFA017FA017)
+	fr := fastrand.Rand(uint64(seed) ^ 0xFA017FA017)
 	var tl Timeline
 	for i, spec := range carriers {
 		if pool := len(spec.NAT.ExternalIPs); pool > 1 && fr.Float64() < severity {
@@ -429,7 +430,7 @@ func ScriptFaults(seed int64, carriers []CarrierSpec, days int, severity float64
 // timeouts and quotas cycle through representative shapes; roughly a
 // quarter start with CGN disabled (the late-onset candidates).
 func SyntheticFleet(seed int64, carriers, subscribers int) []CarrierSpec {
-	fr := traffic.NewFastRand(uint64(seed) ^ 0x5F1EE7)
+	fr := fastrand.Rand(uint64(seed) ^ 0x5F1EE7)
 	specs := make([]CarrierSpec, carriers)
 	allocs := []nat.PortAlloc{nat.Preservation, nat.Sequential, nat.Random, nat.RandomChunk}
 	types := []nat.MappingType{nat.PortRestricted, nat.Symmetric, nat.FullCone, nat.AddressRestricted}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
 	"cgn/internal/traffic"
@@ -34,7 +35,7 @@ type realmSim struct {
 	pop []traffic.Member
 	// fr is the realm stream: member classes and the seeds of each
 	// kernel's per-lane streams.
-	fr traffic.FastRand
+	fr fastrand.Rand
 	// tally accumulates the realm's samples and counters across every
 	// kernel the carrier has run.
 	tally traffic.Tally
@@ -54,7 +55,7 @@ func newRealmSim(idx int, spec CarrierSpec, seed int64, ringLen int) *realmSim {
 		idx:      idx,
 		spec:     spec,
 		poolSize: len(spec.NAT.ExternalIPs),
-		fr:       traffic.NewFastRand(uint64(seed + int64(idx+1)*realmSeedMix)),
+		fr:       fastrand.Rand(uint64(seed + int64(idx+1)*realmSeedMix)),
 		evRing:   make([]bool, ringLen),
 		enRing:   make([]bool, ringLen),
 	}
@@ -233,7 +234,7 @@ func hash01(seed int64, realm, day int, salt uint64) float64 {
 	x := uint64(seed) ^ salt
 	x ^= uint64(realm+1) * 0x9E3779B97F4A7C15
 	x ^= uint64(day+1) * 0xBF58476D1CE4E5B9
-	fr := traffic.NewFastRand(x)
+	fr := fastrand.Rand(x)
 	return fr.Float64()
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/netaddr"
 )
 
@@ -16,7 +17,7 @@ import (
 // regime where the map-based reference degrades to O(range) scans.
 func benchChurn(b *testing.B, s portAllocator, alloc PortAlloc, active int) {
 	b.Helper()
-	rng := rand.New(rand.NewSource(1))
+	rng := fastrand.Rand(1)
 	ops := rand.New(rand.NewSource(2))
 	live := make([]uint16, 0, active+1)
 	for len(live) < active {
@@ -35,11 +36,11 @@ func benchChurn(b *testing.B, s portAllocator, alloc PortAlloc, active int) {
 		switch alloc {
 		case Preservation:
 			want := 1024 + uint16(ops.Intn(64512))
-			p, ok = s.takePreferred(extIP, netaddr.UDP, want, rng)
+			p, ok = s.takePreferred(extIP, netaddr.UDP, want, &rng)
 		case Sequential:
 			p, ok = s.takeSequential(extIP, netaddr.UDP)
 		default:
-			p, ok = s.takeRandom(extIP, netaddr.UDP, rng)
+			p, ok = s.takeRandom(extIP, netaddr.UDP, &rng)
 		}
 		if !ok {
 			b.Fatal("allocation failed with free ports available")

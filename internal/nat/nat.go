@@ -26,9 +26,9 @@ package nat
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/metrics"
 	"cgn/internal/netaddr"
 )
@@ -460,11 +460,10 @@ type extLogEntry struct {
 // NAT is one translator instance.
 type NAT struct {
 	cfg Config
-	// rng draws through rngSrc, a counting pass-through over the seeded
-	// source: the draw counts are what make the engine's random state
-	// snapshotable (see rng.go and snapshot.go).
-	rng    *rand.Rand
-	rngSrc *countingSource
+	// rng is the engine's random stream, seeded from Config.Seed: every
+	// port draw and Arbitrary pool choice comes from it. Its whole state
+	// is one word, which Snapshot stores and restore assigns.
+	rng fastrand.Rand
 
 	// byInt and byExt are the translation tables, open-addressing hash
 	// tables specialized for the packed key shapes (table.go). byInt is
@@ -729,11 +728,9 @@ func New(cfg Config) *NAT {
 	if c.PortAlloc == RandomChunk && (c.ChunkSize&(c.ChunkSize-1)) != 0 {
 		panic(fmt.Sprintf("nat: chunk size %d is not a power of two", c.ChunkSize))
 	}
-	src := newCountingSource(c.Seed)
 	n := &NAT{
 		cfg:     c,
-		rng:     rand.New(src),
-		rngSrc:  src,
+		rng:     fastrand.Rand(uint64(c.Seed)),
 		Metrics: metrics.NewSet(),
 	}
 	n.byInt.init()
@@ -1149,24 +1146,24 @@ func (n *NAT) allocate(f netaddr.Flow, e *subEntry) (netaddr.Endpoint, bool) {
 	ip := n.chooseExternalIP(e)
 	switch n.cfg.PortAlloc {
 	case Preservation:
-		if port, ok := n.ports.takePreferred(ip, f.Proto, f.Src.Port, n.rng); ok {
+		if port, ok := n.ports.takePreferred(ip, f.Proto, f.Src.Port, &n.rng); ok {
 			return netaddr.EndpointOf(ip, port), true
 		}
 	case Sequential:
-		seedSequentialMidCycle(n.ports, n.cfg.PortLo, ip, f.Proto, n.rng)
+		seedSequentialMidCycle(n.ports, n.cfg.PortLo, ip, f.Proto, &n.rng)
 		if port, ok := n.ports.takeSequential(ip, f.Proto); ok {
 			return netaddr.EndpointOf(ip, port), true
 		}
 	case Random:
-		if port, ok := n.ports.takeRandom(ip, f.Proto, n.rng); ok {
+		if port, ok := n.ports.takeRandom(ip, f.Proto, &n.rng); ok {
 			return netaddr.EndpointOf(ip, port), true
 		}
 	case RandomChunk:
-		lo, hi, ok := n.chunks.chunkFor(ip, f.Src.Addr, n.rng)
+		lo, hi, ok := n.chunks.chunkFor(ip, f.Src.Addr, &n.rng)
 		if !ok {
 			return netaddr.Endpoint{}, false
 		}
-		if port, ok := n.ports.takeRandomIn(ip, f.Proto, lo, hi, n.rng); ok {
+		if port, ok := n.ports.takeRandomIn(ip, f.Proto, lo, hi, &n.rng); ok {
 			return netaddr.EndpointOf(ip, port), true
 		}
 	}
@@ -1312,7 +1309,7 @@ func (n *NAT) chooseExternalIP(e *subEntry) netaddr.Addr {
 		return ip
 	}
 	// Arbitrary pooling: pick a random pool member per mapping.
-	return pool[n.rng.Intn(len(pool))]
+	return pool[n.rng.Intn(uint32(len(pool)))]
 }
 
 // Sweep removes all mappings idle past their timeout, returning how many

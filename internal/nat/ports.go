@@ -2,8 +2,8 @@ package nat
 
 import (
 	"math/bits"
-	"math/rand"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/netaddr"
 )
 
@@ -17,10 +17,10 @@ type portAllocator interface {
 	isFree(ip netaddr.Addr, p netaddr.Proto, port uint16) bool
 	take(ip netaddr.Addr, p netaddr.Proto, port uint16)
 	free(e netaddr.Endpoint, p netaddr.Proto)
-	takePreferred(ip netaddr.Addr, p netaddr.Proto, want uint16, rng *rand.Rand) (uint16, bool)
+	takePreferred(ip netaddr.Addr, p netaddr.Proto, want uint16, rng *fastrand.Rand) (uint16, bool)
 	takeSequential(ip netaddr.Addr, p netaddr.Proto) (uint16, bool)
-	takeRandom(ip netaddr.Addr, p netaddr.Proto, rng *rand.Rand) (uint16, bool)
-	takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16, rng *rand.Rand) (uint16, bool)
+	takeRandom(ip netaddr.Addr, p netaddr.Proto, rng *fastrand.Rand) (uint16, bool)
+	takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16, rng *fastrand.Rand) (uint16, bool)
 	seedSequential(ip netaddr.Addr, p netaddr.Proto, start uint16)
 	sequentialSeeded(ip netaddr.Addr, p netaddr.Proto) bool
 }
@@ -75,9 +75,9 @@ func newPortSpace(lo, hi uint16) *portSpace {
 // Sequential policy and the Preservation out-of-range fallback seed
 // through here, on either allocator implementation, so the draw cannot
 // drift between the paths.
-func seedSequentialMidCycle(a portAllocator, lo uint16, ip netaddr.Addr, p netaddr.Proto, rng *rand.Rand) {
+func seedSequentialMidCycle(a portAllocator, lo uint16, ip netaddr.Addr, p netaddr.Proto, rng *fastrand.Rand) {
 	if !a.sequentialSeeded(ip, p) {
-		a.seedSequential(ip, p, lo+uint16(rng.Intn(a.size())))
+		a.seedSequential(ip, p, lo+uint16(rng.Intn(uint32(a.size()))))
 	}
 }
 
@@ -198,7 +198,7 @@ func (s *portSpace) takeAt(g *portSeg, idx int) uint16 {
 // want outside the allocatable range falls back to the sequential policy,
 // seeding its cursor mid-cycle first (a long-running NAT is not at the
 // bottom of its range).
-func (s *portSpace) takePreferred(ip netaddr.Addr, p netaddr.Proto, want uint16, rng *rand.Rand) (uint16, bool) {
+func (s *portSpace) takePreferred(ip netaddr.Addr, p netaddr.Proto, want uint16, rng *fastrand.Rand) (uint16, bool) {
 	if want < s.lo || want > s.hi {
 		seedSequentialMidCycle(s, s.lo, ip, p, rng)
 		return s.takeSequential(ip, p)
@@ -257,7 +257,7 @@ func (s *portSpace) takeSequential(ip netaddr.Addr, p netaddr.Proto) (uint16, bo
 }
 
 // takeRandom picks a uniformly random free port in the full range.
-func (s *portSpace) takeRandom(ip netaddr.Addr, p netaddr.Proto, rng *rand.Rand) (uint16, bool) {
+func (s *portSpace) takeRandom(ip netaddr.Addr, p netaddr.Proto, rng *fastrand.Rand) (uint16, bool) {
 	return s.takeRandomIn(ip, p, s.lo, s.hi, rng)
 }
 
@@ -266,7 +266,7 @@ func (s *portSpace) takeRandom(ip netaddr.Addr, p netaddr.Proto, rng *rand.Rand)
 // allocation stays correct even when the range is nearly full. The probe
 // schedule consumes the RNG exactly like the reference implementation, so
 // both allocators stay draw-for-draw comparable under one seed.
-func (s *portSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16, rng *rand.Rand) (uint16, bool) {
+func (s *portSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16, rng *fastrand.Rand) (uint16, bool) {
 	if lo < s.lo {
 		lo = s.lo
 	}
@@ -283,12 +283,12 @@ func (s *portSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16
 	span := int(hi) - int(lo) + 1
 	base := int(lo) - int(s.lo)
 	for i := 0; i < 32; i++ {
-		idx := base + rng.Intn(span)
+		idx := base + int(rng.Intn(uint32(span)))
 		if g.words[idx>>6]&(1<<(uint(idx)&63)) == 0 {
 			return s.takeAt(g, idx), true
 		}
 	}
-	offset := rng.Intn(span)
+	offset := int(rng.Intn(uint32(span)))
 	idx, ok := g.nextFree(base+offset, base, base+span-1)
 	if !ok {
 		return 0, false
@@ -343,7 +343,7 @@ func (t *chunkTable) bases() []uint16 {
 
 // chunkFor returns the [lo, hi] port bounds of the subscriber's chunk on
 // ip, assigning a random free chunk on first use.
-func (t *chunkTable) chunkFor(ip, subscriber netaddr.Addr, rng *rand.Rand) (uint16, uint16, bool) {
+func (t *chunkTable) chunkFor(ip, subscriber netaddr.Addr, rng *fastrand.Rand) (uint16, uint16, bool) {
 	k := chunkKey{ip, subscriber}
 	if base, ok := t.assigned[k]; ok {
 		return base, base + t.size - 1, true
@@ -358,7 +358,7 @@ func (t *chunkTable) chunkFor(ip, subscriber netaddr.Addr, rng *rand.Rand) (uint
 	if len(free) == 0 {
 		return 0, 0, false
 	}
-	base := free[rng.Intn(len(free))]
+	base := free[rng.Intn(uint32(len(free)))]
 	t.assigned[k] = base
 	t.taken[baseKey{ip, base}] = true
 	return base, base + t.size - 1, true

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/netaddr"
 )
 
@@ -51,8 +52,7 @@ func TestBitmapMatchesMapReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bm := newPortSpace(tc.lo, tc.hi)
 			ref := newMapPortSpace(tc.lo, tc.hi)
-			rngB := rand.New(rand.NewSource(7))
-			rngR := rand.New(rand.NewSource(7))
+			rngB, rngR := fastrand.Rand(7), fastrand.Rand(7)
 			ops := rand.New(rand.NewSource(99))
 
 			type held struct {
@@ -74,22 +74,22 @@ func TestBitmapMatchesMapReference(t *testing.T) {
 					if ops.Intn(2) == 0 {
 						want = tc.lo + uint16(ops.Intn(span))
 					}
-					pb, okB = bm.takePreferred(ip, p, want, rngB)
-					pr, okR = ref.takePreferred(ip, p, want, rngR)
+					pb, okB = bm.takePreferred(ip, p, want, &rngB)
+					pr, okR = ref.takePreferred(ip, p, want, &rngR)
 				case op < 5:
 					pb, okB = bm.takeSequential(ip, p)
 					pr, okR = ref.takeSequential(ip, p)
 				case op < 7:
-					pb, okB = bm.takeRandom(ip, p, rngB)
-					pr, okR = ref.takeRandom(ip, p, rngR)
+					pb, okB = bm.takeRandom(ip, p, &rngB)
+					pr, okR = ref.takeRandom(ip, p, &rngR)
 				case op < 9: // random sub-range (the chunk path)
 					a := tc.lo + uint16(ops.Intn(span))
 					c := tc.lo + uint16(ops.Intn(span))
 					if a > c {
 						a, c = c, a
 					}
-					pb, okB = bm.takeRandomIn(ip, p, a, c, rngB)
-					pr, okR = ref.takeRandomIn(ip, p, a, c, rngR)
+					pb, okB = bm.takeRandomIn(ip, p, a, c, &rngB)
+					pr, okR = ref.takeRandomIn(ip, p, a, c, &rngR)
 				default: // free a random live port
 					if len(live) == 0 {
 						continue
@@ -127,17 +127,17 @@ func TestBitmapMatchesMapReference(t *testing.T) {
 func TestTakePreferredFallbackSeedsCursor(t *testing.T) {
 	const lo, hi = 10000, 20000
 	s := newPortSpace(lo, hi)
-	rng := rand.New(rand.NewSource(1))
-	want := lo + uint16(rand.New(rand.NewSource(1)).Intn(s.size()))
+	rng, ref := fastrand.Rand(1), fastrand.Rand(1)
+	want := lo + uint16(ref.Intn(uint32(s.size())))
 	if want == lo {
 		t.Skip("seed lands on the range bottom; pick another seed")
 	}
-	p1, ok := s.takePreferred(extIP, netaddr.UDP, 80, rng) // 80 < lo
+	p1, ok := s.takePreferred(extIP, netaddr.UDP, 80, &rng) // 80 < lo
 	if !ok || p1 != want {
 		t.Fatalf("first fallback port = %d (ok=%v), want mid-cycle %d", p1, ok, want)
 	}
 	// Subsequent fallbacks continue sequentially from the seeded cursor.
-	p2, _ := s.takePreferred(extIP, netaddr.UDP, 80, rng)
+	p2, _ := s.takePreferred(extIP, netaddr.UDP, 80, &rng)
 	if p2 != p1+1 {
 		t.Errorf("second fallback port = %d, want %d", p2, p1+1)
 	}
@@ -151,7 +151,8 @@ func TestPreservationFallbackMidCycleNAT(t *testing.T) {
 	cfg.PortLo, cfg.PortHi = 10000, 20000
 	cfg.Seed = 5
 	n := New(cfg)
-	want := cfg.PortLo + uint16(rand.New(rand.NewSource(cfg.Seed)).Intn(int(cfg.PortHi-cfg.PortLo)+1))
+	ref := fastrand.Rand(uint64(cfg.Seed))
+	want := cfg.PortLo + uint16(ref.Intn(uint32(cfg.PortHi-cfg.PortLo)+1))
 	src := netaddr.MustParseEndpoint("100.64.0.5:80") // below PortLo
 	out, v := n.TranslateOut(flowUDP(src, dstEP), t0)
 	if v != Ok {

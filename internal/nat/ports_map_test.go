@@ -1,8 +1,7 @@
 package nat
 
 import (
-	"math/rand"
-
+	"cgn/internal/fastrand"
 	"cgn/internal/netaddr"
 )
 
@@ -85,7 +84,7 @@ func (s *mapPortSpace) free(e netaddr.Endpoint, p netaddr.Proto) {
 	s.freeCnt[seqKey{e.Addr, p}]++
 }
 
-func (s *mapPortSpace) takePreferred(ip netaddr.Addr, p netaddr.Proto, want uint16, rng *rand.Rand) (uint16, bool) {
+func (s *mapPortSpace) takePreferred(ip netaddr.Addr, p netaddr.Proto, want uint16, rng *fastrand.Rand) (uint16, bool) {
 	if want < s.lo || want > s.hi {
 		seedSequentialMidCycle(s, s.lo, ip, p, rng)
 		return s.takeSequential(ip, p)
@@ -144,11 +143,11 @@ func (s *mapPortSpace) takeSequential(ip netaddr.Addr, p netaddr.Proto) (uint16,
 	return 0, false
 }
 
-func (s *mapPortSpace) takeRandom(ip netaddr.Addr, p netaddr.Proto, rng *rand.Rand) (uint16, bool) {
+func (s *mapPortSpace) takeRandom(ip netaddr.Addr, p netaddr.Proto, rng *fastrand.Rand) (uint16, bool) {
 	return s.takeRandomIn(ip, p, s.lo, s.hi, rng)
 }
 
-func (s *mapPortSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16, rng *rand.Rand) (uint16, bool) {
+func (s *mapPortSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16, rng *fastrand.Rand) (uint16, bool) {
 	if lo < s.lo {
 		lo = s.lo
 	}
@@ -163,13 +162,13 @@ func (s *mapPortSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uin
 	}
 	span := int(hi) - int(lo) + 1
 	for i := 0; i < 32; i++ {
-		port := lo + uint16(rng.Intn(span))
+		port := lo + uint16(rng.Intn(uint32(span)))
 		if s.isFree(ip, p, port) {
 			s.take(ip, p, port)
 			return port, true
 		}
 	}
-	offset := rng.Intn(span)
+	offset := int(rng.Intn(uint32(span)))
 	for i := 0; i < span; i++ {
 		port := lo + uint16((offset+i)%span)
 		if s.isFree(ip, p, port) {

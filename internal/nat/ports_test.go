@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/netaddr"
 )
 
@@ -83,10 +84,10 @@ func TestRandomAllocationUsesWholeSpace(t *testing.T) {
 
 func TestRandomInDegradedScan(t *testing.T) {
 	s := newPortSpace(200, 203)
-	rng := rand.New(rand.NewSource(1))
+	rng := fastrand.Rand(1)
 	got := map[uint16]bool{}
 	for i := 0; i < 4; i++ {
-		p, ok := s.takeRandomIn(extIP, netaddr.UDP, 200, 203, rng)
+		p, ok := s.takeRandomIn(extIP, netaddr.UDP, 200, 203, &rng)
 		if !ok {
 			t.Fatalf("allocation %d failed", i)
 		}
@@ -95,19 +96,19 @@ func TestRandomInDegradedScan(t *testing.T) {
 		}
 		got[p] = true
 	}
-	if _, ok := s.takeRandomIn(extIP, netaddr.UDP, 200, 203, rng); ok {
+	if _, ok := s.takeRandomIn(extIP, netaddr.UDP, 200, 203, &rng); ok {
 		t.Error("full range should fail")
 	}
 }
 
 func TestRandomInClampsBounds(t *testing.T) {
 	s := newPortSpace(1000, 2000)
-	rng := rand.New(rand.NewSource(1))
-	p, ok := s.takeRandomIn(extIP, netaddr.UDP, 0, 65535, rng)
+	rng := fastrand.Rand(1)
+	p, ok := s.takeRandomIn(extIP, netaddr.UDP, 0, 65535, &rng)
 	if !ok || p < 1000 || p > 2000 {
 		t.Errorf("clamped alloc = %d, %v", p, ok)
 	}
-	if _, ok := s.takeRandomIn(extIP, netaddr.UDP, 3000, 4000, rng); ok {
+	if _, ok := s.takeRandomIn(extIP, netaddr.UDP, 3000, 4000, &rng); ok {
 		t.Error("disjoint range should fail")
 	}
 }
@@ -217,10 +218,10 @@ func TestChunkMaxSubscribersPerIP(t *testing.T) {
 	if got := len(tab.bases()); got != 63 {
 		t.Errorf("1K chunks available = %d, want 63", got)
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng := fastrand.Rand(1)
 	for i := 0; i < 63; i++ {
 		sub := netaddr.AddrFrom4(100, 64, 3, byte(i))
-		if _, _, ok := tab.chunkFor(extIP, sub, rng); !ok {
+		if _, _, ok := tab.chunkFor(extIP, sub, &rng); !ok {
 			t.Fatalf("subscriber %d rejected", i)
 		}
 	}
@@ -249,19 +250,19 @@ func TestPortExhaustionVerdict(t *testing.T) {
 
 func TestPreservationFullSpace(t *testing.T) {
 	s := newPortSpace(100, 101)
-	rng := rand.New(rand.NewSource(1))
+	rng := fastrand.Rand(1)
 	s.take(extIP, netaddr.UDP, 100)
 	s.take(extIP, netaddr.UDP, 101)
-	if _, ok := s.takePreferred(extIP, netaddr.UDP, 100, rng); ok {
+	if _, ok := s.takePreferred(extIP, netaddr.UDP, 100, &rng); ok {
 		t.Error("full space should fail")
 	}
 }
 
 func TestPortSpacesPerIPIndependent(t *testing.T) {
 	s := newPortSpace(1024, 65535)
-	rng := rand.New(rand.NewSource(1))
-	p1, _ := s.takePreferred(extIP, netaddr.UDP, 5000, rng)
-	p2, ok := s.takePreferred(extIP2, netaddr.UDP, 5000, rng)
+	rng := fastrand.Rand(1)
+	p1, _ := s.takePreferred(extIP, netaddr.UDP, 5000, &rng)
+	p2, ok := s.takePreferred(extIP2, netaddr.UDP, 5000, &rng)
 	if !ok || p1 != 5000 || p2 != 5000 {
 		t.Errorf("same port on different IPs should both preserve: %d, %d", p1, p2)
 	}

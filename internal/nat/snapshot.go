@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/netaddr"
 )
 
@@ -14,16 +15,17 @@ import (
 // stamps, every subscriber's seen flag and pooling pin, the port-space
 // high-water mark and sequential cursors, the chunk-allocation table,
 // the metric counters, the Paired round-robin position and the random
-// stream position (as draw counts — see countingSource). All fields are
-// exported so the struct gob-encodes; the checkpoint codec on top adds
-// versioning, checksums and atomic writes.
+// stream's one-word state. All fields are exported so the struct
+// gob-encodes; the checkpoint codec on top adds versioning, checksums
+// and atomic writes.
 //
 // A NAT restored from its snapshot under the same Config continues
-// byte-identically to the original: same allocation draws (the RNG is
-// replayed to position), same verdicts, same StateDigest now and after
-// any further traffic. Incidental layout — hash-table probe chains,
-// slab/freelist recycling order, expiry-bucket grouping — is not
-// captured because it is unobservable: the expiry schedule, for
+// byte-identically to the original: same allocation draws (the stream
+// resumes at the stored word, so restore costs the same however many
+// draws the engine has made), same verdicts, same StateDigest now and
+// after any further traffic. Incidental layout — hash-table probe
+// chains, slab/freelist recycling order, expiry-bucket grouping — is
+// not captured because it is unobservable: the expiry schedule, for
 // instance, is rebuilt by scheduling every mapping at its true deadline
 // (lastActive + timeout), which is exactly where lazy re-bucketing
 // would have placed it before the mapping's next state change.
@@ -32,9 +34,8 @@ type Snapshot struct {
 	// snapshot was taken under; restore refuses a mismatch rather than
 	// silently diverging.
 	ConfigSig string
-	// Rand63/Rand64 position the engine's random stream: how many Int63
-	// and Uint64 draws the seeded source has served.
-	Rand63, Rand64 uint64
+	// Rand is the engine's random stream: its whole fastrand.Rand state.
+	Rand uint64
 	// RRNext is the Paired/Arbitrary pooling round-robin cursor.
 	RRNext int
 	// PortPeak is the port-space high-water mark (PortStats.Peak).
@@ -75,14 +76,14 @@ type SubscriberState struct {
 	TBLast   int64
 }
 
-// SeqCursorState serializes one (external IP, protocol) sequential-
-// allocation cursor, including cursors whose segment currently holds no
-// ports (the position still determines the next draw).
+// SeqCursorState serializes one positioned (external IP, protocol)
+// sequential-allocation cursor, including cursors whose segment
+// currently holds no ports (the position still determines the next
+// draw). Cursors the engine never positioned are not stored.
 type SeqCursorState struct {
-	IP     netaddr.Addr
-	Proto  netaddr.Proto
-	Seq    int
-	Seeded bool
+	IP    netaddr.Addr
+	Proto netaddr.Proto
+	Seq   int
 }
 
 // ChunkState serializes one chunk-table assignment: subscriber Sub owns
@@ -104,8 +105,7 @@ func configSig(c Config) string {
 func (n *NAT) Snapshot() *Snapshot {
 	s := &Snapshot{
 		ConfigSig: configSig(n.cfg),
-		Rand63:    n.rngSrc.n63,
-		Rand64:    n.rngSrc.n64,
+		Rand:      uint64(n.rng),
 		RRNext:    n.rrNext,
 		PortPeak:  n.ports.peak,
 		Counters:  n.Metrics.Counters(),
@@ -146,7 +146,7 @@ func (n *NAT) Snapshot() *Snapshot {
 		s.Cursors = append(s.Cursors, SeqCursorState{
 			IP:    netaddr.Addr(k >> 8),
 			Proto: netaddr.Proto(k & 0xff),
-			Seq:   g.seq, Seeded: true,
+			Seq:   g.seq,
 		})
 	}
 	if n.chunks != nil {
@@ -168,7 +168,7 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 	if sig := configSig(n.cfg); sig != s.ConfigSig {
 		return nil, fmt.Errorf("nat: restore: config signature %s does not match snapshot %s (the snapshot was taken under a different configuration)", sig, s.ConfigSig)
 	}
-	n.rngSrc.replay(s.Rand63, s.Rand64)
+	n.rng = fastrand.Rand(s.Rand)
 	n.rrNext = s.RRNext
 
 	for _, ss := range s.Subscribers {
@@ -181,13 +181,23 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 		e.tbInit, e.tbTokens, e.tbLast = ss.TBInit, ss.TBTokens, ss.TBLast
 	}
 	if n.chunks != nil {
+		bases := n.chunks.bases()
 		for _, cs := range s.Chunks {
-			k := chunkKey{cs.IP, cs.Sub}
+			if !slices.Contains(n.cfg.ExternalIPs, cs.IP) {
+				return nil, fmt.Errorf("nat: restore: chunk for %v on %v outside the pool", cs.Sub, cs.IP)
+			}
+			if _, ok := slices.BinarySearch(bases, cs.Base); !ok {
+				return nil, fmt.Errorf("nat: restore: chunk for %v based at %d, not a chunk boundary", cs.Sub, cs.Base)
+			}
+			k, bk := chunkKey{cs.IP, cs.Sub}, baseKey{cs.IP, cs.Base}
 			if _, dup := n.chunks.assigned[k]; dup {
 				return nil, fmt.Errorf("nat: restore: duplicate chunk assignment for %v on %v", cs.Sub, cs.IP)
 			}
+			if n.chunks.taken[bk] {
+				return nil, fmt.Errorf("nat: restore: chunk %d on %v assigned twice", cs.Base, cs.IP)
+			}
 			n.chunks.assigned[k] = cs.Base
-			n.chunks.taken[baseKey{cs.IP, cs.Base}] = true
+			n.chunks.taken[bk] = true
 		}
 	} else if len(s.Chunks) > 0 {
 		return nil, fmt.Errorf("nat: restore: snapshot has chunk assignments but the configuration is not chunk-allocated")
@@ -239,11 +249,19 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 	}
 	n.ports.peak = s.PortPeak
 	for _, cs := range s.Cursors {
+		if !slices.Contains(n.cfg.ExternalIPs, cs.IP) || (cs.Proto != netaddr.UDP && cs.Proto != netaddr.TCP) {
+			return nil, fmt.Errorf("nat: restore: sequential cursor on %v/%v outside the pool", cs.IP, cs.Proto)
+		}
 		if cs.Seq < 0 || cs.Seq >= n.ports.size() {
 			return nil, fmt.Errorf("nat: restore: sequential cursor %d outside port range", cs.Seq)
 		}
+		// Restore starts from New, which positions no cursor, so a
+		// positioned one here is the snapshot's second for the segment.
 		g := n.ports.seg(cs.IP, cs.Proto)
-		g.seq, g.seeded = cs.Seq, cs.Seeded
+		if g.seeded {
+			return nil, fmt.Errorf("nat: restore: duplicate sequential cursor on %v/%v", cs.IP, cs.Proto)
+		}
+		g.seq, g.seeded = cs.Seq, true
 	}
 	for name, v := range s.Counters {
 		n.Metrics.Counter(name).Store(v)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/netaddr"
 )
 
@@ -207,8 +208,10 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 }
 
 // TestSnapshotRejectsCorruptState pins the internal-consistency checks:
-// duplicated external endpoints, mappings for unknown subscribers and
-// impossible high-water marks are all refused with errors.
+// duplicated external endpoints, mappings for unknown subscribers,
+// impossible high-water marks and sequential cursors no engine could
+// hold — off the pool, on a protocol it never maps, out of range or
+// twice for one segment — are all refused with errors.
 func TestSnapshotRejectsCorruptState(t *testing.T) {
 	cfg := snapshotConfigs()["sequential-arbitrary"]
 	n := New(cfg)
@@ -240,10 +243,25 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 
 	cursor := *n.Snapshot()
 	cursor.Cursors = append(cursor.Cursors, SeqCursorState{
-		IP: cfg.ExternalIPs[0], Proto: netaddr.UDP, Seq: 1 << 20, Seeded: true,
+		IP: cfg.ExternalIPs[0], Proto: netaddr.UDP, Seq: 1 << 20,
 	})
 	if _, err := NewFromSnapshot(cfg, &cursor); err == nil {
 		t.Fatal("out-of-range sequential cursor accepted")
+	}
+
+	if len(snap.Cursors) == 0 {
+		t.Fatal("test script positioned no sequential cursor")
+	}
+	for name, mutate := range map[string]func(*Snapshot){
+		"cursor-foreign-ip":    func(s *Snapshot) { s.Cursors[0].IP = netaddr.MustParseAddr("198.0.0.1") },
+		"cursor-unknown-proto": func(s *Snapshot) { s.Cursors[0].Proto = 99 },
+		"cursor-repeated":      func(s *Snapshot) { s.Cursors = append(s.Cursors, s.Cursors[0]) },
+	} {
+		bad := n.Snapshot()
+		mutate(bad)
+		if _, err := NewFromSnapshot(cfg, bad); err == nil {
+			t.Errorf("%s: sequential cursor no engine could hold accepted: %+v", name, bad.Cursors)
+		}
 	}
 }
 
@@ -252,7 +270,9 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 // pool — a foreign IP, a port beyond the range — or whose protocol the
 // engine never maps would restore a table no route resolves (the
 // sharded engine's first refresh of it dereferences a missing lane), so
-// it is refused with an error.
+// it is refused with an error. So is a chunk assignment outside the
+// chunk table: a wrapping chunk leaves its subscriber no ports, and an
+// off-boundary or shared one overlaps a neighbour's.
 func TestSnapshotRejectsMappingsOutsidePool(t *testing.T) {
 	cfg := snapshotConfigs()["sequential-arbitrary"]
 	n := New(cfg)
@@ -272,59 +292,80 @@ func TestSnapshotRejectsMappingsOutsidePool(t *testing.T) {
 			t.Errorf("%s: mapping outside the pool accepted: %+v", name, bad.Mappings[0])
 		}
 	}
+
+	// Chunk assignments get the same scrutiny: a chunk must sit on a
+	// pool IP, at one of the table's chunk bases, and own its base
+	// alone. Paired pooling gives every subscriber one IP, so two
+	// chunk records always belong to different subscribers.
+	chunkCfg := snapshotConfigs()["chunk"]
+	cn := New(chunkCfg)
+	driveOps(cn, scriptOps(3, 8, 4, 6), 0, 4)
+	if len(cn.Snapshot().Chunks) < 2 {
+		t.Fatal("test script assigned fewer than two chunks")
+	}
+	for name, mutate := range map[string]func([]ChunkState){
+		"chunk-foreign-ip":   func(cs []ChunkState) { cs[0].IP = netaddr.MustParseAddr("198.0.0.1") },
+		"chunk-wrapping":     func(cs []ChunkState) { cs[0].Base = 65535 },
+		"chunk-off-boundary": func(cs []ChunkState) { cs[0].Base = chunkCfg.PortLo + 1 },
+		"chunk-shared-base":  func(cs []ChunkState) { cs[1].IP, cs[1].Base = cs[0].IP, cs[0].Base },
+	} {
+		bad := cn.Snapshot()
+		mutate(bad.Chunks)
+		if _, err := NewFromSnapshot(chunkCfg, bad); err == nil {
+			t.Errorf("%s: chunk no engine could assign accepted: %+v", name, bad.Chunks)
+		}
+	}
 }
 
-// TestCountingSourceTransparent pins the pass-through property the
-// golden digests depend on: an engine drawing through countingSource
-// produces exactly the stream a bare math/rand source would.
+// firstRandomPort opens one flow on a fresh subscriber of n, a
+// Random-allocation engine, and returns the external port it drew.
+func firstRandomPort(t *testing.T, n *NAT) uint16 {
+	t.Helper()
+	out, v := n.TranslateOut(netaddr.Flow{
+		Proto: netaddr.UDP,
+		Src:   netaddr.Endpoint{Addr: netaddr.MustParseAddr("10.64.0.9"), Port: 5000},
+		Dst:   netaddr.Endpoint{Addr: netaddr.MustParseAddr("8.8.8.8"), Port: 443},
+	}, time.Unix(100, 0))
+	if v != Ok {
+		t.Fatalf("translate: %v", v)
+	}
+	return out.Src.Port
+}
+
+// TestCountingSourceTransparent pins where the engine's draws come
+// from: the fastrand stream seeded by Config.Seed. On an empty
+// Random-allocation engine the first probe lands on a free port, so the
+// first mapping's port is PortLo plus the first Intn over the span of a
+// fresh generator seeded the way New seeds it.
 func TestCountingSourceTransparent(t *testing.T) {
-	plain := rand.New(rand.NewSource(42))
-	counted := rand.New(newCountingSource(42))
-	for i := 0; i < 1000; i++ {
-		switch i % 4 {
-		case 0:
-			if a, b := plain.Int63(), counted.Int63(); a != b {
-				t.Fatalf("Int63 draw %d: %d vs %d", i, a, b)
-			}
-		case 1:
-			if a, b := plain.Intn(997), counted.Intn(997); a != b {
-				t.Fatalf("Intn draw %d: %d vs %d", i, a, b)
-			}
-		case 2:
-			if a, b := plain.Float64(), counted.Float64(); a != b {
-				t.Fatalf("Float64 draw %d: %g vs %g", i, a, b)
-			}
-		case 3:
-			if a, b := plain.Uint64(), counted.Uint64(); a != b {
-				t.Fatalf("Uint64 draw %d: %d vs %d", i, a, b)
-			}
-		}
+	cfg := snapshotConfigs()["random-symmetric"]
+	ref := fastrand.Rand(uint64(cfg.Seed))
+	want := cfg.PortLo + uint16(ref.Intn(uint32(cfg.PortHi-cfg.PortLo)+1))
+	if got := firstRandomPort(t, New(cfg)); got != want {
+		t.Fatalf("first random port %d, want %d from the Config.Seed stream", got, want)
 	}
 }
 
-// TestCountingSourceReplay pins the replay property restore depends on:
-// a fresh source replayed to a recorded position continues with exactly
-// the draws the original source would have produced next, regardless of
-// how Int63 and Uint64 calls interleaved before the snapshot.
+// TestCountingSourceReplay pins that restore assigns the stored stream
+// word and draws nothing: a snapshot holding the largest word restores
+// at once, carries that word back out unchanged, and the restored
+// engine's next Random allocation comes from a generator started at
+// that word.
 func TestCountingSourceReplay(t *testing.T) {
-	src := newCountingSource(7)
-	r := rand.New(src)
-	for i := 0; i < 500; i++ {
-		if i%3 == 0 {
-			r.Uint64()
-		} else {
-			r.Intn(100 + i)
-		}
+	cfg := snapshotConfigs()["random-symmetric"]
+	snap := New(cfg).Snapshot()
+	snap.Rand = ^uint64(0)
+	n, err := NewFromSnapshot(cfg, snap)
+	if err != nil {
+		t.Fatalf("NewFromSnapshot: %v", err)
 	}
-	n63, n64 := src.n63, src.n64
-
-	replayed := newCountingSource(7)
-	replayed.replay(n63, n64)
-	r2 := rand.New(replayed)
-	for i := 0; i < 100; i++ {
-		if a, b := r.Int63(), r2.Int63(); a != b {
-			t.Fatalf("draw %d after replay: %d vs %d", i, a, b)
-		}
+	if got := n.Snapshot().Rand; got != snap.Rand {
+		t.Fatalf("restored stream word %#x, want %#x", got, snap.Rand)
+	}
+	ref := fastrand.Rand(snap.Rand)
+	want := cfg.PortLo + uint16(ref.Intn(uint32(cfg.PortHi-cfg.PortLo)+1))
+	if got := firstRandomPort(t, n); got != want {
+		t.Fatalf("first random port after restore %d, want %d from the restored word", got, want)
 	}
 }
 

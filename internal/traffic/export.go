@@ -4,9 +4,9 @@ package traffic
 // steps. The fleet engine (internal/fleet) steps one Realm per carrier
 // over months of virtual time and checkpoints mid-run: the kernel's own
 // state travels as a RealmSnapshot, but the Tally histograms the fleet
-// accumulates and the FastRand streams it seeds kernels from are the
-// fleet's, so they must be serializable too. Everything here is a plain
-// copy in or out; none of it is on a hot path.
+// accumulates are the fleet's, so they must be serializable too.
+// Everything here is a plain copy in or out; none of it is on a hot
+// path.
 
 // Count returns the number of samples recorded.
 func (h *Hist) Count() uint64 { return h.n }
@@ -35,8 +35,3 @@ func HistFromState(counts []uint64, n uint64) Hist {
 	}
 	return h
 }
-
-// NewFastRand returns a fast draw stream seeded at s. FastRand's whole
-// state is its uint64 value, so serializing one is a cast: save
-// uint64(r), restore FastRand(saved).
-func NewFastRand(s uint64) FastRand { return FastRand(s) }

@@ -111,7 +111,7 @@ func (d DegradationStats) FailRate(t int) float64 {
 }
 
 // faultMix is the schedule's hash finalizer (SplitMix64's, like
-// FastRand's output stage): victim ranking must be a pure function of
+// fastrand.Rand's output stage): victim ranking must be a pure function of
 // seed, realm and lane, independent of every execution parameter.
 func faultMix(x uint64) uint64 {
 	x ^= x >> 30

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
 )
@@ -69,9 +70,9 @@ type Realm struct {
 	// across lanes, so 5-tuples stay distinct); within a lane the counter
 	// keeps them distinct. The attack streams and sequences exist only
 	// when the profile offers adversaries.
-	frLane     []FastRand
+	frLane     []fastrand.Rand
 	dstSeq     []uint64
-	atkFrLane  []FastRand
+	atkFrLane  []fastrand.Rand
 	atkSeqLane []uint64
 	attacks    bool
 	// Tick-invariant rates: the class arrival rates before the diurnal
@@ -136,7 +137,7 @@ type shardState struct {
 	curLane int
 	curList []int32
 	curLn   *nat.NAT
-	curFr   *FastRand
+	curFr   *fastrand.Rand
 	emit    func(i, k int)
 	atkEmit func(i, k int)
 }
@@ -224,10 +225,10 @@ func NewMembers(p Profile, n int, u func() float64) []Member {
 func NewRealm(p Profile, cfg nat.Config, shards int, pop []Member, seed func() uint64) *Realm {
 	r := newRealm(p, cfg, pop, nat.NewSharded(cfg, shards))
 	for l := range r.frLane {
-		r.frLane[l] = FastRand(seed())
+		r.frLane[l] = fastrand.Rand(seed())
 	}
 	for l := range r.atkFrLane {
-		r.atkFrLane[l] = FastRand(seed())
+		r.atkFrLane[l] = fastrand.Rand(seed())
 	}
 	r.repartition()
 	return r
@@ -246,7 +247,7 @@ func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
 		laneSubs: make([][numClasses][]int32, lanes),
 		laneAtk:  make([][]int32, lanes),
 		st:       make([]*shardState, sn.NumShards()),
-		frLane:   make([]FastRand, lanes),
+		frLane:   make([]fastrand.Rand, lanes),
 		dstSeq:   make([]uint64, lanes),
 		attacks:  p.AttacksEnabled(),
 		holdSpan: uint32(2*p.FlowHoldTicks - 1),
@@ -256,7 +257,7 @@ func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
 		r.rates[c] = p.FlowsPerTick * classRate(p, c)
 	}
 	if r.attacks {
-		r.atkFrLane = make([]FastRand, lanes)
+		r.atkFrLane = make([]fastrand.Rand, lanes)
 		r.atkSeqLane = make([]uint64, lanes)
 		r.floodLambda = p.AttackerFlowsPerTick
 		r.expNegFlood = math.Exp(-r.floodLambda)
@@ -929,11 +930,11 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 	}
 	r := newRealm(p, cfg, pop, sn)
 	for l := range r.frLane {
-		r.frLane[l] = FastRand(s.Streams[l])
+		r.frLane[l] = fastrand.Rand(s.Streams[l])
 	}
 	copy(r.dstSeq, s.DstSeqs)
 	for l := range r.atkFrLane {
-		r.atkFrLane[l] = FastRand(s.AttackStreams[l])
+		r.atkFrLane[l] = fastrand.Rand(s.AttackStreams[l])
 	}
 	copy(r.atkSeqLane, s.AttackSeqs)
 	for j := range r.subs {

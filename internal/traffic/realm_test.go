@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
 )
@@ -26,7 +27,7 @@ func TestRealmRestoreRejects(t *testing.T) {
 		PortHi:      4095,
 		Seed:        3,
 	}
-	fr := NewFastRand(7)
+	fr := fastrand.Rand(7)
 	pop := NewMembers(p, 40, fr.Float64)
 	r := NewRealm(p, cfg, 2, pop, fr.Next)
 	var tally Tally

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"cgn/internal/fastrand"
 	"cgn/internal/internet"
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
@@ -104,7 +105,7 @@ func TestShardedShardCountInvariance(t *testing.T) {
 // geometric jumps do (one exponential gap draw per arrival run, one
 // conditional flow-count draw per arrival). Same stream in, same
 // arrival set out, or the jump arithmetic is wrong.
-func directGateArrivals(r *traffic.FastRand, n int, lambda, expNegLambda float64, emit func(i, k int)) {
+func directGateArrivals(r *fastrand.Rand, n int, lambda, expNegLambda float64, emit func(i, k int)) {
 	if n <= 0 || lambda <= 0 {
 		return
 	}
@@ -139,7 +140,7 @@ func TestSkipSamplingMatchesDirectGating(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 4096} {
 		for _, lambda := range []float64{0, 0.01, 0.2, 1.0, 2.5} {
 			expNeg := math.Exp(-lambda)
-			fa := traffic.NewFastRand(uint64(n)*0x9E37 + math.Float64bits(lambda))
+			fa := fastrand.Rand(uint64(n)*0x9E37 + math.Float64bits(lambda))
 			fb := fa
 			var fast, direct []arrival
 			var arrivals, flows int
