@@ -1,10 +1,8 @@
 package simnet
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"cgn/internal/netaddr"
 )
@@ -17,80 +15,6 @@ func buildSlowWorld(t *testing.T) *world {
 	w := buildWorld(t)
 	w.net.SetFastPath(false)
 	return w
-}
-
-// script drives one deterministic traffic mix over a world — every
-// forwarding outcome the engine distinguishes: direct delivery, NAT44,
-// NAT444, replies, hairpins at CGN and CPE, intra-realm traffic,
-// unreachables, missing listeners, TTL sweeps across every boundary,
-// mapping expiry under clock advances, and traces. It returns a full
-// transcript; the differential test asserts transcripts, metrics and NAT
-// state digests are byte-identical across engines.
-func script(w *world) []string {
-	var log []string
-	record := func(tag string, res Result) {
-		log = append(log, fmt.Sprintf("%s: %+v", tag, res))
-	}
-	echoOn(w.server, 7)
-	send := func(tag string, h *Host, port uint16, dst netaddr.Endpoint, ttl int) {
-		record(tag, h.SendTTL(netaddr.UDP, port, dst, ttl, nil))
-	}
-	trace := func(tag string, h *Host, port uint16, dst netaddr.Endpoint) {
-		steps, res := w.net.TracePath(h, netaddr.UDP, port, dst)
-		log = append(log, fmt.Sprintf("%s: %v %+v", tag, steps, res))
-	}
-
-	srv := netaddr.EndpointOf(w.server.Addr(), 7)
-	for i, h := range []*Host{w.a, w.b, w.c, w.d} {
-		// Full-TTL exchange (handlers echo back through the same engine).
-		send(fmt.Sprintf("send%d", i), h, uint16(5000+i), srv, DefaultTTL)
-		// TTL sweep across every hop boundary of every topology class.
-		for ttl := 1; ttl <= 12; ttl++ {
-			send(fmt.Sprintf("ttl%d-%d", i, ttl), h, uint16(5100+10*i+ttl), srv, ttl)
-		}
-		trace(fmt.Sprintf("trace%d", i), h, uint16(5200+i), srv)
-	}
-
-	// Intra-realm: stays inside the ISP, no NAT touched.
-	send("intra", w.b, 6881, netaddr.EndpointOf(w.d.Addr(), 6881), DefaultTTL)
-
-	// Hairpin at the CGN (preserve-source): D opens a mapping, B sends to
-	// D's external endpoint.
-	w.d.Bind(netaddr.UDP, 6881, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
-	send("d-open", w.d, 6881, srv, DefaultTTL)
-	f := netaddr.FlowOf(netaddr.UDP, netaddr.EndpointOf(w.d.Addr(), 6881), srv)
-	if ext, ok := w.cgn.NAT.ExternalFor(f, w.net.Clock().Now()); ok {
-		for ttl := 1; ttl <= 10; ttl++ {
-			send(fmt.Sprintf("hairpin-ttl%d", ttl), w.b, uint16(7000+ttl), ext, ttl)
-		}
-		send("hairpin", w.b, 7100, ext, DefaultTTL)
-		trace("hairpin-trace", w.b, 7101, ext)
-	}
-
-	// Hairpin at the CPE (translate mode): C toward its own WAN-side
-	// external endpoint.
-	w.c.Bind(netaddr.UDP, 5000, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
-	send("cpe-hairpin-open", w.c, 5000, srv, DefaultTTL)
-	if ext, ok := w.cpeC.NAT.ExternalFor(netaddr.FlowOf(netaddr.UDP, netaddr.EndpointOf(w.c.Addr(), 5000), srv), w.net.Clock().Now()); ok {
-		send("cpe-hairpin", w.c, 5001, ext, DefaultTTL)
-		trace("cpe-hairpin-trace", w.c, 5002, ext)
-	}
-
-	// Unreachables: internal space from outside, unrouted public space,
-	// and a dead CGN external port (inbound filtering).
-	send("unreach-int", w.server, 7, ep("100.64.0.2:6881"), DefaultTTL)
-	send("unreach-pub", w.b, 5300, ep("1.2.3.4:80"), DefaultTTL)
-	send("nomapping", w.server, 7, ep("198.51.100.50:12345"), DefaultTTL)
-	send("nolistener", w.b, 5301, netaddr.EndpointOf(w.server.Addr(), 9999), DefaultTTL)
-	trace("unreach-trace", w.server, 7, ep("100.64.0.2:6881"))
-
-	// Expiry: advance past the CGN's 60s UDP timeout, then re-exchange so
-	// mappings are recreated on fresh ports.
-	w.net.Clock().Advance(61 * time.Second)
-	send("post-expiry-in", w.server, 7, ep("198.51.100.50:12345"), DefaultTTL)
-	send("post-expiry-out", w.b, 5302, srv, DefaultTTL)
-
-	return log
 }
 
 // TestFastSlowDifferential pins the compiled path to the reference walk:
@@ -149,138 +73,6 @@ func TestFastPathLossFallsBackToReferenceWalk(t *testing.T) {
 	}
 	if f, s := fast.net.Metrics.Snapshot(), slow.net.Metrics.Snapshot(); !reflect.DeepEqual(f, s) {
 		t.Errorf("loss metrics diverge:\n fast: %v\n slow: %v", f, s)
-	}
-}
-
-// TestRouteCacheInvalidation: a cached unreachable route must recompile
-// once the topology grows the missing attachment.
-func TestRouteCacheInvalidation(t *testing.T) {
-	w := buildWorld(t)
-	dst := ep("192.168.1.77:9000")
-	if res := w.a.Send(netaddr.UDP, 4000, dst, nil); res.Reason != DropUnreachable {
-		t.Fatalf("pre-attach send = %+v, want unreachable", res)
-	}
-	h := w.net.NewHost("late", w.a.Realm(), addr("192.168.1.77"), 0, rng())
-	h.Bind(netaddr.UDP, 9000, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
-	if res := w.a.Send(netaddr.UDP, 4000, dst, nil); !res.Delivered() {
-		t.Fatalf("post-attach send = %+v, want delivered", res)
-	}
-}
-
-// TestDescendTailInvalidation: the per-(NATDev, translated dst) descend
-// cache must revalidate against the topology generation too. The CGN's
-// inbound resolution for a translated destination changes when a host
-// attaches inside the ISP realm after the first packet cached a miss.
-func TestDescendTailInvalidation(t *testing.T) {
-	w := buildWorld(t)
-	echoOn(w.server, 7)
-	// B opens a CGN mapping; reach-back caches the descend tail for B's
-	// internal address.
-	w.b.Bind(netaddr.UDP, 5000, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
-	w.b.Send(netaddr.UDP, 5000, netaddr.EndpointOf(w.server.Addr(), 7), nil)
-	bExt := externalOf(t, w, w.b, 5000)
-	if res := w.server.Send(netaddr.UDP, 7, bExt, nil); !res.Delivered() {
-		t.Fatalf("reach-back = %+v", res)
-	}
-	// Topology changes: a new host joins the ISP realm. The tail for B is
-	// untouched semantically, but the generation bump must not break it.
-	w.net.NewHost("late-isp", w.isp, addr("100.64.9.9"), 0, rng())
-	if res := w.server.Send(netaddr.UDP, 7, bExt, nil); !res.Delivered() {
-		t.Fatalf("reach-back after topology change = %+v", res)
-	}
-}
-
-// TestTracePathFastHairpin pins the fast-path hairpin trace label
-// sequence against the reference walker's.
-func TestTracePathFastHairpin(t *testing.T) {
-	fast, slow := buildWorld(t), buildSlowWorld(t)
-	for _, w := range []*world{fast, slow} {
-		echoOn(w.server, 7)
-		w.d.Bind(netaddr.UDP, 6881, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
-		w.d.Send(netaddr.UDP, 6881, netaddr.EndpointOf(w.server.Addr(), 7), nil)
-	}
-	fExt := externalOf(t, fast, fast.d, 6881)
-	sExt := externalOf(t, slow, slow.d, 6881)
-	if fExt != sExt {
-		t.Fatalf("external endpoints diverge: %v vs %v", fExt, sExt)
-	}
-	fSteps, fRes := fast.net.TracePath(fast.b, netaddr.UDP, 7000, fExt)
-	sSteps, sRes := slow.net.TracePath(slow.b, netaddr.UDP, 7000, sExt)
-	if !reflect.DeepEqual(fSteps, sSteps) || fRes != sRes {
-		t.Fatalf("hairpin traces diverge:\n fast: %v %+v\n slow: %v %+v", fSteps, fRes, sSteps, sRes)
-	}
-	// The hairpin turn must be labeled as such, once.
-	want := "nat:cgn (hairpin)"
-	found := 0
-	for _, s := range fSteps {
-		if s == want {
-			found++
-		}
-	}
-	if found != 1 {
-		t.Errorf("trace %v: want exactly one %q", fSteps, want)
-	}
-	if !fRes.Delivered() {
-		t.Errorf("hairpin trace result = %+v", fRes)
-	}
-}
-
-// TestTracePathFastTTLExpiryAtNAT builds a topology whose CGN sits
-// exactly at the probe's TTL horizon: the trace must die at the NAT
-// *after* creating translation state, on both engines, with identical
-// labels.
-func TestTracePathFastTTLExpiryAtNAT(t *testing.T) {
-	build := func(fastOn bool) (*Network, *Host, *NATDev, netaddr.Endpoint) {
-		net := New()
-		net.SetFastPath(fastOn)
-		r := rng()
-		server := net.NewHost("server", net.Public(), addr("203.0.113.10"), 2, r)
-		server.Bind(netaddr.UDP, 7, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
-		isp := net.NewRealm("isp", 1)
-		// The NAT hop itself is hop DefaultTTL: innerHops consumes
-		// 1..DefaultTTL-1, translation state is created on receipt, and
-		// the TTL dies on the NAT's own hop.
-		dev := net.AttachNAT("deepcgn", isp, net.Public(), cgnCfg("198.51.100.80"), DefaultTTL-1, 1)
-		sub := net.NewHost("sub", isp, addr("100.64.0.9"), 0, r)
-		return net, sub, dev, netaddr.EndpointOf(server.Addr(), 7)
-	}
-	fNet, fSub, fDev, fDst := build(true)
-	sNet, sSub, sDev, sDst := build(false)
-	fSteps, fRes := fNet.TracePath(fSub, netaddr.UDP, 6000, fDst)
-	sSteps, sRes := sNet.TracePath(sSub, netaddr.UDP, 6000, sDst)
-	if !reflect.DeepEqual(fSteps, sSteps) || fRes != sRes {
-		t.Fatalf("traces diverge:\n fast: %d steps %+v\n slow: %d steps %+v", len(fSteps), fRes, len(sSteps), sRes)
-	}
-	if fRes.Reason != DropTTLExpired || fRes.Hops != DefaultTTL {
-		t.Errorf("result = %+v, want TTL death after %d hops", fRes, DefaultTTL)
-	}
-	if fSteps[len(fSteps)-1] != "nat:deepcgn" {
-		t.Errorf("trace must end on the NAT hop, got %q", fSteps[len(fSteps)-1])
-	}
-	if fDev.NAT.NumMappings() != 1 || sDev.NAT.NumMappings() != 1 {
-		t.Errorf("mappings fast=%d slow=%d, want 1 each: state is created before the TTL check",
-			fDev.NAT.NumMappings(), sDev.NAT.NumMappings())
-	}
-	if d1, d2 := fDev.NAT.StateDigest(), sDev.NAT.StateDigest(); d1 != d2 {
-		t.Errorf("NAT digests diverge after TTL-limited trace:\n fast: %s\n slow: %s", d1, d2)
-	}
-}
-
-// TestFastPathZeroTTLMatchesReference: non-positive TTLs take the
-// reference walk's degenerate semantics (zero-hop consumes succeed), so
-// a ttl-0 packet on an all-zero-hop path still delivers.
-func TestFastPathZeroTTLMatchesReference(t *testing.T) {
-	fast, slow := buildWorld(t), buildSlowWorld(t)
-	for _, w := range []*world{fast, slow} {
-		a2 := w.net.NewHost("A2", w.a.Realm(), addr("192.168.1.3"), 0, rng())
-		a2.Bind(netaddr.UDP, 6881, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
-	}
-	for _, ttl := range []int{0, -1, 1} {
-		rf := fast.a.SendTTL(netaddr.UDP, 6881, ep("192.168.1.3:6881"), ttl, nil)
-		rs := slow.a.SendTTL(netaddr.UDP, 6881, ep("192.168.1.3:6881"), ttl, nil)
-		if rf != rs {
-			t.Errorf("ttl %d diverges: fast %+v, slow %+v", ttl, rf, rs)
-		}
 	}
 }
 

@@ -1,13 +1,20 @@
 package simnet
 
 import (
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the forwarding golden under testdata from the current engine")
 
 func addr(s string) netaddr.Addr   { return netaddr.MustParseAddr(s) }
 func ep(s string) netaddr.Endpoint { return netaddr.MustParseEndpoint(s) }
@@ -497,6 +504,103 @@ func TestTracePathUnreachable(t *testing.T) {
 	}
 }
 
+// TestTracePathHairpin: a trace toward another subscriber's CGN
+// external endpoint turns around inside the CGN, labeled as such once,
+// and is delivered.
+func TestTracePathHairpin(t *testing.T) {
+	w := buildWorld(t)
+	echoOn(w.server, 7)
+	w.d.Bind(netaddr.UDP, 6881, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
+	w.d.Send(netaddr.UDP, 6881, netaddr.EndpointOf(w.server.Addr(), 7), nil)
+	steps, res := w.net.TracePath(w.b, netaddr.UDP, 7000, externalOf(t, w, w.d, 6881))
+	want := "nat:cgn (hairpin)"
+	found := 0
+	for _, s := range steps {
+		if s == want {
+			found++
+		}
+	}
+	if found != 1 {
+		t.Errorf("trace %v: want exactly one %q", steps, want)
+	}
+	if !res.Delivered() {
+		t.Errorf("hairpin trace result = %+v", res)
+	}
+}
+
+// TestTracePathTTLExpiryAtNAT builds a topology whose CGN sits exactly
+// at the probe's TTL horizon: the trace must die on the NAT's own hop
+// *after* creating translation state.
+func TestTracePathTTLExpiryAtNAT(t *testing.T) {
+	net := New()
+	r := rng()
+	server := net.NewHost("server", net.Public(), addr("203.0.113.10"), 2, r)
+	server.Bind(netaddr.UDP, 7, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
+	isp := net.NewRealm("isp", 1)
+	// The NAT hop itself is hop DefaultTTL: innerHops consumes
+	// 1..DefaultTTL-1, translation state is created on receipt, and the
+	// TTL dies on the NAT's own hop.
+	dev := net.AttachNAT("deepcgn", isp, net.Public(), cgnCfg("198.51.100.80"), DefaultTTL-1, 1)
+	sub := net.NewHost("sub", isp, addr("100.64.0.9"), 0, r)
+	steps, res := net.TracePath(sub, netaddr.UDP, 6000, netaddr.EndpointOf(server.Addr(), 7))
+	if res.Reason != DropTTLExpired || res.Hops != DefaultTTL {
+		t.Errorf("result = %+v, want TTL death after %d hops", res, DefaultTTL)
+	}
+	if steps[len(steps)-1] != "nat:deepcgn" {
+		t.Errorf("trace must end on the NAT hop, got %q", steps[len(steps)-1])
+	}
+	if dev.NAT.NumMappings() != 1 {
+		t.Errorf("mappings = %d, want 1: state is created before the TTL check", dev.NAT.NumMappings())
+	}
+}
+
+// TestZeroTTLZeroHopPath: consuming zero hops always succeeds, so on an
+// all-zero-hop path (two hosts on one home LAN) packets with TTL 0, -1
+// and 1 all deliver, spending no hops.
+func TestZeroTTLZeroHopPath(t *testing.T) {
+	w := buildWorld(t)
+	a2 := w.net.NewHost("A2", w.a.Realm(), addr("192.168.1.3"), 0, rng())
+	a2.Bind(netaddr.UDP, 6881, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
+	for _, ttl := range []int{0, -1, 1} {
+		res := w.a.SendTTL(netaddr.UDP, 6881, ep("192.168.1.3:6881"), ttl, nil)
+		if want := (Result{Reason: Delivered, Hops: 0}); res != want {
+			t.Errorf("ttl %d: %+v, want %+v", ttl, res, want)
+		}
+	}
+}
+
+// TestRouteCacheInvalidation: a destination that was unreachable
+// becomes reachable once a host attaches at its address.
+func TestRouteCacheInvalidation(t *testing.T) {
+	w := buildWorld(t)
+	dst := ep("192.168.1.77:9000")
+	if res := w.a.Send(netaddr.UDP, 4000, dst, nil); res.Reason != DropUnreachable {
+		t.Fatalf("pre-attach send = %+v, want unreachable", res)
+	}
+	h := w.net.NewHost("late", w.a.Realm(), addr("192.168.1.77"), 0, rng())
+	h.Bind(netaddr.UDP, 9000, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
+	if res := w.a.Send(netaddr.UDP, 4000, dst, nil); !res.Delivered() {
+		t.Fatalf("post-attach send = %+v, want delivered", res)
+	}
+}
+
+// TestDescendTailInvalidation: reach-back through the CGN to a
+// subscriber keeps working after a new host joins the ISP realm.
+func TestDescendTailInvalidation(t *testing.T) {
+	w := buildWorld(t)
+	echoOn(w.server, 7)
+	w.b.Bind(netaddr.UDP, 5000, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
+	w.b.Send(netaddr.UDP, 5000, netaddr.EndpointOf(w.server.Addr(), 7), nil)
+	bExt := externalOf(t, w, w.b, 5000)
+	if res := w.server.Send(netaddr.UDP, 7, bExt, nil); !res.Delivered() {
+		t.Fatalf("reach-back = %+v", res)
+	}
+	w.net.NewHost("late-isp", w.isp, addr("100.64.9.9"), 0, rng())
+	if res := w.server.Send(netaddr.UDP, 7, bExt, nil); !res.Delivered() {
+		t.Fatalf("reach-back after topology change = %+v", res)
+	}
+}
+
 func TestPacketLoss(t *testing.T) {
 	w := buildWorld(t)
 	echoOn(w.server, 7)
@@ -546,5 +650,127 @@ func TestZeroLossIsDeterministic(t *testing.T) {
 		if !res.Delivered() {
 			t.Fatalf("loss-free network dropped a packet: %+v", res)
 		}
+	}
+}
+
+// script drives one deterministic traffic mix over a world — every
+// forwarding outcome the engine distinguishes: direct delivery, NAT44,
+// NAT444, replies, hairpins at CGN and CPE, intra-realm traffic,
+// unreachables, missing listeners, TTL sweeps across every boundary,
+// mapping expiry under clock advances, and traces. It returns a full
+// transcript, which TestForwardingGolden pins together with the network
+// metrics and every NAT's state.
+func script(w *world) []string {
+	var log []string
+	record := func(tag string, res Result) {
+		log = append(log, fmt.Sprintf("%s: %+v", tag, res))
+	}
+	echoOn(w.server, 7)
+	send := func(tag string, h *Host, port uint16, dst netaddr.Endpoint, ttl int) {
+		record(tag, h.SendTTL(netaddr.UDP, port, dst, ttl, nil))
+	}
+	trace := func(tag string, h *Host, port uint16, dst netaddr.Endpoint) {
+		steps, res := w.net.TracePath(h, netaddr.UDP, port, dst)
+		log = append(log, fmt.Sprintf("%s: %v %+v", tag, steps, res))
+	}
+
+	srv := netaddr.EndpointOf(w.server.Addr(), 7)
+	for i, h := range []*Host{w.a, w.b, w.c, w.d} {
+		// Full-TTL exchange (handlers echo back through the same engine).
+		send(fmt.Sprintf("send%d", i), h, uint16(5000+i), srv, DefaultTTL)
+		// TTL sweep across every hop boundary of every topology class.
+		for ttl := 1; ttl <= 12; ttl++ {
+			send(fmt.Sprintf("ttl%d-%d", i, ttl), h, uint16(5100+10*i+ttl), srv, ttl)
+		}
+		trace(fmt.Sprintf("trace%d", i), h, uint16(5200+i), srv)
+	}
+
+	// Intra-realm: stays inside the ISP, no NAT touched.
+	send("intra", w.b, 6881, netaddr.EndpointOf(w.d.Addr(), 6881), DefaultTTL)
+
+	// Hairpin at the CGN (preserve-source): D opens a mapping, B sends to
+	// D's external endpoint.
+	w.d.Bind(netaddr.UDP, 6881, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
+	send("d-open", w.d, 6881, srv, DefaultTTL)
+	f := netaddr.FlowOf(netaddr.UDP, netaddr.EndpointOf(w.d.Addr(), 6881), srv)
+	if ext, ok := w.cgn.NAT.ExternalFor(f, w.net.Clock().Now()); ok {
+		for ttl := 1; ttl <= 10; ttl++ {
+			send(fmt.Sprintf("hairpin-ttl%d", ttl), w.b, uint16(7000+ttl), ext, ttl)
+		}
+		send("hairpin", w.b, 7100, ext, DefaultTTL)
+		trace("hairpin-trace", w.b, 7101, ext)
+	}
+
+	// Hairpin at the CPE (translate mode): C toward its own WAN-side
+	// external endpoint.
+	w.c.Bind(netaddr.UDP, 5000, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
+	send("cpe-hairpin-open", w.c, 5000, srv, DefaultTTL)
+	if ext, ok := w.cpeC.NAT.ExternalFor(netaddr.FlowOf(netaddr.UDP, netaddr.EndpointOf(w.c.Addr(), 5000), srv), w.net.Clock().Now()); ok {
+		send("cpe-hairpin", w.c, 5001, ext, DefaultTTL)
+		trace("cpe-hairpin-trace", w.c, 5002, ext)
+	}
+
+	// Unreachables: internal space from outside, unrouted public space,
+	// and a dead CGN external port (inbound filtering).
+	send("unreach-int", w.server, 7, ep("100.64.0.2:6881"), DefaultTTL)
+	send("unreach-pub", w.b, 5300, ep("1.2.3.4:80"), DefaultTTL)
+	send("nomapping", w.server, 7, ep("198.51.100.50:12345"), DefaultTTL)
+	send("nolistener", w.b, 5301, netaddr.EndpointOf(w.server.Addr(), 9999), DefaultTTL)
+	trace("unreach-trace", w.server, 7, ep("100.64.0.2:6881"))
+
+	// Expiry: advance past the CGN's 60s UDP timeout, then re-exchange so
+	// mappings are recreated on fresh ports.
+	w.net.Clock().Advance(61 * time.Second)
+	send("post-expiry-in", w.server, 7, ep("198.51.100.50:12345"), DefaultTTL)
+	send("post-expiry-out", w.b, 5302, srv, DefaultTTL)
+
+	return log
+}
+
+// renderForwarding runs script over a fresh test world and prints its
+// transcript, the network-wide metrics and every NAT device's name,
+// state digest and metrics, in attachment order. A non-zero loss rate
+// arms per-hop loss first, so the loss stream's consumption is pinned
+// too.
+func renderForwarding(t *testing.T, loss float64) string {
+	w := buildWorld(t)
+	if loss > 0 {
+		w.net.SetLoss(loss, 42)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== loss %v ==\n", loss)
+	for _, line := range script(w) {
+		fmt.Fprintln(&b, line)
+	}
+	// %v prints maps in sorted key order.
+	fmt.Fprintf(&b, "net %v\n", w.net.Metrics.Snapshot())
+	for _, d := range w.net.Devices() {
+		fmt.Fprintf(&b, "dev %s %s %v\n", d.Name, d.NAT.StateDigest(), d.NAT.Metrics.Snapshot())
+	}
+	return b.String()
+}
+
+// TestForwardingGolden pins every forwarding outcome of the scripted
+// traffic mix — Results, traces, network metrics and NAT state — byte
+// for byte against testdata/forwarding_golden.txt, on a reliable network
+// and under 30% per-hop loss. Forwarding changes that claim to preserve
+// behaviour must leave it untouched; regenerate with
+// `go test ./internal/simnet -run TestForwardingGolden -update` only for
+// a deliberate, reviewed re-baseline.
+func TestForwardingGolden(t *testing.T) {
+	path := filepath.Join("testdata", "forwarding_golden.txt")
+	got := renderForwarding(t, 0) + renderForwarding(t, 0.3)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("forwarding drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
