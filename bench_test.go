@@ -391,18 +391,10 @@ func itoa(v int) string {
 // repository benchmark, perfbench/ (see BENCHMARK.json).
 
 // BenchmarkForwardSteady measures steady-state packet forwarding over a
-// built Small world: the compiled-path engine ("fast") against the
-// reference walk kept as the slow path ("slow"). The fast/slow ratio is
-// the forwarding engine's speedup; the fast sub-bench must report
-// 0 allocs/op.
+// built Small world: a few forwarding-heavy senders repeating one
+// destination through the hop-by-hop walk. It must report 0 allocs/op.
 func BenchmarkForwardSteady(b *testing.B) {
-	b.Run("fast", func(b *testing.B) { forwardSteady(b, true) })
-	b.Run("slow", func(b *testing.B) { forwardSteady(b, false) })
-}
-
-func forwardSteady(b *testing.B, fast bool) {
 	w := internet.Build(internet.Small())
-	w.Net.SetFastPath(fast)
 	rng := rand.New(rand.NewSource(99))
 	sink := w.Net.NewHost("bench-sink", w.Net.Public(), netaddr.MustParseAddr("203.0.113.200"), 1, rng)
 	sink.Bind(netaddr.UDP, 7, func(netaddr.Endpoint, netaddr.Endpoint, netaddr.Proto, []byte) {})
@@ -435,14 +427,11 @@ func forwardSteady(b *testing.B, fast bool) {
 	if len(senders) == 0 {
 		b.Fatal("no forwarding-heavy senders found in the Small world")
 	}
-	// Warm every route and NAT mapping; the loop below measures the
-	// steady state only. Two packets per sender: the engine defers route
-	// compilation to the second packet of a (realm, dst) pair.
+	// Open every NAT mapping; the loop below measures the steady state
+	// only.
 	for _, h := range senders {
-		for i := 0; i < 2; i++ {
-			if res := h.Send(netaddr.UDP, 40000, dst, nil); !res.Delivered() {
-				b.Fatalf("warmup send from %s: %+v", h.Name(), res)
-			}
+		if res := h.Send(netaddr.UDP, 40000, dst, nil); !res.Delivered() {
+			b.Fatalf("warmup send from %s: %+v", h.Name(), res)
 		}
 	}
 	b.ReportAllocs()

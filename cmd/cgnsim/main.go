@@ -20,9 +20,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"cgn/internal/campaign"
@@ -154,12 +157,18 @@ func main() {
 	}
 
 	if *truth {
-		fmt.Println("Ground truth:")
-		for asn, t := range w.Truth {
-			if t.CGN {
-				fmt.Printf("  AS%d cellular=%v realms=%d ranges=%v allocs=%v types=%v timeouts=%v\n",
-					asn, t.Cellular, t.Realms, t.Ranges, t.PortAllocs, t.MappingTypes, t.Timeouts)
-			}
+		writeTruth(os.Stdout, w.Truth)
+	}
+}
+
+// writeTruth prints the ground truth of every CGN-deploying AS in
+// ascending ASN order, so the same seed always prints the same bytes.
+func writeTruth(out io.Writer, truth map[uint32]*internet.Truth) {
+	fmt.Fprintln(out, "Ground truth:")
+	for _, asn := range slices.Sorted(maps.Keys(truth)) {
+		if t := truth[asn]; t.CGN {
+			fmt.Fprintf(out, "  AS%d cellular=%v realms=%d ranges=%v allocs=%v types=%v timeouts=%v\n",
+				asn, t.Cellular, t.Realms, t.Ranges, t.PortAllocs, t.MappingTypes, t.Timeouts)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 // guarantee: the same (scenario, seed) grid produces byte-identical
 // per-world reports and identical scores whatever the worker count.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	// p2p-dense rides along so the compiled-path forwarding engine's
-	// determinism is witnessed under worker-pool parallelism on its most
-	// forwarding-heavy workload; diurnal-week does the same for the
-	// traffic engine (its E18 output is folded into every digest).
+	// p2p-dense rides along so forwarding determinism is witnessed
+	// under worker-pool parallelism on the most forwarding-heavy
+	// workload; diurnal-week does the same for the traffic engine (its
+	// E18 output is folded into every digest).
 	cfg := Config{
 		Scenarios:  []string{"small", "sparse-cgn", "port-starved", "p2p-dense", "diurnal-week"},
 		Replicates: 2,

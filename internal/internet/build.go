@@ -150,16 +150,6 @@ func Build(sc Scenario) *World {
 		w.addAS(asdb.Content, asdb.RIRs[w.rng.Intn(len(asdb.RIRs))])
 	}
 	w.injectVPNNoise()
-	// Topology is final: precompile forwarding routes from every realm
-	// toward the measurement fleet and the swarm infrastructure — the
-	// destinations every subscriber talks to — so the campaign's first
-	// packets already replay cached paths. Purely a warm-up; lazy
-	// compilation would produce identical routes.
-	srv := w.Servers.Config
-	w.Net.PrecompileRoutes(
-		srv.EchoAddr, srv.STUNPrimaryIP, srv.STUNAlternateIP, srv.ProbeAddr,
-		w.Swarm.BootstrapEP.Addr, w.Swarm.TrackerEP().Addr, w.CrawlerHost.Addr(),
-	)
 	return w
 }
 

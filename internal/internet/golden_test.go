@@ -38,11 +38,11 @@ func campaignDigest(w *internet.World) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// probeDigest exercises forwarding directly, without the
-// (expensive) full campaign: from a deterministic sample of hosts across
-// every realm it sends full-TTL packets, sweeps TTLs across the NAT
-// boundaries, and records traces toward the echo server, then digests
-// every Result, every trace and the complete network and NAT state.
+// probeDigest exercises forwarding directly, without the (expensive)
+// full campaign: from a deterministic sample of hosts across every realm
+// it sends full-TTL packets, sweeps TTLs across the NAT boundaries, and
+// records traces toward the echo server, then digests every Result,
+// every trace and the complete network and NAT state.
 func probeDigest(w *internet.World) string {
 	srv := w.Servers.Config
 	echo := netaddr.EndpointOf(srv.EchoAddr, 7)

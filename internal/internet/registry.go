@@ -172,10 +172,9 @@ func EnterpriseBlock() Scenario {
 // peers, frequent two-client homes) and source-preserving hairpinning is
 // near-universal, so the campaign is dominated by peer-to-peer packet
 // forwarding — long ascents through deep CGNs, hairpin turns, intra-realm
-// chatter — rather than by analysis. It exists to stress the
-// compiled-path forwarding engine; the sweep smoke and the cross-worker
-// digest test include it so cached-path determinism is witnessed under
-// parallelism.
+// chatter — rather than by analysis. It exists to stress simnet's
+// forwarding walk; the sweep smoke and the cross-worker digest test
+// include it so forwarding determinism is witnessed under parallelism.
 func P2PDense() Scenario {
 	sc := Small()
 	sc.Regions = map[asdb.RIR]RegionMix{

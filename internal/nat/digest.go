@@ -15,9 +15,8 @@ import (
 // creation and last-activity times, the destination set the filtering
 // policies consult) plus the per-subscriber session counts and the
 // port-space occupancy. Two NATs that translated the same packet
-// sequence digest identically; the forwarding engine's differential
-// tests rely on exactly that to pin the compiled fast path to the
-// reference walk.
+// sequence digest identically; the forwarding goldens in simnet and
+// internet rely on exactly that to pin NAT state across engine changes.
 func (n *NAT) StateDigest() string {
 	lines := n.appendDigestLines(make([]string, 0, n.byInt.n+n.subs.live))
 	return digestOf(lines, n.ports.inUse, n.ports.peak, n.subs.seen)

@@ -27,11 +27,6 @@ type Host struct {
 	// host (e.g. data-center hops in front of a measurement server).
 	extraHops int
 
-	// One-entry route memo: hosts typically send bursts toward a single
-	// destination (an echo exchange, a DHT peer), so the common case
-	// skips even the network-level route map lookup.
-	memoDst   netaddr.Addr
-	memoRoute *route
 	// One-entry handler-dispatch memo, invalidated by Bind/Unbind:
 	// steady traffic lands on one port, and the key compare is cheaper
 	// than the handlers map probe.
@@ -136,40 +131,16 @@ func (h *Host) Send(proto netaddr.Proto, srcPort uint16, dst netaddr.Endpoint, p
 // SendTTL transmits a packet with an explicit initial TTL, the primitive
 // behind the TTL-limited keepalives of §6.3.
 func (h *Host) SendTTL(proto netaddr.Proto, srcPort uint16, dst netaddr.Endpoint, ttl int, payload []byte) Result {
+	n := h.net
 	f := netaddr.FlowOf(proto, netaddr.EndpointOf(h.addr, srcPort), dst)
-	// Compiled path. Non-positive TTLs keep the reference walker's exact
-	// degenerate semantics (zero-hop consumes succeed unconditionally),
-	// so they fall through to the slow path below.
-	if n := h.net; ttl > 0 && n.fastOK() {
-		if r := h.routeTo(f.Dst.Addr); r != nil {
-			if ttl <= h.extraHops {
-				// Died leaving the access network: not counted as sent.
-				return n.fastExpire(ttl)
-			}
-			n.cSent.Inc()
-			return n.fastWalk(f, r, ttl, h.extraHops, payload)
-		}
-	}
-	// Leaving the host's own access network costs extraHops.
-	w := &walker{ttl: ttl, net: h.net}
+	w := &walker{ttl: ttl, net: n}
+	// Leaving the host's own access network costs extraHops; a packet
+	// that dies there is not counted as sent.
 	if !w.consume(h.extraHops, "router:", h.name, "-access") {
-		return h.net.dropTTL(w)
+		return n.dropTTL(w)
 	}
-	r := h.net.send(h, f, w.ttl, payload)
-	r.Hops += w.hops
-	return r
-}
-
-// routeTo resolves the compiled route toward dst through the host's
-// one-entry memo. nil means the route cannot be compiled (the caller
-// takes the reference walk).
-func (h *Host) routeTo(dst netaddr.Addr) *route {
-	if h.memoRoute != nil && h.memoDst == dst && h.memoRoute.gen == h.net.topoGen {
-		return h.memoRoute
-	}
-	r := h.net.routeFor(h.realm, dst)
-	h.memoDst, h.memoRoute = dst, r
-	return r
+	n.cSent.Inc()
+	return n.walk(h, f, w, payload)
 }
 
 // deliver hands a packet to the bound handler, charging the host's access

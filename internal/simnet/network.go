@@ -33,20 +33,8 @@ type Network struct {
 	cSent, cUnreachable, cNATDropped, cLost, cTTLExpired *metrics.Counter
 	cDelivered, cNoListener                              *metrics.Counter
 
-	// Compiled-path forwarding engine state (see fastpath.go). topoGen
-	// increments on every topology mutation; cached routes carry the
-	// generation they were compiled under and recompile lazily on
-	// mismatch. fastOff forces every packet onto the reference walk.
-	topoGen uint64
-	routes  map[routeKey]*route
-	// seen records every (realm, dst) pair a packet has headed toward;
-	// routes are only compiled for pairs seen more than once. The key
-	// and value are pointer-free, so the GC never scans this set however
-	// large a campaign grows it.
-	seen    map[routeKey]struct{}
-	fastOff bool
 	// realms and devices list every realm and NAT device in creation
-	// order, for route precompilation and state digests.
+	// order, for deterministic enumeration and state digests.
 	realms  []*Realm
 	devices []*NATDev
 }
@@ -57,8 +45,6 @@ func New() *Network {
 		clock:   NewClock(),
 		global:  routing.NewGlobal(),
 		Metrics: metrics.NewSet(),
-		routes:  make(map[routeKey]*route),
-		seen:    make(map[routeKey]struct{}),
 	}
 	n.cSent = n.Metrics.Counter("pkts_sent")
 	n.cUnreachable = n.Metrics.Counter("pkts_unreachable")
@@ -67,7 +53,7 @@ func New() *Network {
 	n.cTTLExpired = n.Metrics.Counter("pkts_ttl_expired")
 	n.cDelivered = n.Metrics.Counter("pkts_delivered")
 	n.cNoListener = n.Metrics.Counter("pkts_no_listener")
-	n.public = &Realm{name: "public", net: n, attach: make(map[netaddr.Addr]attachment)}
+	n.public = &Realm{name: "public", attach: make(map[netaddr.Addr]attachment)}
 	n.realms = append(n.realms, n.public)
 	return n
 }
@@ -83,22 +69,14 @@ func (n *Network) Public() *Realm { return n.public }
 // "routed vs unrouted" per §4.2.
 func (n *Network) Global() *routing.Global { return n.global }
 
-// Realms returns every realm in creation order, the public realm first.
+// Realms returns every realm in creation order, the public realm first,
+// for deterministic enumeration (benchmark sender selection, forwarding
+// probes).
 func (n *Network) Realms() []*Realm { return n.realms }
 
-// Devices returns every NAT device in attachment order. Differential and
+// Devices returns every NAT device in attachment order. Golden and
 // state-digest tests enumerate NAT state through it.
 func (n *Network) Devices() []*NATDev { return n.devices }
-
-// SetFastPath toggles the compiled-path forwarding engine (on by
-// default). With it off every packet takes the reference walk; the
-// differential tests pin the two paths byte-identical. Loss mode
-// (SetLoss) always uses the reference walk regardless, so the per-hop
-// Bernoulli draws consume the loss RNG identically.
-func (n *Network) SetFastPath(on bool) { n.fastOff = !on }
-
-// FastPathEnabled reports whether the compiled-path engine is active.
-func (n *Network) FastPathEnabled() bool { return !n.fastOff }
 
 // SetLoss enables per-hop packet loss with the given probability, drawn
 // from a dedicated seeded stream so enabling loss does not perturb any
@@ -123,7 +101,6 @@ func (n *Network) lose() bool {
 // realm.
 type Realm struct {
 	name string
-	net  *Network
 	// attach maps addresses to what answers for them in this realm.
 	attach map[netaddr.Addr]attachment
 	// up is the NAT leading towards the parent realm (nil for public).
@@ -134,9 +111,6 @@ type Realm struct {
 	// hosts lists attached hosts in creation order, for deterministic
 	// enumeration by population drivers (e.g. LAN peer discovery).
 	hosts []*Host
-	// id is the realm's dense creation index, used as the pointer-free
-	// half of route-cache keys.
-	id uint32
 }
 
 // attachment is what an address resolves to inside a realm: a host, or the
@@ -148,10 +122,8 @@ type attachment interface{ isAttachment() }
 func (n *Network) NewRealm(name string, fabricHops int) *Realm {
 	r := &Realm{
 		name:       name,
-		net:        n,
 		attach:     make(map[netaddr.Addr]attachment),
 		fabricHops: fabricHops,
-		id:         uint32(len(n.realms)),
 	}
 	n.realms = append(n.realms, r)
 	return r
@@ -166,10 +138,7 @@ func (r *Realm) Up() *NATDev { return r.up }
 // Hosts returns the hosts attached to this realm, in attachment order.
 func (r *Realm) Hosts() []*Host { return r.hosts }
 
-// register installs an attachment, refusing address collisions. Every
-// registration is a topology mutation, so it advances the route-cache
-// generation: compiled paths resolved under the old attachment table
-// recompile on next use.
+// register installs an attachment, refusing address collisions.
 func (r *Realm) register(a netaddr.Addr, att attachment) {
 	if a.IsUnspecified() {
 		panic(fmt.Sprintf("simnet: realm %s: cannot attach 0.0.0.0", r.name))
@@ -178,7 +147,6 @@ func (r *Realm) register(a netaddr.Addr, att attachment) {
 		panic(fmt.Sprintf("simnet: realm %s: address %v already attached", r.name, a))
 	}
 	r.attach[a] = att
-	r.net.topoGen++
 }
 
 // NATDev is a NAT middlebox connecting an inner realm to an outer realm.
@@ -196,11 +164,6 @@ type NATDev struct {
 	// outerHops is the number of plain router hops between this NAT and
 	// the outer realm's fabric.
 	outerHops int
-	// inTail caches, per translated destination address, the resolved
-	// attachment in this device's inner realm — the inbound descend
-	// resolution, which varies with the NAT mapping a packet hits.
-	// Entries are validated against the network's topology generation.
-	inTail map[netaddr.Addr]tail
 }
 
 func (d *NATDev) isAttachment() {}
@@ -233,9 +196,6 @@ func (n *Network) AttachNAT(name string, inner, outer *Realm, cfg nat.Config, in
 	}
 	inner.up = d
 	n.devices = append(n.devices, d)
-	// Setting the upstream changes routing for the whole inner subtree
-	// even when the pool is empty (no register call above).
-	n.topoGen++
 	return d
 }
 
@@ -319,7 +279,7 @@ func (w *walker) consume(k int, prefix, name, suffix string) bool {
 		if w.ttl <= 0 {
 			return false
 		}
-		if w.net != nil && w.net.lose() {
+		if w.net.lose() {
 			w.lost = true
 			return false
 		}
@@ -344,21 +304,14 @@ func (n *Network) TracePath(src *Host, proto netaddr.Proto, srcPort uint16, dst 
 	if !w.consume(src.extraHops, "router:", src.name, "-access") {
 		return steps, n.dropTTL(w)
 	}
-	res := n.walk(src, f, w, nil)
-	res.Hops = w.hops
-	return steps, res
+	return steps, n.walk(src, f, w, nil)
 }
 
-// send forwards one packet from a host. It ascends from the source realm
-// through NATs until the destination's realm is found, then descends
-// through any NATs fronting the destination.
-func (n *Network) send(src *Host, f netaddr.Flow, ttl int, payload []byte) Result {
-	n.cSent.Inc()
-	w := &walker{ttl: ttl, net: n}
-	return n.walk(src, f, w, payload)
-}
-
-// walk is the shared forwarding engine behind send and TracePath.
+// walk forwards one packet whose sender's access hops are already spent.
+// It ascends from the source realm through NATs until the destination's
+// realm is found, then descends through any NATs fronting the
+// destination. It is the forwarding engine behind Host.SendTTL and
+// TracePath.
 func (n *Network) walk(src *Host, f netaddr.Flow, w *walker, payload []byte) Result {
 	realm := src.realm
 	for {
