@@ -97,6 +97,27 @@ func TestValidateRejections(t *testing.T) {
 			sc.Traffic.Ticks = 10
 			sc.Traffic.DiurnalAmp = 2
 		}, "DiurnalAmp"},
+		{"negative observation days", func(sc *Scenario) { sc.Observation.Days = -1 }, "Observation.Days"},
+		{"negative observation day ticks", func(sc *Scenario) { sc.Observation.DayTicks = -1 }, "DayTicks"},
+		{"descending observation windows", func(sc *Scenario) {
+			sc.Observation.Windows = []int{7, 3}
+		}, "ascending"},
+		{"vantage probability above one", func(sc *Scenario) { sc.Observation.VantageProb = 1.5 }, "VantageProb"},
+		{"negative observation threshold", func(sc *Scenario) { sc.Observation.ThresholdPer = -1 }, "ThresholdPer"},
+		{"fault onset at the end", func(sc *Scenario) { sc.Faults.StartFrac = 1 }, "StartFrac"},
+		{"lane fraction above one", func(sc *Scenario) {
+			sc.Faults.LaneFracs = []float64{1.5}
+		}, "LaneFracs entry 1.5"},
+		{"descending lane fractions", func(sc *Scenario) {
+			sc.Faults.LaneFracs = []float64{0.5, 0.25}
+		}, "LaneFracs must ascend"},
+		{"outage past the run", func(sc *Scenario) {
+			sc.Faults.OutageFracs = []float64{0.8}
+		}, "post-restore"},
+		{"descending outage fractions", func(sc *Scenario) {
+			sc.Faults.OutageFracs = []float64{0.25, 0.1}
+		}, "OutageFracs must ascend"},
+		{"one-port fault span", func(sc *Scenario) { sc.Faults.PortSpan = 1 }, "Faults.PortSpan"},
 	}
 	for _, c := range cases {
 		sc := Small()
