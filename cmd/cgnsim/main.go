@@ -41,8 +41,6 @@ func main() {
 	truth := flag.Bool("truth", false, "also dump per-AS ground truth")
 	portSpan := flag.Int("portspan", 0, "narrow every CGN realm to this many external ports (0 keeps the scenario's setting)")
 	portQuota := flag.Int("portquota", 0, "per-subscriber CGN port quota (0 keeps the scenario's setting)")
-	trafficWorkers := flag.Int("traffic-workers", 0, "traffic-engine (E18) realm worker pool; 0 or 1 replays realms sequentially (results are byte-identical at any value)")
-	trafficShards := flag.Int("traffic-shards", 0, "traffic-engine (E18/E19/E22) NAT shards per realm (values below 1 mean 1; never affects results)")
 	attackFrac := flag.Float64("attackers", -1, "E19 override: fraction of subscribers acting as port-flood attackers (negative keeps the scenario's setting)")
 	attackFlows := flag.Float64("attack-flows", -1, "E19 override: flood flows per attacker per tick (negative keeps the scenario's setting)")
 	scanProbes := flag.Float64("scan-probes", -1, "E19 override: external scanner probes per pool IP per tick (negative keeps the scenario's setting)")
@@ -60,6 +58,7 @@ func main() {
 
 	// Profiles must be flushed on every exit path (including the
 	// os.Exit below), so stopping is explicit rather than deferred.
+	var cpuFile *os.File
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -70,10 +69,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cgnsim: -cpuprofile: %v\n", err)
 			os.Exit(2)
 		}
+		cpuFile = f
 	}
 	stopProfiles := func() {
-		if *cpuprofile != "" {
+		if cpuFile != nil {
 			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "cgnsim: -cpuprofile: %v\n", err)
+			}
 		}
 		if *memprofile != "" {
 			f, err := os.Create(*memprofile)
@@ -81,16 +84,18 @@ func main() {
 				fmt.Fprintf(os.Stderr, "cgnsim: -memprofile: %v\n", err)
 				return
 			}
-			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows live data
 			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "cgnsim: -memprofile: %v\n", err)
+			}
+			if err := f.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "cgnsim: -memprofile: %v\n", err)
 			}
 		}
 	}
 
 	if *sweep {
-		code := runSweep(*scenarios, *replicates, *workers, *seed, *portSpan, *portQuota, *trafficWorkers, *trafficShards, *verbose)
+		code := runSweep(*scenarios, *replicates, *workers, *seed, *portSpan, *portQuota, *verbose)
 		stopProfiles()
 		os.Exit(code)
 	}
@@ -140,10 +145,7 @@ func main() {
 	fmt.Printf("world: %d ASes, %d BitTorrent peers, %d Netalyzr vantage points, %d true CGN ASes\n\n",
 		w.DB.Len(), len(w.Swarm.Peers), w.NumClients(), len(w.CGNTruth()))
 
-	b := report.CollectWith(w, report.CollectOptions{
-		TrafficWorkers: *trafficWorkers,
-		TrafficShards:  *trafficShards,
-	})
+	b := report.Collect(w)
 	if *experiment == "" {
 		fmt.Println(b.All())
 	} else {
@@ -174,16 +176,14 @@ func writeTruth(out io.Writer, truth map[uint32]*internet.Truth) {
 }
 
 // runSweep drives the campaign engine and prints the aggregate table.
-func runSweep(scenarioList string, replicates, workers int, baseSeed int64, portSpan, portQuota, trafficWorkers, trafficShards int, verbose bool) int {
+func runSweep(scenarioList string, replicates, workers int, baseSeed int64, portSpan, portQuota int, verbose bool) int {
 	cfg := campaign.Config{
-		Scenarios:      strings.Split(scenarioList, ","),
-		Replicates:     replicates,
-		BaseSeed:       baseSeed,
-		Workers:        workers,
-		PortSpan:       portSpan,
-		PortQuota:      portQuota,
-		TrafficWorkers: trafficWorkers,
-		TrafficShards:  trafficShards,
+		Scenarios:  strings.Split(scenarioList, ","),
+		Replicates: replicates,
+		BaseSeed:   baseSeed,
+		Workers:    workers,
+		PortSpan:   portSpan,
+		PortQuota:  portQuota,
 	}
 	if verbose {
 		cfg.OnWorld = func(r campaign.WorldResult) {
@@ -204,17 +204,13 @@ func runSweep(scenarioList string, replicates, workers int, baseSeed int64, port
 }
 
 func renderOne(b *report.Bundle, name string) (string, error) {
-	renderers := map[string]func() string{
-		"E01": b.E01, "E02": b.E02, "E03": b.E03, "E04": b.E04,
-		"E05": b.E05, "E06": b.E06, "E07": b.E07, "E08": b.E08,
-		"E09": b.E09, "E10": b.E10, "E11": b.E11, "E12": b.E12,
-		"E13": b.E13, "E14": b.E14, "E15": b.E15, "E16": b.E16,
-		"E17": b.E17, "E18": b.E18, "E19": b.E19, "E21": b.E21, "E22": b.E22,
-		"SCORES": b.Scores,
+	if name == "SCORES" {
+		return b.Scores(), nil
 	}
-	fn, ok := renderers[name]
-	if !ok {
-		return "", fmt.Errorf("unknown experiment %q (E01..E19, E21, E22 or scores)", name)
+	for _, e := range report.Experiments {
+		if e.ID == name {
+			return e.Render(b), nil
+		}
 	}
-	return fn(), nil
+	return "", fmt.Errorf("unknown experiment %q (E01..E19, E21, E22 or scores)", name)
 }

@@ -66,21 +66,10 @@ func generate(scenario string, seed int64) (string, *report.Bundle, error) {
 	sb.WriteString("distributions sit. Each section quotes the paper's numbers, then the\n")
 	sb.WriteString("measured output of this repository's pipeline.\n\n")
 
-	exps := []struct {
-		id     string
-		render func() string
-	}{
-		{"E01", b.E01}, {"E02", b.E02}, {"E03", b.E03}, {"E04", b.E04},
-		{"E05", b.E05}, {"E06", b.E06}, {"E07", b.E07}, {"E08", b.E08},
-		{"E09", b.E09}, {"E10", b.E10}, {"E11", b.E11}, {"E12", b.E12},
-		{"E13", b.E13}, {"E14", b.E14}, {"E15", b.E15}, {"E16", b.E16},
-		{"E17", b.E17}, {"E18", b.E18}, {"E19", b.E19}, {"E21", b.E21},
-		{"E22", b.E22},
-	}
-	for _, e := range exps {
-		fmt.Fprintf(&sb, "## %s\n\n", e.id)
-		fmt.Fprintf(&sb, "%s\n\n", paperNotes[e.id])
-		fmt.Fprintf(&sb, "```\n%s```\n\n", e.render())
+	for _, e := range report.Experiments {
+		fmt.Fprintf(&sb, "## %s\n\n", e.ID)
+		fmt.Fprintf(&sb, "%s\n\n", paperNotes[e.ID])
+		fmt.Fprintf(&sb, "```\n%s```\n\n", e.Render(b))
 	}
 	sb.WriteString("## Ground truth scoring\n\n")
 	sb.WriteString("The paper validated detections manually; the simulator knows the truth:\n\n")

@@ -15,11 +15,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"time"
 
 	"cgn/internal/detect"
 	"cgn/internal/internet"
+	"cgn/internal/par"
 	"cgn/internal/report"
 )
 
@@ -50,17 +50,6 @@ type Config struct {
 	// analogue of cgnsim's -portspan/-portquota flags.
 	PortSpan  int
 	PortQuota int
-	// TrafficWorkers is each world's worker-pool size for the E18
-	// traffic-engine replay (realm-parallel). 0 or 1 keeps the replay
-	// sequential — the right default when the sweep's own worker pool
-	// already saturates the machine — and per-world results are
-	// byte-identical at any value, so the grid aggregates never depend
-	// on it.
-	TrafficWorkers int
-	// TrafficShards is each world's traffic-replay NAT shard count per
-	// realm, a pure resource knob like TrafficWorkers
-	// (report.CollectOptions has the full contract).
-	TrafficShards int
 	// OnWorld, when set, is called after each world completes, from the
 	// worker that ran it. Progress reporting only — results arrive in
 	// deterministic order via Sweep's return regardless.
@@ -165,29 +154,12 @@ func Run(cfg Config) (*Sweep, error) {
 	results := make([]WorldResult, len(jobs))
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	next := make(chan int)
-	workers := cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = runWorld(cfg, jobs[i])
-				if cfg.OnWorld != nil {
-					cfg.OnWorld(results[i])
-				}
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.Each(len(jobs), cfg.Workers, func(i int) {
+		results[i] = runWorld(cfg, jobs[i])
+		if cfg.OnWorld != nil {
+			cfg.OnWorld(results[i])
+		}
+	})
 
 	return &Sweep{Config: cfg, Worlds: results, Elapsed: time.Since(start)}, nil
 }
@@ -207,10 +179,7 @@ func runWorld(cfg Config, job Job) WorldResult {
 	sc.ApplyPortOverrides(cfg.PortSpan, cfg.PortQuota)
 	sc.Seed = job.Seed
 	w := internet.Build(sc)
-	b := report.CollectWith(w, report.CollectOptions{
-		TrafficWorkers: cfg.TrafficWorkers,
-		TrafficShards:  cfg.TrafficShards,
-	})
+	b := report.Collect(w)
 
 	truth := w.CGNTruth()
 	sum := sha256.Sum256([]byte(b.All()))

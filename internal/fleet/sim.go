@@ -2,11 +2,11 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
 
 	"cgn/internal/fastrand"
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
+	"cgn/internal/par"
 	"cgn/internal/traffic"
 )
 
@@ -326,35 +326,9 @@ func (s *Sim) StepDay() {
 		s.evIdx++
 		s.applied++
 	}
-	workers := s.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(s.realms) {
-		workers = len(s.realms)
-	}
-	if workers <= 1 {
-		for _, r := range s.realms {
-			r.runDay(s.day, s.cfg.Profile, s.cfg.Obs, s.cfg.Seed)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					s.realms[i].runDay(s.day, s.cfg.Profile, s.cfg.Obs, s.cfg.Seed)
-				}
-			}()
-		}
-		for i := range s.realms {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.Each(len(s.realms), s.cfg.Workers, func(i int) {
+		s.realms[i].runDay(s.day, s.cfg.Profile, s.cfg.Obs, s.cfg.Seed)
+	})
 	s.day++
 }
 
@@ -479,21 +453,11 @@ func (s *Sim) Result() *Result {
 		allHist.Merge(&r.tally.AllHist)
 	}
 	for c := range classHists {
-		h := &classHists[c]
-		res.ByClass[c].Class = traffic.Class(c)
-		res.ByClass[c].Samples = h.Count()
-		res.ByClass[c].Median = h.Quantile(0.5)
-		res.ByClass[c].P99 = h.Quantile(0.99)
-		res.ByClass[c].Max = h.Max()
+		res.ByClass[c] = classHists[c].Summary(traffic.Class(c), res.ByClass[c].Subscribers)
 	}
 	// All covers the tracked population: everyone but attackers.
-	res.All = traffic.ClassStat{
-		Subscribers: res.ByClass[0].Subscribers + res.ByClass[1].Subscribers + res.ByClass[2].Subscribers,
-		Samples:     allHist.Count(),
-		Median:      allHist.Quantile(0.5),
-		P99:         allHist.Quantile(0.99),
-		Max:         allHist.Max(),
-	}
+	res.All = allHist.Summary(0, res.ByClass[0].Subscribers+
+		res.ByClass[1].Subscribers+res.ByClass[2].Subscribers)
 	res.Windows = s.scoreWindows()
 	return res
 }

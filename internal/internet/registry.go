@@ -476,24 +476,12 @@ func (o ObservationSpec) validate() error {
 	if o.Days < 0 {
 		return fmt.Errorf("internet: Observation.Days = %d, want >= 0", o.Days)
 	}
-	if o.DayTicks < 0 || o.SubscribersPerRealm < 0 || o.LatentCarriers < 0 || o.ThresholdPer < 0 {
-		return fmt.Errorf("internet: negative Observation field (DayTicks %d, SubscribersPerRealm %d, LatentCarriers %d, ThresholdPer %d)",
-			o.DayTicks, o.SubscribersPerRealm, o.LatentCarriers, o.ThresholdPer)
+	if o.DayTicks < 0 || o.SubscribersPerRealm < 0 || o.LatentCarriers < 0 {
+		return fmt.Errorf("internet: negative Observation field (DayTicks %d, SubscribersPerRealm %d, LatentCarriers %d)",
+			o.DayTicks, o.SubscribersPerRealm, o.LatentCarriers)
 	}
-	last := 0
-	for _, w := range o.Windows {
-		if w <= last {
-			return fmt.Errorf("internet: Observation.Windows must be positive and ascending, got %v", o.Windows)
-		}
-		last = w
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"VantageProb", o.VantageProb}, {"NoiseProb", o.NoiseProb}} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("internet: Observation.%s = %v outside [0,1]", p.name, p.v)
-		}
+	if err := o.ObservationConfig.Validate(); err != nil {
+		return fmt.Errorf("internet: Observation: %w", err)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cgn/internal/asdb"
+	"cgn/internal/fleet"
 	"cgn/internal/nat"
 	"cgn/internal/traffic"
 )
@@ -172,9 +173,8 @@ type Scenario struct {
 // external pool dark for that fraction of the run, subscribers fail
 // over to the surviving pool IPs, and the lanes restore. The replay is
 // a fresh replica of every carrier NAT with its own seed stream — like
-// E18 and E19 — so enabling it perturbs no other experiment. It always
-// runs on the intra-realm sharded NAT engine (the pool lane is the
-// fault's unit), whatever engine the E18 knob selects.
+// E18 and E19 — so enabling it perturbs no other experiment. The pool
+// lane of the sharded NAT engine is the fault's unit.
 type FaultSpec struct {
 	// LaneFracs are the pool fractions each severity column takes dark,
 	// ascending; empty disables E22 (so does an empty OutageFracs).
@@ -226,17 +226,9 @@ type ObservationSpec struct {
 	// enables CGN on most of them mid-run (late onset), the rest stay
 	// ground-truth negatives. 0 draws a default from the world size.
 	LatentCarriers int
-	// Windows are the observation durations (days, ascending) to score;
-	// empty takes the fleet default ladder.
-	Windows []int
-	// VantageProb / NoiseProb are the per-day probabilities of a true
-	// evidence sample from a CGN-active carrier and of a spurious
-	// positive; ThresholdPer scales the detector's evidence threshold
-	// (declare CGN at >= max(1, W/ThresholdPer) positive days in the
-	// last W). Zero means the fleet default.
-	VantageProb  float64
-	NoiseProb    float64
-	ThresholdPer int
+	// ObservationConfig is the windowed observer: the windows to score
+	// and the detector's sampling model and evidence threshold.
+	fleet.ObservationConfig
 }
 
 // Enabled reports whether the scenario runs the longitudinal

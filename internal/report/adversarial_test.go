@@ -30,9 +30,12 @@ func TestE19Matrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The replay population is the campaign-exercised one (like E18),
-	// so the matrix needs a collected bundle, not just a built world.
+	// so the matrix needs the measurement phase run, not just a built
+	// world.
 	w := internet.Build(sc)
-	ar := CollectWith(w, CollectOptions{TrafficWorkers: 4}).Adversarial
+	w.RunCrawl(internet.DefaultCrawlOptions())
+	w.RunNetalyzr()
+	ar := AnalyzeAdversarial(w, 4, 0)
 	if !ar.Enabled || len(ar.Cells) != 5 {
 		t.Fatalf("matrix incomplete: %+v", ar)
 	}

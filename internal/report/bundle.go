@@ -1,17 +1,17 @@
 // Package report regenerates every table and figure of the paper's
 // evaluation from a measurement campaign over a generated world. Each
-// experiment has a renderer (E01..E16 — see README.md for the index);
-// Collect runs the full campaign once and the renderers format its
-// results, so one invocation reproduces the entire evaluation section.
+// experiment has a renderer (Experiments lists E01..E22 — see README.md
+// for the index); Collect runs the full campaign once and the renderers
+// format its results, so one invocation reproduces the entire
+// evaluation section.
 package report
 
 import (
-	"sync"
-
 	"cgn/internal/crawler"
 	"cgn/internal/detect"
 	"cgn/internal/internet"
 	"cgn/internal/netalyzr"
+	"cgn/internal/par"
 	"cgn/internal/props"
 	"cgn/internal/survey"
 )
@@ -61,51 +61,24 @@ type Bundle struct {
 // the campaign engine depends on — but the analysis stages, which are
 // pure functions over the collected datasets, run concurrently.
 // CollectSequential produces a byte-identical Bundle on one goroutine.
-func Collect(w *internet.World) *Bundle { return collect(w, true, CollectOptions{}) }
-
-// CollectOptions tunes how the analyses execute.
-type CollectOptions struct {
-	// TrafficWorkers is the worker-pool size for the E18 traffic
-	// engine's realm-parallel replay; 0 or 1 runs it sequentially.
-	// Results are byte-identical at any value (the engine's determinism
-	// contract), so this only trades goroutines for wall time.
-	TrafficWorkers int
-	// TrafficShards is the NAT shard count per realm for the E18, E19
-	// and E22 traffic replays; any value below 1 means 1. Like
-	// TrafficWorkers it is a pure resource knob: the report is
-	// byte-identical at any value.
-	TrafficShards int
-}
-
-// CollectWith is Collect with explicit resource options.
-func CollectWith(w *internet.World, opts CollectOptions) *Bundle { return collect(w, true, opts) }
+func Collect(w *internet.World) *Bundle { return collect(w, true) }
 
 // CollectSequential runs the identical campaign with every stage on the
 // calling goroutine. Determinism tests diff its results against
 // Collect's; it is also friendlier to execution tracing.
-func CollectSequential(w *internet.World) *Bundle { return collect(w, false, CollectOptions{}) }
+func CollectSequential(w *internet.World) *Bundle { return collect(w, false) }
 
-// stages runs the given independent analysis stages, concurrently or not.
-// Each stage writes only its own Bundle fields.
+// stages runs the given independent analysis stages, all at once or one
+// at a time. Each stage writes only its own Bundle fields.
 func stages(parallel bool, fns ...func()) {
-	if !parallel {
-		for _, fn := range fns {
-			fn()
-		}
-		return
+	workers := 1
+	if parallel {
+		workers = len(fns)
 	}
-	var wg sync.WaitGroup
-	for _, fn := range fns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn()
-		}()
-	}
-	wg.Wait()
+	par.Each(len(fns), workers, func(i int) { fns[i]() })
 }
 
-func collect(w *internet.World, parallel bool, opts CollectOptions) *Bundle {
+func collect(w *internet.World, parallel bool) *Bundle {
 	b := &Bundle{World: w}
 
 	// Measurement phase: single-threaded packet-level simulation.
@@ -145,10 +118,10 @@ func collect(w *internet.World, parallel bool, opts CollectOptions) *Bundle {
 		func() { b.TTLQuad = props.AnalyzeTTLDetection(b.Sessions) },
 		func() { b.STUN = props.AnalyzeSTUN(filtered, cgn) },
 		func() { b.Load = AnalyzePortLoad(w) },
-		func() { b.Traffic = AnalyzeTrafficOpts(w, opts.TrafficWorkers, opts.TrafficShards) },
-		func() { b.Adversarial = AnalyzeAdversarial(w, opts.TrafficWorkers, opts.TrafficShards) },
-		func() { b.Observe = AnalyzeObservation(w, opts.TrafficWorkers) },
-		func() { b.Faults = AnalyzeFaults(w, opts.TrafficWorkers, opts.TrafficShards) },
+		func() { b.Traffic = AnalyzeTrafficOpts(w, 0, 0) },
+		func() { b.Adversarial = AnalyzeAdversarial(w, 0, 0) },
+		func() { b.Observe = AnalyzeObservation(w, 0) },
+		func() { b.Faults = AnalyzeFaults(w, 0, 0) },
 	)
 	return b
 }

@@ -31,16 +31,15 @@ func (b *Bundle) WriteCSVs(dir string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // error paths; the success path checks Close below
 		w := csv.NewWriter(f)
 		if err := w.Write(header); err != nil {
 			return err
 		}
-		if err := w.WriteAll(rows); err != nil {
+		if err := w.WriteAll(rows); err != nil { // WriteAll flushes
 			return err
 		}
-		w.Flush()
-		if err := w.Error(); err != nil {
+		if err := f.Close(); err != nil {
 			return err
 		}
 		written = append(written, path)
@@ -130,35 +129,10 @@ func (b *Bundle) csvSurvey() [][]string {
 }
 
 func (b *Bundle) csvRanges() [][]string {
-	type stat struct {
-		internal, leaking       map[string]bool
-		internalIPs, leakingIPs map[netaddr.Addr]bool
-		ases                    map[uint32]bool
-	}
-	per := map[netaddr.Range]*stat{}
-	for _, r := range netaddr.ReservedRanges {
-		per[r] = &stat{
-			internal: map[string]bool{}, leaking: map[string]bool{},
-			internalIPs: map[netaddr.Addr]bool{}, leakingIPs: map[netaddr.Addr]bool{},
-			ases: map[uint32]bool{},
-		}
-	}
-	for _, l := range b.Crawl.Leaks {
-		st, ok := per[netaddr.ClassifyRange(l.Internal.EP.Addr)]
-		if !ok {
-			continue
-		}
-		st.internal[l.Internal.EP.String()+l.Internal.ID.String()] = true
-		st.leaking[l.Leaker.EP.String()+l.Leaker.ID.String()] = true
-		st.internalIPs[l.Internal.EP.Addr] = true
-		st.leakingIPs[l.Leaker.EP.Addr] = true
-		st.ases[l.LeakerASN] = true
-	}
 	var rows [][]string
-	for _, r := range netaddr.ReservedRanges {
-		st := per[r]
-		rows = append(rows, []string{r.String(), itoa(len(st.internal)), itoa(len(st.internalIPs)),
-			itoa(len(st.leaking)), itoa(len(st.leakingIPs)), itoa(len(st.ases))})
+	for _, r := range b.rangeRows() {
+		rows = append(rows, []string{r.Range.String(), itoa(r.Internal), itoa(r.InternalIPs),
+			itoa(r.Leaking), itoa(r.LeakingIPs), itoa(r.ASes)})
 	}
 	return rows
 }

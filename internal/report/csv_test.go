@@ -4,7 +4,9 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +77,19 @@ func TestWriteCSVs(t *testing.T) {
 	}
 	if total != b.TTLQuad.Total() {
 		t.Errorf("quadrant CSV total = %d, want %d", total, b.TTLQuad.Total())
+	}
+
+	// e03_ranges.csv carries E03's Table 3, row for row.
+	ranges := readCSV(t, filepath.Join(dir, "e03_ranges.csv"))
+	table3 := strings.Split(strings.TrimSpace(b.E03()), "\n")[2:]
+	if len(ranges) != 1+len(table3) {
+		t.Errorf("range rows = %d, want 1+%d", len(ranges), len(table3))
+	} else {
+		for i, line := range table3 {
+			if got, want := ranges[1+i], strings.Fields(line); !slices.Equal(got, want) {
+				t.Errorf("e03_ranges.csv row %d = %v, E03 renders %v", 1+i, got, want)
+			}
+		}
 	}
 
 	cov := readCSV(t, filepath.Join(dir, "e08_coverage.csv"))

@@ -35,7 +35,9 @@ func TestE22DegradationAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := internet.Build(sc)
-	fr := CollectWith(w, internetFaultOpts()).Faults
+	w.RunCrawl(internet.DefaultCrawlOptions())
+	w.RunNetalyzr()
+	fr := AnalyzeFaults(w, 4, 2)
 	// baseline + LaneFracs x OutageFracs grid + restart row.
 	wantCells := 1 + len(sc.Faults.LaneFracs)*len(sc.Faults.OutageFracs) + 1
 	if !fr.Enabled || len(fr.Cells) != wantCells {
@@ -102,10 +104,4 @@ func TestE22DegradationAndRecovery(t *testing.T) {
 		p.Disrupted != disrupted {
 		t.Errorf("pressure summary inconsistent with harshest cell: %+v vs %+v", p, h)
 	}
-}
-
-// internetFaultOpts is the collected-run option set the acceptance test
-// replays under: a parallel realm pool and two shards per realm.
-func internetFaultOpts() CollectOptions {
-	return CollectOptions{TrafficWorkers: 4, TrafficShards: 2}
 }

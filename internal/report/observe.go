@@ -88,13 +88,8 @@ func AnalyzeObservation(w *internet.World, workers int) *ObservationRun {
 		Profile:  traffic.Profile{DayTicks: dayTicks},
 		Carriers: carriers,
 		Timeline: fleet.ScriptTimeline(seed, carriers, spec.Days),
-		Obs: fleet.ObservationConfig{
-			Windows:      spec.Windows,
-			VantageProb:  spec.VantageProb,
-			NoiseProb:    spec.NoiseProb,
-			ThresholdPer: spec.ThresholdPer,
-		},
-		Workers: workers,
+		Obs:      spec.ObservationConfig,
+		Workers:  workers,
 	}
 	res, err := fleet.Run(cfg)
 	return &ObservationRun{

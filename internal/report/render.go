@@ -66,46 +66,57 @@ func (b *Bundle) E02() string {
 	})
 }
 
-// E03 renders Table 3: internal peers and leaking peers per range.
-func (b *Bundle) E03() string {
-	type rangeStat struct {
-		internalTotal int
-		internalIPs   map[netaddr.Addr]bool
-		leakTotal     map[crawler.PeerKey]bool
-		leakIPs       map[netaddr.Addr]bool
-		leakASes      map[uint32]bool
+// rangeRow is one reserved range's row of Table 3: its distinct
+// internal peers and their IPs, and the distinct peers that leaked them,
+// their IPs and their ASes.
+type rangeRow struct {
+	Range                     netaddr.Range
+	Internal, InternalIPs     int
+	Leaking, LeakingIPs, ASes int
+}
+
+// rangeRows counts the crawl's leaks per reserved range, in
+// netaddr.ReservedRanges order. E03 renders the rows and
+// e03_ranges.csv exports them.
+func (b *Bundle) rangeRows() []rangeRow {
+	type sets struct {
+		internal, leaking       map[crawler.PeerKey]bool
+		internalIPs, leakingIPs map[netaddr.Addr]bool
+		ases                    map[uint32]bool
 	}
-	per := map[netaddr.Range]*rangeStat{}
+	per := map[netaddr.Range]*sets{}
 	for _, r := range netaddr.ReservedRanges {
-		per[r] = &rangeStat{
-			internalIPs: map[netaddr.Addr]bool{},
-			leakTotal:   map[crawler.PeerKey]bool{},
-			leakIPs:     map[netaddr.Addr]bool{},
-			leakASes:    map[uint32]bool{},
+		per[r] = &sets{
+			internal: map[crawler.PeerKey]bool{}, leaking: map[crawler.PeerKey]bool{},
+			internalIPs: map[netaddr.Addr]bool{}, leakingIPs: map[netaddr.Addr]bool{},
+			ases: map[uint32]bool{},
 		}
 	}
-	internalSeen := map[crawler.PeerKey]bool{}
 	for _, l := range b.Crawl.Leaks {
-		rng := netaddr.ClassifyRange(l.Internal.EP.Addr)
-		st, ok := per[rng]
+		st, ok := per[netaddr.ClassifyRange(l.Internal.EP.Addr)]
 		if !ok {
 			continue
 		}
-		if !internalSeen[l.Internal] {
-			internalSeen[l.Internal] = true
-			st.internalTotal++
-		}
+		st.internal[l.Internal] = true
+		st.leaking[l.Leaker] = true
 		st.internalIPs[l.Internal.EP.Addr] = true
-		st.leakTotal[l.Leaker] = true
-		st.leakIPs[l.Leaker.EP.Addr] = true
-		st.leakASes[l.LeakerASN] = true
+		st.leakingIPs[l.Leaker.EP.Addr] = true
+		st.ases[l.LeakerASN] = true
 	}
+	rows := make([]rangeRow, len(netaddr.ReservedRanges))
+	for i, r := range netaddr.ReservedRanges {
+		st := per[r]
+		rows[i] = rangeRow{r, len(st.internal), len(st.internalIPs), len(st.leaking), len(st.leakingIPs), len(st.ases)}
+	}
+	return rows
+}
+
+// E03 renders Table 3: internal peers and leaking peers per range.
+func (b *Bundle) E03() string {
 	return "E03 / Table 3 — internal peers (left) and leaking peers (right)\n" + table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "Range\tInternal total\tUnique IPs\tLeaking peers\tUnique IPs\tASes")
-		for _, r := range netaddr.ReservedRanges {
-			st := per[r]
-			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\n", r,
-				st.internalTotal, len(st.internalIPs), len(st.leakTotal), len(st.leakIPs), len(st.leakASes))
+		for _, r := range b.rangeRows() {
+			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\n", r.Range, r.Internal, r.InternalIPs, r.Leaking, r.LeakingIPs, r.ASes)
 		}
 	})
 }
@@ -505,12 +516,25 @@ func (b *Bundle) Scores() string {
 	return sb.String()
 }
 
-// All renders every experiment in order.
+// Experiments lists every experiment's ID and renderer in report order,
+// E01 through E22; there is no E20.
+var Experiments = []struct {
+	ID     string
+	Render func(*Bundle) string
+}{
+	{"E01", (*Bundle).E01}, {"E02", (*Bundle).E02}, {"E03", (*Bundle).E03}, {"E04", (*Bundle).E04},
+	{"E05", (*Bundle).E05}, {"E06", (*Bundle).E06}, {"E07", (*Bundle).E07}, {"E08", (*Bundle).E08},
+	{"E09", (*Bundle).E09}, {"E10", (*Bundle).E10}, {"E11", (*Bundle).E11}, {"E12", (*Bundle).E12},
+	{"E13", (*Bundle).E13}, {"E14", (*Bundle).E14}, {"E15", (*Bundle).E15}, {"E16", (*Bundle).E16},
+	{"E17", (*Bundle).E17}, {"E18", (*Bundle).E18}, {"E19", (*Bundle).E19}, {"E21", (*Bundle).E21},
+	{"E22", (*Bundle).E22},
+}
+
+// All renders every experiment in order, then the ground-truth scores.
 func (b *Bundle) All() string {
-	parts := []string{
-		b.E01(), b.E02(), b.E03(), b.E04(), b.E05(), b.E06(), b.E07(), b.E08(),
-		b.E09(), b.E10(), b.E11(), b.E12(), b.E13(), b.E14(), b.E15(), b.E16(),
-		b.E17(), b.E18(), b.E19(), b.E21(), b.E22(), b.Scores(),
+	parts := make([]string, 0, len(Experiments)+1)
+	for _, e := range Experiments {
+		parts = append(parts, e.Render(b))
 	}
-	return strings.Join(parts, "\n")
+	return strings.Join(append(parts, b.Scores()), "\n")
 }

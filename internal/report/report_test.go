@@ -162,11 +162,11 @@ func TestE18TrafficShape(t *testing.T) {
 	}
 }
 
-// TestCollectMatchesSequential pins the stage-concurrency refactor and
-// the resource knobs: the parallel analysis stages, and a run with a
-// traffic worker pool and several shards per realm, must render
-// byte-identically to a fully sequential pass over a fresh world of the
-// same seed.
+// TestCollectMatchesSequential pins the stage concurrency and the
+// replays' resource knobs: the parallel analysis stages, and the four
+// replays rerun with a worker pool and several shards per realm, must
+// render byte-identically to a fully sequential pass over a fresh world
+// of the same seed.
 func TestCollectMatchesSequential(t *testing.T) {
 	build := func() *internet.World {
 		sc := internet.Small()
@@ -174,10 +174,15 @@ func TestCollectMatchesSequential(t *testing.T) {
 		return internet.Build(sc)
 	}
 	seq := CollectSequential(build()).All()
-	if par := Collect(build()).All(); par != seq {
+	b := Collect(build())
+	if got := b.All(); got != seq {
 		t.Error("Collect and CollectSequential render different reports for the same seed")
 	}
-	if knobs := CollectWith(build(), CollectOptions{TrafficWorkers: 2, TrafficShards: 3}).All(); knobs != seq {
-		t.Error("TrafficWorkers=2 TrafficShards=3 renders a different report than CollectSequential")
+	b.Traffic = AnalyzeTrafficOpts(b.World, 2, 3)
+	b.Adversarial = AnalyzeAdversarial(b.World, 2, 3)
+	b.Observe = AnalyzeObservation(b.World, 2)
+	b.Faults = AnalyzeFaults(b.World, 2, 3)
+	if knobs := b.All(); knobs != seq {
+		t.Error("replays at workers=2 shards=3 render a different report than CollectSequential")
 	}
 }

@@ -8,9 +8,6 @@ package traffic
 // Everything here is a plain copy in or out; none of it is on a hot
 // path.
 
-// Count returns the number of samples recorded.
-func (h *Hist) Count() uint64 { return h.n }
-
 // State returns a copy of the histogram's dense bucket counts (index =
 // sample value) and its sample count, trimmed of the trailing zero
 // buckets growth leaves behind.

@@ -3,11 +3,11 @@ package traffic
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"cgn/internal/nat"
 	"cgn/internal/netaddr"
+	"cgn/internal/par"
 )
 
 // Class is a subscriber's flow-rate class. The §6.2 distribution is
@@ -325,6 +325,19 @@ func (h *Hist) Max() int {
 	return 0
 }
 
+// Summary is the histogram as the ClassStat row of class c over the
+// given number of subscribers.
+func (h *Hist) Summary(c Class, subscribers int) ClassStat {
+	return ClassStat{
+		Class:       c,
+		Subscribers: subscribers,
+		Samples:     h.n,
+		Median:      h.Quantile(0.5),
+		P99:         h.Quantile(0.99),
+		Max:         h.Max(),
+	}
+}
+
 // subscriberBase anchors the dense synthetic 10.64/16-style internal
 // address block the engine places subscribers in; dstBase anchors the
 // synthetic remote-destination space.
@@ -554,35 +567,9 @@ func Run(cfg Config) *Result {
 	}
 
 	outs := make([]*realmOut, len(jobs))
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers == 1 {
-		for ji, jb := range jobs {
-			outs[ji] = runRealm(cfg, p, jb.spec, jb.idx)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ji := range next {
-					outs[ji] = runRealm(cfg, p, jobs[ji].spec, jobs[ji].idx)
-				}
-			}()
-		}
-		for ji := range jobs {
-			next <- ji
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.Each(len(jobs), cfg.Workers, func(ji int) {
+		outs[ji] = runRealm(cfg, p, jobs[ji].spec, jobs[ji].idx)
+	})
 
 	// Ordered merge: realm input order, whatever order the workers
 	// finished in.
@@ -629,23 +616,12 @@ func Run(cfg Config) *Result {
 		}
 	}
 	for c := Class(0); c < numClasses; c++ {
-		h := &classHists[c]
-		res.ByClass[c].Class = c
-		res.ByClass[c].Samples = h.n
-		res.ByClass[c].Median = h.Quantile(0.5)
-		res.ByClass[c].P99 = h.Quantile(0.99)
-		res.ByClass[c].Max = h.Max()
-	}
-	res.All = ClassStat{
-		Samples: allHist.n,
-		Median:  allHist.Quantile(0.5),
-		P99:     allHist.Quantile(0.99),
-		Max:     allHist.Max(),
+		res.ByClass[c] = classHists[c].Summary(c, res.ByClass[c].Subscribers)
 	}
 	// All covers the tracked (legitimate) population — identical to
 	// res.Subscribers except when adversaries carve attackers out.
-	res.All.Subscribers = res.ByClass[0].Subscribers +
-		res.ByClass[1].Subscribers + res.ByClass[2].Subscribers
+	res.All = allHist.Summary(0, res.ByClass[0].Subscribers+
+		res.ByClass[1].Subscribers+res.ByClass[2].Subscribers)
 	if p.AttacksEnabled() {
 		res.Adversarial = AdversarialStats{
 			Enabled:          true,
@@ -660,13 +636,7 @@ func Run(cfg Config) *Result {
 			NoPorts:          adv.noPorts,
 			RateLimited:      adv.rateLimited,
 			Evictions:        adv.evictions,
-			AttackerPorts: ClassStat{
-				Subscribers: adv.attackers,
-				Samples:     adv.attackerHist.n,
-				Median:      adv.attackerHist.Quantile(0.5),
-				P99:         adv.attackerHist.Quantile(0.99),
-				Max:         adv.attackerHist.Max(),
-			},
+			AttackerPorts:    adv.attackerHist.Summary(0, adv.attackers),
 		}
 	}
 	return res
