@@ -84,8 +84,8 @@ func NewSwarm(n *simnet.Network, bootstrapAddr, trackerAddr netaddr.Addr, seed i
 	s.trackerSock.OnRecv(func(from netaddr.Endpoint, payload []byte) {
 		// Any well-formed ping doubles as a tracker announce: the tracker
 		// records the peer's external endpoint and confirms.
-		m, err := krpc.Parse(payload)
-		if err != nil || m.Kind != krpc.Query {
+		var m krpc.Message
+		if krpc.ParseInto(payload, &m) != nil || m.Kind != krpc.Query {
 			return
 		}
 		s.announced[m.ID] = from

@@ -22,7 +22,6 @@ package dht
 import (
 	"encoding/binary"
 	"math/rand"
-	"sort"
 
 	"cgn/internal/krpc"
 	"cgn/internal/netaddr"
@@ -172,7 +171,8 @@ func (n *Node) PrunePending() {
 // round of the iterative lookup — callers drive as many rounds as they
 // want ticks of chatter.
 func (n *Node) Lookup(target krpc.NodeID) {
-	for _, c := range n.table.closest(target, K) {
+	var buf [K]krpc.NodeInfo
+	for _, c := range n.table.closest(target, &buf) {
 		tid := n.newTID()
 		if !n.track(tid, pendingOp{kind: pendingLookup, ep: c.EP}) {
 			return
@@ -203,16 +203,19 @@ func (n *Node) InsertContact(c krpc.NodeInfo) { n.table.insert(c) }
 // endpoint as observed at this host — post-translation, which is exactly
 // how internal endpoints enter routing tables.
 func (n *Node) HandlePacket(from netaddr.Endpoint, data []byte) {
-	m, err := krpc.Parse(data)
-	if err != nil {
+	// The message lives on this frame: nothing the handlers keep points
+	// into it, and a reply delivered back into this node re-enters
+	// HandlePacket with a frame of its own.
+	var m krpc.Message
+	if krpc.ParseInto(data, &m) != nil {
 		return // silently ignore garbage, like real nodes
 	}
 	switch m.Kind {
 	case krpc.Query:
 		n.QueriesSeen++
-		n.handleQuery(from, m)
+		n.handleQuery(from, &m)
 	case krpc.Response:
-		n.handleResponse(from, m)
+		n.handleResponse(from, &m)
 	case krpc.Error:
 		delete(n.pending, string(m.TID))
 	}
@@ -223,8 +226,8 @@ func (n *Node) handleQuery(from netaddr.Endpoint, m *krpc.Message) {
 	case krpc.MethodPing:
 		n.send.Send(from, krpc.EncodePingResponse(m.TID, n.cfg.ID))
 	case krpc.MethodFindNode:
-		closest := n.table.closest(m.Target, K)
-		n.send.Send(from, krpc.EncodeFindNodeResponse(m.TID, n.cfg.ID, closest))
+		var buf [K]krpc.NodeInfo
+		n.send.Send(from, krpc.EncodeFindNodeResponse(m.TID, n.cfg.ID, n.table.closest(m.Target, &buf)))
 	case krpc.MethodGetPeers:
 		n.handleGetPeers(from, m)
 	case krpc.MethodAnnouncePeer:
@@ -380,29 +383,61 @@ func (t *table) all() []krpc.NodeInfo {
 	return out
 }
 
-// closest returns up to k contacts ordered by XOR distance to target. The
-// distance keys are computed once up front: recomputing two XORs inside
-// the comparator dominated find_node handling at campaign scale.
-func (t *table) closest(target krpc.NodeID, k int) []krpc.NodeInfo {
-	type distNode struct {
-		key krpc.NodeID
-		c   krpc.NodeInfo
-	}
-	nodes := make([]distNode, 0, t.size)
-	for _, b := range t.buckets {
-		for _, c := range b {
-			nodes = append(nodes, distNode{c.ID.XOR(target), c})
+// closest writes the up to K contacts nearest target by XOR distance
+// into buf, nearest first, and returns them as a slice of buf. It keeps
+// the best K seen so far: once buf is full, one comparison against the
+// worst kept distance rejects most contacts. A table's IDs are distinct
+// (insert refreshes a known ID in place), so their distances to any
+// target are distinct and the K nearest, in order, are the ones a full
+// sort would pick.
+//
+// buf belongs to the caller, on its stack: delivery is synchronous, so
+// a reply can re-enter HandlePacket and call closest again before the
+// caller has finished with its own contacts.
+func (t *table) closest(target krpc.NodeID, buf *[K]krpc.NodeInfo) []krpc.NodeInfo {
+	var dist [K]xorDist
+	n := 0
+	for i := range t.buckets {
+		for _, c := range t.buckets[i] {
+			d := distance(c.ID, target)
+			if n == K && !d.less(dist[K-1]) {
+				continue
+			}
+			if n < K {
+				n++
+			}
+			j := n - 1 // a free slot, or the worst kept one
+			for ; j > 0 && d.less(dist[j-1]); j-- {
+				dist[j], buf[j] = dist[j-1], buf[j-1]
+			}
+			dist[j], buf[j] = d, c
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].key.Less(nodes[j].key)
-	})
-	if len(nodes) > k {
-		nodes = nodes[:k]
+	return buf[:n]
+}
+
+// xorDist is an XOR distance as three big-endian words (ID bytes 0-8,
+// 8-16 and 16-20), so comparing two distances takes at most three
+// integer comparisons.
+type xorDist struct {
+	hi, mid uint64
+	lo      uint32
+}
+
+func distance(id, target krpc.NodeID) xorDist {
+	return xorDist{
+		hi:  binary.BigEndian.Uint64(id[0:8]) ^ binary.BigEndian.Uint64(target[0:8]),
+		mid: binary.BigEndian.Uint64(id[8:16]) ^ binary.BigEndian.Uint64(target[8:16]),
+		lo:  binary.BigEndian.Uint32(id[16:20]) ^ binary.BigEndian.Uint32(target[16:20]),
 	}
-	out := make([]krpc.NodeInfo, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.c
+}
+
+func (a xorDist) less(b xorDist) bool {
+	if a.hi != b.hi {
+		return a.hi < b.hi
 	}
-	return out
+	if a.mid != b.mid {
+		return a.mid < b.mid
+	}
+	return a.lo < b.lo
 }

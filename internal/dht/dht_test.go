@@ -2,6 +2,7 @@ package dht
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cgn/internal/krpc"
@@ -177,38 +178,84 @@ func TestTableIgnoresSelfAndZeroEndpoint(t *testing.T) {
 	}
 }
 
+// TestClosestOrdering pins closest's bounded selection to a full sort:
+// for every table size and target, each of the K returned contacts must
+// equal the sorted reference's.
 func TestClosestOrdering(t *testing.T) {
-	tab := newTable(nid(0))
-	var ids []krpc.NodeID
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 40; i++ {
-		var id krpc.NodeID
-		rng.Read(id[:])
-		ids = append(ids, id)
-		tab.insert(krpc.NodeInfo{ID: id, EP: netaddr.EndpointOf(netaddr.Addr(rng.Uint32()|1), 6881)})
-	}
-	var target krpc.NodeID
-	rng.Read(target[:])
-	got := tab.closest(target, K)
-	if len(got) != K {
-		t.Fatalf("closest returned %d", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].ID.XOR(target).Less(got[i-1].ID.XOR(target)) {
-			t.Fatal("closest not ordered by XOR distance")
+	for _, size := range []int{0, 1, 7, 8, 40, 300} {
+		var self krpc.NodeID
+		rng.Read(self[:])
+		tab := fillTable(rng, self, size)
+		if tab.size != size {
+			t.Fatalf("table holds %d contacts, want %d", tab.size, size)
+		}
+		var random krpc.NodeID
+		rng.Read(random[:])
+		targets := []krpc.NodeID{random, self}
+		if size > 0 {
+			targets = append(targets, tab.all()[rng.Intn(size)].ID)
+		}
+		for ti, target := range targets {
+			var buf [K]krpc.NodeInfo
+			got := tab.closest(target, &buf)
+			want := closestBySort(tab, target)
+			if len(got) != len(want) {
+				t.Fatalf("size %d target %d: closest returned %d contacts, sort %d", size, ti, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("size %d target %d: closest[%d] = %v, sort %v", size, ti, i, got[i], want[i])
+				}
+			}
+			if ti == 2 && got[0].ID != target {
+				t.Errorf("size %d: a stored contact's own ID must come first, got %v", size, got[0].ID)
+			}
 		}
 	}
-	// Verify against brute force: the nearest of all inserted IDs must be
-	// first.
-	best := ids[0]
-	for _, id := range ids[1:] {
-		if id.XOR(target).Less(best.XOR(target)) {
-			best = id
+}
+
+// fillTable returns a table owned by self holding exactly n contacts
+// with random IDs. Each ID is steered into bucket 159 - i/K, so no
+// bucket overflows and every insert is kept.
+func fillTable(rng *rand.Rand, self krpc.NodeID, n int) *table {
+	tab := newTable(self)
+	for i := 0; i < n; i++ {
+		var d krpc.NodeID
+		rng.Read(d[:])
+		bit := i / K // the distance's top set bit, counted from the top
+		for j := 0; j < bit; j++ {
+			d[j/8] &^= 0x80 >> (j % 8)
 		}
+		d[bit/8] |= 0x80 >> (bit % 8)
+		ep := netaddr.EndpointOf(netaddr.Addr(rng.Uint32()|1), 6881)
+		tab.insert(krpc.NodeInfo{ID: d.XOR(self), EP: ep})
 	}
-	if got[0].ID != best {
-		t.Errorf("closest[0] = %v, brute force %v", got[0].ID, best)
+	return tab
+}
+
+// closestBySort is the reference for closest: sort the whole table by
+// XOR distance to target and keep the first K.
+func closestBySort(tab *table, target krpc.NodeID) []krpc.NodeInfo {
+	type distNode struct {
+		key krpc.NodeID
+		c   krpc.NodeInfo
 	}
+	var nodes []distNode
+	for _, c := range tab.all() {
+		nodes = append(nodes, distNode{c.ID.XOR(target), c})
+	}
+	sort.Slice(nodes, func(i, j int) bool {
+		return nodes[i].key.Less(nodes[j].key)
+	})
+	if len(nodes) > K {
+		nodes = nodes[:K]
+	}
+	out := make([]krpc.NodeInfo, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.c
+	}
+	return out
 }
 
 func TestUnknownMethodGetsError(t *testing.T) {

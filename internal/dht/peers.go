@@ -1,8 +1,10 @@
 package dht
 
 import (
+	"cmp"
 	"crypto/sha1"
 	"encoding/binary"
+	"slices"
 
 	"cgn/internal/krpc"
 	"cgn/internal/netaddr"
@@ -13,60 +15,46 @@ import (
 // this node), which is how swarm membership inside a private realm
 // naturally records internal addresses.
 type peerStore struct {
-	byHash map[krpc.NodeID]map[netaddr.Endpoint]bool
+	// byHash keeps each swarm's endpoints in ascending (Addr, Port)
+	// order, the deterministic order get answers in.
+	byHash map[krpc.NodeID][]netaddr.Endpoint
 	// maxPerHash bounds each swarm's stored membership.
 	maxPerHash int
 }
 
 func newPeerStore(maxPerHash int) *peerStore {
 	return &peerStore{
-		byHash:     make(map[krpc.NodeID]map[netaddr.Endpoint]bool),
+		byHash:     make(map[krpc.NodeID][]netaddr.Endpoint),
 		maxPerHash: maxPerHash,
 	}
 }
 
+// add stores ep in the swarm. A full swarm refuses newcomers, so the
+// first maxPerHash arrivals are the ones kept.
 func (s *peerStore) add(infoHash krpc.NodeID, ep netaddr.Endpoint) {
-	set := s.byHash[infoHash]
-	if set == nil {
-		set = make(map[netaddr.Endpoint]bool)
-		s.byHash[infoHash] = set
-	}
-	if len(set) >= s.maxPerHash && !set[ep] {
+	eps := s.byHash[infoHash]
+	i, found := slices.BinarySearchFunc(eps, ep, compareEndpoints)
+	if found || len(eps) >= s.maxPerHash {
 		return
 	}
-	set[ep] = true
+	s.byHash[infoHash] = slices.Insert(eps, i, ep)
 }
 
+// get returns a copy of the swarm's first limit endpoints in ascending
+// order.
 func (s *peerStore) get(infoHash krpc.NodeID, limit int) []netaddr.Endpoint {
-	set := s.byHash[infoHash]
-	if len(set) == 0 {
+	eps := s.byHash[infoHash]
+	if len(eps) == 0 {
 		return nil
 	}
-	out := make([]netaddr.Endpoint, 0, len(set))
-	for ep := range set {
-		out = append(out, ep)
-	}
-	// Deterministic order for reproducible simulations.
-	sortEndpoints(out)
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return slices.Clone(eps[:min(limit, len(eps))])
 }
 
-func sortEndpoints(eps []netaddr.Endpoint) {
-	for i := 1; i < len(eps); i++ {
-		for j := i; j > 0 && less(eps[j], eps[j-1]); j-- {
-			eps[j], eps[j-1] = eps[j-1], eps[j]
-		}
+func compareEndpoints(a, b netaddr.Endpoint) int {
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+		return c
 	}
-}
-
-func less(a, b netaddr.Endpoint) bool {
-	if a.Addr != b.Addr {
-		return a.Addr < b.Addr
-	}
-	return a.Port < b.Port
+	return cmp.Compare(a.Port, b.Port)
 }
 
 // token derives the write token a node hands out to ep: announce_peer
@@ -98,9 +86,10 @@ func (n *Node) validToken(ep netaddr.Endpoint, token []byte) bool {
 // is known, closest contacts otherwise, always with a write token.
 func (n *Node) handleGetPeers(from netaddr.Endpoint, m *krpc.Message) {
 	peers := n.peers.get(m.Target, K)
+	var buf [K]krpc.NodeInfo
 	var nodes []krpc.NodeInfo
 	if len(peers) == 0 {
-		nodes = n.table.closest(m.Target, K)
+		nodes = n.table.closest(m.Target, &buf)
 	}
 	n.send.Send(from, krpc.EncodeGetPeersResponse(m.TID, n.cfg.ID, n.token(from), peers, nodes))
 }
@@ -142,7 +131,8 @@ func (n *Node) GetPeers(infoHash krpc.NodeID) *GetPeersResult {
 	res := &GetPeersResult{Tokens: make(map[netaddr.Endpoint][]byte)}
 	n.currentGetPeers = res
 	defer func() { n.currentGetPeers = nil }()
-	for _, c := range n.table.closest(infoHash, K) {
+	var buf [K]krpc.NodeInfo
+	for _, c := range n.table.closest(infoHash, &buf) {
 		tid := n.newTID()
 		if !n.track(tid, pendingOp{kind: pendingGetPeers, ep: c.EP}) {
 			break
@@ -162,7 +152,7 @@ func (n *Node) Announce(infoHash krpc.NodeID) []netaddr.Endpoint {
 	for ep := range res.Tokens {
 		targets = append(targets, ep)
 	}
-	sortEndpoints(targets)
+	slices.SortFunc(targets, compareEndpoints)
 	for _, ep := range targets {
 		tid := n.newTID()
 		if !n.track(tid, pendingOp{kind: pendingAnnounce, ep: ep}) {

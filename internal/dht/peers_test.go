@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cgn/internal/krpc"
@@ -102,37 +104,62 @@ func TestExplicitPortAnnounce(t *testing.T) {
 	}
 }
 
+// TestPeerStoreCap: a full swarm keeps its first arrivals, not its
+// smallest endpoints, and re-adding a kept one lets no newcomer in.
 func TestPeerStoreCap(t *testing.T) {
 	s := newPeerStore(3)
 	hash := ih(0x99)
-	for i := 0; i < 10; i++ {
-		s.add(hash, netaddr.EndpointOf(netaddr.AddrFrom4(1, 1, 1, byte(i+1)), 6881))
+	at := func(i int) netaddr.Endpoint {
+		return netaddr.EndpointOf(netaddr.AddrFrom4(1, 1, 1, byte(i)), 6881)
 	}
-	if got := len(s.get(hash, 100)); got != 3 {
-		t.Errorf("store kept %d entries, cap is 3", got)
+	for i := 10; i >= 1; i-- {
+		s.add(hash, at(i))
 	}
-	// Re-adding an existing entry at cap is fine.
-	s.add(hash, netaddr.EndpointOf(netaddr.AddrFrom4(1, 1, 1, 1), 6881))
-	if got := len(s.get(hash, 100)); got != 3 {
-		t.Errorf("re-add changed size to %d", got)
+	want := []netaddr.Endpoint{at(8), at(9), at(10)}
+	if got := s.get(hash, 100); !slices.Equal(got, want) {
+		t.Errorf("store kept %v, want the first three arrivals %v", got, want)
+	}
+	// Re-adding a kept entry at cap changes nothing, and a refused
+	// endpoint stays refused.
+	s.add(hash, at(9))
+	s.add(hash, at(1))
+	if got := s.get(hash, 100); !slices.Equal(got, want) {
+		t.Errorf("after re-add store holds %v, want %v", got, want)
 	}
 }
 
+// TestGetPeersLimit: whatever the arrival order, get answers with the
+// smallest endpoints in (Addr, Port) order and SwarmPeers with all of
+// them.
 func TestGetPeersLimit(t *testing.T) {
-	s := newPeerStore(64)
+	n := NewNode(Config{ID: nid(1), Seed: 1}, SenderFunc(func(netaddr.Endpoint, []byte) {}))
 	hash := ih(0x9a)
-	for i := 0; i < 20; i++ {
-		s.add(hash, netaddr.EndpointOf(netaddr.AddrFrom4(1, 1, 1, byte(i+1)), 6881))
-	}
-	if got := len(s.get(hash, 8)); got != 8 {
-		t.Errorf("limit ignored: %d", got)
-	}
-	// Deterministic order.
-	a := s.get(hash, 8)
-	b := s.get(hash, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("peer order not deterministic")
+	var want []netaddr.Endpoint // ascending (Addr, Port)
+	for i := 1; i <= 15; i++ {
+		ports := []uint16{6881}
+		switch i {
+		case 2:
+			ports = []uint16{6881, 6882}
+		case 3:
+			ports = []uint16{80, 1024, 6881, 7000, 51413}
 		}
+		for _, port := range ports {
+			want = append(want, netaddr.EndpointOf(netaddr.AddrFrom4(1, 1, 1, byte(i)), port))
+		}
+	}
+	if len(want) != 20 {
+		t.Fatalf("built %d endpoints, want 20", len(want))
+	}
+	eps := slices.Clone(want)
+	rng := rand.New(rand.NewSource(5))
+	rng.Shuffle(len(eps), func(i, j int) { eps[i], eps[j] = eps[j], eps[i] })
+	for _, ep := range eps {
+		n.peers.add(hash, ep)
+	}
+	if got := n.peers.get(hash, 8); !slices.Equal(got, want[:8]) {
+		t.Errorf("get(8) = %v, want the 8 smallest %v", got, want[:8])
+	}
+	if got := n.SwarmPeers(hash); !slices.Equal(got, want) {
+		t.Errorf("SwarmPeers = %v, want all 20 ascending %v", got, want)
 	}
 }

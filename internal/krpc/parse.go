@@ -13,8 +13,10 @@ import (
 // millions of times per campaign. The scanner below validates the exact
 // same grammar (strictly sorted dictionary keys, canonical integers,
 // bounded nesting, no trailing bytes) while touching the wire bytes in
-// place, allocating only the Message itself and the few fields that
-// must outlive the buffer. FuzzParseMatchesGeneric pins both parsers to
+// place, allocating only the few fields that must outlive the buffer,
+// plus the Message itself when the caller asks Parse for a new one
+// rather than passing its own to ParseInto. FuzzParseMatchesGeneric
+// pins both parsers to
 // identical accept/reject decisions and identical decoded Messages.
 
 // parseMaxDepth mirrors bencode.maxDepth: values nested deeper are
@@ -218,8 +220,22 @@ func (s *scanner) walkDict(fn func(key []byte) error) error {
 	return nil
 }
 
-// Parse decodes one KRPC message from wire bytes.
+// Parse decodes one KRPC message from wire bytes into a new Message.
 func Parse(data []byte) (*Message, error) {
+	m := new(Message)
+	if err := ParseInto(data, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// ParseInto decodes one KRPC message from wire bytes into *m, which it
+// resets first. A handler that keeps nothing of the message past the
+// packet can parse into a Message on its own stack and allocate only
+// what the message carries. TID, Token, Nodes and Values are always
+// copies, never views of data. After an error *m holds no message.
+func ParseInto(data []byte, m *Message) error {
+	*m = Message{}
 	s := scanner{data: data}
 	if len(data) == 0 || data[0] != 'd' {
 		// The generic decoder rejects a non-dict top value (or accepts
@@ -227,12 +243,12 @@ func Parse(data []byte) (*Message, error) {
 		// malformed, but the value must still parse for the trailing
 		// check to report the same class of error.
 		if err := s.skipValue(0); err != nil {
-			return nil, err
+			return err
 		}
 		if s.pos != len(data) {
-			return nil, fmt.Errorf("%w: trailing data after value", ErrMalformed)
+			return fmt.Errorf("%w: trailing data after value", ErrMalformed)
 		}
-		return nil, fmt.Errorf("%w: not a dictionary", ErrMalformed)
+		return fmt.Errorf("%w: not a dictionary", ErrMalformed)
 	}
 
 	// First pass: validate the whole message and note the fields of
@@ -246,7 +262,7 @@ func Parse(data []byte) (*Message, error) {
 	first := true
 	for {
 		if s.pos >= len(data) {
-			return nil, s.truncated()
+			return s.truncated()
 		}
 		if data[s.pos] == 'e' {
 			s.pos++
@@ -254,10 +270,10 @@ func Parse(data []byte) (*Message, error) {
 		}
 		key, err := s.readStringRef()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !first && bytes.Compare(key, last) <= 0 {
-			return nil, s.syntax("dictionary keys not strictly sorted")
+			return s.syntax("dictionary keys not strictly sorted")
 		}
 		first, last = false, key
 		switch {
@@ -277,47 +293,47 @@ func Parse(data []byte) (*Message, error) {
 			err = s.skipValue(1)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if s.pos != len(data) {
-		return nil, fmt.Errorf("%w: trailing data after value", ErrMalformed)
+		return fmt.Errorf("%w: trailing data after value", ErrMalformed)
 	}
 
 	if tRef == nil {
-		return nil, fmt.Errorf("%w: missing transaction id", ErrMalformed)
+		return fmt.Errorf("%w: missing transaction id", ErrMalformed)
 	}
-	m := &Message{TID: append([]byte(nil), tRef...)}
+	m.TID = append([]byte(nil), tRef...)
 	switch {
 	case len(yRef) == 1 && yRef[0] == 'q':
 		m.Kind = Query
 		if qRef == nil {
-			return nil, fmt.Errorf("%w: query without method", ErrMalformed)
+			return fmt.Errorf("%w: query without method", ErrMalformed)
 		}
 		m.Method = internMethod(qRef)
 		if aSpan == nil {
-			return nil, fmt.Errorf("%w: query without args", ErrMalformed)
+			return fmt.Errorf("%w: query without args", ErrMalformed)
 		}
 		if err := parseArgs(aSpan, m); err != nil {
-			return nil, err
+			return err
 		}
 	case len(yRef) == 1 && yRef[0] == 'r':
 		m.Kind = Response
 		if rSpan == nil {
-			return nil, fmt.Errorf("%w: response without body", ErrMalformed)
+			return fmt.Errorf("%w: response without body", ErrMalformed)
 		}
 		if err := parseResponse(rSpan, m); err != nil {
-			return nil, err
+			return err
 		}
 	case len(yRef) == 1 && yRef[0] == 'e':
 		m.Kind = Error
 		if err := parseError(eSpan, m); err != nil {
-			return nil, err
+			return err
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown message type %q", ErrMalformed, string(yRef))
+		return fmt.Errorf("%w: unknown message type %q", ErrMalformed, string(yRef))
 	}
-	return m, nil
+	return nil
 }
 
 // internMethod maps the method bytes onto the package constants so the

@@ -53,8 +53,12 @@ func corpusMessages() [][]byte {
 }
 
 // TestParseMatchesGenericCorpus pins the direct parser to the generic
-// reference over every encoder output and the edge-case corpus.
+// reference over every encoder output and the edge-case corpus, and
+// ParseInto to Parse: one Message is reused across the corpus, so each
+// parse starts from whatever the previous input, accepted or rejected,
+// left in it.
 func TestParseMatchesGenericCorpus(t *testing.T) {
+	var reused Message
 	for i, wire := range corpusMessages() {
 		got, gotErr := Parse(wire)
 		want, wantErr := parseGeneric(wire)
@@ -66,15 +70,21 @@ func TestParseMatchesGenericCorpus(t *testing.T) {
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Errorf("case %d (%q): messages differ:\n direct:  %+v\n generic: %+v", i, wire, got, want)
 		}
+		checkParseInto(t, &reused, wire, got, gotErr)
 	}
 }
 
 // FuzzParseMatchesGeneric fuzzes the equivalence: both parsers must make
-// the same accept/reject decision and produce identical Messages.
+// the same accept/reject decision and produce identical Messages, and
+// ParseInto into a Message already holding a get_peers response with
+// values must agree with Parse.
 func FuzzParseMatchesGeneric(f *testing.F) {
 	for _, wire := range corpusMessages() {
 		f.Add(wire)
 	}
+	var id NodeID
+	prefill := EncodeGetPeersResponse([]byte("pf"), id, []byte("tok"),
+		[]netaddr.Endpoint{netaddr.MustParseEndpoint("1.2.3.4:80")}, []NodeInfo{{ID: id, EP: netaddr.MustParseEndpoint("5.6.7.8:6881")}})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, gotErr := Parse(data)
 		want, wantErr := parseGeneric(data)
@@ -84,7 +94,26 @@ func FuzzParseMatchesGeneric(f *testing.F) {
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("messages differ on %q:\n direct:  %+v\n generic: %+v", data, got, want)
 		}
+		var reused Message
+		if err := ParseInto(prefill, &reused); err != nil || len(reused.Values) == 0 {
+			t.Fatalf("prefill did not parse with values: %v", err)
+		}
+		checkParseInto(t, &reused, data, got, gotErr)
 	})
+}
+
+// checkParseInto parses wire into the dirty message m and requires
+// Parse's decision (want, wantErr) and, on success, an identical Message.
+func checkParseInto(t *testing.T, m *Message, wire []byte, want *Message, wantErr error) {
+	t.Helper()
+	err := ParseInto(wire, m)
+	if (err == nil) != (wantErr == nil) {
+		t.Errorf("%q: ParseInto err=%v, Parse err=%v", wire, err, wantErr)
+		return
+	}
+	if err == nil && !reflect.DeepEqual(m, want) {
+		t.Errorf("%q: ParseInto into a reused Message differs:\n into:  %+v\n parse: %+v", wire, m, want)
+	}
 }
 
 // parseGeneric decodes one KRPC message through the generic bencode
