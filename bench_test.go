@@ -22,6 +22,7 @@ import (
 	"cgn/internal/crawler"
 	"cgn/internal/detect"
 	"cgn/internal/dht"
+	"cgn/internal/fleet"
 	"cgn/internal/graph"
 	"cgn/internal/internet"
 	"cgn/internal/krpc"
@@ -644,6 +645,40 @@ func trafficMetro(b *testing.B, shards int) {
 		res := traffic.Run(cfg)
 		if res.All.Max == 0 {
 			b.Fatal("traffic run produced no load")
+		}
+	}
+}
+
+// BenchmarkFleetDay measures the cgnsimd day loop on the daemon's
+// default fleet: 8 synthetic carriers of 100 subscribers, 288-tick days,
+// the scripted 90-day timeline plus its fault schedule at severity 0.5,
+// one realm worker. One iteration is the first 30 virtual days, so
+// ns/op is the fleet kernel's cost of a virtual month, with the chunk
+// allocators past their ceiling and the port quotas charged.
+func BenchmarkFleetDay(b *testing.B) {
+	const days, stepped = 90, 30
+	specs := fleet.SyntheticFleet(1, 8, 100)
+	timeline := fleet.ScriptTimeline(1, specs, days)
+	timeline.Events = append(timeline.Events, fleet.ScriptFaults(1, specs, days, 0.5).Events...)
+	cfg := fleet.Config{
+		Seed:     1,
+		Days:     days,
+		Profile:  traffic.Profile{DayTicks: 288},
+		Carriers: specs,
+		Timeline: timeline,
+		Workers:  1,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sim, err := fleet.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for d := 0; d < stepped; d++ {
+			sim.StepDay()
 		}
 	}
 }

@@ -166,8 +166,11 @@ type Crawler struct {
 	// real transports).
 	last *krpc.Message
 
-	// Metrics counts crawl activity.
-	Metrics *metrics.Set
+	// Metrics counts crawl activity. The counters below are hoisted out
+	// of it at construction, so an event costs no by-name lookup.
+	Metrics                       *metrics.Set
+	cInbound, cQueried, cLearned  *metrics.Counter
+	cInternalSeen, cPingResponded *metrics.Counter
 
 	tidSeq uint32
 }
@@ -193,6 +196,11 @@ func NewWithTransport(tr Transport, global *routing.Global, cfg Config) *Crawler
 		queued:  make(map[netaddr.Endpoint]bool),
 		Metrics: metrics.NewSet(),
 	}
+	c.cInbound = c.Metrics.Counter("inbound_queries")
+	c.cQueried = c.Metrics.Counter("peers_queried")
+	c.cLearned = c.Metrics.Counter("peers_learned")
+	c.cInternalSeen = c.Metrics.Counter("internal_peers_seen")
+	c.cPingResponded = c.Metrics.Counter("peers_ping_responded")
 	if st, ok := tr.(*simTransport); ok {
 		st.sock.OnRecv(c.HandlePacket)
 	}
@@ -220,7 +228,7 @@ func (c *Crawler) HandlePacket(from netaddr.Endpoint, payload []byte) {
 		// Participate: answer pings and find_node (with an empty node
 		// list — the crawler does not re-propagate contacts), and enqueue
 		// the source: a peer that reached us is reachable in return.
-		c.Metrics.Counter("inbound_queries").Inc()
+		c.cInbound.Inc()
 		switch m.Method {
 		case krpc.MethodPing:
 			c.tr.Send(from, krpc.EncodePingResponse(m.TID, c.cfg.ID))
@@ -308,13 +316,13 @@ func (c *Crawler) crawlPeer(ep netaddr.Endpoint) bool {
 				leakerKey = PeerKey{EP: ep, ID: m.ID}
 				c.ds.Queried[leakerKey] = true
 				c.ds.QueriedASN[leakerKey] = leakerASN
-				c.Metrics.Counter("peers_queried").Inc()
+				c.cQueried.Inc()
 			}
 			for _, n := range m.Nodes {
 				key := PeerKey{EP: n.EP, ID: n.ID}
 				if !c.ds.Learned[key] {
 					c.ds.Learned[key] = true
-					c.Metrics.Counter("peers_learned").Inc()
+					c.cLearned.Inc()
 					if c.cfg.PingLearned {
 						c.pingPeer(key)
 					}
@@ -327,7 +335,7 @@ func (c *Crawler) crawlPeer(ep netaddr.Endpoint) bool {
 					c.ds.Leaks = append(c.ds.Leaks, LeakRecord{
 						Leaker: leakerKey, LeakerASN: leakerASN, Internal: key,
 					})
-					c.Metrics.Counter("internal_peers_seen").Inc()
+					c.cInternalSeen.Inc()
 				} else {
 					c.enqueue(n.EP)
 				}
@@ -353,6 +361,6 @@ func (c *Crawler) pingPeer(key PeerKey) {
 	m, ok := c.call(key.EP, krpc.EncodePing(c.newTID(), c.cfg.ID))
 	if ok && m.ID == key.ID {
 		c.ds.PingResponded[key] = true
-		c.Metrics.Counter("peers_ping_responded").Inc()
+		c.cPingResponded.Inc()
 	}
 }

@@ -59,20 +59,38 @@ func TestSnapshotAndString(t *testing.T) {
 	}
 }
 
+// TestConcurrentCounters pins the single-writer contract: each Set is
+// driven by one goroutine, and a reader that has synchronized with that
+// goroutine (here, the join) sees every update. Eight goroutines drive
+// their own Sets at once, registering cells as they go; the test
+// goroutine reads all of them after the join. Run it under -race.
 func TestConcurrentCounters(t *testing.T) {
-	s := NewSet()
+	sets := make([]*Set, 8)
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := range sets {
+		s := NewSet()
+		sets[i] = s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c, g := s.Counter("n"), s.Gauge("live")
 			for j := 0; j < 1000; j++ {
-				s.Counter("n").Inc()
+				c.Inc()
+				g.Add(1)
 			}
+			s.Counter("owner").Add(uint64(i))
 		}()
 	}
 	wg.Wait()
-	if got := s.Counter("n").Value(); got != 8000 {
-		t.Errorf("concurrent count = %d, want 8000", got)
+	for i, s := range sets {
+		if got := s.Counter("n").Value(); got != 1000 {
+			t.Errorf("set %d: count = %d, want 1000", i, got)
+		}
+		if got := s.Gauge("live").Value(); got != 1000 {
+			t.Errorf("set %d: gauge = %d, want 1000", i, got)
+		}
+		if got := s.Counter("owner").Value(); got != uint64(i) {
+			t.Errorf("set %d: owner counter = %d, want %d", i, got, i)
+		}
 	}
 }

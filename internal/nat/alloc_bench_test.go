@@ -110,3 +110,33 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChunkExhausted measures the refusal a chunk-allocated NAT
+// hands a subscriber once every chunk on its external IP is assigned:
+// 32 chunks of 128 ports (2048–6143, the synthetic fleet's chunk
+// carriers) are held, and every iteration is a first flow from one of
+// 64 subscribers without a chunk.
+func BenchmarkChunkExhausted(b *testing.B) {
+	cfg := baseConfig()
+	cfg.PortAlloc = RandomChunk
+	cfg.ChunkSize = 128
+	cfg.PortLo, cfg.PortHi = 2048, 6143
+	n := New(cfg)
+	for i := 0; i < 32; i++ {
+		sub := netaddr.EndpointOf(netaddr.AddrFrom4(100, 64, 0, byte(i)), 6881)
+		if _, v := n.TranslateOut(flowUDP(sub, dstEP), t0); v != Ok {
+			b.Fatalf("subscriber %d: %v", i, v)
+		}
+	}
+	var refused [64]netaddr.Flow
+	for i := range refused {
+		refused[i] = flowUDP(netaddr.EndpointOf(netaddr.AddrFrom4(100, 64, 1, byte(i)), 6881), dstEP)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, v := n.TranslateOut(refused[i&63], t0); v != DropNoPorts {
+			b.Fatalf("verdict %v, want DropNoPorts", v)
+		}
+	}
+}

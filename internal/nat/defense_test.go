@@ -73,6 +73,27 @@ func TestQuotaCountsDistinctPorts(t *testing.T) {
 	}
 }
 
+// TestQuotaChargesEachSubscriber: subscribers' held-port refcounts never
+// share a count, even for one port number held by two subscribers (UDP
+// 5000 by one, TCP 5000 by the other, on the same external IP).
+func TestQuotaChargesEachSubscriber(t *testing.T) {
+	cfg := baseConfig()
+	cfg.PortQuotaPerSubscriber = 1
+	n := New(cfg)
+	if _, v := n.TranslateOut(flowUDP(ep("100.64.0.5", 5000), dstEP), t0); v != Ok {
+		t.Fatalf("first subscriber: %v", v)
+	}
+	out, v := n.TranslateOut(flowTCP(ep("100.64.0.6", 5000), dstEP), t0)
+	if v != Ok || out.Src.Port != 5000 {
+		t.Fatalf("second subscriber: %v on port %d, want Ok on 5000", v, out.Src.Port)
+	}
+	// The second subscriber's port 5000 is its own charge: a second
+	// number is over its quota.
+	if _, v := n.TranslateOut(flowUDP(ep("100.64.0.6", 6000), dstEP), t0); v != DropPortQuota {
+		t.Fatalf("second subscriber's second number: %v, want %v", v, DropPortQuota)
+	}
+}
+
 // TestQuotaTwinReleaseOrder pins the refcount bookkeeping: dropping one
 // protocol twin keeps the number charged until both are gone.
 func TestQuotaTwinReleaseOrder(t *testing.T) {

@@ -341,10 +341,12 @@ func (v Verdict) String() string {
 }
 
 // Mapping is one translation table entry. Field order is deliberate:
-// the first cache line holds everything the per-packet paths touch —
-// the memo checks (dead, key), the keepalive fast path and the sweep
-// (dead, gen, lastActive, Proto), and drop's teardown (key, Int, Ext) —
-// so a refresh or an expiry costs one line fill, not three.
+// a 57-byte header holds everything the per-packet paths touch — the
+// memo checks (dead, key), the keepalive fast path and the sweep (dead,
+// gen, lastActive, Proto), and drop's teardown (key, Int, Ext) — ahead
+// of the cold fields. A Mapping is 96 bytes, though, so in a slab only
+// every second entry's header sits in one cache line; the others start
+// mid-line and straddle two.
 type Mapping struct {
 	// dead marks a mapping already removed from the tables; the expiry
 	// schedule skips its stale entry lazily instead of searching for it.
@@ -372,8 +374,7 @@ type Mapping struct {
 	Ext netaddr.Endpoint
 	// inByExt marks the mapping as actually inserted into the inbound
 	// index (see extLog); teardown skips the byExt delete otherwise. It
-	// rides in the hot header's tail padding so drop stays a one-line
-	// read.
+	// closes the hot header, so drop reads no cold field.
 	inByExt bool
 	// --- cold from here: creation stamp and the destination set. ---
 	created int64
@@ -489,6 +490,12 @@ type NAT struct {
 
 	ports  *portSpace
 	chunks *chunkTable
+
+	// portRefs refcounts the external port numbers each subscriber's
+	// live mappings hold, keyed by portRefKey: a UDP and a TCP mapping on
+	// one number are one held port, which is what the port quota
+	// reserves. It is nil unless PortQuotaPerSubscriber is set.
+	portRefs map[uint64]uint32
 
 	// capacity is the allocatable (protocol, port) slot count across the
 	// whole pool — immutable once constructed, so PortStats never
@@ -725,8 +732,10 @@ func New(cfg Config) *NAT {
 	if c.PortLo >= c.PortHi {
 		panic(fmt.Sprintf("nat: invalid port range [%d,%d]", c.PortLo, c.PortHi))
 	}
-	if c.PortAlloc == RandomChunk && (c.ChunkSize&(c.ChunkSize-1)) != 0 {
-		panic(fmt.Sprintf("nat: chunk size %d is not a power of two", c.ChunkSize))
+	// The chunk table works in uint16 ports: a larger power of two would
+	// truncate to a zero-width chunk.
+	if c.PortAlloc == RandomChunk && (c.ChunkSize < 1 || c.ChunkSize > 1<<15 || c.ChunkSize&(c.ChunkSize-1) != 0) {
+		panic(fmt.Sprintf("nat: chunk size %d is not a power of two in [1, 32768]", c.ChunkSize))
 	}
 	n := &NAT{
 		cfg:     c,
@@ -757,6 +766,9 @@ func New(cfg Config) *NAT {
 	n.capacity = 2 * n.ports.size() * len(c.ExternalIPs)
 	if c.PortAlloc == RandomChunk {
 		n.chunks = newChunkTable(c.PortLo, c.PortHi, uint16(c.ChunkSize))
+	}
+	if c.PortQuotaPerSubscriber > 0 {
+		n.portRefs = make(map[uint64]uint32)
 	}
 	return n
 }
@@ -823,7 +835,7 @@ func (n *NAT) drop(m *Mapping) {
 	if e.sessions == 0 {
 		n.subs.live--
 	}
-	n.notePortFreed(e, m.Ext.Port)
+	n.notePortFreed(e, m.Int.Addr, m.Ext.Port)
 	n.cMapExpired.Inc()
 	n.gLive.Set(int64(n.byInt.n))
 	n.freeMaps = append(n.freeMaps, m)
@@ -1005,7 +1017,7 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 			// draw and the slot is free. Anything else is a refusal.
 			if ip, pinned := n.pinnedExternalIP(e); pinned &&
 				n.cfg.PortAlloc == Preservation &&
-				e.portRefs[f.Src.Port] > 0 &&
+				n.portRefs[portRefKey(f.Src.Addr, f.Src.Port)] > 0 &&
 				n.ports.isFree(ip, f.Proto, f.Src.Port) {
 				n.ports.take(ip, f.Proto, f.Src.Port)
 				ext, ok = netaddr.EndpointOf(ip, f.Src.Port), true
@@ -1040,7 +1052,7 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 		if e.sessions == 1 {
 			n.subs.live++
 		}
-		n.notePortHeld(e, ext.Port)
+		n.notePortHeld(e, f.Src.Addr, ext.Port)
 		if !e.seen {
 			e.seen = true
 			n.subs.seen++
@@ -1170,30 +1182,35 @@ func (n *NAT) allocate(f netaddr.Flow, e *subEntry) (netaddr.Endpoint, bool) {
 	return netaddr.Endpoint{}, false
 }
 
+// portRefKey packs (subscriber, external port number) into one portRefs
+// key.
+func portRefKey(sub netaddr.Addr, port uint16) uint64 {
+	return uint64(sub)<<16 | uint64(port)
+}
+
 // notePortHeld and notePortFreed maintain the subscriber's distinct
 // held-port-number refcounts — the quantity PortQuotaPerSubscriber
-// bounds. A quota-less NAT skips the map entirely.
-func (n *NAT) notePortHeld(e *subEntry, port uint16) {
-	if n.cfg.PortQuotaPerSubscriber <= 0 {
+// bounds. A quota-less NAT has no portRefs and skips them.
+func (n *NAT) notePortHeld(e *subEntry, sub netaddr.Addr, port uint16) {
+	if n.portRefs == nil {
 		return
 	}
-	if e.portRefs == nil {
-		e.portRefs = make(map[uint16]uint16, 4)
-	}
-	e.portRefs[port]++
-	if e.portRefs[port] == 1 {
+	k := portRefKey(sub, port)
+	n.portRefs[k]++
+	if n.portRefs[k] == 1 {
 		e.heldPorts++
 	}
 }
 
-func (n *NAT) notePortFreed(e *subEntry, port uint16) {
-	if n.cfg.PortQuotaPerSubscriber <= 0 {
+func (n *NAT) notePortFreed(e *subEntry, sub netaddr.Addr, port uint16) {
+	if n.portRefs == nil {
 		return
 	}
-	if c := e.portRefs[port]; c > 1 {
-		e.portRefs[port] = c - 1
+	k := portRefKey(sub, port)
+	if c := n.portRefs[k]; c > 1 {
+		n.portRefs[k] = c - 1
 	} else if c == 1 {
-		delete(e.portRefs, port)
+		delete(n.portRefs, k)
 		e.heldPorts--
 	}
 }

@@ -1,6 +1,8 @@
 package nat
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -456,6 +458,15 @@ func TestConfigValidation(t *testing.T) {
 	cfg.PortAlloc = RandomChunk
 	cfg.ChunkSize = 1000 // not a power of two
 	assertPanics("bad chunk size", cfg)
+
+	// Sizes that pass the power-of-two test but truncate to a zero
+	// uint16.
+	for _, size := range []int{65536, math.MinInt64} {
+		cfg = baseConfig()
+		cfg.PortAlloc = RandomChunk
+		cfg.ChunkSize = size
+		assertPanics(fmt.Sprintf("chunk size %d", size), cfg)
+	}
 }
 
 func TestMetricsCounters(t *testing.T) {

@@ -302,77 +302,112 @@ func (s *portSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16
 // first chunk starts at the first multiple of the chunk size at or above
 // the low port bound, matching vendor descriptions of block allocation.
 type chunkTable struct {
-	lo, hi uint16
-	size   uint16
-	// assigned maps (external IP, subscriber) to the chunk base port.
-	assigned map[chunkKey]uint16
-	// taken marks chunk bases in use per external IP.
-	taken map[baseKey]bool
+	size uint16
+	// first is the lowest chunk base and n the chunk count per external
+	// IP: chunk i spans [first+i*size, first+i*size+size-1].
+	first uint16
+	n     int
+	// assigned maps (external IP, subscriber), packed by chunkKey, to the
+	// chunk base port.
+	assigned map[uint64]uint16
+	// ips and sets hold one chunkSet per external IP used, scanned
+	// linearly like portSpace's segments: a pool holds a handful of IPs.
+	ips  []netaddr.Addr
+	sets []chunkSet
 }
 
-type chunkKey struct {
-	ip  netaddr.Addr
-	sub netaddr.Addr
+// chunkSet is one external IP's chunk occupancy. Bit i of taken covers
+// chunk i; a set bit means assigned.
+type chunkSet struct {
+	taken []uint64
+	// free counts unassigned chunks: a full IP refuses in O(1).
+	free int
 }
 
-type baseKey struct {
-	ip   netaddr.Addr
-	base uint16
+// chunkKey packs (external IP, subscriber) into one word, so assigned
+// takes the runtime's fast64 map path.
+func chunkKey(ip, subscriber netaddr.Addr) uint64 {
+	return uint64(ip)<<32 | uint64(subscriber)
 }
 
 func newChunkTable(lo, hi, size uint16) *chunkTable {
-	return &chunkTable{
-		lo: lo, hi: hi, size: size,
-		assigned: make(map[chunkKey]uint16),
-		taken:    make(map[baseKey]bool),
+	t := &chunkTable{size: size, assigned: make(map[uint64]uint16)}
+	first := (int(lo) + int(size) - 1) / int(size) * int(size)
+	if span := int(hi) - first + 1; span > 0 {
+		t.first, t.n = uint16(first), span/int(size)
 	}
+	return t
 }
 
-// bases enumerates all chunk base ports.
-func (t *chunkTable) bases() []uint16 {
-	var out []uint16
-	start := (t.lo + t.size - 1) / t.size * t.size
-	for base := start; base+(t.size-1) <= t.hi; base += t.size {
-		out = append(out, base)
-		if base+t.size < base { // wrapped
-			break
+// set returns ip's chunk set, creating it on first use.
+func (t *chunkTable) set(ip netaddr.Addr) *chunkSet {
+	for i, a := range t.ips {
+		if a == ip {
+			return &t.sets[i]
 		}
 	}
-	return out
+	t.ips = append(t.ips, ip)
+	t.sets = append(t.sets, chunkSet{taken: make([]uint64, (t.n+63)/64), free: t.n})
+	return &t.sets[len(t.sets)-1]
+}
+
+// takeNth assigns the k-th free chunk in ascending base order and
+// returns its index. With k < s.free the k-th clear bit is a real chunk:
+// the unused bits past the last chunk come after every real one.
+func (s *chunkSet) takeNth(k int) int {
+	for w, word := range s.taken {
+		avail := ^word
+		if c := bits.OnesCount64(avail); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			avail &= avail - 1
+		}
+		i := w<<6 + bits.TrailingZeros64(avail)
+		s.take(i)
+		return i
+	}
+	panic("nat: chunk set free count out of sync with its bitmap")
+}
+
+// take assigns chunk i, reporting false if it was already assigned.
+func (s *chunkSet) take(i int) bool {
+	w, bit := i>>6, uint64(1)<<(uint(i)&63)
+	if s.taken[w]&bit != 0 {
+		return false
+	}
+	s.taken[w] |= bit
+	s.free--
+	return true
 }
 
 // chunkFor returns the [lo, hi] port bounds of the subscriber's chunk on
-// ip, assigning a random free chunk on first use.
+// ip, assigning a random free chunk on first use. The draw picks among
+// the free chunks in ascending base order, and a full IP refuses without
+// drawing.
 func (t *chunkTable) chunkFor(ip, subscriber netaddr.Addr, rng *fastrand.Rand) (uint16, uint16, bool) {
-	k := chunkKey{ip, subscriber}
+	k := chunkKey(ip, subscriber)
 	if base, ok := t.assigned[k]; ok {
 		return base, base + t.size - 1, true
 	}
-	bases := t.bases()
-	var free []uint16
-	for _, b := range bases {
-		if !t.taken[baseKey{ip, b}] {
-			free = append(free, b)
-		}
-	}
-	if len(free) == 0 {
+	s := t.set(ip)
+	if s.free == 0 {
 		return 0, 0, false
 	}
-	base := free[rng.Intn(uint32(len(free)))]
+	base := t.first + uint16(s.takeNth(int(rng.Intn(uint32(s.free)))))*t.size
 	t.assigned[k] = base
-	t.taken[baseKey{ip, base}] = true
 	return base, base + t.size - 1, true
 }
 
-// NumSubscribers returns how many subscribers hold a chunk on ip; the
+// numSubscribers returns how many subscribers hold a chunk on ip; the
 // maximum is the paper's "users per public IP" figure (e.g. 64 at 1K
 // chunks).
 func (t *chunkTable) numSubscribers(ip netaddr.Addr) int {
-	n := 0
-	for k := range t.assigned {
-		if k.ip == ip {
-			n++
+	for i, a := range t.ips {
+		if a == ip {
+			return t.n - t.sets[i].free
 		}
 	}
-	return n
+	return 0
 }

@@ -2,6 +2,7 @@ package nat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -209,6 +210,130 @@ func TestChunkExhaustion(t *testing.T) {
 	if _, v := n.TranslateOut(flowUDP(sub, dstEP), t0); v != DropNoPorts {
 		t.Errorf("fifth subscriber verdict = %v, want DropNoPorts", v)
 	}
+	// Past exhaustion a refusal neither draws nor allocates.
+	rng := n.rng
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, v := n.TranslateOut(flowUDP(sub, dstEP), t0); v != DropNoPorts {
+			t.Fatalf("refused subscriber verdict = %v, want DropNoPorts", v)
+		}
+	})
+	if n.rng != rng {
+		t.Errorf("refusals moved the random stream: %#x -> %#x", uint64(rng), uint64(n.rng))
+	}
+	if allocs != 0 {
+		t.Errorf("a refusal allocates %v times", allocs)
+	}
+}
+
+// refChunkTable is the chunk allocator as first written, kept as the
+// reference the bitmap table must match draw for draw: every assignment
+// enumerates the chunk bases and walks a taken map for the free ones.
+type refChunkTable struct {
+	lo, hi, size uint16
+	assigned     map[[2]netaddr.Addr]uint16
+	taken        map[refChunkBase]bool
+}
+
+type refChunkBase struct {
+	ip   netaddr.Addr
+	base uint16
+}
+
+func newRefChunkTable(lo, hi, size uint16) *refChunkTable {
+	return &refChunkTable{
+		lo: lo, hi: hi, size: size,
+		assigned: make(map[[2]netaddr.Addr]uint16),
+		taken:    make(map[refChunkBase]bool),
+	}
+}
+
+// bases enumerates all chunk base ports.
+func (t *refChunkTable) bases() []uint16 {
+	var out []uint16
+	start := (t.lo + t.size - 1) / t.size * t.size
+	for base := start; base+(t.size-1) <= t.hi; base += t.size {
+		out = append(out, base)
+		if base+t.size < base { // wrapped
+			break
+		}
+	}
+	return out
+}
+
+func (t *refChunkTable) chunkFor(ip, subscriber netaddr.Addr, rng *fastrand.Rand) (uint16, uint16, bool) {
+	k := [2]netaddr.Addr{ip, subscriber}
+	if base, ok := t.assigned[k]; ok {
+		return base, base + t.size - 1, true
+	}
+	var free []uint16
+	for _, b := range t.bases() {
+		if !t.taken[refChunkBase{ip, b}] {
+			free = append(free, b)
+		}
+	}
+	if len(free) == 0 {
+		return 0, 0, false
+	}
+	base := free[rng.Intn(uint32(len(free)))]
+	t.assigned[k] = base
+	t.taken[refChunkBase{ip, base}] = true
+	return base, base + t.size - 1, true
+}
+
+// bases lists the bitmap table's chunk bases in ascending order.
+func (t *chunkTable) bases() []uint16 {
+	out := make([]uint16, t.n)
+	for i := range out {
+		out[i] = t.first + uint16(i)*t.size
+	}
+	return out
+}
+
+// TestChunkTableMatchesReference drives the bitmap chunk table and the
+// reference with one call sequence — random external IPs and random
+// subscribers, new and returning, until every IP is exhausted and then
+// some — and requires the same chunk, the same verdict and the same
+// random stream after every call.
+func TestChunkTableMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, size := range []uint16{128, 1024, 4096} {
+		for trial, shape := range []string{"aligned", "unaligned", "unaligned-short"} {
+			lo := size * uint16(1+r.Intn(3))
+			if shape != "aligned" {
+				lo += uint16(1 + r.Intn(int(size)-1))
+			}
+			hi := uint16(65535) // the top chunk ends at 65535: the wrap guard
+			if shape == "unaligned-short" {
+				hi = lo + uint16(int(size)*(3+r.Intn(8))+r.Intn(int(size)))
+			}
+			ips := make([]netaddr.Addr, 1+r.Intn(3))
+			for i := range ips {
+				ips[i] = netaddr.AddrFrom4(198, 51, 100, byte(i+1))
+			}
+			tab, ref := newChunkTable(lo, hi, size), newRefChunkTable(lo, hi, size)
+			if got, want := tab.bases(), ref.bases(); !slices.Equal(got, want) {
+				t.Fatalf("size %d [%d,%d]: bases %v, reference %v", size, lo, hi, got, want)
+			}
+			seed := fastrand.Rand(r.Uint64())
+			rngTab, rngRef := seed, seed
+			pop := 2 * tab.n * len(ips)
+			for call := 0; call < 3*pop; call++ {
+				ip := ips[r.Intn(len(ips))]
+				sub := netaddr.AddrFrom4(100, 64, 0, 0) + netaddr.Addr(r.Intn(pop))
+				gl, gh, gok := tab.chunkFor(ip, sub, &rngTab)
+				wl, wh, wok := ref.chunkFor(ip, sub, &rngRef)
+				if gl != wl || gh != wh || gok != wok || rngTab != rngRef {
+					t.Fatalf("size %d [%d,%d] trial %d call %d (%v, %v): got (%d, %d, %v) rng %#x, reference (%d, %d, %v) rng %#x",
+						size, lo, hi, trial, call, ip, sub, gl, gh, gok, uint64(rngTab), wl, wh, wok, uint64(rngRef))
+				}
+			}
+			for _, ip := range ips {
+				if got := tab.numSubscribers(ip); got != tab.n {
+					t.Errorf("size %d [%d,%d]: %v holds %d of %d chunks, want exhausted", size, lo, hi, ip, got, tab.n)
+				}
+			}
+		}
+	}
 }
 
 func TestChunkMaxSubscribersPerIP(t *testing.T) {
@@ -227,6 +352,22 @@ func TestChunkMaxSubscribersPerIP(t *testing.T) {
 	}
 	if tab.numSubscribers(extIP) != 63 {
 		t.Errorf("numSubscribers = %d", tab.numSubscribers(extIP))
+	}
+}
+
+// TestChunkTableAboveLastBoundary: when no multiple of the chunk size
+// at or above PortLo leaves room for a whole chunk, the table has no
+// chunks and refuses every subscriber without drawing. (The reference's
+// uint16 arithmetic wraps there and lists bases below PortLo, whose
+// subscribers get no port at all.)
+func TestChunkTableAboveLastBoundary(t *testing.T) {
+	tab := newChunkTable(65000, 65535, 1024)
+	if tab.n != 0 {
+		t.Fatalf("chunks = %d, want 0", tab.n)
+	}
+	rng := fastrand.Rand(1)
+	if _, _, ok := tab.chunkFor(extIP, intEP.Addr, &rng); ok || rng != fastrand.Rand(1) {
+		t.Errorf("chunkFor granted a chunk or drew: ok=%v rng=%#x", ok, uint64(rng))
 	}
 }
 

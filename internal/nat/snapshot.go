@@ -151,7 +151,7 @@ func (n *NAT) Snapshot() *Snapshot {
 	}
 	if n.chunks != nil {
 		for k, base := range n.chunks.assigned {
-			s.Chunks = append(s.Chunks, ChunkState{IP: k.ip, Sub: k.sub, Base: base})
+			s.Chunks = append(s.Chunks, ChunkState{IP: netaddr.Addr(k >> 32), Sub: netaddr.Addr(k), Base: base})
 		}
 	}
 	return s
@@ -180,24 +180,24 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 		e.hasPaired, e.paired = ss.HasPaired, ss.Paired
 		e.tbInit, e.tbTokens, e.tbLast = ss.TBInit, ss.TBTokens, ss.TBLast
 	}
-	if n.chunks != nil {
-		bases := n.chunks.bases()
+	if t := n.chunks; t != nil {
 		for _, cs := range s.Chunks {
 			if !slices.Contains(n.cfg.ExternalIPs, cs.IP) {
 				return nil, fmt.Errorf("nat: restore: chunk for %v on %v outside the pool", cs.Sub, cs.IP)
 			}
-			if _, ok := slices.BinarySearch(bases, cs.Base); !ok {
+			off := int(cs.Base) - int(t.first)
+			i := off / int(t.size)
+			if off < 0 || off%int(t.size) != 0 || i >= t.n {
 				return nil, fmt.Errorf("nat: restore: chunk for %v based at %d, not a chunk boundary", cs.Sub, cs.Base)
 			}
-			k, bk := chunkKey{cs.IP, cs.Sub}, baseKey{cs.IP, cs.Base}
-			if _, dup := n.chunks.assigned[k]; dup {
+			k := chunkKey(cs.IP, cs.Sub)
+			if _, dup := t.assigned[k]; dup {
 				return nil, fmt.Errorf("nat: restore: duplicate chunk assignment for %v on %v", cs.Sub, cs.IP)
 			}
-			if n.chunks.taken[bk] {
+			if !t.set(cs.IP).take(i) {
 				return nil, fmt.Errorf("nat: restore: chunk %d on %v assigned twice", cs.Base, cs.IP)
 			}
-			n.chunks.assigned[k] = cs.Base
-			n.chunks.taken[bk] = true
+			t.assigned[k] = cs.Base
 		}
 	} else if len(s.Chunks) > 0 {
 		return nil, fmt.Errorf("nat: restore: snapshot has chunk assignments but the configuration is not chunk-allocated")
@@ -240,7 +240,7 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 		if e.sessions == 1 {
 			n.subs.live++
 		}
-		n.notePortHeld(e, ms.Ext.Port)
+		n.notePortHeld(e, ms.Int.Addr, ms.Ext.Port)
 		n.exp.push(ms.LastActive+int64(n.timeout(ms.Proto)), m, m.gen)
 	}
 

@@ -231,13 +231,10 @@ type subEntry struct {
 	// counts derive from sessions > 0.
 	sessions int32
 	// heldPorts counts the distinct external port numbers the
-	// subscriber's live mappings hold, and portRefs refcounts them: a
-	// UDP and a TCP mapping on the same number are one held port, which
-	// is what the port quota reserves. Maintained only when
-	// PortQuotaPerSubscriber is enabled; rebuilt from the mapping list
-	// on snapshot restore.
+	// subscriber's live mappings hold (NAT.portRefs refcounts them).
+	// Maintained only when PortQuotaPerSubscriber is enabled; rebuilt
+	// from the mapping list on snapshot restore.
 	heldPorts int32
-	portRefs  map[uint16]uint16
 	// Token-bucket state for the AllocRatePerSec limiter, initialized
 	// lazily on the subscriber's first allocation attempt. tbLast is the
 	// last refill stamp in Unix nanoseconds; the state is virtual-time
