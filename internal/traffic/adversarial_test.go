@@ -118,9 +118,17 @@ func TestAdversarialEviction(t *testing.T) {
 	}
 }
 
+// adversarialBaselineSHA pins TestAdversarialShardedInvariance's
+// reference run (its Result and final-tick digests, as BaselineSHA
+// hashes them) across kernel rewrites: eviction and the rate limit make
+// refreshes fail, so it depends on the order the refresh walk visits
+// flows.
+const adversarialBaselineSHA = "f86f2cfbd3f8062502aac2ab793e0965b64ac760bf559b3db3bc5d6ee5973c76"
+
 // TestAdversarialShardedInvariance: with flood, scanner and both defenses
 // live, the engine's Result stays byte-identical at any
-// workers × shards split — and under -race this is also the concurrency
+// workers × shards split, and the reference run matches
+// adversarialBaselineSHA — and under -race this is also the concurrency
 // exercise over the token-bucket and eviction paths.
 func TestAdversarialShardedInvariance(t *testing.T) {
 	p := attackProfile()
@@ -137,9 +145,21 @@ func TestAdversarialShardedInvariance(t *testing.T) {
 		}
 		return r
 	}
-	ref := Run(Config{Seed: 17, Profile: p, Realms: realms(), Shards: 1, Workers: 1})
+	var digests []string
+	ref := Run(Config{Seed: 17, Profile: p, Realms: realms(), Shards: 1, Workers: 1,
+		Observer: func(_ RealmSpec, tick int, _ time.Time, n nat.View) {
+			if tick == p.Ticks-1 {
+				digests = append(digests, n.StateDigest())
+			}
+		}})
 	if !ref.Adversarial.Enabled || ref.Adversarial.AttackerAttempts == 0 {
 		t.Fatalf("reference run offered no adversarial load: %+v", ref.Adversarial)
+	}
+	if len(digests) != 3 {
+		t.Fatalf("observer saw %d final ticks, want 3", len(digests))
+	}
+	if got := BaselineSHA(ref, digests); got != adversarialBaselineSHA {
+		t.Errorf("reference run hashes to %s, want %s", got, adversarialBaselineSHA)
 	}
 	for _, c := range []struct{ workers, shards int }{{1, 3}, {4, 2}, {3, 4}} {
 		got := Run(Config{Seed: 17, Profile: p, Realms: realms(), Shards: c.shards, Workers: c.workers})

@@ -1,5 +1,23 @@
 package traffic
 
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
+)
+
 // ForEachArrival exposes the skip-sampling decoder to the external
 // differential test in sharded_diff_test.go.
 var ForEachArrival = forEachArrival
+
+// BaselineSHA is the SHA-256 a golden constant pins for one run: %+v of
+// the Result, then the final-tick state digests sorted, one a line.
+func BaselineSHA(res *Result, digests []string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v\n", *res)
+	for _, d := range slices.Sorted(slices.Values(digests)) {
+		fmt.Fprintln(h, d)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
