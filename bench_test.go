@@ -649,6 +649,47 @@ func trafficMetro(b *testing.B, shards int) {
 	}
 }
 
+// BenchmarkTrafficRealmTick measures one tick of the realm kernel at
+// metro scale: one realm of 65,536 subscribers on four pool IPs (four
+// lanes, one shard) with the metro day's class mix and flow lifetimes
+// and the diurnal swing off, so every tick offers the same load. The
+// realm is warmed outside the timer; one iteration is one tick — each
+// lane's sweep, refresh walk, arrivals and merge — so a one-second run
+// yields dozens of kernel ticks where the metro day yields one sample.
+func BenchmarkTrafficRealmTick(b *testing.B) {
+	p := traffic.Profile{
+		Ticks:         1,
+		DayTicks:      96,
+		HeavyFrac:     0.02,
+		LightFrac:     0.60,
+		FlowsPerTick:  0.25,
+		HeavyMult:     8,
+		FlowHoldTicks: 2,
+	}.WithDefaults()
+	ips := make([]netaddr.Addr, 4)
+	for k := range ips {
+		ips[k] = netaddr.MustParseAddr("198.51.100.1") + netaddr.Addr(k)
+	}
+	cfg := nat.Config{
+		Type:        nat.Symmetric,
+		PortAlloc:   nat.Random,
+		Pooling:     nat.Paired,
+		ExternalIPs: ips,
+		UDPTimeout:  65 * time.Second,
+		Seed:        1,
+	}
+	rng := rand.New(rand.NewSource(7))
+	realm := traffic.NewRealm(p, cfg, 1, traffic.NewMembers(p, 65536, rng.Float64), rng.Uint64)
+	var tally traffic.Tally
+	const warm = 32
+	realm.Step(0, warm, &tally, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		realm.Step(warm+i, warm+i+1, &tally, nil)
+	}
+}
+
 // BenchmarkFleetDay measures the cgnsimd day loop on the daemon's
 // default fleet: 8 synthetic carriers of 100 subscribers, 288-tick days,
 // the scripted 90-day timeline plus its fault schedule at severity 0.5,

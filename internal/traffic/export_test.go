@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // ForEachArrival exposes the skip-sampling decoder to the external
@@ -20,4 +21,38 @@ func BaselineSHA(res *Result, digests []string) string {
 		fmt.Fprintln(h, d)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// RunAudited is Run with every realm's kernel audited after every tick
+// (auditLanes). It returns the first violation seen.
+func RunAudited(cfg Config) (*Result, error) {
+	var mu sync.Mutex
+	var first error
+	res := run(cfg, func(r *Realm) {
+		if err := r.auditLanes(); err != nil {
+			mu.Lock()
+			if first == nil {
+				first = err
+			}
+			mu.Unlock()
+		}
+	})
+	return res, first
+}
+
+// auditLanes checks the invariants the refresh walk, the merge and
+// Snapshot rest on: each lane's flows are subscriber ascending, and
+// every flow's member has that lane as its active lane.
+func (r *Realm) auditLanes() error {
+	for l, live := range r.flows {
+		for i, f := range live {
+			if i > 0 && f.sub < live[i-1].sub {
+				return fmt.Errorf("lane %d: flow %d (member %d) follows member %d's", l, i, f.sub, live[i-1].sub)
+			}
+			if r.laneOf[f.sub] != int32(l) {
+				return fmt.Errorf("lane %d: flow %d belongs to member %d, whose active lane is %d", l, i, f.sub, r.laneOf[f.sub])
+			}
+		}
+	}
+	return nil
 }

@@ -20,12 +20,15 @@ import (
 )
 
 // runFaulted runs the spec set under the given fault plan and returns
-// the Result plus per-realm final-tick state digests.
-func runFaulted(profile traffic.Profile, seed int64, specs []traffic.RealmSpec, plan traffic.FaultPlan, workers, shards int) (*traffic.Result, map[string]string) {
+// the Result plus per-realm final-tick state digests. Every realm's
+// kernel is audited after every tick: each lane's flows subscriber
+// ascending, each on its member's active lane.
+func runFaulted(t *testing.T, profile traffic.Profile, seed int64, specs []traffic.RealmSpec, plan traffic.FaultPlan, workers, shards int) (*traffic.Result, map[string]string) {
+	t.Helper()
 	lastTick := profile.WithDefaults().Ticks - 1
 	digests := make(map[string]string)
 	var mu sync.Mutex
-	res := traffic.Run(traffic.Config{
+	res, err := traffic.RunAudited(traffic.Config{
 		Seed:    seed,
 		Profile: profile,
 		Realms:  specs,
@@ -42,6 +45,9 @@ func runFaulted(profile traffic.Profile, seed int64, specs []traffic.RealmSpec, 
 			mu.Unlock()
 		},
 	})
+	if err != nil {
+		t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+	}
 	return res, digests
 }
 
@@ -84,7 +90,7 @@ func TestFaultedRunInvariance(t *testing.T) {
 	specs := multiLaneSpecs()
 	plan := faultPlanForTests()
 
-	baseRes, baseDig := runFaulted(profile, 99, specs, plan, 1, 1)
+	baseRes, baseDig := runFaulted(t, profile, 99, specs, plan, 1, 1)
 	if baseRes.Created == 0 {
 		t.Fatal("faulted baseline drove no flows")
 	}
@@ -108,7 +114,7 @@ func TestFaultedRunInvariance(t *testing.T) {
 	for _, tc := range []struct{ workers, shards int }{
 		{1, 0}, {1, 2}, {1, 3}, {1, 5}, {1, 16}, {3, 4}, {4, 2}, {4, 0},
 	} {
-		res, dig := runFaulted(profile, 99, specs, plan, tc.workers, tc.shards)
+		res, dig := runFaulted(t, profile, 99, specs, plan, tc.workers, tc.shards)
 		if !reflect.DeepEqual(baseRes, res) {
 			t.Errorf("workers=%d shards=%d: faulted Result differs from baseline:\n%+v\nvs\n%+v",
 				tc.workers, tc.shards, baseRes, res)
@@ -138,9 +144,9 @@ func TestRestartKeepsCounters(t *testing.T) {
 		FlowHoldTicks: 3,
 	}
 	specs := multiLaneSpecs()
-	prefix, _ := runFaulted(profile, 99, specs, traffic.FaultPlan{}, 1, 1)
+	prefix, _ := runFaulted(t, profile, 99, specs, traffic.FaultPlan{}, 1, 1)
 	profile.Ticks = 40
-	restarted, _ := runFaulted(profile, 99, specs, traffic.FaultPlan{Restarts: []int{36}}, 1, 2)
+	restarted, _ := runFaulted(t, profile, 99, specs, traffic.FaultPlan{Restarts: []int{36}}, 1, 2)
 	if prefix.Created == 0 || prefix.Expired == 0 || prefix.Failures == 0 {
 		t.Fatalf("prefix run exercised too little: %+v", prefix.Realms)
 	}
@@ -164,7 +170,7 @@ func TestZeroFaultPlanZeroDataset(t *testing.T) {
 		FlowsPerTick:  0.5,
 		FlowHoldTicks: 2,
 	}
-	res, _ := runFaulted(profile, 7, multiLaneSpecs()[:1], traffic.FaultPlan{}, 1, 2)
+	res, _ := runFaulted(t, profile, 7, multiLaneSpecs()[:1], traffic.FaultPlan{}, 1, 2)
 	if !reflect.DeepEqual(res.Degradation, traffic.DegradationStats{}) {
 		t.Fatalf("zero-fault run produced a nonzero degradation dataset: %+v", res.Degradation)
 	}
@@ -209,7 +215,7 @@ func TestDegradationRecoveryCurve(t *testing.T) {
 	}
 	const start, dur = 30, 25
 	plan := traffic.FaultPlan{Outages: []traffic.Outage{{Start: start, Ticks: dur, LaneFrac: 0.5}}}
-	res, _ := runFaulted(profile, 3, specs, plan, 1, 2)
+	res, _ := runFaulted(t, profile, 3, specs, plan, 1, 2)
 	d := res.Degradation
 	if d.Disrupted == 0 {
 		t.Fatal("a half-pool outage disrupted no live flows")

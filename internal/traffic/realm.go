@@ -30,6 +30,13 @@ import (
 // arrival generation is lane-confined, so nothing has to be drawn
 // centrally or handed across shards.
 //
+// A lane's live flows sit in one slice, subscriber ascending and FIFO
+// within a subscriber: the refresh walk reads it front to back and
+// compacts the survivors in place, and the tick's arrivals — decoded
+// into one run per class, each already subscriber ascending — merge in
+// behind each subscriber's older flows. No list is chased and nothing
+// is sorted.
+//
 // Arrivals are decoded by geometric skip-sampling (forEachArrival): for
 // each (lane, class) the decoder jumps straight from arriving subscriber
 // to arriving subscriber, so a tick costs O(arrivals + live flows), not
@@ -63,6 +70,12 @@ type Realm struct {
 	laneOf   []int32
 	laneSubs [][numClasses][]int32
 	laneAtk  [][]int32
+	// flows holds each lane's live flows, subscriber ascending and FIFO
+	// within a subscriber; a member's flows all sit on its active lane.
+	// spare is each lane's second buffer: the tick's merge and
+	// repartition write into it and swap it with the lane's flows, so
+	// both keep their capacity and steady-state ticks allocate nothing.
+	flows, spare [][]flow
 	// st holds the shard states; lane l belongs to shard l % len(st).
 	st []*shardState
 	// Per-lane arrival streams and destination sequences. Destination
@@ -93,7 +106,7 @@ type Realm struct {
 }
 
 // shardState is one shard's private slice of a realm: its lanes, the
-// census and live counts of its subscribers, its flow arena and its
+// census and live counts of its subscribers, its arrival runs and its
 // accumulators, which drain into the caller's Tally in shard-index
 // order at the end of every Step.
 type shardState struct {
@@ -114,32 +127,22 @@ type shardState struct {
 	// re-establishments); the driver sums the S values after the barrier.
 	inUse        int
 	tickA, tickF uint64
-	// active lists the shard's subscribers currently holding live flows,
-	// ascending — the refresh loop's worklist, so a tick's cost scales
-	// with flow-holding subscribers, not population. fresh collects the
-	// tick's empty-to-nonempty transitions (sorted before the merge —
-	// the per-lane, per-class arrival passes emit them out of global
-	// subscriber order); scratch is the merge buffer the two swap
-	// through.
-	active, fresh, scratch []int32
-	// The shard flow arena: the shard's subscribers' flow lists live in
-	// one slice and dead nodes chain through the freelist, so
-	// steady-state ticks never allocate (head/tail in subscriber index
-	// into the owning shard's arena — well defined, a subscriber has
-	// exactly one).
-	arena    []flowNode
-	freeHead int32
+	// runs holds the current lane's new flows this tick, one run per
+	// class, each subscriber ascending (the decode visits a class's
+	// subscribers in order) — the merge's input, reused lane after lane.
+	runs [numClasses][]flow
 	// emit is the shard's arrival sink, allocated once at construction
-	// and parameterized through curLane/curList/curLn/curFr so the
-	// per-tick decode passes allocate nothing. atkEmit is its adversarial
-	// twin: flood flows through the same decoder, but fire-and-forget (no
-	// arena node, never refreshed).
-	curLane int
-	curList []int32
-	curLn   *nat.NAT
-	curFr   *fastrand.Rand
-	emit    func(i, k int)
-	atkEmit func(i, k int)
+	// and parameterized through curLane/curClass/curList/curLn/curFr so
+	// the per-tick decode passes allocate nothing. atkEmit is its
+	// adversarial twin: flood flows through the same decoder, but
+	// fire-and-forget (never kept, never refreshed).
+	curLane  int
+	curClass Class
+	curList  []int32
+	curLn    *nat.NAT
+	curFr    *fastrand.Rand
+	emit     func(i, k int)
+	atkEmit  func(i, k int)
 }
 
 // Tally is a realm's cumulative outcome: the per-tick concurrent-port
@@ -246,6 +249,8 @@ func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
 		sn:       sn,
 		laneSubs: make([][numClasses][]int32, lanes),
 		laneAtk:  make([][]int32, lanes),
+		flows:    make([][]flow, lanes),
+		spare:    make([][]flow, lanes),
 		st:       make([]*shardState, sn.NumShards()),
 		frLane:   make([]fastrand.Rand, lanes),
 		dstSeq:   make([]uint64, lanes),
@@ -267,7 +272,7 @@ func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
 		r.scanSpan = uint32(eff.PortHi) - uint32(eff.PortLo) + 1
 	}
 	for s := range r.st {
-		r.st[s] = &shardState{freeHead: -1}
+		r.st[s] = &shardState{}
 	}
 	for l := 0; l < lanes; l++ {
 		st := r.st[sn.ShardOf(l)]
@@ -289,16 +294,12 @@ func (r *Realm) addMembers(pop []Member) {
 	r.subs = slices.Grow(r.subs, len(pop)-len(r.subs))
 	r.laneOf = slices.Grow(r.laneOf, len(pop)-len(r.laneOf))
 	for j := len(r.subs); j < len(pop); j++ {
-		addr := subscriberBase + netaddr.Addr(j)
 		r.subs = append(r.subs, subscriber{
-			addr:     addr,
 			class:    pop[j].Class,
-			head:     -1,
-			tail:     -1,
 			attacker: pop[j].Attacker,
 			retired:  pop[j].Retired,
 		})
-		r.laneOf = append(r.laneOf, int32(r.sn.LaneFor(addr)))
+		r.laneOf = append(r.laneOf, int32(r.sn.LaneFor(subscriberBase+netaddr.Addr(j))))
 	}
 }
 
@@ -307,14 +308,14 @@ func (r *Realm) addMembers(pop []Member) {
 // cur* fields. Hold spans 1..2*FlowHoldTicks-1 ticks.
 func (r *Realm) installSinks(st *shardState) {
 	st.atkEmit = func(i, k int) {
-		sub := &r.subs[st.curList[i]]
+		src := subscriberBase + netaddr.Addr(st.curList[i])
 		fr := st.curFr
 		st.adv.attackerAttempts += uint64(k)
 		for ; k > 0; k-- {
 			r.atkSeqLane[st.curLane]++
 			seq := r.atkSeqLane[st.curLane]
 			f := netaddr.FlowOf(netaddr.UDP,
-				netaddr.EndpointOf(sub.addr, uint16(1024+fr.Intn(64512))),
+				netaddr.EndpointOf(src, uint16(1024+fr.Intn(64512))),
 				netaddr.EndpointOf(atkDstBase+netaddr.Addr(uint32(seq)), uint16(9+(seq>>32))))
 			if _, v := st.curLn.TranslateOut(f, r.curNow); v != nat.Ok {
 				st.adv.attackerFailures++
@@ -323,13 +324,13 @@ func (r *Realm) installSinks(st *shardState) {
 	}
 	st.emit = func(i, k int) {
 		j := st.curList[i]
-		sub := &r.subs[j]
+		src := subscriberBase + netaddr.Addr(j)
 		fr := st.curFr
 		for ; k > 0; k-- {
 			r.dstSeq[st.curLane]++
 			seq := r.dstSeq[st.curLane]
 			f := netaddr.FlowOf(netaddr.UDP,
-				netaddr.EndpointOf(sub.addr, uint16(1024+fr.Intn(64512))),
+				netaddr.EndpointOf(src, uint16(1024+fr.Intn(64512))),
 				netaddr.EndpointOf(dstBase+netaddr.Addr(uint32(seq)), uint16(443+(seq>>32))))
 			hold := 1 + fr.Intn(r.holdSpan)
 			_, ref, v := st.curLn.TranslateOutRef(f, r.curNow)
@@ -344,23 +345,8 @@ func (r *Realm) installSinks(st *shardState) {
 				st.tickF++
 			}
 			if v == nat.Ok {
-				var ni int32
-				if st.freeHead >= 0 {
-					ni = st.freeHead
-					st.freeHead = st.arena[ni].next
-				} else {
-					st.arena = append(st.arena, flowNode{})
-					ni = int32(len(st.arena) - 1)
-				}
-				st.arena[ni] = flowNode{f: f, ref: ref, ticksLeft: int32(hold), next: -1}
-				if sub.tail >= 0 {
-					st.arena[sub.tail].next = ni
-				} else {
-					sub.head = ni
-					// Empty-to-nonempty: enters next tick's worklist.
-					st.fresh = append(st.fresh, j)
-				}
-				sub.tail = ni
+				run := &st.runs[st.curClass]
+				*run = append(*run, flow{sub: j, ticksLeft: int32(hold), f: f, ref: ref})
 			}
 		}
 	}
@@ -479,31 +465,26 @@ func (r *Realm) Step(from, to int, t *Tally, each func(Tick)) {
 	r.drain(t)
 }
 
-// shardTick is one shard's whole tick: sweep owned lanes, refresh owned
-// subscribers' flows, decode and apply the tick's arrivals lane by
-// lane, fold the sampling buckets and port occupancy.
+// shardTick is one shard's whole tick. Lane by lane, ascending: sweep
+// the lane, refresh its flows, decode and apply its arrivals, merge the
+// new flows in. Then fold the sampling buckets and port occupancy.
 func (r *Realm) shardTick(st *shardState) {
-	sn, subs, laneOf := r.sn, r.subs, r.laneOf
-	now := r.curNow
+	sn, now := r.sn, r.curNow
 	st.tickA, st.tickF = 0, 0
+	inUse := 0
 	for _, l := range st.lanes {
-		sn.Lane(l).Sweep(now)
-	}
-	// Refresh pass over the active worklist, compacting out
-	// subscribers whose last flow died.
-	act := st.active
-	w := 0
-	for _, ji := range act {
-		sub := &subs[ji]
-		ln := sn.Lane(int(laneOf[ji]))
-		prev := int32(-1)
-		for idx := sub.head; idx >= 0; {
-			nd := &st.arena[idx]
-			next := nd.next
-			ok := ln.Refresh(nd.ref, nd.f.Dst, now)
+		ln := sn.Lane(l)
+		ln.Sweep(now)
+		// Refresh walk: the lane's flows front to back, survivors
+		// compacted in place.
+		live := r.flows[l]
+		w := 0
+		for i := range live {
+			f := &live[i]
+			ok := ln.Refresh(f.ref, f.f.Dst, now)
 			if !ok {
 				var v nat.Verdict
-				_, nd.ref, v = ln.TranslateOutRef(nd.f, now)
+				_, f.ref, v = ln.TranslateOutRef(f.f, now)
 				ok = v == nat.Ok
 				// A re-establishment is a legitimate allocation
 				// attempt — during an outage this is exactly where
@@ -516,47 +497,34 @@ func (r *Realm) shardTick(st *shardState) {
 			if ok {
 				st.refreshes++
 			}
-			nd.ticksLeft--
-			if nd.ticksLeft > 0 && ok {
-				prev = idx
-			} else {
-				if prev >= 0 {
-					st.arena[prev].next = next
-				} else {
-					sub.head = next
-				}
-				if next < 0 {
-					sub.tail = prev
-				}
-				nd.next = st.freeHead
-				st.freeHead = idx
+			f.ticksLeft--
+			if f.ticksLeft > 0 && ok {
+				live[w] = *f
+				w++
 			}
-			idx = next
 		}
-		if sub.head >= 0 {
-			act[w] = ji
-			w++
-		}
-	}
-	st.active = act[:w]
-	// Arrivals: per owned lane ascending, per class ascending,
-	// skip-sampled on the lane's stream and applied immediately. The
-	// adversarial pass rides the same per-lane order, after the
-	// legitimate classes, on the lane's own attack stream.
-	for _, l := range st.lanes {
-		st.curLane = l
-		st.curLn = sn.Lane(l)
-		st.curFr = &r.frLane[l]
+		live = live[:w]
+		// Arrivals: per class ascending, skip-sampled on the lane's
+		// stream and applied immediately, each class's new flows into
+		// its run. The adversarial pass follows on the lane's own
+		// attack stream.
+		st.curLane, st.curLn, st.curFr = l, ln, &r.frLane[l]
+		arrived := false
 		for c := Class(0); c < numClasses; c++ {
-			if r.curLambda[c] <= 0 {
-				continue
-			}
+			st.runs[c] = st.runs[c][:0]
 			list := r.laneSubs[l][c]
-			if len(list) == 0 {
+			if r.curLambda[c] <= 0 || len(list) == 0 {
 				continue
 			}
-			st.curList = list
+			st.curClass, st.curList = c, list
 			forEachArrival(st.curFr, len(list), r.curLambda[c], r.curExpNeg[c], st.emit)
+			arrived = arrived || len(st.runs[c]) > 0
+		}
+		if arrived {
+			r.flows[l] = mergeFlows(r.spare[l][:0], live, &st.runs)
+			r.spare[l] = live[:0]
+		} else {
+			r.flows[l] = live
 		}
 		if r.attacks {
 			fr := &r.atkFrLane[l]
@@ -574,35 +542,15 @@ func (r *Realm) shardTick(st *shardState) {
 						netaddr.EndpointOf(scannerAddr, uint16(1024+fr.Intn(64512))),
 						netaddr.EndpointOf(ip, uint16(r.scanLo+fr.Intn(r.scanSpan))))
 					st.adv.scannerProbes++
-					if _, v := st.curLn.TranslateIn(probe, now); v != nat.Ok {
+					if _, v := ln.TranslateIn(probe, now); v != nat.Ok {
 						st.adv.scannerBlocked++
 					}
 				}
 			}
 		}
+		inUse += ln.InUsePorts()
 	}
-	// Merge the newly active. The per-lane, per-class passes emit
-	// fresh out of global subscriber order, so sort first; entries
-	// are unique (a subscriber goes empty-to-nonempty at most once a
-	// tick) and disjoint from active.
-	if len(st.fresh) > 0 {
-		slices.Sort(st.fresh)
-		sc := st.scratch[:0]
-		i, k := 0, 0
-		for i < len(st.active) && k < len(st.fresh) {
-			if st.active[i] < st.fresh[k] {
-				sc = append(sc, st.active[i])
-				i++
-			} else {
-				sc = append(sc, st.fresh[k])
-				k++
-			}
-		}
-		sc = append(sc, st.active[i:]...)
-		sc = append(sc, st.fresh[k:]...)
-		st.active, st.scratch = sc, st.active[:0]
-		st.fresh = st.fresh[:0]
-	}
+	st.inUse = inUse
 	st.lc.Fold(&st.classHists, &st.allHist)
 	if r.attacks {
 		// Attacker concurrent-port samples: walked directly — the
@@ -610,15 +558,45 @@ func (r *Realm) shardTick(st *shardState) {
 		// counts are hook-maintained like everyone else's.
 		for _, l := range st.lanes {
 			for _, j := range r.laneAtk[l] {
-				st.adv.attackerHist.Add(int(subs[j].live))
+				st.adv.attackerHist.Add(int(r.subs[j].live))
 			}
 		}
 	}
-	inUse := 0
-	for _, l := range st.lanes {
-		inUse += sn.Lane(l).InUsePorts()
+}
+
+// mergeFlows appends to dst a lane's surviving flows old merged with
+// the tick's arrival runs, subscriber ascending. Each run is subscriber
+// ascending and a subscriber's new flows all sit in one run (its
+// class's), so the merge copies the survivors up to the next arriving
+// subscriber, then that subscriber's run. On a tie the survivors go
+// first: they are the subscriber's older flows.
+func mergeFlows(dst, old []flow, runs *[numClasses][]flow) []flow {
+	dst = slices.Grow(dst, len(old)+len(runs[0])+len(runs[1])+len(runs[2]))
+	var next [numClasses]int
+	i := 0
+	for {
+		c := -1
+		for k := range runs {
+			if next[k] < len(runs[k]) && (c < 0 || runs[k][next[k]].sub < runs[c][next[c]].sub) {
+				c = k
+			}
+		}
+		if c < 0 {
+			return append(dst, old[i:]...)
+		}
+		run, lo := runs[c], next[c]
+		sub := run[lo].sub
+		n := i
+		for n < len(old) && old[n].sub <= sub {
+			n++
+		}
+		hi := lo + 1
+		for hi < len(run) && run[hi].sub == sub {
+			hi++
+		}
+		dst = append(append(dst, old[i:n]...), run[lo:hi]...)
+		i, next[c] = n, hi
 	}
-	st.inUse = inUse
 }
 
 // drain folds the shard-private accumulators into t in shard-index
@@ -661,8 +639,8 @@ func (r *Realm) drain(t *Tally) {
 // A restart loses every mapping but keeps an outage in progress (the
 // pool IPs are dark whatever the box does). The engine is rebuilt from
 // the same configuration, the lane streams continue, and live flows keep
-// their arena nodes and re-establish through the refresh fallback; the
-// old engine's counters fold into t first.
+// their places on their lanes and re-establish through the refresh
+// fallback; the old engine's counters fold into t first.
 func (r *Realm) ApplyFaults(ups, downs []int, restart bool, t *Tally) {
 	sn := r.sn
 	for _, l := range ups {
@@ -696,9 +674,9 @@ func (r *Realm) ApplyFaults(ups, downs []int, restart bool, t *Tally) {
 		// Old refs must be cleared, not left dangling into the discarded
 		// engine (a non-dead orphan would "refresh" against a table that
 		// no longer owns it).
-		for _, st := range r.st {
-			for i := range st.arena {
-				st.arena[i].ref = nat.MappingRef{}
+		for _, live := range r.flows {
+			for i := range live {
+				live[i].ref = nat.MappingRef{}
 			}
 		}
 	}
@@ -710,12 +688,11 @@ func (r *Realm) ApplyFaults(ups, downs []int, restart bool, t *Tally) {
 // the same order — any of them newly Retired — followed by any new
 // ones. A retiring member's flows end (its mappings idle out); new
 // members start with none. The partition is rebuilt wholesale, like a
-// fault boundary's.
+// fault boundary's, and the rebuild drops the retired members' flows.
 func (r *Realm) Repopulate(pop []Member, t *Tally) {
 	for j := range r.subs {
-		if sub := &r.subs[j]; pop[j].Retired && !sub.retired {
-			sub.retired = true
-			sub.head, sub.tail = -1, -1
+		if pop[j].Retired {
+			r.subs[j].retired = true
 		}
 	}
 	r.addMembers(pop)
@@ -728,16 +705,16 @@ func (r *Realm) Repopulate(pop []Member, t *Tally) {
 // disrupted count — the CGN re-homing the subscriber tears down its old
 // bindings; lanes going down already dropped theirs), and rebuilds the
 // partition wholesale: the per-lane subscriber lists, the per-shard
-// census and live counts, and the shard arenas — subscribers changing
-// shards take their flow chains along. Everything is rebuilt in
-// ascending subscriber order from scratch, so the result depends only on
-// the lane assignment and the population, not on which shard previously
-// held what.
+// census and live counts, and the lanes' flows — subscribers changing
+// lanes take their flows along, retired ones leave theirs behind.
+// Everything is rebuilt in ascending subscriber order from scratch, so
+// the result depends only on the lane assignment and the population,
+// not on which shard previously held what.
 func (r *Realm) repartition() uint64 {
 	sn, subs := r.sn, r.subs
 	newLane := make([]int32, len(subs))
 	for j := range subs {
-		newLane[j] = int32(sn.ActiveLaneFor(subs[j].addr))
+		newLane[j] = int32(sn.ActiveLaneFor(subscriberBase + netaddr.Addr(j)))
 	}
 	var disrupted uint64
 	for l := 0; l < sn.NumLanes(); l++ {
@@ -755,10 +732,15 @@ func (r *Realm) repartition() uint64 {
 			r.laneSubs[l][c] = r.laneSubs[l][c][:0]
 		}
 		r.laneAtk[l] = r.laneAtk[l][:0]
+		r.spare[l] = r.spare[l][:0]
 	}
 	for _, st := range r.st {
 		st.nsubs, st.classSubs = 0, [numClasses]int{}
 	}
+	// A member's flows sit contiguous on its old lane, so one cursor per
+	// lane walks them in member order, and every new lane receives its
+	// members ascending.
+	next := make([]int, len(r.flows))
 	for j := range subs {
 		sub := &subs[j]
 		l := int(newLane[j])
@@ -772,56 +754,36 @@ func (r *Realm) repartition() uint64 {
 			st.nsubs++
 			st.classSubs[sub.class]++
 		}
-	}
-	type rebuilt struct {
-		arena  []flowNode
-		active []int32
-	}
-	nw := make([]rebuilt, len(r.st))
-	for s, st := range r.st {
-		nw[s].arena = make([]flowNode, 0, max(cap(st.arena), 4*st.nsubs))
-		nw[s].active = make([]int32, 0, cap(st.active))
-	}
-	for j := range subs {
-		sub := &subs[j]
-		oldSt := r.st[sn.ShardOf(int(r.laneOf[j]))]
+		old := r.laneOf[j]
+		live, lo := r.flows[old], next[old]
+		hi := lo
+		for hi < len(live) && live[hi].sub == int32(j) {
+			hi++
+		}
+		next[old] = hi
+		r.laneOf[j] = int32(l)
+		if sub.retired || lo == hi {
+			continue
+		}
+		at := len(r.spare[l])
+		r.spare[l] = append(r.spare[l], live[lo:hi]...)
 		// A subscriber changing lanes leaves dead mappings behind
-		// (dropped above, or with the dark lane) — but the arena refs
+		// (dropped above, or with the dark lane) — but its flows' refs
 		// still point into the old lane's slab. The dead/gen guard would
 		// reject them anyway; clearing them here keeps the next parallel
 		// phase from dereferencing another shard's slab memory at all
 		// (the refresh fallback is identical either way: a zero ref
 		// reports stale exactly like a dead one).
-		moved := newLane[j] != r.laneOf[j]
-		r.laneOf[j] = newLane[j]
-		if sub.head < 0 {
-			continue
-		}
-		ns := sn.ShardOf(int(newLane[j]))
-		a := nw[ns].arena
-		head, tail := int32(-1), int32(-1)
-		for idx := sub.head; idx >= 0; idx = oldSt.arena[idx].next {
-			nd := oldSt.arena[idx]
-			if moved {
-				nd.ref = nat.MappingRef{}
+		if int32(l) != old {
+			for k := at; k < len(r.spare[l]); k++ {
+				r.spare[l][k].ref = nat.MappingRef{}
 			}
-			a = append(a, flowNode{f: nd.f, ref: nd.ref, ticksLeft: nd.ticksLeft, next: -1})
-			ni := int32(len(a) - 1)
-			if tail >= 0 {
-				a[tail].next = ni
-			} else {
-				head = ni
-			}
-			tail = ni
 		}
-		nw[ns].arena = a
-		sub.head, sub.tail = head, tail
-		nw[ns].active = append(nw[ns].active, int32(j))
 	}
-	for s, st := range r.st {
-		st.arena, st.freeHead = nw[s].arena, -1
-		st.active = nw[s].active
-		st.fresh, st.scratch = st.fresh[:0], st.scratch[:0]
+	for l := range r.flows {
+		r.flows[l], r.spare[l] = r.spare[l], r.flows[l][:0]
+	}
+	for _, st := range r.st {
 		st.lc = newLiveCounts(st.classSubs)
 	}
 	for j := range subs {
@@ -882,11 +844,14 @@ func (r *Realm) Snapshot() *RealmSnapshot {
 			s.AttackStreams[l] = uint64(fr)
 		}
 	}
-	for j := range r.subs {
-		st := r.st[r.sn.ShardOf(int(r.laneOf[j]))]
-		for idx := r.subs[j].head; idx >= 0; idx = st.arena[idx].next {
-			nd := &st.arena[idx]
-			s.Flows = append(s.Flows, FlowState{Sub: int32(j), F: nd.f, TicksLeft: nd.ticksLeft})
+	// Member order, one cursor per lane: a member's flows sit
+	// contiguous on its active lane.
+	next := make([]int, len(r.flows))
+	for j, l := range r.laneOf {
+		live := r.flows[l]
+		for ; next[l] < len(live) && live[next[l]].sub == int32(j); next[l]++ {
+			f := &live[next[l]]
+			s.Flows = append(s.Flows, FlowState{Sub: f.sub, F: f.f, TicksLeft: f.ticksLeft})
 		}
 	}
 	return s
@@ -897,8 +862,9 @@ func (r *Realm) Snapshot() *RealmSnapshot {
 // differ. The snapshot is untrusted input: every inconsistency — stream
 // counts that do not match the pool, a whole pool dark, a mapping that
 // belongs to no member or sits off its owner's active lane, a flow that
-// is not its member's — is an error, never a panic or a silently
-// different run.
+// is not its member's, out of member order or with a lifetime no flow
+// can have left — is an error, never a panic or a silently different
+// run.
 func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmSnapshot) (*Realm, error) {
 	if s == nil {
 		return nil, fmt.Errorf("traffic: restore: nil snapshot")
@@ -937,8 +903,8 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 		r.atkFrLane[l] = fastrand.Rand(s.AttackStreams[l])
 	}
 	copy(r.atkSeqLane, s.AttackSeqs)
-	for j := range r.subs {
-		r.laneOf[j] = int32(sn.ActiveLaneFor(r.subs[j].addr))
+	for j := range r.laneOf {
+		r.laneOf[j] = int32(sn.ActiveLaneFor(subscriberBase + netaddr.Addr(j)))
 	}
 	// Every mapping must be a member's, on the member's active lane —
 	// the invariant that keeps hooks and refreshes shard-confined. The
@@ -961,31 +927,29 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 			return nil, bad
 		}
 	}
-	// Relink the flows in their serialized order. A flow whose key
-	// resolves to no live mapping gets a stale handle; the next tick's
-	// refresh falls back to the full translation path exactly as the
-	// uninterrupted run would.
+	r.repartition()
+	// Deal the flows out to their members' lanes in serialized order,
+	// which keeps every lane subscriber ascending and FIFO within one. A
+	// flow whose key resolves to no live mapping gets a stale handle; the
+	// next tick's refresh falls back to the full translation path
+	// exactly as the uninterrupted run would.
 	for fi, fs := range s.Flows {
 		if fs.Sub < 0 || int(fs.Sub) >= len(r.subs) {
 			return nil, fmt.Errorf("traffic: restore: flow %d names member %d of %d", fi, fs.Sub, len(r.subs))
 		}
-		sub := &r.subs[fs.Sub]
-		if !sub.tracked() || fs.F.Proto != netaddr.UDP || fs.F.Src.Addr != sub.addr {
+		if fi > 0 && fs.Sub < s.Flows[fi-1].Sub {
+			return nil, fmt.Errorf("traffic: restore: flow %d (member %d) follows member %d's, out of member order", fi, fs.Sub, s.Flows[fi-1].Sub)
+		}
+		if fs.TicksLeft < 1 || uint32(fs.TicksLeft) > r.holdSpan {
+			return nil, fmt.Errorf("traffic: restore: flow %d (%v) has %d ticks left, outside [1, %d]", fi, fs.F, fs.TicksLeft, r.holdSpan)
+		}
+		if !r.subs[fs.Sub].tracked() || fs.F.Proto != netaddr.UDP || fs.F.Src.Addr != subscriberBase+netaddr.Addr(fs.Sub) {
 			return nil, fmt.Errorf("traffic: restore: flow %d (%v) is not a live flow of member %d", fi, fs.F, fs.Sub)
 		}
-		l := int(r.laneOf[fs.Sub])
-		st := r.st[sn.ShardOf(l)]
-		ref, _ := sn.Lane(l).RefForFlow(fs.F)
-		st.arena = append(st.arena, flowNode{f: fs.F, ref: ref, ticksLeft: fs.TicksLeft, next: -1})
-		ni := int32(len(st.arena) - 1)
-		if sub.tail >= 0 {
-			st.arena[sub.tail].next = ni
-		} else {
-			sub.head = ni
-		}
-		sub.tail = ni
+		l := r.laneOf[fs.Sub]
+		ref, _ := sn.Lane(int(l)).RefForFlow(fs.F)
+		r.flows[l] = append(r.flows[l], flow{sub: fs.Sub, ticksLeft: fs.TicksLeft, f: fs.F, ref: ref})
 	}
-	r.repartition()
 	r.drained = sn.PortStats()
 	return r, nil
 }

@@ -191,29 +191,24 @@ func (a AdversarialStats) AttackerFailRate() float64 {
 // Enabled reports whether the run simulated any time.
 func (r *Result) Enabled() bool { return r.Profile.Enabled() && len(r.Realms) > 0 }
 
-// flowNode is one live subscriber flow in a realm's arena. Nodes are
-// linked per subscriber in arrival (FIFO) order — the order allocation
-// retries hit the NAT in, which the determinism contract pins — and
-// recycled through the arena freelist, so steady-state ticks never
-// allocate. ref is the flow's mapping handle: while ticksLeft > 0 the
-// flow refreshes the mapping through it every tick.
-type flowNode struct {
-	f         netaddr.Flow
-	ref       nat.MappingRef
-	ticksLeft int32
-	next      int32
+// flow is one live flow of member sub. A lane keeps its flows in one
+// slice, subscriber ascending and in arrival (FIFO) order within a
+// subscriber — the order allocation retries hit the NAT in, which the
+// determinism contract pins. ref is the flow's mapping handle: while
+// ticksLeft > 0 the flow refreshes the mapping through it every tick.
+type flow struct {
+	sub, ticksLeft int32
+	f              netaddr.Flow
+	ref            nat.MappingRef
 }
 
-// subscriber is one internal endpoint population member. head/tail
-// index the subscriber's flow list in its shard's arena (-1 when
-// empty); live is the incrementally maintained live-mapping count —
-// what nat.Sessions would report — fed by the NAT's create/expire
-// hooks.
+// subscriber is one internal endpoint population member; member j's
+// address is subscriberBase + j. live is the incrementally maintained
+// live-mapping count — what nat.Sessions would report — fed by the
+// NAT's create/expire hooks.
 type subscriber struct {
-	addr       netaddr.Addr
-	class      Class
-	head, tail int32
-	live       int32
+	live  int32
+	class Class
 	// attacker marks a flooder: it offers no legitimate flows and its
 	// live count samples into the adversarial histogram, not the class
 	// buckets. retired marks a member that left: no traffic, no census.
@@ -484,8 +479,9 @@ func (a *advAccum) merge(o *advAccum) {
 }
 
 // runRealm steps one realm's kernel over the whole horizon, applying
-// the fault plan's boundaries between steps.
-func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
+// the fault plan's boundaries between steps. after, when non-nil, sees
+// the kernel after every tick (tests audit its invariants there).
+func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int, after func(*Realm)) *realmOut {
 	// Mix the realm index into the seed with a 64-bit odd constant so
 	// realms draw independent streams whatever their order. The realm RNG
 	// serves the class draws and seeds the per-lane streams; the lanes
@@ -519,6 +515,9 @@ func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
 		if cfg.Observer != nil {
 			cfg.Observer(spec, tk.T, tk.Now, k.NAT())
 		}
+		if after != nil {
+			after(k)
+		}
 	}
 	from := 0
 	for _, fb := range bounds {
@@ -541,7 +540,10 @@ func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
 // when Workers <= 1), every tick in virtual time, deterministically. The
 // virtual clock starts at the Unix epoch like the simnet clock; wall
 // time is never read.
-func Run(cfg Config) *Result {
+func Run(cfg Config) *Result { return run(cfg, nil) }
+
+// run is Run with runRealm's per-tick kernel callback.
+func run(cfg Config, after func(*Realm)) *Result {
 	p := cfg.Profile.WithDefaults()
 	res := &Result{Profile: p}
 	if !p.Enabled() {
@@ -568,7 +570,7 @@ func Run(cfg Config) *Result {
 
 	outs := make([]*realmOut, len(jobs))
 	par.Each(len(jobs), cfg.Workers, func(ji int) {
-		outs[ji] = runRealm(cfg, p, jobs[ji].spec, jobs[ji].idx)
+		outs[ji] = runRealm(cfg, p, jobs[ji].spec, jobs[ji].idx, after)
 	})
 
 	// Ordered merge: realm input order, whatever order the workers
