@@ -45,12 +45,13 @@ func RunAudited(cfg Config) (*Result, error) {
 // every flow's member has that lane as its active lane.
 func (r *Realm) auditLanes() error {
 	for l, live := range r.flows {
-		for i, f := range live {
-			if i > 0 && f.sub < live[i-1].sub {
-				return fmt.Errorf("lane %d: flow %d (member %d) follows member %d's", l, i, f.sub, live[i-1].sub)
+		for i := range live {
+			j := live[i].member()
+			if i > 0 && j < live[i-1].member() {
+				return fmt.Errorf("lane %d: flow %d (member %d) follows member %d's", l, i, j, live[i-1].member())
 			}
-			if r.laneOf[f.sub] != int32(l) {
-				return fmt.Errorf("lane %d: flow %d belongs to member %d, whose active lane is %d", l, i, f.sub, r.laneOf[f.sub])
+			if r.laneOf[j] != int32(l) {
+				return fmt.Errorf("lane %d: flow %d belongs to member %d, whose active lane is %d", l, i, j, r.laneOf[j])
 			}
 		}
 	}

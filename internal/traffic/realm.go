@@ -72,9 +72,9 @@ type Realm struct {
 	laneAtk  [][]int32
 	// flows holds each lane's live flows, subscriber ascending and FIFO
 	// within a subscriber; a member's flows all sit on its active lane.
-	// spare is each lane's second buffer: the tick's merge and
-	// repartition write into it and swap it with the lane's flows, so
-	// both keep their capacity and steady-state ticks allocate nothing.
+	// A tick compacts and merges a lane's flows in place, so a warm
+	// tick allocates nothing. spare holds, during repartition, the flows
+	// of the members moving onto each lane.
 	flows, spare [][]flow
 	// st holds the shard states; lane l belongs to shard l % len(st).
 	st []*shardState
@@ -346,7 +346,7 @@ func (r *Realm) installSinks(st *shardState) {
 			}
 			if v == nat.Ok {
 				run := &st.runs[st.curClass]
-				*run = append(*run, flow{sub: j, ticksLeft: int32(hold), f: f, ref: ref})
+				*run = append(*run, flow{ticksLeft: int32(hold), f: f, ref: ref})
 			}
 		}
 	}
@@ -509,7 +509,6 @@ func (r *Realm) shardTick(st *shardState) {
 		// its run. The adversarial pass follows on the lane's own
 		// attack stream.
 		st.curLane, st.curLn, st.curFr = l, ln, &r.frLane[l]
-		arrived := false
 		for c := Class(0); c < numClasses; c++ {
 			st.runs[c] = st.runs[c][:0]
 			list := r.laneSubs[l][c]
@@ -518,14 +517,8 @@ func (r *Realm) shardTick(st *shardState) {
 			}
 			st.curClass, st.curList = c, list
 			forEachArrival(st.curFr, len(list), r.curLambda[c], r.curExpNeg[c], st.emit)
-			arrived = arrived || len(st.runs[c]) > 0
 		}
-		if arrived {
-			r.flows[l] = mergeFlows(r.spare[l][:0], live, &st.runs)
-			r.spare[l] = live[:0]
-		} else {
-			r.flows[l] = live
-		}
+		r.flows[l] = mergeFlows(live, &st.runs)
 		if r.attacks {
 			fr := &r.atkFrLane[l]
 			st.curFr = fr
@@ -564,38 +557,48 @@ func (r *Realm) shardTick(st *shardState) {
 	}
 }
 
-// mergeFlows appends to dst a lane's surviving flows old merged with
-// the tick's arrival runs, subscriber ascending. Each run is subscriber
-// ascending and a subscriber's new flows all sit in one run (its
-// class's), so the merge copies the survivors up to the next arriving
-// subscriber, then that subscriber's run. On a tie the survivors go
-// first: they are the subscriber's older flows.
-func mergeFlows(dst, old []flow, runs *[numClasses][]flow) []flow {
-	dst = slices.Grow(dst, len(old)+len(runs[0])+len(runs[1])+len(runs[2]))
-	var next [numClasses]int
-	i := 0
+// mergeFlows merges the tick's arrival runs into a lane's surviving
+// flows live, in place, and returns the merged lane, subscriber
+// ascending. Each run is subscriber ascending and a subscriber's new
+// flows all sit in one run (its class's). The merge fills the slice
+// from the back: it moves up the survivors of every subscriber above the
+// highest remaining arrival, then writes that subscriber's arrivals
+// below them. On a tie the survivors stay first: they are the
+// subscriber's older flows. The slice at least doubles when it must
+// grow, so a lane's ramp-up costs a few allocations.
+func mergeFlows(live []flow, runs *[numClasses][]flow) []flow {
+	i := len(live)
+	end := [numClasses]int{len(runs[0]), len(runs[1]), len(runs[2])}
+	w := i + end[0] + end[1] + end[2]
+	if w > cap(live) {
+		live = slices.Grow(live, max(w, 2*cap(live))-i)
+	}
+	live = live[:w]
 	for {
 		c := -1
 		for k := range runs {
-			if next[k] < len(runs[k]) && (c < 0 || runs[k][next[k]].sub < runs[c][next[c]].sub) {
+			if end[k] > 0 && (c < 0 || runs[k][end[k]-1].member() > runs[c][end[c]-1].member()) {
 				c = k
 			}
 		}
 		if c < 0 {
-			return append(dst, old[i:]...)
+			return live
 		}
-		run, lo := runs[c], next[c]
-		sub := run[lo].sub
-		n := i
-		for n < len(old) && old[n].sub <= sub {
-			n++
+		run, hi := runs[c], end[c]
+		sub := run[hi-1].member()
+		lo := hi - 1
+		for lo > 0 && run[lo-1].member() == sub {
+			lo--
 		}
-		hi := lo + 1
-		for hi < len(run) && run[hi].sub == sub {
-			hi++
+		m := i
+		for m > 0 && live[m-1].member() > sub {
+			m--
 		}
-		dst = append(append(dst, old[i:n]...), run[lo:hi]...)
-		i, next[c] = n, hi
+		w -= i - m
+		copy(live[w:], live[m:i])
+		w -= hi - lo
+		copy(live[w:], run[lo:hi])
+		i, end[c] = m, lo
 	}
 }
 
@@ -705,11 +708,12 @@ func (r *Realm) Repopulate(pop []Member, t *Tally) {
 // disrupted count — the CGN re-homing the subscriber tears down its old
 // bindings; lanes going down already dropped theirs), and rebuilds the
 // partition wholesale: the per-lane subscriber lists, the per-shard
-// census and live counts, and the lanes' flows — subscribers changing
-// lanes take their flows along, retired ones leave theirs behind.
-// Everything is rebuilt in ascending subscriber order from scratch, so
-// the result depends only on the lane assignment and the population,
-// not on which shard previously held what.
+// census and live counts, and the lanes' flows — subscribers staying on
+// their lane keep their flows in place, subscribers changing lanes take
+// theirs along, retired ones leave theirs behind. Everything is rebuilt
+// in ascending subscriber order, so the result depends only on the lane
+// assignment and the population, not on which shard previously held
+// what.
 func (r *Realm) repartition() uint64 {
 	sn, subs := r.sn, r.subs
 	newLane := make([]int32, len(subs))
@@ -732,15 +736,17 @@ func (r *Realm) repartition() uint64 {
 			r.laneSubs[l][c] = r.laneSubs[l][c][:0]
 		}
 		r.laneAtk[l] = r.laneAtk[l][:0]
-		r.spare[l] = r.spare[l][:0]
 	}
 	for _, st := range r.st {
 		st.nsubs, st.classSubs = 0, [numClasses]int{}
 	}
-	// A member's flows sit contiguous on its old lane, so one cursor per
-	// lane walks them in member order, and every new lane receives its
-	// members ascending.
-	next := make([]int, len(r.flows))
+	// A member's flows sit contiguous on its old lane, so one read
+	// cursor per lane walks them in member order. A member that stays
+	// keeps its flows in place (the lane compacts behind its write
+	// cursor); one that moves parks them in its new lane's spare, which
+	// thus receives its members ascending and merges in below.
+	type cursor struct{ read, kept int }
+	cur := make([]cursor, len(r.flows))
 	for j := range subs {
 		sub := &subs[j]
 		l := int(newLane[j])
@@ -755,33 +761,45 @@ func (r *Realm) repartition() uint64 {
 			st.classSubs[sub.class]++
 		}
 		old := r.laneOf[j]
-		live, lo := r.flows[old], next[old]
-		hi := lo
-		for hi < len(live) && live[hi].sub == int32(j) {
-			hi++
+		live, c := r.flows[old], &cur[old]
+		lo := c.read
+		for c.read < len(live) && live[c.read].member() == int32(j) {
+			c.read++
 		}
-		next[old] = hi
 		r.laneOf[j] = int32(l)
-		if sub.retired || lo == hi {
-			continue
-		}
-		at := len(r.spare[l])
-		r.spare[l] = append(r.spare[l], live[lo:hi]...)
-		// A subscriber changing lanes leaves dead mappings behind
-		// (dropped above, or with the dark lane) — but its flows' refs
-		// still point into the old lane's slab. The dead/gen guard would
-		// reject them anyway; clearing them here keeps the next parallel
-		// phase from dereferencing another shard's slab memory at all
-		// (the refresh fallback is identical either way: a zero ref
-		// reports stale exactly like a dead one).
-		if int32(l) != old {
+		switch {
+		case sub.retired:
+		case int32(l) == old:
+			c.kept += copy(live[c.kept:], live[lo:c.read])
+		default:
+			// A subscriber changing lanes leaves dead mappings behind
+			// (dropped above, or with the dark lane) — but its flows'
+			// refs still point into the old lane's slab. The dead/gen
+			// guard would reject them anyway; clearing them here keeps
+			// the next parallel phase from dereferencing another shard's
+			// slab memory at all (the refresh fallback is identical
+			// either way: a zero ref reports stale exactly like a dead
+			// one).
+			at := len(r.spare[l])
+			r.spare[l] = append(r.spare[l], live[lo:c.read]...)
 			for k := at; k < len(r.spare[l]); k++ {
 				r.spare[l][k].ref = nat.MappingRef{}
 			}
 		}
 	}
 	for l := range r.flows {
-		r.flows[l], r.spare[l] = r.spare[l], r.flows[l][:0]
+		// Room for the lane's expected peak — a tick's arrivals at the
+		// diurnal peak times the mean hold, plus three standard
+		// deviations — so a lane rarely grows mid-run.
+		var peak float64
+		for c, list := range r.laneSubs[l] {
+			peak += float64(len(list)) * r.rates[c]
+		}
+		peak *= float64(r.p.FlowHoldTicks) * (1 + r.p.DiurnalAmp)
+		live := r.flows[l][:cur[l].kept]
+		live = slices.Grow(live, max(0, int(peak+3*math.Sqrt(peak))-len(live)))
+		r.flows[l] = mergeFlows(live, &[numClasses][]flow{r.spare[l]})
+		r.spare[l] = r.spare[l][:0]
 	}
 	for _, st := range r.st {
 		st.lc = newLiveCounts(st.classSubs)
@@ -846,12 +864,19 @@ func (r *Realm) Snapshot() *RealmSnapshot {
 	}
 	// Member order, one cursor per lane: a member's flows sit
 	// contiguous on its active lane.
+	n := 0
+	for _, live := range r.flows {
+		n += len(live)
+	}
+	if n > 0 {
+		s.Flows = make([]FlowState, 0, n)
+	}
 	next := make([]int, len(r.flows))
 	for j, l := range r.laneOf {
 		live := r.flows[l]
-		for ; next[l] < len(live) && live[next[l]].sub == int32(j); next[l]++ {
+		for ; next[l] < len(live) && live[next[l]].member() == int32(j); next[l]++ {
 			f := &live[next[l]]
-			s.Flows = append(s.Flows, FlowState{Sub: f.sub, F: f.f, TicksLeft: f.ticksLeft})
+			s.Flows = append(s.Flows, FlowState{Sub: int32(j), F: f.f, TicksLeft: f.ticksLeft})
 		}
 	}
 	return s
@@ -948,7 +973,7 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 		}
 		l := r.laneOf[fs.Sub]
 		ref, _ := sn.Lane(int(l)).RefForFlow(fs.F)
-		r.flows[l] = append(r.flows[l], flow{sub: fs.Sub, ticksLeft: fs.TicksLeft, f: fs.F, ref: ref})
+		r.flows[l] = append(r.flows[l], flow{ticksLeft: fs.TicksLeft, f: fs.F, ref: ref})
 	}
 	r.drained = sn.PortStats()
 	return r, nil

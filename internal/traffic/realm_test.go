@@ -94,10 +94,13 @@ func TestRealmRestoreRejects(t *testing.T) {
 
 // TestMergeFlows pins the tick merge: a lane's survivors and the three
 // class runs come out subscriber ascending, a subscriber's survivors
-// ahead of its new flows, each side in its own order. ticksLeft tags
-// each flow so the test sees order within a subscriber.
+// ahead of its new flows, each side in its own order, whether the lane
+// has room to merge in place or must grow. ticksLeft tags each flow so
+// the test sees order within a subscriber.
 func TestMergeFlows(t *testing.T) {
-	fl := func(sub, tag int32) flow { return flow{sub: sub, ticksLeft: tag} }
+	fl := func(sub, tag int32) flow {
+		return flow{ticksLeft: tag, f: netaddr.Flow{Src: netaddr.EndpointOf(subscriberBase+netaddr.Addr(sub), 1024)}}
+	}
 	type runs = [numClasses][]flow
 	for _, tc := range []struct {
 		name string
@@ -117,20 +120,23 @@ func TestMergeFlows(t *testing.T) {
 		{"arrivals around the survivors", []flow{fl(5, 1), fl(5, 2)}, runs{{fl(9, 3)}, nil, {fl(2, 4)}},
 			[]flow{fl(2, 4), fl(5, 1), fl(5, 2), fl(9, 3)}},
 	} {
-		got := mergeFlows(nil, tc.old, &tc.runs)
-		if len(got) == 0 && len(tc.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: merged %v, want %v", tc.name, got, tc.want)
+		// Once with room to merge in place, once growing.
+		for _, live := range [][]flow{append(make([]flow, 0, 16), tc.old...), slices.Clip(tc.old)} {
+			got := mergeFlows(live, &tc.runs)
+			if len(got) == 0 && len(tc.want) == 0 {
+				continue
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s (capacity %d): merged %v, want %v", tc.name, cap(live), got, tc.want)
+			}
 		}
 	}
 }
 
 // TestStepAllocatesNothing pins the kernel's steady state: once a
 // single-shard realm is warm, a one-tick Step allocates nothing — each
-// lane's flows and spare, the arrival runs and the histograms reuse
-// their capacity.
+// lane's flows, the arrival runs and the histograms reuse their
+// capacity.
 func TestStepAllocatesNothing(t *testing.T) {
 	p := Profile{Ticks: 1 << 20, DayTicks: 96, HeavyFrac: 0.02, LightFrac: 0.6, FlowsPerTick: 0.25, HeavyMult: 8, FlowHoldTicks: 2}.WithDefaults()
 	cfg := nat.Config{

@@ -191,16 +191,20 @@ func (a AdversarialStats) AttackerFailRate() float64 {
 // Enabled reports whether the run simulated any time.
 func (r *Result) Enabled() bool { return r.Profile.Enabled() && len(r.Realms) > 0 }
 
-// flow is one live flow of member sub. A lane keeps its flows in one
+// flow is one live subscriber flow. A lane keeps its flows in one
 // slice, subscriber ascending and in arrival (FIFO) order within a
 // subscriber — the order allocation retries hit the NAT in, which the
 // determinism contract pins. ref is the flow's mapping handle: while
 // ticksLeft > 0 the flow refreshes the mapping through it every tick.
 type flow struct {
-	sub, ticksLeft int32
-	f              netaddr.Flow
-	ref            nat.MappingRef
+	ticksLeft int32
+	f         netaddr.Flow
+	ref       nat.MappingRef
 }
+
+// member is the index of the flow's subscriber, read off its source
+// address (subscriberBase + index), so a flow needs no field for it.
+func (f *flow) member() int32 { return int32(f.f.Src.Addr - subscriberBase) }
 
 // subscriber is one internal endpoint population member; member j's
 // address is subscriberBase + j. live is the incrementally maintained
