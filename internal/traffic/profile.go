@@ -27,10 +27,10 @@
 // exactly, float additions included — so Result is byte-identical at
 // any Config.Workers value. And the kernel's hot loop is
 // allocation-lean: each lane keeps its flows in one subscriber-ordered
-// slice plus a spare that a tick's merge writes into and swaps with,
-// per-subscriber concurrent-port counts are maintained incrementally
-// from the NAT's mapping create/expire hooks rather than recounted per
-// tick, and steady-state ticks allocate nothing.
+// slice that a tick compacts and merges in place, per-subscriber
+// concurrent-port counts are maintained incrementally from the NAT's
+// mapping create/expire hooks rather than recounted per tick, and
+// steady-state ticks allocate nothing.
 package traffic
 
 import (

@@ -73,9 +73,9 @@ type Realm struct {
 	// flows holds each lane's live flows, subscriber ascending and FIFO
 	// within a subscriber; a member's flows all sit on its active lane.
 	// A tick compacts and merges a lane's flows in place, so a warm
-	// tick allocates nothing. spare holds, during repartition, the flows
+	// tick allocates nothing. moved holds, during repartition, the flows
 	// of the members moving onto each lane.
-	flows, spare [][]flow
+	flows, moved [][]flow
 	// st holds the shard states; lane l belongs to shard l % len(st).
 	st []*shardState
 	// Per-lane arrival streams and destination sequences. Destination
@@ -110,10 +110,9 @@ type Realm struct {
 // accumulators, which drain into the caller's Tally in shard-index
 // order at the end of every Step.
 type shardState struct {
-	// lanes this shard owns (ascending); nsubs counts the tracked
-	// subscribers those lanes own and classSubs splits them by class.
+	// lanes this shard owns (ascending); classSubs counts the tracked
+	// subscribers those lanes own, by class.
 	lanes     []int
-	nsubs     int
 	classSubs [numClasses]int
 	lc        *liveCounts
 	// Private accumulators, drained after every Step.
@@ -250,7 +249,7 @@ func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
 		laneSubs: make([][numClasses][]int32, lanes),
 		laneAtk:  make([][]int32, lanes),
 		flows:    make([][]flow, lanes),
-		spare:    make([][]flow, lanes),
+		moved:    make([][]flow, lanes),
 		st:       make([]*shardState, sn.NumShards()),
 		frLane:   make([]fastrand.Rand, lanes),
 		dstSeq:   make([]uint64, lanes),
@@ -564,8 +563,9 @@ func (r *Realm) shardTick(st *shardState) {
 // from the back: it moves up the survivors of every subscriber above the
 // highest remaining arrival, then writes that subscriber's arrivals
 // below them. On a tie the survivors stay first: they are the
-// subscriber's older flows. The slice at least doubles when it must
-// grow, so a lane's ramp-up costs a few allocations.
+// subscriber's older flows. Flows compare by source address, which is
+// subscriberBase plus the member index. The slice at least doubles when
+// it must grow, so a lane's ramp-up costs a few allocations.
 func mergeFlows(live []flow, runs *[numClasses][]flow) []flow {
 	i := len(live)
 	end := [numClasses]int{len(runs[0]), len(runs[1]), len(runs[2])}
@@ -574,32 +574,26 @@ func mergeFlows(live []flow, runs *[numClasses][]flow) []flow {
 		live = slices.Grow(live, max(w, 2*cap(live))-i)
 	}
 	live = live[:w]
-	for {
-		c := -1
-		for k := range runs {
-			if end[k] > 0 && (c < 0 || runs[k][end[k]-1].member() > runs[c][end[c]-1].member()) {
+	// w-i arrivals remain to place; the survivors below i are in place.
+	for w > i {
+		c := 0
+		for k := 1; k < len(runs); k++ {
+			if end[k] > 0 && (end[c] == 0 || runs[k][end[k]-1].f.Src.Addr > runs[c][end[c]-1].f.Src.Addr) {
 				c = k
 			}
 		}
-		if c < 0 {
-			return live
+		run := runs[c]
+		addr := run[end[c]-1].f.Src.Addr
+		for i > 0 && live[i-1].f.Src.Addr > addr {
+			i, w = i-1, w-1
+			live[w] = live[i]
 		}
-		run, hi := runs[c], end[c]
-		sub := run[hi-1].member()
-		lo := hi - 1
-		for lo > 0 && run[lo-1].member() == sub {
-			lo--
+		for end[c] > 0 && run[end[c]-1].f.Src.Addr == addr {
+			end[c], w = end[c]-1, w-1
+			live[w] = run[end[c]]
 		}
-		m := i
-		for m > 0 && live[m-1].member() > sub {
-			m--
-		}
-		w -= i - m
-		copy(live[w:], live[m:i])
-		w -= hi - lo
-		copy(live[w:], run[lo:hi])
-		i, end[c] = m, lo
 	}
+	return live
 }
 
 // drain folds the shard-private accumulators into t in shard-index
@@ -738,13 +732,13 @@ func (r *Realm) repartition() uint64 {
 		r.laneAtk[l] = r.laneAtk[l][:0]
 	}
 	for _, st := range r.st {
-		st.nsubs, st.classSubs = 0, [numClasses]int{}
+		st.classSubs = [numClasses]int{}
 	}
 	// A member's flows sit contiguous on its old lane, so one read
 	// cursor per lane walks them in member order. A member that stays
 	// keeps its flows in place (the lane compacts behind its write
-	// cursor); one that moves parks them in its new lane's spare, which
-	// thus receives its members ascending and merges in below.
+	// cursor); one that moves parks them in its new lane's moved list,
+	// which thus receives its members ascending and merges in below.
 	type cursor struct{ read, kept int }
 	cur := make([]cursor, len(r.flows))
 	for j := range subs {
@@ -756,9 +750,7 @@ func (r *Realm) repartition() uint64 {
 			r.laneAtk[l] = append(r.laneAtk[l], int32(j))
 		default:
 			r.laneSubs[l][sub.class] = append(r.laneSubs[l][sub.class], int32(j))
-			st := r.st[sn.ShardOf(l)]
-			st.nsubs++
-			st.classSubs[sub.class]++
+			r.st[sn.ShardOf(l)].classSubs[sub.class]++
 		}
 		old := r.laneOf[j]
 		live, c := r.flows[old], &cur[old]
@@ -780,10 +772,10 @@ func (r *Realm) repartition() uint64 {
 			// slab memory at all (the refresh fallback is identical
 			// either way: a zero ref reports stale exactly like a dead
 			// one).
-			at := len(r.spare[l])
-			r.spare[l] = append(r.spare[l], live[lo:c.read]...)
-			for k := at; k < len(r.spare[l]); k++ {
-				r.spare[l][k].ref = nat.MappingRef{}
+			at := len(r.moved[l])
+			r.moved[l] = append(r.moved[l], live[lo:c.read]...)
+			for k := at; k < len(r.moved[l]); k++ {
+				r.moved[l][k].ref = nat.MappingRef{}
 			}
 		}
 	}
@@ -798,8 +790,8 @@ func (r *Realm) repartition() uint64 {
 		peak *= float64(r.p.FlowHoldTicks) * (1 + r.p.DiurnalAmp)
 		live := r.flows[l][:cur[l].kept]
 		live = slices.Grow(live, max(0, int(peak+3*math.Sqrt(peak))-len(live)))
-		r.flows[l] = mergeFlows(live, &[numClasses][]flow{r.spare[l]})
-		r.spare[l] = r.spare[l][:0]
+		r.flows[l] = mergeFlows(live, &[numClasses][]flow{r.moved[l]})
+		r.moved[l] = r.moved[l][:0]
 	}
 	for _, st := range r.st {
 		st.lc = newLiveCounts(st.classSubs)
