@@ -34,8 +34,9 @@ import (
 // within a subscriber: the refresh walk reads it front to back and
 // compacts the survivors in place, and the tick's arrivals — decoded
 // into one run per class, each already subscriber ascending — merge in
-// behind each subscriber's older flows. No list is chased and nothing
-// is sorted.
+// behind each subscriber's older flows, from the back of the slice. A
+// tick thus reads and writes each lane's flows in address order and
+// sorts nothing.
 //
 // Arrivals are decoded by geometric skip-sampling (forEachArrival): for
 // each (lane, class) the decoder jumps straight from arriving subscriber
