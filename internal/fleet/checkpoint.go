@@ -48,10 +48,14 @@ import (
 // engines' SplitMix64 generator, and dropped the sequential cursors'
 // always-true seeded flag — a version-6 checkpoint would decode, since
 // gob drops the unknown fields, but restore every lane's stream at word
-// 0, diverging from the run it was cut from.
+// 0, diverging from the run it was cut from; 8 stored each lane's metric
+// counters as a name-sorted list (nat.Snapshot.CounterList) instead of
+// a map and sorted the chunk and destination lists, so one state
+// encodes to one byte string — a version-7 checkpoint would decode but
+// restore every counter at zero.
 const (
 	checkpointMagic   = "CGNFLEET"
-	checkpointVersion = 7
+	checkpointVersion = 8
 )
 
 // Checkpoint is the serialized fleet state at a day boundary. Together

@@ -278,6 +278,45 @@ func TestResumeAtHorizon(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesIndependentOfExecution pins that a checkpoint is a
+// function of the simulated state alone: two uninterrupted runs of one
+// fleet, stepped to the same day at different Workers and Shards,
+// encode byte-identical checkpoints. The fleets cover chunk-allocated,
+// quota'd and rate-limited carriers, whose NAT snapshots carry the
+// chunk table, token buckets and the metric counters.
+func TestCheckpointBytesIndependentOfExecution(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func(workers, shards int) Config
+	}{
+		{"plain", testConfig},
+		{"defended", defendedConfig},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			encodeAt := func(workers, shards, day int) []byte {
+				s, err := New(tc.cfg(workers, shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s.Day() < day {
+					s.StepDay()
+				}
+				data, err := s.Checkpoint().encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			for _, day := range []int{1, 5} {
+				a, b := encodeAt(1, 1, day), encodeAt(3, 3, day)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("day %d: checkpoints differ between workers=1 shards=1 (%d bytes) and workers=3 shards=3 (%d bytes)", day, len(a), len(b))
+				}
+			}
+		})
+	}
+}
+
 // smallCheckpoint runs a tiny sim a couple of days and returns its
 // checkpoint bytes plus the config.
 func smallCheckpoint(t *testing.T) (Config, []byte) {

@@ -1,6 +1,7 @@
 package nat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -138,5 +139,51 @@ func BenchmarkChunkExhausted(b *testing.B) {
 		if _, v := n.TranslateOut(refused[i&63], t0); v != DropNoPorts {
 			b.Fatalf("verdict %v, want DropNoPorts", v)
 		}
+	}
+}
+
+// natSink keeps the benchmarked constructor's result live.
+var natSink *NAT
+
+// BenchmarkNATNew measures a lane's fixed cost: one nat.New for a
+// one-IP pool, the shape the traffic and fleet kernels build per pool
+// IP. Small carrier realms pay it per lane for one or two subscribers.
+func BenchmarkNATNew(b *testing.B) {
+	cfg := baseConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		natSink = New(cfg)
+	}
+}
+
+// BenchmarkNATFirstInbound measures the one-time build of the inbound
+// index: the first TranslateIn after N outbound creations on a one-IP
+// lane. Each iteration discards the built index outside the timer, so
+// the next TranslateIn builds it again from the same table.
+func BenchmarkNATFirstInbound(b *testing.B) {
+	for _, size := range []int{1 << 10, 1 << 14} {
+		b.Run(fmt.Sprintf("mappings=%d", size), func(b *testing.B) {
+			n := New(baseConfig())
+			var probe netaddr.Flow
+			for j := 0; j < size; j++ {
+				src := netaddr.EndpointOf(netaddr.AddrFrom4(100, 64, byte(j>>8), byte(j)), 4000)
+				out, v := n.TranslateOut(flowUDP(src, dstEP), t0)
+				if v != Ok {
+					b.Fatalf("creation %d: %v", j, v)
+				}
+				probe = out.Reverse()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n.byExt, n.lastIn = extTable{}, nil
+				b.StartTimer()
+				if _, v := n.TranslateIn(probe, t0); v != Ok {
+					b.Fatalf("verdict %v", v)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/mapping")
+		})
 	}
 }

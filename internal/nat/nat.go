@@ -341,12 +341,13 @@ func (v Verdict) String() string {
 }
 
 // Mapping is one translation table entry. Field order is deliberate:
-// a 57-byte header holds everything the per-packet paths touch — the
+// a 56-byte header holds everything the per-packet paths touch — the
 // memo checks (dead, key), the keepalive fast path and the sweep (dead,
-// gen, lastActive, Proto), and drop's teardown (key, Int, Ext) — ahead
-// of the cold fields. A Mapping is 96 bytes, though, so in a slab only
-// every second entry's header sits in one cache line; the others start
-// mid-line and straddle two.
+// gen, lastActive, Proto), and drop's teardown (key, Int, Ext and the
+// subscriber memo) — ahead of the cold fields, so drop reads no cold
+// field. A Mapping is 88 bytes, though, so in a slab only the entries
+// starting at most 8 bytes into a cache line hold their header in one
+// line; the others straddle two.
 type Mapping struct {
 	// dead marks a mapping already removed from the tables; the expiry
 	// schedule skips its stale entry lazily instead of searching for it.
@@ -372,10 +373,6 @@ type Mapping struct {
 	Int netaddr.Endpoint
 	// Ext is the allocated external endpoint.
 	Ext netaddr.Endpoint
-	// inByExt marks the mapping as actually inserted into the inbound
-	// index (see extLog); teardown skips the byExt delete otherwise. It
-	// closes the hot header, so drop reads no cold field.
-	inByExt bool
 	// --- cold from here: creation stamp and the destination set. ---
 	created int64
 	// dst0 is the first remote endpoint this mapping sent to; extraDsts,
@@ -450,14 +447,6 @@ func extKeyFor(p netaddr.Proto, ext netaddr.Endpoint) uint64 {
 	return uint64(p)<<48 | uint64(ext.Addr)<<16 | uint64(ext.Port)
 }
 
-// extLogEntry is one deferred byExt insertion. gen pins the entry to the
-// mapping incarnation that was created: drop bumps the struct's gen, so
-// a stale entry can never resurrect a dead (or recycled) mapping.
-type extLogEntry struct {
-	m   *Mapping
-	gen uint64
-}
-
 // NAT is one translator instance.
 type NAT struct {
 	cfg Config
@@ -469,20 +458,13 @@ type NAT struct {
 	// byInt and byExt are the translation tables, open-addressing hash
 	// tables specialized for the packed key shapes (table.go). byInt is
 	// authoritative — every live mapping is in it. byExt, the inbound
-	// index, is maintained lazily: creations append to extLog, and the
-	// index catches up only when an inbound-side consumer (TranslateIn,
-	// LookupByExternal) actually probes it. Outbound-only workloads —
-	// the traffic engine's entire life — therefore never pay the
-	// inbound index's put/del on the mapping-churn hot path.
+	// index, stays unallocated until the first inbound-side call
+	// (TranslateIn, LookupByExternal) builds it from byInt; from then on
+	// creation and teardown maintain it eagerly. An outbound-only NAT —
+	// a traffic or fleet lane without scanner probes — therefore carries
+	// no inbound-index state and pays nothing for it on mapping churn.
 	byInt intTable
 	byExt extTable
-
-	// extLog holds mappings created since the last byExt flush, as
-	// (struct, generation) pairs: a dropped or recycled mapping's entry
-	// goes stale by generation mismatch and is skipped at flush, so drop
-	// never searches the log. Compaction keeps the log from outgrowing
-	// the live population.
-	extLog []extLogEntry
 
 	// rrNext rotates pool members for Arbitrary pooling and initial
 	// Paired assignment.
@@ -509,8 +491,9 @@ type NAT struct {
 	exp expQueue
 
 	// subs is the per-subscriber table: live session counts (for the
-	// session limit and the port quota), the ever-mapped flag, and the
-	// Paired-pooling IP pin, one probe for all three.
+	// session limit) and the ever-mapped flag in 12-byte hot slots, one
+	// probe for both, with the Paired-pooling pin, the quota's held-port
+	// count and the token bucket in cold state beside them.
 	subs subTable
 
 	// lastOut and lastIn memoize the most recently translated mapping in
@@ -743,7 +726,6 @@ func New(cfg Config) *NAT {
 		Metrics: metrics.NewSet(),
 	}
 	n.byInt.init()
-	n.byExt.init()
 	n.subs.init()
 	n.exp.init()
 	n.cPktsOut = n.Metrics.Counter("pkts_out")
@@ -817,7 +799,7 @@ func (n *NAT) drop(m *Mapping) {
 	}
 	m.dead = true
 	m.gen++
-	if m.inByExt {
+	if n.byExt.keys != nil {
 		n.byExt.del(extKeyFor(m.Proto, m.Ext))
 	}
 	n.byInt.del(m.key)
@@ -825,48 +807,33 @@ func (n *NAT) drop(m *Mapping) {
 	// A live mapping implies the subscriber entry exists; the memoized
 	// slot shortcuts the probe unless the table grew since creation
 	// (entries only move on growth, so a matching gen proves the slot).
-	var e *subEntry
-	if m.subGen == n.subs.gen {
-		e = &n.subs.slots[m.subSlot]
-	} else {
-		e = n.subs.get(m.Int.Addr)
+	i := m.subSlot
+	if m.subGen != n.subs.gen {
+		i, _ = n.subs.lookup(m.Int.Addr)
 	}
+	e := &n.subs.slots[i]
 	e.sessions--
 	if e.sessions == 0 {
 		n.subs.live--
 	}
-	n.notePortFreed(e, m.Int.Addr, m.Ext.Port)
+	n.notePortFreed(i, m.Int.Addr, m.Ext.Port)
 	n.cMapExpired.Inc()
 	n.gLive.Set(int64(n.byInt.n))
 	n.freeMaps = append(n.freeMaps, m)
 }
 
-// flushExtLog brings the inbound index up to date: every live logged
-// mapping is inserted, stale entries (generation mismatch — the mapping
-// was dropped, possibly recycled, since logging) are skipped, and the
-// log drains. Inbound-side consumers call it before probing byExt.
-func (n *NAT) flushExtLog() {
-	for _, e := range n.extLog {
-		if e.m.gen == e.gen {
-			n.byExt.put(extKeyFor(e.m.Proto, e.m.Ext), e.m)
-			e.m.inByExt = true
-		}
+// inbound returns the inbound index, building it on the first call:
+// sized for the live table, it takes every mapping in byInt (expired
+// but unswept ones included, as translateOut would have put them), and
+// translateOut and drop keep it current from then on.
+func (n *NAT) inbound() *extTable {
+	if n.byExt.keys == nil {
+		n.byExt.init(n.byInt.n)
+		n.byInt.forEach(func(m *Mapping) {
+			n.byExt.put(extKeyFor(m.Proto, m.Ext), m)
+		})
 	}
-	n.extLog = n.extLog[:0]
-}
-
-// compactExtLog drops stale entries in place, keeping creation order.
-// Called when the log outgrows the live population, which bounds its
-// footprint at O(live) with amortized O(1) work per creation.
-func (n *NAT) compactExtLog() {
-	w := 0
-	for _, e := range n.extLog {
-		if e.m.gen == e.gen {
-			n.extLog[w] = e
-			w++
-		}
-	}
-	n.extLog = n.extLog[:w]
+	return &n.byExt
 }
 
 // mappingSlab is how many Mapping structs newMapping carves per heap
@@ -884,10 +851,9 @@ func (n *NAT) newMapping() *Mapping {
 		n.freeMaps = n.freeMaps[:k]
 		// Targeted reset: the create path overwrites every other field
 		// (endpoints, key, stamps, subscriber memo), so recycling only
-		// clears the two lifecycle flags and the destination overflow —
-		// not the whole struct. gen survives by design.
+		// clears the lifecycle flag and the destination overflow — not
+		// the whole struct. gen survives by design.
 		m.dead = false
-		m.inByExt = false
 		if m.extraDsts != nil {
 			clear(m.extraDsts)
 		}
@@ -995,27 +961,27 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 		m = nil
 	}
 	if m == nil {
-		// One probe resolves everything per-subscriber: session count for
-		// the limit and quota checks, the seen flag, the pooling pin, the
-		// token bucket.
+		// One probe resolves the subscriber: its slot holds the session
+		// count and the seen flag, and its index reaches the cold state
+		// (pooling pin, held ports, token bucket) the features read.
 		e, eSlot := n.subs.ensure(f.Src.Addr)
 		if lim := n.cfg.MaxSessionsPerSubscriber; lim > 0 && int(e.sessions) >= lim {
 			n.cDropSession.Inc()
 			return nil, DropSessionLimit
 		}
-		if n.cfg.AllocRatePerSec > 0 && !n.tbAllow(e, nowNano) {
+		if n.cfg.AllocRatePerSec > 0 && !n.tbAllow(n.subs.coldAt(eSlot), nowNano) {
 			n.cDropRateLimited.Inc()
 			return nil, DropRateLimited
 		}
 		var ext netaddr.Endpoint
 		var ok bool
-		if q := n.cfg.PortQuotaPerSubscriber; q > 0 && int(e.heldPorts) >= q {
+		if q := n.cfg.PortQuotaPerSubscriber; q > 0 && int(n.subs.coldAt(eSlot).heldPorts) >= q {
 			// At quota, one side-effect-free escape remains: under port
 			// preservation, reusing a port number the subscriber already
 			// holds (on the other protocol) reserves nothing new, so it
 			// is granted when the external IP is determined without a
 			// draw and the slot is free. Anything else is a refusal.
-			if ip, pinned := n.pinnedExternalIP(e); pinned &&
+			if ip, pinned := n.pinnedExternalIP(eSlot); pinned &&
 				n.cfg.PortAlloc == Preservation &&
 				n.portRefs[portRefKey(f.Src.Addr, f.Src.Port)] > 0 &&
 				n.ports.isFree(ip, f.Proto, f.Src.Port) {
@@ -1026,9 +992,9 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 				return nil, DropPortQuota
 			}
 		} else {
-			ext, ok = n.allocate(f, e)
+			ext, ok = n.allocate(f, eSlot)
 			if !ok && n.cfg.Eviction == EvictOldestIdle && n.evictOldest() {
-				ext, ok = n.allocate(f, e)
+				ext, ok = n.allocate(f, eSlot)
 			}
 			if !ok {
 				// Counted once, after any eviction retry: an eviction
@@ -1044,15 +1010,14 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 		m.created = nowNano
 		m.subGen, m.subSlot = n.subs.gen, eSlot
 		n.byInt.put(k, m)
-		n.extLog = append(n.extLog, extLogEntry{m, m.gen})
-		if len(n.extLog) >= 64 && len(n.extLog) > 2*n.byInt.n {
-			n.compactExtLog()
+		if n.byExt.keys != nil {
+			n.byExt.put(extKeyFor(f.Proto, ext), m)
 		}
 		e.sessions++
 		if e.sessions == 1 {
 			n.subs.live++
 		}
-		n.notePortHeld(e, f.Src.Addr, ext.Port)
+		n.notePortHeld(eSlot, f.Src.Addr, ext.Port)
 		if !e.seen {
 			e.seen = true
 			n.subs.seen++
@@ -1078,8 +1043,7 @@ func (n *NAT) TranslateIn(f netaddr.Flow, now time.Time) (netaddr.Flow, Verdict)
 	// One-entry memo, mirroring TranslateOut's.
 	m := n.lastIn
 	if m == nil || m.dead || m.Proto != f.Proto || m.Ext != f.Dst {
-		n.flushExtLog()
-		m = n.byExt.get(extKeyFor(f.Proto, f.Dst))
+		m = n.inbound().get(extKeyFor(f.Proto, f.Dst))
 	}
 	if m != nil && n.expiredAt(m, now.UnixNano()) {
 		n.drop(m)
@@ -1153,9 +1117,9 @@ func (n *NAT) Hairpin(f netaddr.Flow, now time.Time) (HairpinResult, Verdict) {
 }
 
 // allocate chooses an external endpoint for a new mapping of flow f.
-// e is the flow's subscriber entry, already probed by the caller.
-func (n *NAT) allocate(f netaddr.Flow, e *subEntry) (netaddr.Endpoint, bool) {
-	ip := n.chooseExternalIP(e)
+// sub is the flow's subscriber slot, already probed by the caller.
+func (n *NAT) allocate(f netaddr.Flow, sub uint32) (netaddr.Endpoint, bool) {
+	ip := n.chooseExternalIP(sub)
 	switch n.cfg.PortAlloc {
 	case Preservation:
 		if port, ok := n.ports.takePreferred(ip, f.Proto, f.Src.Port, &n.rng); ok {
@@ -1190,19 +1154,20 @@ func portRefKey(sub netaddr.Addr, port uint16) uint64 {
 
 // notePortHeld and notePortFreed maintain the subscriber's distinct
 // held-port-number refcounts — the quantity PortQuotaPerSubscriber
-// bounds. A quota-less NAT has no portRefs and skips them.
-func (n *NAT) notePortHeld(e *subEntry, sub netaddr.Addr, port uint16) {
+// bounds. slot is the subscriber's table slot. A quota-less NAT has no
+// portRefs and skips them.
+func (n *NAT) notePortHeld(slot uint32, sub netaddr.Addr, port uint16) {
 	if n.portRefs == nil {
 		return
 	}
 	k := portRefKey(sub, port)
 	n.portRefs[k]++
 	if n.portRefs[k] == 1 {
-		e.heldPorts++
+		n.subs.coldAt(slot).heldPorts++
 	}
 }
 
-func (n *NAT) notePortFreed(e *subEntry, sub netaddr.Addr, port uint16) {
+func (n *NAT) notePortFreed(slot uint32, sub netaddr.Addr, port uint16) {
 	if n.portRefs == nil {
 		return
 	}
@@ -1211,7 +1176,7 @@ func (n *NAT) notePortFreed(e *subEntry, sub netaddr.Addr, port uint16) {
 		n.portRefs[k] = c - 1
 	} else if c == 1 {
 		delete(n.portRefs, k)
-		e.heldPorts--
+		n.subs.coldAt(slot).heldPorts--
 	}
 }
 
@@ -1219,37 +1184,38 @@ func (n *NAT) notePortFreed(e *subEntry, sub netaddr.Addr, port uint16) {
 // and spends one token, reporting whether one was available. Pure
 // virtual-time arithmetic on per-subscriber state: deterministic at any
 // engine partition, and snapshot/restore-exact.
-func (n *NAT) tbAllow(e *subEntry, nowNano int64) bool {
+func (n *NAT) tbAllow(c *subCold, nowNano int64) bool {
 	burst := float64(n.cfg.AllocBurst)
-	if !e.tbInit {
-		e.tbInit = true
-		e.tbTokens = burst
-		e.tbLast = nowNano
+	if !c.tbInit {
+		c.tbInit = true
+		c.tbTokens = burst
+		c.tbLast = nowNano
 	}
-	if dt := nowNano - e.tbLast; dt > 0 {
-		e.tbTokens += float64(dt) * n.cfg.AllocRatePerSec / 1e9
-		if e.tbTokens > burst {
-			e.tbTokens = burst
+	if dt := nowNano - c.tbLast; dt > 0 {
+		c.tbTokens += float64(dt) * n.cfg.AllocRatePerSec / 1e9
+		if c.tbTokens > burst {
+			c.tbTokens = burst
 		}
 	}
-	e.tbLast = nowNano
-	if e.tbTokens < 1 {
+	c.tbLast = nowNano
+	if c.tbTokens < 1 {
 		return false
 	}
-	e.tbTokens--
+	c.tbTokens--
 	return true
 }
 
-// pinnedExternalIP resolves the external IP a new mapping for e would
-// use, but only when that resolution has no side effects — a one-IP
-// pool, or a Paired subscriber already pinned. Arbitrary pooling and
-// first-contact Paired assignment draw state and report false.
-func (n *NAT) pinnedExternalIP(e *subEntry) (netaddr.Addr, bool) {
+// pinnedExternalIP resolves the external IP a new mapping for the
+// subscriber in slot sub would use, but only when that resolution has
+// no side effects — a one-IP pool, or a Paired subscriber already
+// pinned. Arbitrary pooling and first-contact Paired assignment draw
+// state and report false.
+func (n *NAT) pinnedExternalIP(sub uint32) (netaddr.Addr, bool) {
 	if pool := n.cfg.ExternalIPs; len(pool) == 1 {
 		return pool[0], true
 	}
-	if n.cfg.Pooling == Paired && e.hasPaired {
-		return e.paired, true
+	if c := n.subs.coldAt(sub); n.cfg.Pooling == Paired && c.hasPaired {
+		return c.paired, true
 	}
 	return 0, false
 }
@@ -1311,18 +1277,19 @@ func evictionKey(m *Mapping) uint64 {
 	return uint64(m.Ext.Addr)<<24 | uint64(m.Ext.Port)<<8 | uint64(m.Proto)
 }
 
-func (n *NAT) chooseExternalIP(e *subEntry) netaddr.Addr {
+func (n *NAT) chooseExternalIP(sub uint32) netaddr.Addr {
 	pool := n.cfg.ExternalIPs
 	if len(pool) == 1 {
 		return pool[0]
 	}
 	if n.cfg.Pooling == Paired {
-		if e.hasPaired {
-			return e.paired
+		c := n.subs.coldAt(sub)
+		if c.hasPaired {
+			return c.paired
 		}
 		ip := pool[n.rrNext%len(pool)]
 		n.rrNext++
-		e.paired, e.hasPaired = ip, true
+		c.paired, c.hasPaired = ip, true
 		return ip
 	}
 	// Arbitrary pooling: pick a random pool member per mapping.
@@ -1447,8 +1414,8 @@ func (n *NAT) InUsePorts() int { return n.ports.inUse }
 // traffic engine samples it per subscriber per tick for the E18
 // concurrent-port-usage analysis.
 func (n *NAT) Sessions(a netaddr.Addr) int {
-	if e := n.subs.get(a); e != nil {
-		return int(e.sessions)
+	if i, ok := n.subs.lookup(a); ok {
+		return int(n.subs.slots[i].sessions)
 	}
 	return 0
 }
@@ -1506,8 +1473,7 @@ func (n *NAT) DropMatching(pred func(m *Mapping) bool) int {
 
 // LookupByExternal returns the live mapping behind an external endpoint.
 func (n *NAT) LookupByExternal(p netaddr.Proto, ext netaddr.Endpoint, now time.Time) (*Mapping, bool) {
-	n.flushExtLog()
-	m := n.byExt.get(extKeyFor(p, ext))
+	m := n.inbound().get(extKeyFor(p, ext))
 	if m == nil || n.expiredAt(m, now.UnixNano()) {
 		return nil, false
 	}

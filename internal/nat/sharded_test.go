@@ -3,6 +3,7 @@ package nat
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"cgn/internal/netaddr"
 )
@@ -234,6 +235,19 @@ func TestSubscriberChurnFootprintStable(t *testing.T) {
 		if got := n.subTableSlots(); got != slots {
 			t.Fatalf("cycle %d: subscriber table grew %d -> %d slots under steady churn", cycle, slots, got)
 		}
+	}
+	// A one-IP pool without quota or rate limiter writes no cold state.
+	if n.subs.cold != nil {
+		t.Fatalf("cold subscriber state allocated (%d slots) by a NAT with no feature that writes it", len(n.subs.cold))
+	}
+}
+
+// TestSubscriberEntrySize pins the hot subscriber record at 12 bytes —
+// address, session count and two flags — the slot every mapping
+// creation and teardown touches.
+func TestSubscriberEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(subEntry{}); got != 12 {
+		t.Fatalf("subEntry is %d bytes, want 12", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nat
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -17,7 +18,9 @@ import (
 // the metric counters, the Paired round-robin position and the random
 // stream's one-word state. All fields are exported so the struct
 // gob-encodes; the checkpoint codec on top adds versioning, checksums
-// and atomic writes.
+// and atomic writes. Every list is in an order fixed by the engine's
+// state, never by Go map iteration, so one NAT's snapshot gob-encodes
+// to the same bytes every time.
 //
 // A NAT restored from its snapshot under the same Config continues
 // byte-identically to the original: same allocation draws (the stream
@@ -43,14 +46,24 @@ type Snapshot struct {
 	Mappings    []MappingState
 	Subscribers []SubscriberState
 	Cursors     []SeqCursorState
-	Chunks      []ChunkState
-	Counters    map[string]uint64
+	// Chunks is sorted by (IP, Sub).
+	Chunks []ChunkState
+	// CounterList holds the metric counters sorted by name: a map would
+	// gob-encode in iteration order.
+	CounterList []CounterState
+}
+
+// CounterState serializes one metric counter.
+type CounterState struct {
+	Name  string
+	Value uint64
 }
 
 // MappingState serializes one live mapping. The byInt key is not stored:
 // it is recomputed from (Proto, Int, Dst0), which is how translateOut
 // derived it (for symmetric NATs the key's destination half is the
-// creating flow's destination — by definition Dst0).
+// creating flow's destination — by definition Dst0). ExtraDsts is
+// sorted by (address, port).
 type MappingState struct {
 	Proto               netaddr.Proto
 	Int, Ext            netaddr.Endpoint
@@ -108,8 +121,11 @@ func (n *NAT) Snapshot() *Snapshot {
 		Rand:      uint64(n.rng),
 		RRNext:    n.rrNext,
 		PortPeak:  n.ports.peak,
-		Counters:  n.Metrics.Counters(),
 	}
+	for name, v := range n.Metrics.Counters() {
+		s.CounterList = append(s.CounterList, CounterState{Name: name, Value: v})
+	}
+	slices.SortFunc(s.CounterList, func(a, b CounterState) int { return cmp.Compare(a.Name, b.Name) })
 	n.byInt.forEach(func(m *Mapping) {
 		ms := MappingState{
 			Proto:      m.Proto,
@@ -124,20 +140,25 @@ func (n *NAT) Snapshot() *Snapshot {
 			for d := range m.extraDsts {
 				ms.ExtraDsts = append(ms.ExtraDsts, d)
 			}
+			slices.SortFunc(ms.ExtraDsts, compareEndpoints)
 		}
 		s.Mappings = append(s.Mappings, ms)
 	})
-	n.subs.forEach(func(e *subEntry) {
-		if !e.seen && !e.hasPaired && !e.tbInit {
+	for i, e := range n.subs.slots {
+		if !e.used {
+			continue
+		}
+		c := n.subs.coldOf(i)
+		if !e.seen && !c.hasPaired && !c.tbInit {
 			// The entry exists only because a translation attempt probed
 			// it before being dropped; it carries no observable state.
-			return
+			continue
 		}
 		s.Subscribers = append(s.Subscribers, SubscriberState{
-			Addr: e.addr, Seen: e.seen, HasPaired: e.hasPaired, Paired: e.paired,
-			TBInit: e.tbInit, TBTokens: e.tbTokens, TBLast: e.tbLast,
+			Addr: e.addr, Seen: e.seen, HasPaired: c.hasPaired, Paired: c.paired,
+			TBInit: c.tbInit, TBTokens: c.tbTokens, TBLast: c.tbLast,
 		})
-	})
+	}
 	for i, k := range n.ports.segKeys {
 		g := n.ports.segVals[i]
 		if !g.seeded {
@@ -153,8 +174,19 @@ func (n *NAT) Snapshot() *Snapshot {
 		for k, base := range n.chunks.assigned {
 			s.Chunks = append(s.Chunks, ChunkState{IP: netaddr.Addr(k >> 32), Sub: netaddr.Addr(k), Base: base})
 		}
+		slices.SortFunc(s.Chunks, func(a, b ChunkState) int {
+			return cmp.Compare(chunkKey(a.IP, a.Sub), chunkKey(b.IP, b.Sub))
+		})
 	}
 	return s
+}
+
+// compareEndpoints orders endpoints by (address, port).
+func compareEndpoints(a, b netaddr.Endpoint) int {
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Port, b.Port)
 }
 
 // NewFromSnapshot rebuilds an engine from a snapshot taken under the
@@ -172,13 +204,20 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 	n.rrNext = s.RRNext
 
 	for _, ss := range s.Subscribers {
-		e, _ := n.subs.ensure(ss.Addr)
+		e, i := n.subs.ensure(ss.Addr)
 		if ss.Seen && !e.seen {
 			e.seen = true
 			n.subs.seen++
 		}
-		e.hasPaired, e.paired = ss.HasPaired, ss.Paired
-		e.tbInit, e.tbTokens, e.tbLast = ss.TBInit, ss.TBTokens, ss.TBLast
+		// Only a record carrying cold state allocates the cold array, so
+		// a NAT restored without those features holds none.
+		c := subCold{
+			hasPaired: ss.HasPaired, paired: ss.Paired,
+			tbInit: ss.TBInit, tbTokens: ss.TBTokens, tbLast: ss.TBLast,
+		}
+		if c != (subCold{}) || n.subs.cold != nil {
+			*n.subs.coldAt(i) = c
+		}
 	}
 	if t := n.chunks; t != nil {
 		for _, cs := range s.Chunks {
@@ -234,13 +273,12 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 			m.extraDsts[d] = true
 		}
 		n.byInt.put(k, m)
-		n.extLog = append(n.extLog, extLogEntry{m, m.gen})
 		n.ports.take(ms.Ext.Addr, ms.Proto, ms.Ext.Port)
 		e.sessions++
 		if e.sessions == 1 {
 			n.subs.live++
 		}
-		n.notePortHeld(e, ms.Int.Addr, ms.Ext.Port)
+		n.notePortHeld(eSlot, ms.Int.Addr, ms.Ext.Port)
 		n.exp.push(ms.LastActive+int64(n.timeout(ms.Proto)), m, m.gen)
 	}
 
@@ -263,8 +301,8 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 		}
 		g.seq, g.seeded = cs.Seq, true
 	}
-	for name, v := range s.Counters {
-		n.Metrics.Counter(name).Store(v)
+	for _, c := range s.CounterList {
+		n.Metrics.Counter(c.Name).Store(c.Value)
 	}
 	n.gLive.Set(int64(n.byInt.n))
 	return n, nil

@@ -3,7 +3,9 @@ package nat
 import (
 	"bytes"
 	"encoding/gob"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -407,5 +409,151 @@ func TestSnapshotRefRelink(t *testing.T) {
 		Src:   netaddr.Endpoint{Addr: netaddr.MustParseAddr("10.64.0.200"), Port: 1}, Dst: f.Dst,
 	}); ok {
 		t.Fatal("RefForFlow resolved a never-mapped flow")
+	}
+}
+
+// coldByAddr collects every subscriber's cold state by address.
+func coldByAddr(n *NAT) map[netaddr.Addr]subCold {
+	out := map[netaddr.Addr]subCold{}
+	for i, e := range n.subs.slots {
+		if e.used {
+			out[e.addr] = n.subs.coldOf(i)
+		}
+	}
+	return out
+}
+
+// TestSubscriberColdStateSurvivesGrowthAndRestore pins the cold half of
+// the subscriber table — Paired pins on a multi-IP pool, the quota's
+// held-port counts and the token buckets — across subscriber-table
+// growth (the cold array moves with the slots) and a gob snapshot round
+// trip, for 40 subscribers where the table starts at 16 slots.
+func TestSubscriberColdStateSurvivesGrowthAndRestore(t *testing.T) {
+	cfg := Config{
+		Name: "cold", Type: PortRestricted, PortAlloc: Preservation, Pooling: Paired,
+		ExternalIPs: []netaddr.Addr{
+			netaddr.MustParseAddr("192.0.2.1"),
+			netaddr.MustParseAddr("192.0.2.2"),
+			netaddr.MustParseAddr("192.0.2.3"),
+		},
+		PortQuotaPerSubscriber: 3, AllocRatePerSec: 1, AllocBurst: 4,
+		UDPTimeout: time.Minute, Seed: 5,
+	}
+	n := New(cfg)
+	now := time.Unix(100, 0)
+	// Each subscriber's five flows: three fit the quota, the fourth
+	// spends the bucket's last token and hits the quota, the fifth finds
+	// the bucket empty.
+	want := []Verdict{Ok, Ok, Ok, DropPortQuota, DropRateLimited}
+	open := func(n *NAT, sub, flow int, at time.Time) Verdict {
+		src := netaddr.EndpointOf(subAddr(sub), uint16(5000+flow))
+		_, v := n.TranslateOut(flowUDP(src, dstEP), at)
+		return v
+	}
+	const subs = 40
+	var early map[netaddr.Addr]subCold
+	gen := n.subs.gen
+	for i := 0; i < subs; i++ {
+		for f, w := range want {
+			if v := open(n, i, f, now); v != w {
+				t.Fatalf("subscriber %d flow %d: verdict %v, want %v", i, f, v, w)
+			}
+		}
+		if i == 9 {
+			early, gen = coldByAddr(n), n.subs.gen
+		}
+	}
+	if n.subs.gen == gen {
+		t.Fatal("the subscriber table never grew after the first ten subscribers")
+	}
+	late := coldByAddr(n)
+	for a, c := range early {
+		if late[a] != c {
+			t.Fatalf("subscriber %v cold state %+v before growth, %+v after", a, c, late[a])
+		}
+	}
+	for i := 0; i < subs; i++ {
+		c := late[subAddr(i)]
+		if !c.hasPaired || !slices.Contains(cfg.ExternalIPs, c.paired) || c.heldPorts != 3 ||
+			!c.tbInit || c.tbTokens != 0 || c.tbLast != now.UnixNano() {
+			t.Fatalf("subscriber %d cold state %+v", i, c)
+		}
+	}
+	n.ForEachMapping(func(m *Mapping) {
+		if c := late[m.Int.Addr]; m.Ext.Addr != c.paired {
+			t.Fatalf("mapping %v on %v, subscriber pinned to %v", m.Int, m.Ext.Addr, c.paired)
+		}
+	})
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(n.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewFromSnapshot(cfg, &snap)
+	if err != nil {
+		t.Fatalf("NewFromSnapshot: %v", err)
+	}
+	if got := coldByAddr(restored); !maps.Equal(got, late) {
+		t.Fatalf("cold state differs after restore:\n got %v\nwant %v", got, late)
+	}
+	// Both engines continue alike: 1.5 s refills 1.5 tokens, so the
+	// first attempt passes the bucket and meets the full quota, the
+	// second finds the bucket empty.
+	later := now.Add(1500 * time.Millisecond)
+	for i := 0; i < subs; i++ {
+		for f, w := range []Verdict{DropPortQuota, DropRateLimited} {
+			if a, b := open(n, i, 10+f, later), open(restored, i, 10+f, later); a != w || b != w {
+				t.Fatalf("subscriber %d: verdicts %v (original) and %v (restored), want %v", i, a, b, w)
+			}
+		}
+	}
+	if a, b := n.StateDigest(), restored.StateDigest(); a != b {
+		t.Fatalf("digests diverge after continuation:\n%s\n%s", a, b)
+	}
+}
+
+// TestSnapshotEncodesIdentically pins that one engine's snapshot
+// gob-encodes to one byte string: the chunk table, each mapping's extra
+// destinations and the metric counters are all kept in maps, and each
+// is listed in sorted order rather than map order.
+func TestSnapshotEncodesIdentically(t *testing.T) {
+	cfg := snapshotConfigs()["chunk"]
+	cfg.PortQuotaPerSubscriber = 8
+	n := New(cfg)
+	driveOps(n, scriptOps(5, 24, 6, 20), 0, 6)
+	now := time.Unix(60, 0)
+	src := netaddr.EndpointOf(subAddr(1), 7000)
+	for d := 0; d < 5; d++ {
+		if _, v := n.TranslateOut(flowUDP(src, netaddr.EndpointOf(netaddr.AddrFrom4(9, 9, 9, byte(d)), 443)), now); v != Ok {
+			t.Fatalf("destination %d: verdict %v", d, v)
+		}
+	}
+	snap := n.Snapshot()
+	if len(snap.Chunks) < 3 || len(snap.CounterList) == 0 {
+		t.Fatalf("script left %d chunks and %d counters", len(snap.Chunks), len(snap.CounterList))
+	}
+	multi := false
+	for _, ms := range snap.Mappings {
+		multi = multi || len(ms.ExtraDsts) >= 2
+	}
+	if !multi {
+		t.Fatal("no mapping contacted three or more destinations")
+	}
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(n.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := encode()
+	for i := 1; i < 20; i++ {
+		if got := encode(); !bytes.Equal(got, first) {
+			t.Fatalf("capture %d encodes to different bytes (%d vs %d bytes)", i, len(got), len(first))
+		}
 	}
 }

@@ -37,9 +37,15 @@ type extTable struct {
 	n    int
 }
 
-func (t *extTable) init() {
-	t.keys = make([]uint64, tableMinSlots)
-	t.vals = make([]*Mapping, tableMinSlots)
+// init allocates the slot arrays at the smallest size that holds n
+// entries without growing.
+func (t *extTable) init(n int) {
+	size := tableMinSlots
+	for n*4 > size*3 {
+		size *= 2
+	}
+	t.keys = make([]uint64, size)
+	t.vals = make([]*Mapping, size)
 }
 
 func (t *extTable) get(k uint64) *Mapping {
@@ -213,23 +219,30 @@ func (t *intTable) del(k intKey) {
 	t.n--
 }
 
-// subEntry is everything the NAT tracks per internal IP, merged from
-// what used to be three separate maps (sessions, subsSeen, pairedExt)
-// so the translation path resolves a subscriber with one probe.
+// subEntry is the hot per-subscriber record: the fields every mapping
+// creation and teardown reads, in 12 bytes a slot, so one probe
+// resolves a subscriber and a table line holds five of them. The state
+// only some features write lives in subCold.
 type subEntry struct {
 	addr netaddr.Addr
-	used bool
-	// seen marks subscribers that ever held a mapping (PortStats).
-	seen bool
-	// hasPaired/paired pin the subscriber to a pool member under Paired
-	// pooling.
-	hasPaired bool
-	paired    netaddr.Addr
 	// sessions counts live mappings, for the session limit. Unlike the
 	// old map the entry survives at zero — the subscriber's paired IP
 	// must persist across idle periods — so observable "live subscriber"
 	// counts derive from sessions > 0.
 	sessions int32
+	used     bool
+	// seen marks subscribers that ever held a mapping (PortStats).
+	seen bool
+}
+
+// subCold is the per-subscriber state only three features write:
+// Paired pooling over a multi-IP pool, the port quota and the
+// allocation rate limiter. It lives in subTable.cold, out of the hot
+// slots' cache lines.
+type subCold struct {
+	// paired pins the subscriber to a pool member under Paired pooling,
+	// once hasPaired is set.
+	paired netaddr.Addr
 	// heldPorts counts the distinct external port numbers the
 	// subscriber's live mappings hold (NAT.portRefs refcounts them).
 	// Maintained only when PortQuotaPerSubscriber is enabled; rebuilt
@@ -239,9 +252,10 @@ type subEntry struct {
 	// lazily on the subscriber's first allocation attempt. tbLast is the
 	// last refill stamp in Unix nanoseconds; the state is virtual-time
 	// arithmetic only, so it snapshots and restores exactly.
-	tbInit   bool
-	tbTokens float64
-	tbLast   int64
+	tbTokens  float64
+	tbLast    int64
+	hasPaired bool
+	tbInit    bool
 }
 
 // subTable maps internal IPs to their subEntry. Entries are never
@@ -249,7 +263,11 @@ type subEntry struct {
 // is a few words.
 type subTable struct {
 	slots []subEntry
-	n     int
+	// cold holds each slot's subCold at the slot's index. It is nil
+	// until a feature writes cold state, so a NAT without those features
+	// carries and touches none.
+	cold []subCold
+	n    int
 	// seen counts entries with seen set; live counts entries with
 	// sessions > 0. Both are maintained by the NAT on state transitions.
 	seen int
@@ -265,17 +283,17 @@ func (t *subTable) init() {
 	t.slots = make([]subEntry, tableMinSlots)
 }
 
-// get returns the subscriber's entry, or nil if the address was never
-// touched. The pointer is valid until the next ensure call.
-func (t *subTable) get(a netaddr.Addr) *subEntry {
+// lookup returns the slot index of a's entry, or false if the address
+// was never touched. The index is valid until the next ensure call.
+func (t *subTable) lookup(a netaddr.Addr) (uint32, bool) {
 	mask := uint64(len(t.slots) - 1)
 	for i := mix64(uint64(a)) & mask; ; i = (i + 1) & mask {
 		e := &t.slots[i]
 		if !e.used {
-			return nil
+			return 0, false
 		}
 		if e.addr == a {
-			return e
+			return uint32(i), true
 		}
 	}
 }
@@ -302,9 +320,30 @@ func (t *subTable) ensure(a netaddr.Addr) (*subEntry, uint32) {
 	return e, uint32(i)
 }
 
+// coldAt returns slot i's cold state, allocating the cold array on
+// first use. Like the slot, the pointer is valid until the next ensure.
+func (t *subTable) coldAt(i uint32) *subCold {
+	if t.cold == nil {
+		t.cold = make([]subCold, len(t.slots))
+	}
+	return &t.cold[i]
+}
+
+// coldOf returns a copy of slot i's cold state without allocating: the
+// zero value when no feature ever wrote one.
+func (t *subTable) coldOf(i int) subCold {
+	if t.cold == nil {
+		return subCold{}
+	}
+	return t.cold[i]
+}
+
 func (t *subTable) grow() {
-	old := t.slots
+	old, oldCold := t.slots, t.cold
 	t.slots = make([]subEntry, 2*len(old))
+	if oldCold != nil {
+		t.cold = make([]subCold, len(t.slots))
+	}
 	t.gen++
 	mask := uint64(len(t.slots) - 1)
 	for i := range old {
@@ -316,6 +355,9 @@ func (t *subTable) grow() {
 			j = (j + 1) & mask
 		}
 		t.slots[j] = old[i]
+		if oldCold != nil {
+			t.cold[j] = oldCold[i]
+		}
 	}
 }
 
