@@ -85,7 +85,7 @@ func TestFaultedResumeDeterminism(t *testing.T) {
 		if got := resumed.Result(); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("cut %d: faulted resume diverged:\n got %+v\nwant %+v", cut, got, ref)
 		}
-		if got, want := resumed.FaultsInjected(), ([3]uint64{2, 2, 1}); got != want {
+		if got, want := resumed.Metrics().FaultsInjected, ([3]uint64{2, 2, 1}); got != want {
 			t.Fatalf("cut %d: FaultsInjected = %v, want %v", cut, got, want)
 		}
 	}
@@ -109,8 +109,18 @@ func TestFaultMetricsSurface(t *testing.T) {
 	if m.FaultsInjected[0] < 1 {
 		t.Fatalf("no lane-down events counted: %v", m.FaultsInjected)
 	}
-	if s.LanesDown() != m.LanesDown {
-		t.Fatalf("Sim.LanesDown %d != snapshot %d", s.LanesDown(), m.LanesDown)
+	down := 0
+	for _, r := range s.realms {
+		if r.k != nil {
+			for _, d := range r.k.NAT().DownLanes() {
+				if d {
+					down++
+				}
+			}
+		}
+	}
+	if down != m.LanesDown {
+		t.Fatalf("%d lanes flagged down, snapshot reports %d", down, m.LanesDown)
 	}
 	var buf bytes.Buffer
 	WritePrometheus(&buf, m)

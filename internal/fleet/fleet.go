@@ -97,7 +97,7 @@ const (
 	// straddle lanes); their live flows re-establish on the home lane.
 	EventLaneUp
 	// EventRestart restarts the carrier's whole NAT engine: all mapping
-	// state is lost (no expiry hooks — a crash, not a timeout), the
+	// state is lost (nothing is torn down — a crash, not a timeout), the
 	// engine comes back from the same configuration with the lane
 	// streams continuing where they were, live flows re-establish
 	// through the refresh fallback, and lanes that were down stay down.

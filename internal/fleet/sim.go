@@ -269,21 +269,6 @@ func (s *Sim) countFault(ev Event) {
 	}
 }
 
-// FaultsInjected reports the applied fault-event counts, indexed
-// lane-down, lane-up, restart.
-func (s *Sim) FaultsInjected() [3]uint64 { return s.faultsInjected }
-
-// LanesDown reports the fleet-wide count of pool lanes currently dark.
-func (s *Sim) LanesDown() int {
-	total := 0
-	for _, r := range s.realms {
-		if r.k != nil {
-			total += r.k.NAT().LanesDown()
-		}
-	}
-	return total
-}
-
 // New builds a fleet simulation at day zero.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {

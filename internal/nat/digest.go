@@ -18,7 +18,7 @@ import (
 // sequence digest identically; the forwarding goldens in simnet and
 // internet rely on exactly that to pin NAT state across engine changes.
 func (n *NAT) StateDigest() string {
-	lines := n.appendDigestLines(make([]string, 0, n.byInt.n+n.subs.live))
+	lines := n.appendDigestLines(make([]string, 0, n.byInt.n))
 	return digestOf(lines, n.ports.inUse, n.ports.peak, n.subs.seen)
 }
 

@@ -36,7 +36,13 @@ func TestSetLaneDownDropsMappingsAndFailsOver(t *testing.T) {
 	cfg := shardedConfig(4)
 	s := NewSharded(cfg, 2)
 	var expired int
-	s.SetMappingHooks(nil, func(m *Mapping) { expired++ })
+	for l := 0; l < s.NumLanes(); l++ {
+		s.Lane(l).SetSessionHook(func(_ netaddr.Addr, from, to int32) {
+			if to < from {
+				expired++
+			}
+		})
+	}
 
 	// Load every lane with traffic, remembering which subscribers landed
 	// on the lane we are about to kill.
@@ -66,7 +72,7 @@ func TestSetLaneDownDropsMappingsAndFailsOver(t *testing.T) {
 		t.Fatalf("SetLaneDown = (%d, %v), want (%d, true)", dropped, ok, onVictim)
 	}
 	if expired != onVictim {
-		t.Fatalf("expiry hooks fired %d times, want %d", expired, onVictim)
+		t.Fatalf("session hooks stepped down %d times, want %d", expired, onVictim)
 	}
 	if s.NumMappings() != before-onVictim {
 		t.Fatalf("NumMappings %d after outage, want %d", s.NumMappings(), before-onVictim)
@@ -175,7 +181,11 @@ func TestFailoverDeterministicAndSpread(t *testing.T) {
 func TestDropMatching(t *testing.T) {
 	n := New(baseConfig())
 	var expired []netaddr.Addr
-	n.SetMappingHooks(nil, func(m *Mapping) { expired = append(expired, m.Int.Addr) })
+	n.SetSessionHook(func(a netaddr.Addr, from, to int32) {
+		if to < from {
+			expired = append(expired, a)
+		}
+	})
 	odd := netaddr.MustParseAddr("100.64.0.1")
 	even := netaddr.MustParseAddr("100.64.0.2")
 	for p := 0; p < 4; p++ {
@@ -191,7 +201,7 @@ func TestDropMatching(t *testing.T) {
 	}
 	for _, a := range expired {
 		if a != odd {
-			t.Fatalf("expiry hook fired for %v", a)
+			t.Fatalf("session hook stepped down for %v", a)
 		}
 	}
 	if n.Sessions(odd) != 0 || n.Sessions(even) != 4 {

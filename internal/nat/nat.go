@@ -491,9 +491,10 @@ type NAT struct {
 	exp expQueue
 
 	// subs is the per-subscriber table: live session counts (for the
-	// session limit) and the ever-mapped flag in 12-byte hot slots, one
-	// probe for both, with the Paired-pooling pin, the quota's held-port
-	// count and the token bucket in cold state beside them.
+	// session limit, Sessions and the session hook) and the ever-mapped
+	// flag in 12-byte hot slots, one probe for both, with the
+	// Paired-pooling pin, the quota's held-port count and the token
+	// bucket in cold state beside them.
 	subs subTable
 
 	// lastOut and lastIn memoize the most recently translated mapping in
@@ -513,11 +514,9 @@ type NAT struct {
 	slab     []Mapping
 	freeMaps []*Mapping
 
-	// onCreate and onExpire, when set, are called on every mapping
-	// creation and removal. The traffic engine uses them to maintain
-	// per-subscriber live-port counts incrementally instead of probing
-	// the sessions map for every subscriber every tick.
-	onCreate, onExpire func(m *Mapping)
+	// sessionHook, when set, is called wherever a subscriber's live
+	// mapping count changes (SetSessionHook).
+	sessionHook func(a netaddr.Addr, from, to int32)
 
 	Metrics *metrics.Set
 	// Counters below are hoisted out of Metrics at construction: the
@@ -793,10 +792,6 @@ func (n *NAT) intKeyFor(f netaddr.Flow) intKey {
 }
 
 func (n *NAT) drop(m *Mapping) {
-	// The hook sees the mapping fully intact, before any teardown.
-	if n.onExpire != nil {
-		n.onExpire(m)
-	}
 	m.dead = true
 	m.gen++
 	if n.byExt.keys != nil {
@@ -813,8 +808,8 @@ func (n *NAT) drop(m *Mapping) {
 	}
 	e := &n.subs.slots[i]
 	e.sessions--
-	if e.sessions == 0 {
-		n.subs.live--
+	if n.sessionHook != nil {
+		n.sessionHook(m.Int.Addr, e.sessions+1, e.sessions)
 	}
 	n.notePortFreed(i, m.Int.Addr, m.Ext.Port)
 	n.cMapExpired.Inc()
@@ -867,15 +862,16 @@ func (n *NAT) newMapping() *Mapping {
 	return m
 }
 
-// SetMappingHooks registers callbacks fired on every mapping creation
-// and every removal (idle-timeout sweep, or expiry discovered during a
-// translation). The hooks run synchronously on the goroutine driving the
-// NAT, see the mapping fully intact, and must not mutate the NAT. The
-// traffic engine registers them on its per-realm replicas to maintain
-// per-subscriber live-port counts incrementally.
-func (n *NAT) SetMappingHooks(onCreate, onExpire func(m *Mapping)) {
-	n.onCreate = onCreate
-	n.onExpire = onExpire
+// SetSessionHook registers fn to be called wherever a subscriber's live
+// mapping count (Sessions) changes: on every mapping creation and every
+// removal (idle-timeout sweep, expiry found by a translation or refresh,
+// eviction, DropMatching), with the subscriber's internal address and
+// its count before and after. fn runs synchronously on the goroutine
+// driving the NAT and must not mutate it. The traffic engine's realm
+// kernel registers one per lane to keep its per-member live-count
+// buckets.
+func (n *NAT) SetSessionHook(fn func(a netaddr.Addr, from, to int32)) {
+	n.sessionHook = fn
 }
 
 // TranslateOut translates an inside-to-outside packet flow. On Ok the
@@ -1014,8 +1010,8 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 			n.byExt.put(extKeyFor(f.Proto, ext), m)
 		}
 		e.sessions++
-		if e.sessions == 1 {
-			n.subs.live++
+		if n.sessionHook != nil {
+			n.sessionHook(f.Src.Addr, e.sessions-1, e.sessions)
 		}
 		n.notePortHeld(eSlot, f.Src.Addr, ext.Port)
 		if !e.seen {
@@ -1025,9 +1021,6 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 		n.exp.push(nowNano+int64(n.timeout(f.Proto)), m, m.gen)
 		n.cMapCreated.Inc()
 		n.gLive.Set(int64(n.byInt.n))
-		if n.onCreate != nil {
-			n.onCreate(m)
-		}
 	}
 	m.noteDst(f.Dst)
 	m.lastActive = nowNano
@@ -1411,8 +1404,8 @@ func (n *NAT) InUsePorts() int { return n.ports.inUse }
 // Sessions returns the live mapping count — equivalently, the external
 // ports currently held — for internal IP a, including mappings idle past
 // their deadline that no Sweep or translation has dropped yet. The
-// traffic engine samples it per subscriber per tick for the E18
-// concurrent-port-usage analysis.
+// traffic engine's realm kernel reads it when it rebuilds its
+// live-count buckets and follows its changes through SetSessionHook.
 func (n *NAT) Sessions(a netaddr.Addr) int {
 	if i, ok := n.subs.lookup(a); ok {
 		return int(n.subs.slots[i].sessions)
@@ -1431,10 +1424,6 @@ func (n *NAT) forEachSession(fn func(a netaddr.Addr, count int)) {
 	})
 }
 
-// liveSubscribers counts subscribers currently holding at least one live
-// mapping — the size the old per-subscriber session map would have had.
-func (n *NAT) liveSubscribers() int { return n.subs.live }
-
 // subTableSlots reports the subscriber table's slot-array size; the
 // footprint regression tests pin it across churn.
 func (n *NAT) subTableSlots() int { return len(n.subs.slots) }
@@ -1449,15 +1438,16 @@ func (n *NAT) ForEachMapping(fn func(m *Mapping)) {
 }
 
 // DropMatching removes every live mapping the predicate selects (a nil
-// predicate selects all), firing the expiry hook for each exactly as an
-// idle timeout would, and returns the number removed. The fault layer
-// uses it to model state loss: a pool IP going dark drops its whole
-// table, a subscriber re-pinned away from a lane drops its leftovers.
-// Doomed mappings are collected first and dropped after the walk, so
-// the table is never mutated mid-iteration; observable state afterwards
-// depends only on the set removed, never the (unspecified) walk order —
-// hooks fire once per mapping, port frees are bitmap clears and quota
-// releases are refcount decrements, all commutative.
+// predicate selects all), tearing each down exactly as an idle timeout
+// would (the session hook fires once per mapping), and returns the
+// number removed. The fault layer uses it to model state loss: a pool
+// IP going dark drops its whole table, a subscriber re-pinned away from
+// a lane drops its leftovers. Doomed mappings are collected first and
+// dropped after the walk, so the table is never mutated mid-iteration;
+// observable state afterwards depends only on the set removed, never
+// the (unspecified) walk order — each teardown steps its subscriber's
+// session count down by one (the step the hook reports), clears a port
+// bit and releases a quota refcount, all commutative.
 func (n *NAT) DropMatching(pred func(m *Mapping) bool) int {
 	doomed := make([]*Mapping, 0, n.byInt.n)
 	n.byInt.forEach(func(m *Mapping) {

@@ -169,14 +169,13 @@ func TestRefreshKeepsSymmetricSingleDestination(t *testing.T) {
 // the new one.
 func TestMappingRecycle(t *testing.T) {
 	n := New(refreshTestConfig(Symmetric))
-	var created []*Mapping
-	n.SetMappingHooks(func(m *Mapping) { created = append(created, m) }, nil)
 
 	now := time.Unix(0, 0)
 	f := netaddr.FlowOf(netaddr.UDP,
 		netaddr.MustParseEndpoint("100.64.0.5:4000"),
 		netaddr.MustParseEndpoint("8.8.8.8:443"))
-	if _, v := n.TranslateOut(f, now); v != Ok {
+	_, first, v := n.TranslateOutRef(f, now)
+	if v != Ok {
 		t.Fatal(v)
 	}
 	now = now.Add(time.Hour) // expire it
@@ -186,17 +185,15 @@ func TestMappingRecycle(t *testing.T) {
 	g := netaddr.FlowOf(netaddr.UDP,
 		netaddr.MustParseEndpoint("100.64.0.6:5000"),
 		netaddr.MustParseEndpoint("8.8.4.4:443"))
-	if _, v := n.TranslateOut(g, now); v != Ok {
+	_, second, v := n.TranslateOutRef(g, now)
+	if v != Ok {
 		t.Fatal(v)
 	}
-	if len(created) != 2 {
-		t.Fatalf("create hook fired %d times, want 2", len(created))
-	}
-	if created[0] != created[1] {
+	if first.m != second.m {
 		t.Error("dropped Mapping struct was not recycled for the next creation")
 	}
 	// The recycled struct must carry only the new mapping's state.
-	m := created[1]
+	m := second.m
 	if m.Int != g.Src || !m.SentTo(g.Dst) || m.SentTo(f.Dst) {
 		t.Errorf("recycled mapping leaked previous state: %+v", m)
 	}
@@ -215,20 +212,43 @@ func TestMappingRecycle(t *testing.T) {
 	}
 }
 
-// TestMappingHooks: the create/expire hooks mirror the NAT's own
-// counters and per-subscriber session counts exactly, under churn
-// across every allocation policy.
-func TestMappingHooks(t *testing.T) {
+// TestSessionHook: a per-subscriber count built only from the session
+// hook's before/after values tracks Sessions exactly — through
+// creations, sweeps, evictions under EvictOldestIdle and DropMatching —
+// and its up and down steps total the mappings_created and
+// mappings_expired counters.
+func TestSessionHook(t *testing.T) {
 	cfg := refreshTestConfig(Symmetric)
 	cfg.UDPTimeout = 25 * time.Second
+	cfg.PortLo, cfg.PortHi = 1024, 1087 // 64 ports: exhaustion evicts
+	cfg.Eviction = EvictOldestIdle
 	n := New(cfg)
 
-	var creates, expires uint64
-	live := map[netaddr.Addr]int{}
-	n.SetMappingHooks(
-		func(m *Mapping) { creates++; live[m.Int.Addr]++ },
-		func(m *Mapping) { expires++; live[m.Int.Addr]-- },
-	)
+	var ups, downs uint64
+	count := map[netaddr.Addr]int32{}
+	n.SetSessionHook(func(a netaddr.Addr, from, to int32) {
+		if from != count[a] {
+			t.Fatalf("hook for %v steps from %d, its count is %d", a, from, count[a])
+		}
+		switch to - from {
+		case 1:
+			ups++
+		case -1:
+			downs++
+		default:
+			t.Fatalf("hook for %v steps %d -> %d", a, from, to)
+		}
+		count[a] = to
+	})
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < 6; i++ {
+			a := netaddr.MustParseAddr("100.64.0.1") + netaddr.Addr(i)
+			if got := n.Sessions(a); got != int(count[a]) {
+				t.Fatalf("%s: hook count for %v = %d, Sessions = %d", when, a, count[a], got)
+			}
+		}
+	}
 
 	rng := rand.New(rand.NewSource(5))
 	now := time.Unix(0, 0)
@@ -237,23 +257,28 @@ func TestMappingHooks(t *testing.T) {
 		dst := netaddr.EndpointOf(netaddr.Addr(0x08000000+uint32(i)), 443)
 		n.TranslateOut(netaddr.FlowOf(netaddr.UDP, src, dst), now)
 		now = now.Add(time.Duration(rng.Intn(3)) * time.Second)
-		if i%64 == 63 {
+		switch {
+		case i%500 == 499:
+			odd := func(m *Mapping) bool { return m.Int.Port%2 == 1 }
+			n.DropMatching(odd)
+			check("after DropMatching")
+		case i%64 == 63:
 			n.Sweep(now)
-			for addr, c := range live {
-				if got := n.Sessions(addr); got != c {
-					t.Fatalf("i=%d: hook count for %v = %d, Sessions = %d", i, addr, c, got)
-				}
-			}
+			check("after Sweep")
 		}
 	}
-	if creates != n.Metrics.Counter("mappings_created").Value() {
-		t.Errorf("create hook fired %d times, counter says %d", creates, n.Metrics.Counter("mappings_created").Value())
+	check("at the end")
+	if n.Metrics.Counter("mappings_evicted").Value() == 0 {
+		t.Fatal("no eviction exercised the hook")
 	}
-	if expires != n.Metrics.Counter("mappings_expired").Value() {
-		t.Errorf("expire hook fired %d times, counter says %d", expires, n.Metrics.Counter("mappings_expired").Value())
+	if c := n.Metrics.Counter("mappings_created").Value(); ups != c {
+		t.Errorf("hook stepped up %d times, mappings_created says %d", ups, c)
 	}
-	if int(creates-expires) != n.NumMappings() {
-		t.Errorf("hooks say %d live, table holds %d", creates-expires, n.NumMappings())
+	if c := n.Metrics.Counter("mappings_expired").Value(); downs != c {
+		t.Errorf("hook stepped down %d times, mappings_expired says %d", downs, c)
+	}
+	if int(ups-downs) != n.NumMappings() {
+		t.Errorf("hook says %d live, table holds %d", ups-downs, n.NumMappings())
 	}
 }
 

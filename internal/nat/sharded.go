@@ -2,6 +2,7 @@ package nat
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cgn/internal/netaddr"
@@ -33,14 +34,10 @@ import (
 // every lane and must only run while no shard worker is active — the
 // traffic engine calls them between tick barriers.
 type Sharded struct {
+	// cfg holds the full pool: lane l owns cfg.ExternalIPs[l].
 	cfg    Config
 	lanes  []*NAT
 	shards int
-	// extLaneKeys/extLaneVals map an external pool IP to its owning lane
-	// index, linear-scanned like portSpace's segment index: pool sizes
-	// are a handful of entries.
-	extLaneKeys []netaddr.Addr
-	extLaneVals []int
 	// down marks lanes taken offline by fault injection (nil until the
 	// first outage, so a fault-free run carries no extra state); numDown
 	// counts them, gating the failover hash out of every hot path.
@@ -65,34 +62,35 @@ const shardedLaneSeedMix int64 = 0x2545F4914F6CDD1D
 // address hash. The traffic and fleet engines drive only Sharded; New
 // is the lane engine and the simnet device.
 func NewSharded(cfg Config, shards int) *Sharded {
-	c := cfg.withDefaults()
-	if len(c.ExternalIPs) == 0 {
+	s := newSharded(cfg, shards)
+	if len(s.lanes) == 0 {
 		panic("nat: config needs at least one external IP")
 	}
-	lanes := len(c.ExternalIPs)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > lanes {
-		shards = lanes
-	}
-	s := &Sharded{
-		cfg:         c,
-		lanes:       make([]*NAT, lanes),
-		shards:      shards,
-		extLaneKeys: make([]netaddr.Addr, lanes),
-		extLaneVals: make([]int, lanes),
-	}
-	for l := 0; l < lanes; l++ {
-		laneCfg := c
-		laneCfg.Name = fmt.Sprintf("%s/lane%d", c.Name, l)
-		laneCfg.ExternalIPs = []netaddr.Addr{c.ExternalIPs[l]}
-		laneCfg.Seed = c.Seed + int64(l+1)*shardedLaneSeedMix
-		s.lanes[l] = New(laneCfg)
-		s.extLaneKeys[l] = c.ExternalIPs[l]
-		s.extLaneVals[l] = l
+	for l := range s.lanes {
+		s.lanes[l] = New(s.laneConfig(l))
 	}
 	return s
+}
+
+// newSharded returns the façade over cfg's pool (defaults applied) with
+// its shard count clamped to [1, pool size] and its lanes not yet built.
+func newSharded(cfg Config, shards int) *Sharded {
+	c := cfg.withDefaults()
+	return &Sharded{
+		cfg:    c,
+		lanes:  make([]*NAT, len(c.ExternalIPs)),
+		shards: min(max(shards, 1), len(c.ExternalIPs)),
+	}
+}
+
+// laneConfig derives lane l's configuration: the pool's settings over
+// its one external IP, under its own name and RNG seed.
+func (s *Sharded) laneConfig(l int) Config {
+	c := s.cfg
+	c.Name = fmt.Sprintf("%s/lane%d", s.cfg.Name, l)
+	c.ExternalIPs = []netaddr.Addr{s.cfg.ExternalIPs[l]}
+	c.Seed = s.cfg.Seed + int64(l+1)*shardedLaneSeedMix
+	return c
 }
 
 // Config returns the effective configuration (defaults applied, full
@@ -145,9 +143,9 @@ func (s *Sharded) ActiveLaneFor(a netaddr.Addr) int {
 }
 
 // SetLaneDown takes lane l offline — the fault model for one external
-// pool IP going dark. Every mapping on the lane drops (expiry hooks
-// fire; flows re-establish elsewhere through the usual refresh
-// fallback) and ActiveLaneFor re-pins the lane's subscribers to
+// pool IP going dark. Every mapping on the lane drops, as through
+// DropMatching (flows re-establish elsewhere through the usual refresh
+// fallback), and ActiveLaneFor re-pins the lane's subscribers to
 // survivors until SetLaneUp. Returns the number of mappings dropped and
 // whether the lane went down: the last lane standing refuses (false) —
 // a carrier with its whole pool dark is a disabled carrier, which the
@@ -197,12 +195,12 @@ func (s *Sharded) DownLanes() []bool {
 	return out
 }
 
-// laneOfExt resolves the lane owning external pool IP a, or nil.
+// laneOfExt resolves the lane owning external pool IP a, or nil. The
+// pool is linear-scanned like portSpace's segment index: pool sizes are
+// a handful of entries.
 func (s *Sharded) laneOfExt(a netaddr.Addr) *NAT {
-	for i, ip := range s.extLaneKeys {
-		if ip == a {
-			return s.lanes[s.extLaneVals[i]]
-		}
+	if l := slices.Index(s.cfg.ExternalIPs, a); l >= 0 {
+		return s.lanes[l]
 	}
 	return nil
 }
@@ -291,16 +289,6 @@ func (s *Sharded) SweepShard(shard int, now time.Time) int {
 		removed += s.lanes[l].Sweep(now)
 	}
 	return removed
-}
-
-// SetMappingHooks fans the hooks out to every lane. A hook fires on the
-// goroutine driving the lane whose mapping changed; hook state must be
-// partitioned accordingly (the traffic engine keys it by subscriber,
-// which lanes partition).
-func (s *Sharded) SetMappingHooks(onCreate, onExpire func(m *Mapping)) {
-	for _, lane := range s.lanes {
-		lane.SetMappingHooks(onCreate, onExpire)
-	}
 }
 
 // NumMappings sums live entries across lanes.

@@ -200,6 +200,14 @@ func TestShardedHairpinCrossesLanes(t *testing.T) {
 	}
 }
 
+// liveSubscribers counts the subscribers holding at least one live
+// mapping.
+func liveSubscribers(n *NAT) int {
+	live := 0
+	n.forEachSession(func(netaddr.Addr, int) { live++ })
+	return live
+}
+
 // TestSubscriberChurnFootprintStable is the sessions-leak regression
 // test: churning a population's mappings all the way to zero must leave
 // zero live subscribers and must not grow the subscriber table without
@@ -217,11 +225,11 @@ func TestSubscriberChurnFootprintStable(t *testing.T) {
 				t.Fatalf("sub %d: verdict %v", i, v)
 			}
 		}
-		if got := n.liveSubscribers(); got != subs {
+		if got := liveSubscribers(n); got != subs {
 			t.Fatalf("live subscribers = %d, want %d", got, subs)
 		}
 		n.Sweep(now.Add(2 * n.Config().UDPTimeout))
-		if got := n.liveSubscribers(); got != 0 {
+		if got := liveSubscribers(n); got != 0 {
 			t.Fatalf("after full expiry: live subscribers = %d, want 0", got)
 		}
 		if got := n.NumMappings(); got != 0 {

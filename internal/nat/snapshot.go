@@ -204,6 +204,12 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 	n.rrNext = s.RRNext
 
 	for _, ss := range s.Subscribers {
+		// Restore starts from New's empty table, so an entry already here
+		// is the snapshot's second record for the address: its pooling
+		// pin and bucket would silently replace the first one's.
+		if _, dup := n.subs.lookup(ss.Addr); dup {
+			return nil, fmt.Errorf("nat: restore: subscriber %v listed twice", ss.Addr)
+		}
 		e, i := n.subs.ensure(ss.Addr)
 		if ss.Seen && !e.seen {
 			e.seen = true
@@ -275,9 +281,6 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 		n.byInt.put(k, m)
 		n.ports.take(ms.Ext.Addr, ms.Proto, ms.Ext.Port)
 		e.sessions++
-		if e.sessions == 1 {
-			n.subs.live++
-		}
 		n.notePortHeld(eSlot, ms.Int.Addr, ms.Ext.Port)
 		n.exp.push(ms.LastActive+int64(n.timeout(ms.Proto)), m, m.gen)
 	}
@@ -337,35 +340,16 @@ func (s *Sharded) Snapshot() []*Snapshot {
 // grouping, not state: any value restores any snapshot, and the restored
 // engine is byte-identical to the original at every shard count.
 func NewShardedFromSnapshot(cfg Config, shards int, lanes []*Snapshot) (*Sharded, error) {
-	c := cfg.withDefaults()
-	if len(lanes) != len(c.ExternalIPs) {
-		return nil, fmt.Errorf("nat: restore: %d lane snapshots for a %d-IP pool", len(lanes), len(c.ExternalIPs))
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(c.ExternalIPs) {
-		shards = len(c.ExternalIPs)
-	}
-	s := &Sharded{
-		cfg:         c,
-		lanes:       make([]*NAT, len(c.ExternalIPs)),
-		shards:      shards,
-		extLaneKeys: make([]netaddr.Addr, len(c.ExternalIPs)),
-		extLaneVals: make([]int, len(c.ExternalIPs)),
+	s := newSharded(cfg, shards)
+	if len(lanes) != len(s.lanes) {
+		return nil, fmt.Errorf("nat: restore: %d lane snapshots for a %d-IP pool", len(lanes), len(s.lanes))
 	}
 	for l := range s.lanes {
-		laneCfg := c
-		laneCfg.Name = fmt.Sprintf("%s/lane%d", c.Name, l)
-		laneCfg.ExternalIPs = []netaddr.Addr{c.ExternalIPs[l]}
-		laneCfg.Seed = c.Seed + int64(l+1)*shardedLaneSeedMix
-		lane, err := NewFromSnapshot(laneCfg, lanes[l])
+		lane, err := NewFromSnapshot(s.laneConfig(l), lanes[l])
 		if err != nil {
 			return nil, fmt.Errorf("lane %d: %w", l, err)
 		}
 		s.lanes[l] = lane
-		s.extLaneKeys[l] = c.ExternalIPs[l]
-		s.extLaneVals[l] = l
 	}
 	return s, nil
 }

@@ -258,11 +258,12 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 		"cursor-foreign-ip":    func(s *Snapshot) { s.Cursors[0].IP = netaddr.MustParseAddr("198.0.0.1") },
 		"cursor-unknown-proto": func(s *Snapshot) { s.Cursors[0].Proto = 99 },
 		"cursor-repeated":      func(s *Snapshot) { s.Cursors = append(s.Cursors, s.Cursors[0]) },
+		"subscriber-repeated":  func(s *Snapshot) { s.Subscribers = append(s.Subscribers, s.Subscribers[0]) },
 	} {
 		bad := n.Snapshot()
 		mutate(bad)
 		if _, err := NewFromSnapshot(cfg, bad); err == nil {
-			t.Errorf("%s: sequential cursor no engine could hold accepted: %+v", name, bad.Cursors)
+			t.Errorf("%s: state no engine could hold accepted", name)
 		}
 	}
 }

@@ -225,10 +225,10 @@ func (t *intTable) del(k intKey) {
 // only some features write lives in subCold.
 type subEntry struct {
 	addr netaddr.Addr
-	// sessions counts live mappings, for the session limit. Unlike the
-	// old map the entry survives at zero — the subscriber's paired IP
-	// must persist across idle periods — so observable "live subscriber"
-	// counts derive from sessions > 0.
+	// sessions counts live mappings (Sessions): the session limit reads
+	// it and the session hook reports its every change. The entry
+	// survives at zero — the subscriber's paired IP must persist across
+	// idle periods.
 	sessions int32
 	used     bool
 	// seen marks subscribers that ever held a mapping (PortStats).
@@ -268,10 +268,9 @@ type subTable struct {
 	// carries and touches none.
 	cold []subCold
 	n    int
-	// seen counts entries with seen set; live counts entries with
-	// sessions > 0. Both are maintained by the NAT on state transitions.
+	// seen counts entries with seen set, maintained by the NAT as it
+	// sets the flag.
 	seen int
-	live int
 	// gen counts growths. A (slot index, gen) pair is a stable handle:
 	// entries never move between growths, so a handle whose gen matches
 	// still names its entry. Mappings carry one so teardown skips the

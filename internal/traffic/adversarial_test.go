@@ -128,8 +128,9 @@ const adversarialBaselineSHA = "f86f2cfbd3f8062502aac2ab793e0965b64ac760bf559b3d
 // TestAdversarialShardedInvariance: with flood, scanner and both defenses
 // live, the engine's Result stays byte-identical at any
 // workers × shards split, and the reference run matches
-// adversarialBaselineSHA — and under -race this is also the concurrency
-// exercise over the token-bucket and eviction paths.
+// adversarialBaselineSHA with every tick audited (RunAudited) — and
+// under -race this is also the concurrency exercise over the
+// token-bucket and eviction paths.
 func TestAdversarialShardedInvariance(t *testing.T) {
 	p := attackProfile()
 	realms := func() []RealmSpec {
@@ -146,12 +147,15 @@ func TestAdversarialShardedInvariance(t *testing.T) {
 		return r
 	}
 	var digests []string
-	ref := Run(Config{Seed: 17, Profile: p, Realms: realms(), Shards: 1, Workers: 1,
+	ref, err := RunAudited(Config{Seed: 17, Profile: p, Realms: realms(), Shards: 1, Workers: 1,
 		Observer: func(_ RealmSpec, tick int, _ time.Time, n nat.View) {
 			if tick == p.Ticks-1 {
 				digests = append(digests, n.StateDigest())
 			}
 		}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ref.Adversarial.Enabled || ref.Adversarial.AttackerAttempts == 0 {
 		t.Fatalf("reference run offered no adversarial load: %+v", ref.Adversarial)
 	}

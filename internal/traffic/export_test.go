@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"cgn/internal/netaddr"
 )
 
 // ForEachArrival exposes the skip-sampling decoder to the external
@@ -40,9 +42,12 @@ func RunAudited(cfg Config) (*Result, error) {
 	return res, first
 }
 
-// auditLanes checks the invariants the refresh walk, the merge and
-// Snapshot rest on: each lane's flows are subscriber ascending, and
-// every flow's member has that lane as its active lane.
+// auditLanes checks the invariants the refresh walk, the merge,
+// Snapshot and the sampling fold rest on: each lane's flows are
+// subscriber ascending, every flow's member has that lane as its active
+// lane, and each shard's live-count buckets hold, row by row, exactly
+// the recount of its members' session counts on their lanes — which
+// are their whole counts: no member holds a mapping off its lane.
 func (r *Realm) auditLanes() error {
 	for l, live := range r.flows {
 		for i := range live {
@@ -52,6 +57,34 @@ func (r *Realm) auditLanes() error {
 			}
 			if r.laneOf[j] != int32(l) {
 				return fmt.Errorf("lane %d: flow %d belongs to member %d, whose active lane is %d", l, i, j, r.laneOf[j])
+			}
+		}
+	}
+	for s, st := range r.st {
+		var want [numRows][]uint64
+		for _, l := range st.lanes {
+			ln := r.sn.Lane(l)
+			for row, list := range r.laneSubs[l] {
+				for _, j := range list {
+					a := subscriberBase + netaddr.Addr(j)
+					v := ln.Sessions(a)
+					if all := r.sn.Sessions(a); all != v {
+						return fmt.Errorf("lane %d: member %d holds %d of its %d mappings", l, j, v, all)
+					}
+					for v >= len(want[row]) {
+						want[row] = append(want[row], 0)
+					}
+					want[row][v]++
+				}
+			}
+		}
+		for row := range want {
+			got := st.lc.cnt[row]
+			for len(got) > 0 && got[len(got)-1] == 0 {
+				got = got[:len(got)-1]
+			}
+			if !slices.Equal(got, want[row]) {
+				return fmt.Errorf("shard %d row %d: live-count buckets %v, recount %v", s, row, got, want[row])
 			}
 		}
 	}

@@ -28,9 +28,9 @@
 // any Config.Workers value. And the kernel's hot loop is
 // allocation-lean: each lane keeps its flows in one subscriber-ordered
 // slice that a tick compacts and merges in place, per-subscriber
-// concurrent-port counts are maintained incrementally from the NAT's
-// mapping create/expire hooks rather than recounted per tick, and
-// steady-state ticks allocate nothing.
+// concurrent-port counts are the NAT lanes' own session counts, which
+// the kernel follows through each lane's session hook rather than
+// recounting per tick, and steady-state ticks allocate nothing.
 package traffic
 
 import (

@@ -60,17 +60,17 @@ import (
 type Realm struct {
 	p Profile
 	// cfg is the engine's configuration; a restart rebuilds from it.
-	cfg  nat.Config
-	sn   *nat.Sharded
-	subs []subscriber
-	// laneOf memoizes each subscriber's ACTIVE lane — the address hash,
+	cfg nat.Config
+	sn  *nat.Sharded
+	// pop is the population; member j's address is subscriberBase + j.
+	pop []Member
+	// laneOf memoizes each member's ACTIVE lane — the address hash,
 	// until a fault re-pins displaced subscribers to failover lanes.
-	// laneSubs lists each lane's tracked subscribers per class,
-	// ascending — the skip-sampling decode's index space. Attackers land
-	// in laneAtk instead; retired subscribers in neither.
+	// laneSubs lists each lane's members by row (Member.row), ascending:
+	// the class rows are the skip-sampling decode's index space, atkRow
+	// the flood decode's. Retired members sit in no row.
 	laneOf   []int32
-	laneSubs [][numClasses][]int32
-	laneAtk  [][]int32
+	laneSubs [][numRows][]int32
 	// flows holds each lane's live flows, subscriber ascending and FIFO
 	// within a subscriber; a member's flows all sit on its active lane.
 	// A tick compacts and merges a lane's flows in place, so a warm
@@ -107,15 +107,13 @@ type Realm struct {
 }
 
 // shardState is one shard's private slice of a realm: its lanes, the
-// census and live counts of its subscribers, its arrival runs and its
-// accumulators, which drain into the caller's Tally in shard-index
-// order at the end of every Step.
+// live counts of their members, its arrival runs and its accumulators,
+// which drain into the caller's Tally in shard-index order at the end of
+// every Step.
 type shardState struct {
-	// lanes this shard owns (ascending); classSubs counts the tracked
-	// subscribers those lanes own, by class.
-	lanes     []int
-	classSubs [numClasses]int
-	lc        *liveCounts
+	// lanes this shard owns (ascending).
+	lanes []int
+	lc    *liveCounts
 	// Private accumulators, drained after every Step.
 	classHists [numClasses]Hist
 	allHist    Hist
@@ -237,18 +235,17 @@ func NewRealm(p Profile, cfg nat.Config, shards int, pop []Member, seed func() u
 	return r
 }
 
-// newRealm wires a kernel around engine sn: subscribers at their
-// derived addresses, shard states, zeroed streams, the hoisted rates,
-// the arrival sinks and the mapping hooks. The partition itself is left
-// to repartition.
+// newRealm wires a kernel around engine sn: members at their derived
+// addresses, shard states, zeroed streams, the hoisted rates, the
+// arrival sinks and the lanes' session hooks. The partition itself is
+// left to repartition.
 func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
 	lanes := sn.NumLanes()
 	r := &Realm{
 		p:        p,
 		cfg:      cfg,
 		sn:       sn,
-		laneSubs: make([][numClasses][]int32, lanes),
-		laneAtk:  make([][]int32, lanes),
+		laneSubs: make([][numRows][]int32, lanes),
 		flows:    make([][]flow, lanes),
 		moved:    make([][]flow, lanes),
 		st:       make([]*shardState, sn.NumShards()),
@@ -291,16 +288,11 @@ func newRealm(p Profile, cfg nat.Config, pop []Member, sn *nat.Sharded) *Realm {
 // RandomChunk's chunk table and the hooks' address-to-index subtraction
 // both work.
 func (r *Realm) addMembers(pop []Member) {
-	r.subs = slices.Grow(r.subs, len(pop)-len(r.subs))
 	r.laneOf = slices.Grow(r.laneOf, len(pop)-len(r.laneOf))
-	for j := len(r.subs); j < len(pop); j++ {
-		r.subs = append(r.subs, subscriber{
-			class:    pop[j].Class,
-			attacker: pop[j].Attacker,
-			retired:  pop[j].Retired,
-		})
+	for j := len(r.pop); j < len(pop); j++ {
 		r.laneOf = append(r.laneOf, int32(r.sn.LaneFor(subscriberBase+netaddr.Addr(j))))
 	}
+	r.pop = append(r.pop, pop[len(r.pop):]...)
 }
 
 // installSinks allocates the shard's arrival sinks once: forEachArrival
@@ -352,35 +344,23 @@ func (r *Realm) installSinks(st *shardState) {
 	}
 }
 
-// installHooks wires per-lane mapping hooks into the owning shard's
-// live-count buckets. A hook fires on the goroutine driving its lane,
-// and a lane's mappings belong to subscribers of that lane's shard (the
-// re-pin pass keeps that invariant: a subscriber's mappings never
-// outlive a move off their lane), so the buckets stay shard-confined. A
-// restart replaces the engine and re-arms the fresh lanes.
+// installHooks wires each lane's session hook into the owning shard's
+// live-count buckets. A member's mappings all sit on its active lane
+// (the re-pin pass keeps that invariant: a member's mappings never
+// outlive a move off their lane), so a lane's session count of a member
+// is the member's whole count, and a hook, firing on the goroutine
+// driving its lane, moves only members of that lane's shard. A restart
+// replaces the engine and re-arms the fresh lanes.
 func (r *Realm) installHooks() {
 	for l := 0; l < r.sn.NumLanes(); l++ {
 		st := r.st[r.sn.ShardOf(l)]
-		r.sn.Lane(l).SetMappingHooks(
-			func(m *nat.Mapping) {
-				if j := uint32(m.Int.Addr - subscriberBase); j < uint32(len(r.subs)) {
-					sub := &r.subs[j]
-					if sub.tracked() {
-						st.lc.Move(sub.class, sub.live, sub.live+1)
-					}
-					sub.live++
+		r.sn.Lane(l).SetSessionHook(func(a netaddr.Addr, from, to int32) {
+			if j := uint32(a - subscriberBase); j < uint32(len(r.pop)) {
+				if row, ok := r.pop[j].row(); ok {
+					st.lc.Move(row, from, to)
 				}
-			},
-			func(m *nat.Mapping) {
-				if j := uint32(m.Int.Addr - subscriberBase); j < uint32(len(r.subs)) {
-					sub := &r.subs[j]
-					if sub.tracked() {
-						st.lc.Move(sub.class, sub.live, sub.live-1)
-					}
-					sub.live--
-				}
-			},
-		)
+			}
+		})
 	}
 }
 
@@ -522,7 +502,7 @@ func (r *Realm) shardTick(st *shardState) {
 		if r.attacks {
 			fr := &r.atkFrLane[l]
 			st.curFr = fr
-			if list := r.laneAtk[l]; len(list) > 0 && r.floodLambda > 0 {
+			if list := r.laneSubs[l][atkRow]; len(list) > 0 && r.floodLambda > 0 {
 				st.curList = list
 				forEachArrival(fr, len(list), r.floodLambda, r.expNegFlood, st.atkEmit)
 			}
@@ -544,17 +524,7 @@ func (r *Realm) shardTick(st *shardState) {
 		inUse += ln.InUsePorts()
 	}
 	st.inUse = inUse
-	st.lc.Fold(&st.classHists, &st.allHist)
-	if r.attacks {
-		// Attacker concurrent-port samples: walked directly — the
-		// population is a small fraction of the shard, and its live
-		// counts are hook-maintained like everyone else's.
-		for _, l := range st.lanes {
-			for _, j := range r.laneAtk[l] {
-				st.adv.attackerHist.Add(int(r.subs[j].live))
-			}
-		}
-	}
+	st.lc.Fold(&st.classHists, &st.allHist, &st.adv.attackerHist)
 }
 
 // mergeFlows merges the tick's arrival runs into a lane's surviving
@@ -666,9 +636,6 @@ func (r *Realm) ApplyFaults(ups, downs []int, restart bool, t *Tally) {
 		}
 		r.installHooks()
 		r.drained = nat.PortStats{}
-		for j := range r.subs {
-			r.subs[j].live = 0
-		}
 		// Old refs must be cleared, not left dangling into the discarded
 		// engine (a non-dead orphan would "refresh" against a table that
 		// no longer owns it).
@@ -688,9 +655,9 @@ func (r *Realm) ApplyFaults(ups, downs []int, restart bool, t *Tally) {
 // members start with none. The partition is rebuilt wholesale, like a
 // fault boundary's, and the rebuild drops the retired members' flows.
 func (r *Realm) Repopulate(pop []Member, t *Tally) {
-	for j := range r.subs {
+	for j := range r.pop {
 		if pop[j].Retired {
-			r.subs[j].retired = true
+			r.pop[j].Retired = true
 		}
 	}
 	r.addMembers(pop)
@@ -698,21 +665,20 @@ func (r *Realm) Repopulate(pop []Member, t *Tally) {
 	r.drain(t)
 }
 
-// repartition re-pins every subscriber to its active lane, drops any
+// repartition re-pins every member to its active lane, drops any
 // mapping stranded on a lane its owner moved off (returned as the
 // disrupted count — the CGN re-homing the subscriber tears down its old
 // bindings; lanes going down already dropped theirs), and rebuilds the
-// partition wholesale: the per-lane subscriber lists, the per-shard
-// census and live counts, and the lanes' flows — subscribers staying on
-// their lane keep their flows in place, subscribers changing lanes take
-// theirs along, retired ones leave theirs behind. Everything is rebuilt
-// in ascending subscriber order, so the result depends only on the lane
-// assignment and the population, not on which shard previously held
-// what.
+// partition wholesale: the per-lane member lists, the per-shard live
+// counts, and the lanes' flows — members staying on their lane keep
+// their flows in place, members changing lanes take theirs along,
+// retired ones leave theirs behind. Everything is rebuilt in ascending
+// member order, so the result depends only on the lane assignment and
+// the population, not on which shard previously held what.
 func (r *Realm) repartition() uint64 {
-	sn, subs := r.sn, r.subs
-	newLane := make([]int32, len(subs))
-	for j := range subs {
+	sn, pop := r.sn, r.pop
+	newLane := make([]int32, len(pop))
+	for j := range pop {
 		newLane[j] = int32(sn.ActiveLaneFor(subscriberBase + netaddr.Addr(j)))
 	}
 	var disrupted uint64
@@ -723,17 +689,13 @@ func (r *Realm) repartition() uint64 {
 		ll := int32(l)
 		disrupted += uint64(sn.Lane(l).DropMatching(func(m *nat.Mapping) bool {
 			j := uint32(m.Int.Addr - subscriberBase)
-			return j < uint32(len(subs)) && newLane[j] != ll
+			return j < uint32(len(pop)) && newLane[j] != ll
 		}))
 	}
 	for l := range r.laneSubs {
-		for c := range r.laneSubs[l] {
-			r.laneSubs[l][c] = r.laneSubs[l][c][:0]
+		for row := range r.laneSubs[l] {
+			r.laneSubs[l][row] = r.laneSubs[l][row][:0]
 		}
-		r.laneAtk[l] = r.laneAtk[l][:0]
-	}
-	for _, st := range r.st {
-		st.classSubs = [numClasses]int{}
 	}
 	// A member's flows sit contiguous on its old lane, so one read
 	// cursor per lane walks them in member order. A member that stays
@@ -742,16 +704,10 @@ func (r *Realm) repartition() uint64 {
 	// which thus receives its members ascending and merges in below.
 	type cursor struct{ read, kept int }
 	cur := make([]cursor, len(r.flows))
-	for j := range subs {
-		sub := &subs[j]
+	for j, m := range pop {
 		l := int(newLane[j])
-		switch {
-		case sub.retired:
-		case sub.attacker:
-			r.laneAtk[l] = append(r.laneAtk[l], int32(j))
-		default:
-			r.laneSubs[l][sub.class] = append(r.laneSubs[l][sub.class], int32(j))
-			r.st[sn.ShardOf(l)].classSubs[sub.class]++
+		if row, ok := m.row(); ok {
+			r.laneSubs[l][row] = append(r.laneSubs[l][row], int32(j))
 		}
 		old := r.laneOf[j]
 		live, c := r.flows[old], &cur[old]
@@ -761,7 +717,7 @@ func (r *Realm) repartition() uint64 {
 		}
 		r.laneOf[j] = int32(l)
 		switch {
-		case sub.retired:
+		case m.Retired:
 		case int32(l) == old:
 			c.kept += copy(live[c.kept:], live[lo:c.read])
 		default:
@@ -785,8 +741,8 @@ func (r *Realm) repartition() uint64 {
 		// diurnal peak times the mean hold, plus three standard
 		// deviations — so a lane rarely grows mid-run.
 		var peak float64
-		for c, list := range r.laneSubs[l] {
-			peak += float64(len(list)) * r.rates[c]
+		for c, rate := range r.rates {
+			peak += float64(len(r.laneSubs[l][c])) * rate
 		}
 		peak *= float64(r.p.FlowHoldTicks) * (1 + r.p.DiurnalAmp)
 		live := r.flows[l][:cur[l].kept]
@@ -794,13 +750,29 @@ func (r *Realm) repartition() uint64 {
 		r.flows[l] = mergeFlows(live, &[numClasses][]flow{r.moved[l]})
 		r.moved[l] = r.moved[l][:0]
 	}
+	// Every member starts in bucket 0; the members of a lane holding
+	// mappings then move to their lane's session counts, which after the
+	// drops above are their whole counts.
 	for _, st := range r.st {
-		st.lc = newLiveCounts(st.classSubs)
-	}
-	for j := range subs {
-		sub := &subs[j]
-		if sub.tracked() && sub.live > 0 {
-			r.st[sn.ShardOf(int(r.laneOf[j]))].lc.Move(sub.class, 0, sub.live)
+		var members [numRows]int
+		for _, l := range st.lanes {
+			for row, list := range r.laneSubs[l] {
+				members[row] += len(list)
+			}
+		}
+		st.lc = newLiveCounts(members)
+		for _, l := range st.lanes {
+			ln := sn.Lane(l)
+			if ln.NumMappings() == 0 {
+				continue
+			}
+			for row, list := range r.laneSubs[l] {
+				for _, j := range list {
+					if k := ln.Sessions(subscriberBase + netaddr.Addr(j)); k > 0 {
+						st.lc.Move(row, 0, int32(k))
+					}
+				}
+			}
 		}
 	}
 	return disrupted
@@ -902,8 +874,8 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 	if s.LanesDown != nil && len(s.LanesDown) != lanes {
 		return nil, fmt.Errorf("traffic: restore: %d lane-outage flags for %d lanes", len(s.LanesDown), lanes)
 	}
-	// Reapply outage flags before the hooks exist: a down lane was
-	// captured empty, so nothing drops here.
+	// Reapply outage flags: a down lane was captured empty, so nothing
+	// drops here.
 	for l, d := range s.LanesDown {
 		if !d {
 			continue
@@ -925,20 +897,18 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 		r.laneOf[j] = int32(sn.ActiveLaneFor(subscriberBase + netaddr.Addr(j)))
 	}
 	// Every mapping must be a member's, on the member's active lane —
-	// the invariant that keeps hooks and refreshes shard-confined. The
-	// walk also recovers the members' live counts.
+	// the invariant that keeps hooks and refreshes shard-confined and
+	// makes a lane's session count its member's whole count.
 	for l := 0; l < lanes; l++ {
 		var bad error
 		sn.Lane(l).ForEachMapping(func(m *nat.Mapping) {
 			j := uint32(m.Int.Addr - subscriberBase)
 			switch {
 			case bad != nil:
-			case j >= uint32(len(r.subs)):
-				bad = fmt.Errorf("traffic: restore: lane %d maps %v, outside the %d-member population", l, m.Int, len(r.subs))
+			case j >= uint32(len(r.pop)):
+				bad = fmt.Errorf("traffic: restore: lane %d maps %v, outside the %d-member population", l, m.Int, len(r.pop))
 			case r.laneOf[j] != int32(l):
 				bad = fmt.Errorf("traffic: restore: member %d's mapping sits on lane %d, its active lane is %d", j, l, r.laneOf[j])
-			default:
-				r.subs[j].live++
 			}
 		})
 		if bad != nil {
@@ -952,8 +922,8 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 	// next tick's refresh falls back to the full translation path
 	// exactly as the uninterrupted run would.
 	for fi, fs := range s.Flows {
-		if fs.Sub < 0 || int(fs.Sub) >= len(r.subs) {
-			return nil, fmt.Errorf("traffic: restore: flow %d names member %d of %d", fi, fs.Sub, len(r.subs))
+		if fs.Sub < 0 || int(fs.Sub) >= len(r.pop) {
+			return nil, fmt.Errorf("traffic: restore: flow %d names member %d of %d", fi, fs.Sub, len(r.pop))
 		}
 		if fi > 0 && fs.Sub < s.Flows[fi-1].Sub {
 			return nil, fmt.Errorf("traffic: restore: flow %d (member %d) follows member %d's, out of member order", fi, fs.Sub, s.Flows[fi-1].Sub)
@@ -961,7 +931,7 @@ func RestoreRealm(p Profile, cfg nat.Config, shards int, pop []Member, s *RealmS
 		if fs.TicksLeft < 1 || uint32(fs.TicksLeft) > r.holdSpan {
 			return nil, fmt.Errorf("traffic: restore: flow %d (%v) has %d ticks left, outside [1, %d]", fi, fs.F, fs.TicksLeft, r.holdSpan)
 		}
-		if !r.subs[fs.Sub].tracked() || fs.F.Proto != netaddr.UDP || fs.F.Src.Addr != subscriberBase+netaddr.Addr(fs.Sub) {
+		if m := r.pop[fs.Sub]; m.Attacker || m.Retired || fs.F.Proto != netaddr.UDP || fs.F.Src.Addr != subscriberBase+netaddr.Addr(fs.Sub) {
 			return nil, fmt.Errorf("traffic: restore: flow %d (%v) is not a live flow of member %d", fi, fs.F, fs.Sub)
 		}
 		l := r.laneOf[fs.Sub]

@@ -206,23 +206,6 @@ type flow struct {
 // address (subscriberBase + index), so a flow needs no field for it.
 func (f *flow) member() int32 { return int32(f.f.Src.Addr - subscriberBase) }
 
-// subscriber is one internal endpoint population member; member j's
-// address is subscriberBase + j. live is the incrementally maintained
-// live-mapping count — what nat.Sessions would report — fed by the
-// NAT's create/expire hooks.
-type subscriber struct {
-	live  int32
-	class Class
-	// attacker marks a flooder: it offers no legitimate flows and its
-	// live count samples into the adversarial histogram, not the class
-	// buckets. retired marks a member that left: no traffic, no census.
-	attacker, retired bool
-}
-
-// tracked reports whether the subscriber counts in the class census
-// and its live-count buckets.
-func (s *subscriber) tracked() bool { return !s.attacker && !s.retired }
-
 // Hist is an exact integer histogram of concurrent-port samples; counts
 // are small (bounded by quota or port space), so percentiles come from a
 // dense array walk.
@@ -231,19 +214,8 @@ type Hist struct {
 	n      uint64
 }
 
-func (h *Hist) Add(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.counts) {
-		h.grow(v + 1)
-	}
-	h.counts[v]++
-	h.n++
-}
-
-// AddN records k samples of value v at once — the bulk form the
-// live-count fold uses. Equivalent to k calls of add(v).
+// AddN records k samples of value v (a negative v counts as 0): the
+// live-count fold adds a whole bucket at once.
 func (h *Hist) AddN(v int, k uint64) {
 	if k == 0 {
 		return
@@ -364,50 +336,73 @@ func attackerCount(p Profile, n int) int {
 	return k
 }
 
-// liveCounts tracks, per class, how many tracked subscribers currently
-// hold exactly v live mappings. The NAT's create/expire hooks move
-// subscribers between buckets as mappings come and go, and the per-tick
-// sampling fold adds each bucket's population to the histograms in one
-// addN — the same sample multiset the per-subscriber loop would record,
-// for O(distinct values) work per tick instead of O(subscribers).
-type liveCounts struct {
-	cnt [3][]uint64
+// A realm's per-lane member lists and live-count buckets keep one row
+// per class, then atkRow for the flooders.
+const (
+	atkRow  = int(numClasses)
+	numRows = atkRow + 1
+)
+
+// row returns m's row — its class, or atkRow for a flooder — and false
+// for a retired member, which sits in no row.
+func (m Member) row() (int, bool) {
+	switch {
+	case m.Retired:
+		return 0, false
+	case m.Attacker:
+		return atkRow, true
+	}
+	return int(m.Class), true
 }
 
-func newLiveCounts(classSubs [3]int) *liveCounts {
+// liveCounts tracks, per row, how many of a shard's members currently
+// hold exactly v live mappings. The lanes' session hooks move members
+// between buckets as their NAT session counts change, and the per-tick
+// sampling fold adds each bucket's population to the histograms in one
+// AddN — the same sample multiset a per-member loop would record, for
+// O(distinct values) work per tick instead of O(members).
+type liveCounts struct {
+	cnt [numRows][]uint64
+}
+
+func newLiveCounts(members [numRows]int) *liveCounts {
 	lc := &liveCounts{}
-	for c := range lc.cnt {
-		lc.cnt[c] = make([]uint64, 8)
-		lc.cnt[c][0] = uint64(classSubs[c])
+	for row := range lc.cnt {
+		lc.cnt[row] = make([]uint64, 8)
+		lc.cnt[row][0] = uint64(members[row])
 	}
 	return lc
 }
 
-// Move shifts one class-c subscriber from bucket from to bucket to,
-// doubling the buckets until to is in range. Hooks move by one; census
-// rebuilds jump a subscriber from 0 straight to its live count.
-func (lc *liveCounts) Move(c Class, from, to int32) {
-	s := lc.cnt[c]
+// Move shifts one member of row from bucket from to bucket to, doubling
+// the buckets until to is in range. Hooks move by one; rebuilds jump a
+// member from 0 straight to its session count.
+func (lc *liveCounts) Move(row int, from, to int32) {
+	s := lc.cnt[row]
 	s[from]--
 	for int(to) >= len(s) {
 		grown := make([]uint64, 2*len(s))
 		copy(grown, s)
-		lc.cnt[c] = grown
+		lc.cnt[row] = grown
 		s = grown
 	}
 	s[to]++
 }
 
-// Fold samples every tracked subscriber once — at its current bucket
-// value — into the class and aggregate histograms.
-func (lc *liveCounts) Fold(classHists *[3]Hist, all *Hist) {
-	for c := range lc.cnt {
+// Fold samples every member once, at its current bucket value: the
+// class rows into the class and aggregate histograms, the flooders into
+// atk.
+func (lc *liveCounts) Fold(classHists *[numClasses]Hist, all, atk *Hist) {
+	for c := range classHists {
 		for v, k := range lc.cnt[c] {
 			if k != 0 {
 				classHists[c].AddN(v, k)
 				all.AddN(v, k)
 			}
 		}
+	}
+	for v, k := range lc.cnt[atkRow] {
+		atk.AddN(v, k)
 	}
 }
 

@@ -213,11 +213,11 @@ func TestHistMerge(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		v := rng.Intn(200)
 		if rng.Intn(2) == 0 {
-			a.Add(v)
+			a.AddN(v, 1)
 		} else {
-			b.Add(v)
+			b.AddN(v, 1)
 		}
-		all.Add(v)
+		all.AddN(v, 1)
 	}
 	a.Merge(&b)
 	if a.n != all.n {
@@ -261,7 +261,7 @@ func TestHistGeometricGrowth(t *testing.T) {
 	grows := 0
 	prevLen := 0
 	for v := 0; v <= 4096; v++ {
-		h.Add(v)
+		h.AddN(v, 1)
 		if len(h.counts) != prevLen {
 			grows++
 			prevLen = len(h.counts)
@@ -282,7 +282,7 @@ func TestHistGeometricGrowth(t *testing.T) {
 func TestHistQuantiles(t *testing.T) {
 	var h Hist
 	for v := 1; v <= 100; v++ {
-		h.Add(v)
+		h.AddN(v, 1)
 	}
 	if got := h.Quantile(0.5); got != 50 {
 		t.Errorf("median of 1..100 = %d, want 50", got)
