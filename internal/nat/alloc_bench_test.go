@@ -145,14 +145,35 @@ func BenchmarkChunkExhausted(b *testing.B) {
 // natSink keeps the benchmarked constructor's result live.
 var natSink *NAT
 
-// BenchmarkNATNew measures a lane's fixed cost: one nat.New for a
-// one-IP pool, the shape the traffic and fleet kernels build per pool
-// IP. Small carrier realms pay it per lane for one or two subscribers.
+// BenchmarkNATNew measures nat.New alone for a one-IP pool, the shape
+// the traffic and fleet kernels build per pool IP. It is not a lane's
+// whole fixed cost: the first Mapping slab and port-bitmap block are
+// paid on the first mapping (BenchmarkNATFirstMappings).
 func BenchmarkNATNew(b *testing.B) {
 	cfg := baseConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		natSink = New(cfg)
+	}
+}
+
+// BenchmarkNATFirstMappings measures a small NAT's fixed cost through
+// its first mappings: nat.New for a one-IP pool, then two UDP mappings
+// from two subscribers, the most a median home NAT in the paper world
+// holds at once. Small carrier realms pay it per lane for one or two
+// subscribers, and simnet per CPE.
+func BenchmarkNATFirstMappings(b *testing.B) {
+	cfg := baseConfig()
+	flows := [2]netaddr.Flow{flowUDP(intEP, dstEP), flowUDP(netaddr.MustParseEndpoint("100.64.0.6:4000"), dstEP2)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := New(cfg)
+		for _, f := range flows {
+			if _, v := n.TranslateOut(f, t0); v != Ok {
+				b.Fatalf("verdict %v", v)
+			}
+		}
+		natSink = n
 	}
 }
 

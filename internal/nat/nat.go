@@ -15,6 +15,10 @@
 // generation-guarded handles, so steady-state churn does not allocate;
 // TranslateOutRef/Refresh give flow-keepalive callers (the traffic
 // engine) an O(1) refresh path that skips the table probe entirely.
+// Storage follows use as well as scale: slabs grow with the mappings a
+// NAT has carved, and a bitmap is kept in 4,096-port blocks allocated by
+// their first take, so a home CPE holding two mappings pays for a few
+// hundred bytes of slab and bitmap where a CGN lane pays for its pool.
 // PortStats exposes utilization high-water marks and exhaustion counts
 // for the port-pressure analyses.
 //
@@ -510,9 +514,11 @@ type NAT struct {
 	// slab and freeMaps make mapping creation allocation-free at steady
 	// state: structs are carved from slabs in batches and dropped
 	// mappings are recycled through the freelist, with Mapping.gen
-	// guarding every stale reference.
+	// guarding every stale reference. carved counts the structs carved
+	// so far, which sizes the next slab (newMapping).
 	slab     []Mapping
 	freeMaps []*Mapping
+	carved   int
 
 	// sessionHook, when set, is called wherever a subscriber's live
 	// mapping count changes (SetSessionHook).
@@ -831,14 +837,22 @@ func (n *NAT) inbound() *extTable {
 	return &n.byExt
 }
 
-// mappingSlab is how many Mapping structs newMapping carves per heap
-// allocation once the freelist is dry.
-const mappingSlab = 256
+// firstSlab and mappingSlab bound the Mapping slabs newMapping carves
+// once the freelist is dry: the first holds firstSlab structs, each
+// later one as many as the NAT has carved so far, up to mappingSlab.
+// Carving doubles the total, so a NAT that never holds more than k
+// mappings carves at most max(firstSlab, 2k) — a home CPE holding two
+// pays for 4, not 256 — while a CGN lane still carves 256 at a time.
+const (
+	firstSlab   = 4
+	mappingSlab = 256
+)
 
 // newMapping returns a zeroed Mapping, recycling dropped structs through
 // the freelist (gen survives the reset — it is what invalidates stale
 // heap entries and MappingRefs from the previous tenant) and carving
-// fresh ones from slabs so steady-state churn never allocates.
+// fresh ones from slabs that grow with the NAT (firstSlab), so
+// steady-state churn never allocates and a small NAT carves little.
 func (n *NAT) newMapping() *Mapping {
 	if k := len(n.freeMaps) - 1; k >= 0 {
 		m := n.freeMaps[k]
@@ -855,7 +869,9 @@ func (n *NAT) newMapping() *Mapping {
 		return m
 	}
 	if len(n.slab) == 0 {
-		n.slab = make([]Mapping, mappingSlab)
+		k := min(max(n.carved, firstSlab), mappingSlab)
+		n.slab = make([]Mapping, k)
+		n.carved += k
 	}
 	m := &n.slab[0]
 	n.slab = n.slab[1:]

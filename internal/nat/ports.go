@@ -30,7 +30,9 @@ type portAllocator interface {
 // (64 ports per probe) instead of per-port map lookups, so allocation cost
 // stays flat as the pool fills: take/free are O(1), the collision scans are
 // O(range/64) worst case, and a fully exhausted segment fails in O(1) via
-// its free counter.
+// its free counter. A segment's bitmap is stored in blocks allocated on
+// first use (portSeg), so a space costs what its taken ports touch, not
+// what its range spans.
 type portSpace struct {
 	lo, hi uint16
 	// Segments are stored as parallel packed-key/value slices scanned
@@ -46,10 +48,27 @@ type portSpace struct {
 	inUse, peak int
 }
 
+// Block geometry of a segment's bitmap: a block holds blockWords words
+// (4,096 ports, 512 B), and maxBlocks blocks cover the whole 16-bit port
+// space.
+const (
+	blockShift = 12
+	blockWords = 1 << (blockShift - 6)
+	maxBlocks  = 1 << (16 - blockShift)
+)
+
+// portBlock is one block of a segment's bitmap.
+type portBlock [blockWords]uint64
+
 // portSeg is one (external IP, protocol) bit-space. Bit i covers port
-// lo+i; a set bit means taken.
+// lo+i; a set bit means taken. Bit i lives in blocks[i>>blockShift],
+// which the first take inside it allocates and which is kept from then
+// on; an absent block reads as all-free. A home NAT holding a few ports
+// thus pays for one or two 512-byte blocks where a flat bitmap over the
+// default range costs 8 KB, and every scan, counter and cursor keeps the
+// flat bitmap's bit semantics.
 type portSeg struct {
-	words []uint64
+	blocks [maxBlocks]*portBlock
 	// free counts clear bits, for O(1) exhaustion verdicts on full-range
 	// allocations.
 	free int
@@ -98,8 +117,7 @@ func (s *portSpace) lookup(ip netaddr.Addr, p netaddr.Proto) *portSeg {
 func (s *portSpace) seg(ip netaddr.Addr, p netaddr.Proto) *portSeg {
 	g := s.lookup(ip, p)
 	if g == nil {
-		n := s.size()
-		g = &portSeg{words: make([]uint64, (n+63)/64), free: n}
+		g = &portSeg{free: s.size()}
 		s.segKeys = append(s.segKeys, segKey(ip, p))
 		s.segVals = append(s.segVals, g)
 	}
@@ -115,7 +133,7 @@ func (s *portSpace) isFree(ip netaddr.Addr, p netaddr.Proto, port uint16) bool {
 	if idx < 0 || idx >= s.size() {
 		return true // out-of-range ports are never tracked, matching mapPortSpace
 	}
-	return g.words[idx>>6]&(1<<(uint(idx)&63)) == 0
+	return !g.taken(idx)
 }
 
 func (s *portSpace) take(ip netaddr.Addr, p netaddr.Proto, port uint16) {
@@ -124,7 +142,7 @@ func (s *portSpace) take(ip netaddr.Addr, p netaddr.Proto, port uint16) {
 	if idx < 0 || idx >= s.size() {
 		return
 	}
-	if g.words[idx>>6]&(1<<(uint(idx)&63)) != 0 {
+	if g.taken(idx) {
 		return // already taken; keep the free counter honest
 	}
 	s.takeAt(g, idx)
@@ -139,19 +157,34 @@ func (s *portSpace) free(e netaddr.Endpoint, p netaddr.Proto) {
 	if idx < 0 || idx >= s.size() {
 		return
 	}
-	w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-	if g.words[w]&bit == 0 {
+	b := g.blocks[idx>>blockShift]
+	w, bit := (idx>>6)&(blockWords-1), uint64(1)<<(uint(idx)&63)
+	if b == nil || b[w]&bit == 0 {
 		return
 	}
-	g.words[w] &^= bit
+	b[w] &^= bit
 	g.free++
 	s.inUse--
+}
+
+// word returns bitmap word w, the bits 64w to 64w+63; an absent block
+// reads as all-free.
+func (g *portSeg) word(w int) uint64 {
+	if b := g.blocks[w>>(blockShift-6)]; b != nil {
+		return b[w&(blockWords-1)]
+	}
+	return 0
+}
+
+// taken reports whether bit idx is set.
+func (g *portSeg) taken(idx int) bool {
+	return g.word(idx>>6)&(1<<(uint(idx)&63)) != 0
 }
 
 // scan returns the first clear bit index in [from, to], or ok=false.
 func (g *portSeg) scan(from, to int) (int, bool) {
 	w, last := from>>6, to>>6
-	word := ^g.words[w] &^ ((1 << (uint(from) & 63)) - 1)
+	word := ^g.word(w) &^ ((1 << (uint(from) & 63)) - 1)
 	for {
 		if w == last {
 			if k := uint(to) & 63; k != 63 {
@@ -165,7 +198,7 @@ func (g *portSeg) scan(from, to int) (int, bool) {
 			return 0, false
 		}
 		w++
-		word = ^g.words[w]
+		word = ^g.word(w)
 	}
 }
 
@@ -181,9 +214,15 @@ func (g *portSeg) nextFree(from, lo, hi int) (int, bool) {
 	return 0, false
 }
 
-// takeAt marks bit idx taken and maintains the counters.
+// takeAt marks bit idx taken, allocating its block on first use, and
+// maintains the counters.
 func (s *portSpace) takeAt(g *portSeg, idx int) uint16 {
-	g.words[idx>>6] |= 1 << (uint(idx) & 63)
+	b := g.blocks[idx>>blockShift]
+	if b == nil {
+		b = new(portBlock)
+		g.blocks[idx>>blockShift] = b
+	}
+	b[(idx>>6)&(blockWords-1)] |= 1 << (uint(idx) & 63)
 	g.free--
 	s.inUse++
 	if s.inUse > s.peak {
@@ -284,7 +323,7 @@ func (s *portSpace) takeRandomIn(ip netaddr.Addr, p netaddr.Proto, lo, hi uint16
 	base := int(lo) - int(s.lo)
 	for i := 0; i < 32; i++ {
 		idx := base + int(rng.Intn(uint32(span)))
-		if g.words[idx>>6]&(1<<(uint(idx)&63)) == 0 {
+		if !g.taken(idx) {
 			return s.takeAt(g, idx), true
 		}
 	}

@@ -11,15 +11,28 @@ import (
 )
 
 // checkSpace asserts the bitmap allocator's counters agree with its bits:
-// every segment's free counter matches its popcount, and the global inUse
-// matches the sum of taken bits.
+// every segment's free counter matches its popcount over the allocated
+// blocks, and the global inUse matches the sum of taken bits. No block
+// past the range may be allocated, and no bit past the range's last port
+// may be set.
 func checkSpace(t *testing.T, s *portSpace) {
 	t.Helper()
 	taken := 0
 	for i, g := range s.segVals {
 		pop := 0
-		for _, w := range g.words {
-			pop += bits.OnesCount64(w)
+		for b, blk := range g.blocks {
+			if blk == nil {
+				continue
+			}
+			if b<<blockShift >= s.size() {
+				t.Fatalf("segment %#x: block %d allocated past the %d-port range", s.segKeys[i], b, s.size())
+			}
+			for w, word := range blk {
+				pop += bits.OnesCount64(word)
+				if base := b<<blockShift + w<<6; word != 0 && base+63-bits.LeadingZeros64(word) >= s.size() {
+					t.Fatalf("segment %#x: bit set past the %d-port range in word %d", s.segKeys[i], s.size(), base>>6)
+				}
+			}
 		}
 		if g.free != s.size()-pop {
 			t.Fatalf("segment %#x: free = %d, popcount says %d", s.segKeys[i], g.free, s.size()-pop)
@@ -37,15 +50,23 @@ func checkSpace(t *testing.T, s *portSpace) {
 // TestBitmapMatchesMapReference drives the bitmap allocator and the
 // original map-based reference through an identical randomized op stream
 // (paired RNGs, one seed) and requires decision-for-decision agreement:
-// same ports, same failures, same cursor behavior.
+// same ports, same failures, same cursor behavior. The first three
+// ranges fit in one bitmap block; the last three span several, and their
+// op streams aim preferred ports just below block edges and the range
+// top, so collision scans cross block edges and wrap from the last block
+// to the first, and takes land in most of their blocks.
 func TestBitmapMatchesMapReference(t *testing.T) {
 	ranges := []struct {
 		name   string
 		lo, hi uint16
+		ops    int
 	}{
-		{"narrow", 1000, 1127},
-		{"offset", 40000, 41033},
-		{"unaligned", 1029, 1157},
+		{"narrow", 1000, 1127, 5000},
+		{"offset", 40000, 41033, 5000},
+		{"unaligned", 1029, 1157, 5000},
+		{"default", 1024, 65535, 20000},
+		{"full", 0, 65535, 20000},
+		{"multi-block-unaligned", 3001, 12000, 20000},
 	}
 	ips := []netaddr.Addr{extIP, extIP2}
 	for _, tc := range ranges {
@@ -62,20 +83,36 @@ func TestBitmapMatchesMapReference(t *testing.T) {
 			}
 			var live []held
 			span := int(tc.hi) - int(tc.lo) + 1
-			for i := 0; i < 5000; i++ {
+			// edges are the bit indices just past each block edge inside
+			// the range, and the range's end.
+			var edges []int
+			for e := 1 << blockShift; e < span; e += 1 << blockShift {
+				edges = append(edges, e)
+			}
+			edges = append(edges, span)
+			crossed, wrapped := 0, 0
+			for i := 0; i < tc.ops; i++ {
 				ip := ips[ops.Intn(len(ips))]
 				p := netaddr.Proto(ops.Intn(2))
 				var pb, pr uint16
 				var okB, okR bool
+				want := -1
 				op := ops.Intn(10)
 				switch {
-				case op < 3: // preferred, in and out of range
-					want := uint16(ops.Intn(65536))
-					if ops.Intn(2) == 0 {
-						want = tc.lo + uint16(ops.Intn(span))
+				case op < 3: // preferred, in and out of range, or below an edge
+					w := uint16(ops.Intn(65536))
+					switch ops.Intn(3) {
+					case 0:
+						w = tc.lo + uint16(ops.Intn(span))
+					case 1:
+						e := edges[ops.Intn(len(edges))]
+						w = tc.lo + uint16(max(e-1-ops.Intn(8), 0))
 					}
-					pb, okB = bm.takePreferred(ip, p, want, &rngB)
-					pr, okR = ref.takePreferred(ip, p, want, &rngR)
+					if w >= tc.lo && w <= tc.hi {
+						want = int(w) - int(tc.lo)
+					}
+					pb, okB = bm.takePreferred(ip, p, w, &rngB)
+					pr, okR = ref.takePreferred(ip, p, w, &rngR)
 				case op < 5:
 					pb, okB = bm.takeSequential(ip, p)
 					pr, okR = ref.takeSequential(ip, p)
@@ -107,6 +144,12 @@ func TestBitmapMatchesMapReference(t *testing.T) {
 				}
 				if okB {
 					live = append(live, held{ip, p, pb})
+					idx := int(pb) - int(tc.lo)
+					if want >= 0 && idx < want {
+						wrapped++
+					} else if want >= 0 && idx>>blockShift != want>>blockShift {
+						crossed++
+					}
 				}
 				if probe := tc.lo + uint16(ops.Intn(span)); bm.isFree(ip, p, probe) != ref.isFree(ip, p, probe) {
 					t.Fatalf("op %d: isFree(%d) disagrees", i, probe)
@@ -116,7 +159,53 @@ func TestBitmapMatchesMapReference(t *testing.T) {
 			if bm.inUse != len(live) {
 				t.Fatalf("inUse = %d, held %d", bm.inUse, len(live))
 			}
+			allocated := 0
+			for _, g := range bm.segVals {
+				for _, blk := range g.blocks {
+					if blk != nil {
+						allocated++
+					}
+				}
+			}
+			if blocks := (span + 1<<blockShift - 1) >> blockShift; blocks > 1 {
+				if allocated < 3*len(bm.segVals)*blocks/4 {
+					t.Errorf("takes landed in %d of %d blocks", allocated, len(bm.segVals)*blocks)
+				}
+				if crossed == 0 || wrapped == 0 {
+					t.Errorf("preferred takes crossed a block edge %d times and wrapped %d times, want both", crossed, wrapped)
+				}
+			}
 		})
+	}
+}
+
+// TestBitmapBlocksFollowTakes pins where the bitmap's storage goes: a
+// take allocates the block its port falls in and no other, and probing
+// or freeing ports never allocates a block, so a narrow range holds one
+// block and a NAT holding one port holds one block of any range.
+func TestBitmapBlocksFollowTakes(t *testing.T) {
+	for _, r := range []struct{ lo, hi uint16 }{{1000, 1127}, {1024, 65535}, {0, 65535}, {3001, 12000}} {
+		s := newPortSpace(r.lo, r.hi)
+		rng := fastrand.Rand(1)
+		held, ok := s.takeRandomIn(extIP, netaddr.UDP, r.hi-10, r.hi, &rng)
+		if !ok {
+			t.Fatalf("[%d, %d]: take refused", r.lo, r.hi)
+		}
+		for port := int(r.lo); port <= int(r.hi); port++ {
+			if s.isFree(extIP, netaddr.UDP, uint16(port)) == (uint16(port) == held) {
+				t.Fatalf("[%d, %d]: isFree(%d) wrong with %d held", r.lo, r.hi, port, held)
+			}
+			if uint16(port) != held {
+				s.free(netaddr.EndpointOf(extIP, uint16(port)), netaddr.UDP)
+			}
+		}
+		want := (int(held) - int(r.lo)) >> blockShift
+		for b, blk := range s.lookup(extIP, netaddr.UDP).blocks {
+			if (blk != nil) != (b == want) {
+				t.Errorf("[%d, %d] holding %d: block %d allocated = %v", r.lo, r.hi, held, b, blk != nil)
+			}
+		}
+		checkSpace(t, s)
 	}
 }
 
