@@ -741,7 +741,7 @@ func BenchmarkE17PortLoad(b *testing.B) {
 func BenchmarkBencodeDecode(b *testing.B) {
 	var id krpc.NodeID
 	nodes := make([]krpc.NodeInfo, 8)
-	wire := krpc.EncodeFindNodeResponse([]byte("aa"), id, nodes)
+	wire := krpc.AppendFindNodeResponse(nil, []byte("aa"), id, nodes)
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -767,7 +767,7 @@ func BenchmarkKRPCParseFindNodeResponse(b *testing.B) {
 		rng.Read(nodes[i].ID[:])
 		nodes[i].EP = netaddr.EndpointOf(netaddr.Addr(rng.Uint32()), 6881)
 	}
-	wire := krpc.EncodeFindNodeResponse([]byte("aa"), id, nodes)
+	wire := krpc.AppendFindNodeResponse(nil, []byte("aa"), id, nodes)
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -880,7 +880,7 @@ func BenchmarkDHTFindNodeHandling(b *testing.B) {
 	}
 	var target krpc.NodeID
 	rng.Read(target[:])
-	query := krpc.EncodeFindNode([]byte("aa"), krpc.NodeID{2}, target)
+	query := krpc.AppendFindNode(nil, []byte("aa"), krpc.NodeID{2}, target)
 	from := netaddr.MustParseEndpoint("198.51.100.9:6881")
 	b.SetBytes(int64(len(query)))
 	b.ReportAllocs()

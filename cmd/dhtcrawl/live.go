@@ -49,7 +49,7 @@ func (u *udpTransport) Endpoint() netaddr.Endpoint {
 	return netaddr.EndpointOf(addr, uint16(la.Port))
 }
 
-func (u *udpTransport) Poll(fn func(from netaddr.Endpoint, data []byte), wait time.Duration) {
+func (u *udpTransport) Poll(fn func(from netaddr.Endpoint, data []byte) bool, wait time.Duration) {
 	deadline := time.Now().Add(wait)
 	for {
 		remaining := time.Until(deadline)
@@ -66,9 +66,11 @@ func (u *udpTransport) Poll(fn func(from netaddr.Endpoint, data []byte), wait ti
 			continue
 		}
 		addr, _ := netaddr.AddrFromBytes(ip)
-		pkt := make([]byte, n)
-		copy(pkt, u.buf[:n])
-		fn(netaddr.EndpointOf(addr, uint16(from.Port)), pkt)
+		// fn reads the datagram before it returns, so the read buffer
+		// serves every datagram.
+		if fn(netaddr.EndpointOf(addr, uint16(from.Port)), u.buf[:n]) {
+			return
+		}
 	}
 }
 

@@ -60,6 +60,10 @@ type Swarm struct {
 
 	Peers []*Peer
 	rng   *rand.Rand
+
+	// bufs holds the buffers the tracker's replies and the peers'
+	// tracker announces are encoded into.
+	bufs krpc.BufStack
 }
 
 // NewSwarm deploys the bootstrap node and tracker on the public realm.
@@ -89,9 +93,16 @@ func NewSwarm(n *simnet.Network, bootstrapAddr, trackerAddr netaddr.Addr, seed i
 			return
 		}
 		s.announced[m.ID] = from
-		s.trackerSock.Send(from, krpc.EncodePingResponse(m.TID, m.ID))
+		s.sendVia(s.trackerSock, from, krpc.AppendPingResponse(s.bufs.Pop(), m.TID, m.ID))
 	})
 	return s
+}
+
+// sendVia sends wire, encoded into a buffer popped from s.bufs, through
+// sock and pushes the buffer back once delivery returns.
+func (s *Swarm) sendVia(sock *simnet.Socket, dst netaddr.Endpoint, wire []byte) {
+	sock.Send(dst, wire)
+	s.bufs.Push(wire)
 }
 
 type sockSender struct{ sock *simnet.Socket }
@@ -121,7 +132,7 @@ func (s *Swarm) Bootstrap() {
 	for _, p := range s.Peers {
 		p.Node.Ping(s.BootstrapEP)
 		// Tracker announce: a ping from the DHT socket.
-		p.Sock.Send(s.TrackerEP(), krpc.EncodePing([]byte{0xfe, 0xff}, p.Node.ID()))
+		s.sendVia(p.Sock, s.TrackerEP(), krpc.AppendPing(s.bufs.Pop(), []byte{0xfe, 0xff}, p.Node.ID()))
 	}
 }
 

@@ -12,6 +12,7 @@
 package crawler
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"time"
 
@@ -26,15 +27,19 @@ import (
 // the simulated one (SimTransport, synchronous — responses arrive during
 // Send) and a real-UDP one in cmd/dhtcrawl for live crawls.
 type Transport interface {
-	// Send transmits one datagram, best effort.
+	// Send transmits one datagram, best effort. The payload is valid
+	// only until Send returns: the crawler encodes into buffers it
+	// reuses, so a transport that keeps the bytes must copy them.
 	Send(dst netaddr.Endpoint, payload []byte)
 	// Endpoint is the local endpoint peers can reach the crawler at.
 	Endpoint() netaddr.Endpoint
-	// Poll delivers inbound datagrams to fn until wait elapses or the
-	// transport decides it has drained. The simulated transport delivers
-	// synchronously through its receive callback instead, so its Poll
-	// returns immediately.
-	Poll(fn func(from netaddr.Endpoint, data []byte), wait time.Duration)
+	// Poll delivers inbound datagrams to fn until fn reports the call
+	// answered, wait elapses or the transport decides it has drained.
+	// data is valid only until fn returns, so a transport may pass its
+	// read buffer. The simulated transport delivers synchronously
+	// through its receive callback instead, so its Poll returns
+	// immediately.
+	Poll(fn func(from netaddr.Endpoint, data []byte) (answered bool), wait time.Duration)
 }
 
 // simTransport adapts a simnet socket.
@@ -50,7 +55,7 @@ func SimTransport(host *simnet.Host) Transport {
 
 func (s *simTransport) Send(dst netaddr.Endpoint, payload []byte) { s.sock.Send(dst, payload) }
 func (s *simTransport) Endpoint() netaddr.Endpoint                { return s.sock.LocalEndpoint() }
-func (s *simTransport) Poll(func(netaddr.Endpoint, []byte), time.Duration) {
+func (s *simTransport) Poll(func(netaddr.Endpoint, []byte) bool, time.Duration) {
 	// Synchronous network: anything that will ever arrive has already
 	// been delivered through the socket callback.
 }
@@ -161,18 +166,22 @@ type Crawler struct {
 	frontier []netaddr.Endpoint
 	queued   map[netaddr.Endpoint]bool
 
-	// last holds the response captured since the most recent call
-	// started (delivered synchronously by the simulator, or via Poll on
+	// tidSeq is the transaction ID of the latest query, the one a call
+	// waits on. reply holds the response that echoed it, once answered
+	// is set (delivered synchronously by the simulator, or via Poll on
 	// real transports).
-	last *krpc.Message
+	tidSeq   uint16
+	answered bool
+	reply    krpc.Message
+
+	// bufs holds the buffers the crawler encodes its packets into.
+	bufs krpc.BufStack
 
 	// Metrics counts crawl activity. The counters below are hoisted out
 	// of it at construction, so an event costs no by-name lookup.
 	Metrics                       *metrics.Set
 	cInbound, cQueried, cLearned  *metrics.Counter
 	cInternalSeen, cPingResponded *metrics.Counter
-
-	tidSeq uint32
 }
 
 // New builds a crawler on a simulated host. The global routing table
@@ -215,15 +224,19 @@ func (c *Crawler) Endpoint() netaddr.Endpoint { return c.tr.Endpoint() }
 
 // HandlePacket processes one inbound datagram. Simulated transports call
 // it synchronously through the socket callback; real transports dispatch
-// through Poll.
+// through Poll. Of the responses, it keeps only the one that echoes the
+// latest query's transaction ID: a late answer to an earlier query, or
+// any other stray response, is dropped.
 func (c *Crawler) HandlePacket(from netaddr.Endpoint, payload []byte) {
-	m, err := krpc.Parse(payload)
-	if err != nil {
+	var m krpc.Message
+	if krpc.ParseInto(payload, &m) != nil {
 		return
 	}
 	switch m.Kind {
 	case krpc.Response:
-		c.last = m
+		if len(m.TID) == 2 && binary.BigEndian.Uint16(m.TID) == c.tidSeq {
+			c.reply, c.answered = m, true
+		}
 	case krpc.Query:
 		// Participate: answer pings and find_node (with an empty node
 		// list — the crawler does not re-propagate contacts), and enqueue
@@ -231,31 +244,46 @@ func (c *Crawler) HandlePacket(from netaddr.Endpoint, payload []byte) {
 		c.cInbound.Inc()
 		switch m.Method {
 		case krpc.MethodPing:
-			c.tr.Send(from, krpc.EncodePingResponse(m.TID, c.cfg.ID))
+			c.transmit(from, krpc.AppendPingResponse(c.bufs.Pop(), m.TID, c.cfg.ID))
 		case krpc.MethodFindNode:
-			c.tr.Send(from, krpc.EncodeFindNodeResponse(m.TID, c.cfg.ID, nil))
+			c.transmit(from, krpc.AppendFindNodeResponse(c.bufs.Pop(), m.TID, c.cfg.ID, nil))
 		}
 		c.enqueue(from)
 	}
 }
 
-func (c *Crawler) newTID() []byte {
+// newTID mints the transaction ID of the next query, the one the next
+// call waits on.
+func (c *Crawler) newTID() [2]byte {
 	c.tidSeq++
-	return []byte{byte(c.tidSeq >> 8), byte(c.tidSeq)}
+	return [2]byte{byte(c.tidSeq >> 8), byte(c.tidSeq)}
+}
+
+// transmit sends wire, encoded into a buffer popped from c.bufs, and
+// pushes the buffer back once Send returns.
+func (c *Crawler) transmit(dst netaddr.Endpoint, wire []byte) {
+	c.tr.Send(dst, wire)
+	c.bufs.Push(wire)
 }
 
 // call performs one query round trip: synchronous on the simulator,
-// deadline-bounded on real transports.
-func (c *Crawler) call(ep netaddr.Endpoint, payload []byte) (*krpc.Message, bool) {
-	c.last = nil
-	c.tr.Send(ep, payload)
-	if c.last == nil && c.cfg.CallTimeout > 0 {
-		c.tr.Poll(c.HandlePacket, c.cfg.CallTimeout)
+// deadline-bounded on real transports. query must carry the ID newTID
+// minted last. The reply is returned by value: a later call overwrites
+// c.reply while the caller may still be reading this one's contacts.
+func (c *Crawler) call(ep netaddr.Endpoint, query []byte) (krpc.Message, bool) {
+	c.answered = false
+	c.transmit(ep, query)
+	if !c.answered && c.cfg.CallTimeout > 0 {
+		c.tr.Poll(c.deliver, c.cfg.CallTimeout)
 	}
-	if c.last == nil {
-		return nil, false
-	}
-	return c.last, true
+	return c.reply, c.answered
+}
+
+// deliver is Poll's callback: it handles one datagram and reports
+// whether the call in flight is answered.
+func (c *Crawler) deliver(from netaddr.Endpoint, data []byte) bool {
+	c.HandlePacket(from, data)
+	return c.answered
 }
 
 // enqueue adds a crawlable endpoint to the frontier. Reserved addresses
@@ -307,7 +335,8 @@ func (c *Crawler) crawlPeer(ep netaddr.Endpoint) bool {
 		for i := 0; i < queries; i++ {
 			var target krpc.NodeID
 			c.rng.Read(target[:])
-			m, ok := c.call(ep, krpc.EncodeFindNode(c.newTID(), c.cfg.ID, target))
+			tid := c.newTID()
+			m, ok := c.call(ep, krpc.AppendFindNode(c.bufs.Pop(), tid[:], c.cfg.ID, target))
 			if !ok {
 				break
 			}
@@ -358,7 +387,8 @@ func (c *Crawler) pingPeer(key PeerKey) {
 	if netaddr.ClassifyRange(key.EP.Addr) != netaddr.RangePublic {
 		return
 	}
-	m, ok := c.call(key.EP, krpc.EncodePing(c.newTID(), c.cfg.ID))
+	tid := c.newTID()
+	m, ok := c.call(key.EP, krpc.AppendPing(c.bufs.Pop(), tid[:], c.cfg.ID))
 	if ok && m.ID == key.ID {
 		c.ds.PingResponded[key] = true
 		c.cPingResponded.Inc()

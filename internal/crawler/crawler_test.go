@@ -3,6 +3,7 @@ package crawler
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"cgn/internal/dht"
 	"cgn/internal/krpc"
@@ -172,5 +173,76 @@ func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.QueriesPerPeer != 5 || cfg.LeakBatch != 10 {
 		t.Errorf("defaults = %+v, want the paper's 5/10 schedule", cfg)
+	}
+}
+
+// replayTransport answers the way a live socket does: not during Send but
+// on Poll. For each query it queues the queried peer's reply (node ID
+// 0x11) unless staleOnly is set, and then a stale one: another transaction's
+// answer from another peer (node ID 0x99). Poll delivers everything
+// queued, whatever the callback reports, and records each report.
+type replayTransport struct {
+	staleOnly bool
+	queue     []datagram
+	reported  []bool
+}
+
+type datagram struct {
+	from netaddr.Endpoint
+	data []byte
+}
+
+func (r *replayTransport) Send(dst netaddr.Endpoint, payload []byte) {
+	q, err := krpc.Parse(payload)
+	if err != nil || q.Kind != krpc.Query {
+		return
+	}
+	if !r.staleOnly {
+		r.queue = append(r.queue, datagram{dst, krpc.AppendFindNodeResponse(nil, q.TID, nid(0x11), nil)})
+	}
+	stale := []byte{q.TID[0] ^ 0xff, q.TID[1]}
+	r.queue = append(r.queue, datagram{netaddr.MustParseEndpoint("198.51.0.77:6881"),
+		krpc.AppendFindNodeResponse(nil, stale, nid(0x99), nil)})
+}
+
+func (r *replayTransport) Endpoint() netaddr.Endpoint {
+	return netaddr.MustParseEndpoint("203.0.113.9:6881")
+}
+
+func (r *replayTransport) Poll(fn func(netaddr.Endpoint, []byte) bool, _ time.Duration) {
+	for _, d := range r.queue {
+		r.reported = append(r.reported, fn(d.from, d.data))
+	}
+	r.queue = r.queue[:0]
+}
+
+// TestCallKeepsOnlyItsReply: a call takes the response that echoes its
+// transaction ID, and Poll's callback reports the call answered from
+// that response on; a stale response from another peer is dropped.
+func TestCallKeepsOnlyItsReply(t *testing.T) {
+	peer := netaddr.MustParseEndpoint("198.51.0.10:6881")
+	crawl := func(tr *replayTransport) *Dataset {
+		cr := NewWithTransport(tr, routing.NewGlobal(), Config{
+			QueriesPerPeer: 1, LeakBatch: 1, MaxPeers: 1, CallTimeout: time.Second,
+		})
+		cr.Seed(peer)
+		return cr.Run()
+	}
+
+	tr := &replayTransport{}
+	ds := crawl(tr)
+	if want := (PeerKey{EP: peer, ID: nid(0x11)}); len(ds.Queried) != 1 || !ds.Queried[want] {
+		t.Errorf("queried = %v, want only %v", ds.Queried, want)
+	}
+	if len(tr.reported) != 2 || !tr.reported[0] {
+		t.Errorf("callback reported %v, want answered from the first datagram on", tr.reported)
+	}
+
+	tr = &replayTransport{staleOnly: true}
+	if ds := crawl(tr); len(ds.Queried) != 0 {
+		t.Errorf("queried = %v from a stale reply alone, want none", ds.Queried)
+	}
+	if len(tr.reported) != 1 || tr.reported[0] {
+		t.Errorf("callback reported %v for a stale reply, want unanswered", tr.reported)
 	}
 }

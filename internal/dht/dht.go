@@ -33,6 +33,10 @@ const K = 8
 
 // Sender transmits one datagram. Implementations: simnet sockets and real
 // UDP conns. Send is best-effort; delivery failure is silence, as with UDP.
+// The payload is valid only until Send returns: the node encodes into
+// buffers it reuses, so a Sender that keeps the bytes must copy them.
+// Delivery may be synchronous, and the receiving node may answer before
+// Send returns.
 type Sender interface {
 	Send(dst netaddr.Endpoint, payload []byte)
 }
@@ -64,8 +68,9 @@ type Node struct {
 
 	table *table
 
-	// pending maps in-flight transaction IDs to their purpose.
-	pending map[string]pendingOp
+	// pending maps in-flight transaction IDs to their purpose. A node's
+	// IDs are four bytes on the wire, read as one big-endian word.
+	pending map[uint32]pendingOp
 	// validating tracks endpoints with an in-flight validation ping, so a
 	// peer's symmetric validation of us cannot recurse into an infinite
 	// mutual ping exchange.
@@ -79,6 +84,9 @@ type Node struct {
 	// currentGetPeers collects the in-flight swarm lookup's findings
 	// (safe because the simulator resolves sends synchronously).
 	currentGetPeers *GetPeersResult
+
+	// bufs holds the buffers the node encodes its packets into.
+	bufs krpc.BufStack
 
 	// QueriesSeen counts inbound queries, for population statistics.
 	QueriesSeen int
@@ -108,7 +116,7 @@ func NewNode(cfg Config, send Sender) *Node {
 		cfg:         cfg,
 		send:        send,
 		table:       newTable(cfg.ID),
-		pending:     make(map[string]pendingOp),
+		pending:     make(map[uint32]pendingOp),
 		validating:  make(map[netaddr.Endpoint]bool),
 		rng:         rng,
 		peers:       newPeerStore(64),
@@ -125,20 +133,37 @@ func (n *Node) Contacts() []krpc.NodeInfo { return n.table.all() }
 // NumContacts returns the routing table size.
 func (n *Node) NumContacts() int { return n.table.size }
 
-// newTID mints a fresh transaction ID.
-func (n *Node) newTID() []byte {
+// newTID mints a fresh transaction ID and renders its four wire bytes.
+func (n *Node) newTID() (uint32, [4]byte) {
 	n.tidSeq++
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], n.tidSeq^n.rng.Uint32())
-	return b[:]
+	tid := n.tidSeq ^ n.rng.Uint32()
+	var wire [4]byte
+	binary.BigEndian.PutUint32(wire[:], tid)
+	return tid, wire
 }
 
-func (n *Node) track(tid []byte, op pendingOp) bool {
+// parseTID reads a transaction ID off the wire. Any length but four
+// bytes is not one of ours.
+func parseTID(b []byte) (uint32, bool) {
+	if len(b) != 4 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(b), true
+}
+
+func (n *Node) track(tid uint32, op pendingOp) bool {
 	if len(n.pending) >= n.cfg.MaxPending {
 		return false
 	}
-	n.pending[string(tid)] = op
+	n.pending[tid] = op
 	return true
+}
+
+// transmit sends wire, encoded into a buffer popped from n.bufs, and
+// pushes the buffer back once Send returns.
+func (n *Node) transmit(dst netaddr.Endpoint, wire []byte) {
+	n.send.Send(dst, wire)
+	n.bufs.Push(wire)
 }
 
 // AddCandidate considers a contact endpoint for the routing table. Under
@@ -150,12 +175,12 @@ func (n *Node) AddCandidate(ep netaddr.Endpoint) {
 	if n.table.knowsEP(ep) || n.validating[ep] {
 		return
 	}
-	tid := n.newTID()
+	tid, tidBytes := n.newTID()
 	if !n.track(tid, pendingOp{kind: pendingValidate, ep: ep}) {
 		return
 	}
 	n.validating[ep] = true
-	n.send.Send(ep, krpc.EncodePing(tid, n.cfg.ID))
+	n.transmit(ep, krpc.AppendPing(n.bufs.Pop(), tidBytes[:], n.cfg.ID))
 }
 
 // PrunePending abandons all outstanding queries, modeling query timeouts.
@@ -173,11 +198,11 @@ func (n *Node) PrunePending() {
 func (n *Node) Lookup(target krpc.NodeID) {
 	var buf [K]krpc.NodeInfo
 	for _, c := range n.table.closest(target, &buf) {
-		tid := n.newTID()
+		tid, tidBytes := n.newTID()
 		if !n.track(tid, pendingOp{kind: pendingLookup, ep: c.EP}) {
 			return
 		}
-		n.send.Send(c.EP, krpc.EncodeFindNode(tid, n.cfg.ID, target))
+		n.transmit(c.EP, krpc.AppendFindNode(n.bufs.Pop(), tidBytes[:], n.cfg.ID, target))
 	}
 }
 
@@ -217,23 +242,25 @@ func (n *Node) HandlePacket(from netaddr.Endpoint, data []byte) {
 	case krpc.Response:
 		n.handleResponse(from, &m)
 	case krpc.Error:
-		delete(n.pending, string(m.TID))
+		if tid, ok := parseTID(m.TID); ok {
+			delete(n.pending, tid)
+		}
 	}
 }
 
 func (n *Node) handleQuery(from netaddr.Endpoint, m *krpc.Message) {
 	switch m.Method {
 	case krpc.MethodPing:
-		n.send.Send(from, krpc.EncodePingResponse(m.TID, n.cfg.ID))
+		n.transmit(from, krpc.AppendPingResponse(n.bufs.Pop(), m.TID, n.cfg.ID))
 	case krpc.MethodFindNode:
 		var buf [K]krpc.NodeInfo
-		n.send.Send(from, krpc.EncodeFindNodeResponse(m.TID, n.cfg.ID, n.table.closest(m.Target, &buf)))
+		n.transmit(from, krpc.AppendFindNodeResponse(n.bufs.Pop(), m.TID, n.cfg.ID, n.table.closest(m.Target, &buf)))
 	case krpc.MethodGetPeers:
 		n.handleGetPeers(from, m)
 	case krpc.MethodAnnouncePeer:
 		n.handleAnnounce(from, m)
 	default:
-		n.send.Send(from, krpc.EncodeError(m.TID, 204, "Method Unknown"))
+		n.transmit(from, krpc.AppendError(n.bufs.Pop(), m.TID, 204, "Method Unknown"))
 		return
 	}
 	// The querier is itself a fresh liveness signal: consider it for the
@@ -252,11 +279,15 @@ func (n *Node) handleQuery(from netaddr.Endpoint, m *krpc.Message) {
 }
 
 func (n *Node) handleResponse(from netaddr.Endpoint, m *krpc.Message) {
-	op, ok := n.pending[string(m.TID)]
+	tid, ok := parseTID(m.TID)
+	if !ok {
+		return // not a transaction of ours
+	}
+	op, ok := n.pending[tid]
 	if !ok {
 		return // unsolicited response
 	}
-	delete(n.pending, string(m.TID))
+	delete(n.pending, tid)
 	switch op.kind {
 	case pendingValidate:
 		// The round trip to op.ep succeeded: the contact is validated.

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -18,9 +19,13 @@ func nid(b byte) krpc.NodeID {
 }
 
 // pipeWorld wires nodes together with an in-memory loss-free fabric so the
-// protocol logic can be tested without the full simulator.
+// protocol logic can be tested without the full simulator. Delivery is
+// synchronous, like the simulator's, and holds the sender to the Sender
+// contract: the receiver gets a copy of the payload, and a payload that
+// changed before its Send returned is counted in clobbered.
 type pipeWorld struct {
-	nodes map[netaddr.Endpoint]*Node
+	nodes     map[netaddr.Endpoint]*Node
+	clobbered int
 }
 
 func newPipeWorld() *pipeWorld {
@@ -32,7 +37,11 @@ func (w *pipeWorld) attach(ep netaddr.Endpoint, cfg Config) *Node {
 	var n *Node
 	send := SenderFunc(func(dst netaddr.Endpoint, payload []byte) {
 		if peer, ok := w.nodes[dst]; ok {
-			peer.HandlePacket(ep, payload)
+			sent := bytes.Clone(payload)
+			peer.HandlePacket(ep, sent)
+			if !bytes.Equal(payload, sent) {
+				w.clobbered++
+			}
 		}
 	})
 	n = NewNode(cfg, send)
@@ -115,7 +124,7 @@ func TestNonValidatingNodeInsertsImmediately(t *testing.T) {
 	sloppy := w.attach(ep("1.0.0.1:6881"), Config{ID: nid(1), Validate: false, Seed: 1})
 	// A query arrives from an endpoint that cannot be pinged back (not
 	// attached). The sloppy node inserts the claimed contact anyway.
-	q := krpc.EncodePing([]byte("aa"), nid(0x77))
+	q := krpc.AppendPing(nil, []byte("aa"), nid(0x77))
 	sloppy.HandlePacket(ep("6.6.6.6:6881"), q)
 	if sloppy.NumContacts() != 1 {
 		t.Fatalf("contacts = %d, want 1 for non-validating node", sloppy.NumContacts())
@@ -128,7 +137,7 @@ func TestNonValidatingNodeInsertsImmediately(t *testing.T) {
 func TestValidatingNodeRefusesUnreachableQuerier(t *testing.T) {
 	w := newPipeWorld()
 	strict := w.attach(ep("1.0.0.1:6881"), Config{ID: nid(1), Validate: true, Seed: 1})
-	q := krpc.EncodePing([]byte("aa"), nid(0x77))
+	q := krpc.AppendPing(nil, []byte("aa"), nid(0x77))
 	strict.HandlePacket(ep("6.6.6.6:6881"), q)
 	if strict.NumContacts() != 0 {
 		t.Errorf("contacts = %d, want 0: validation ping cannot complete", strict.NumContacts())
@@ -261,7 +270,7 @@ func closestBySort(tab *table, target krpc.NodeID) []krpc.NodeInfo {
 func TestUnknownMethodGetsError(t *testing.T) {
 	var sent [][]byte
 	n := NewNode(Config{ID: nid(1), Seed: 1}, SenderFunc(func(_ netaddr.Endpoint, p []byte) {
-		sent = append(sent, p)
+		sent = append(sent, bytes.Clone(p))
 	}))
 	// "vote" is not a BEP-5 method; the node must answer with a KRPC
 	// "Method Unknown" error.
@@ -287,7 +296,7 @@ func TestGarbageIgnored(t *testing.T) {
 
 func TestUnsolicitedResponseIgnored(t *testing.T) {
 	n := NewNode(Config{ID: nid(1), Validate: true, Seed: 1}, SenderFunc(func(netaddr.Endpoint, []byte) {}))
-	pong := krpc.EncodePingResponse([]byte("zz"), nid(9))
+	pong := krpc.AppendPingResponse(nil, []byte("zz"), nid(9))
 	n.HandlePacket(ep("1.1.1.1:1"), pong)
 	if n.NumContacts() != 0 {
 		t.Error("unsolicited pong must not insert a contact")
@@ -362,5 +371,78 @@ func TestPendingBound(t *testing.T) {
 	}
 	if len(n.pending) > 4 {
 		t.Errorf("pending = %d, want <= 4", len(n.pending))
+	}
+}
+
+// TestSendBuffersOutliveNestedSends holds nodes to the Sender contract
+// under synchronous delivery, where a node answers, and its peer sends
+// again, before the first Send returns: no payload may change while a
+// Send that carries it is running. Lookup, get_peers and announce
+// rounds over a population nest sends several deep.
+func TestSendBuffersOutliveNestedSends(t *testing.T) {
+	w := newPipeWorld()
+	rng := rand.New(rand.NewSource(7))
+	var nodes []*Node
+	for i := 0; i < 40; i++ {
+		var id krpc.NodeID
+		rng.Read(id[:])
+		addr := netaddr.EndpointOf(netaddr.AddrFrom4(5, 1, 0, byte(i+1)), 6881)
+		nodes = append(nodes, w.attach(addr, Config{ID: id, Validate: i%5 != 0, Seed: int64(i + 1)}))
+		if i > 0 {
+			nodes[i].AddCandidate(netaddr.EndpointOf(netaddr.AddrFrom4(5, 1, 0, 1), 6881))
+		}
+	}
+	hash := ih(0x42)
+	for round := 0; round < 3; round++ {
+		for _, n := range nodes {
+			n.LookupRandom()
+			for _, member := range n.Announce(hash) {
+				n.AddCandidate(member)
+			}
+			n.GetPeers(ih(0x43))
+		}
+		for _, n := range nodes {
+			n.PrunePending()
+		}
+	}
+	if got := len(nodes[0].SwarmPeers(hash)) + len(nodes[1].SwarmPeers(hash)); got == 0 {
+		t.Error("no announce was stored: the rounds did not run")
+	}
+	if w.clobbered != 0 {
+		t.Errorf("%d payloads changed while their Send was running", w.clobbered)
+	}
+}
+
+// TestSendPathAllocations pins the send path's allocations on a warmed
+// node. Answering find_node allocates only the parsed transaction ID:
+// the reply is encoded into a reused buffer. A validation ping allocates
+// nothing: its transaction ID is a map key by value and its bytes live
+// on the stack until encoded.
+func TestSendPathAllocations(t *testing.T) {
+	node := NewNode(Config{ID: nid(1), Seed: 1}, SenderFunc(func(netaddr.Endpoint, []byte) {}))
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 64; i++ {
+		var c krpc.NodeInfo
+		rng.Read(c.ID[:])
+		c.EP = netaddr.EndpointOf(netaddr.Addr(rng.Uint32()|1), 6881)
+		node.InsertContact(c)
+	}
+	var target krpc.NodeID
+	rng.Read(target[:])
+	query := krpc.AppendFindNode(nil, []byte("aa"), nid(2), target)
+	from := ep("198.51.100.9:6881")
+	node.HandlePacket(from, query)
+	if got := testing.AllocsPerRun(100, func() { node.HandlePacket(from, query) }); got != 1 {
+		t.Errorf("find_node handling allocates %v times, want 1 (the parsed TID)", got)
+	}
+
+	cand := ep("203.0.113.7:6881")
+	ping := func() {
+		node.AddCandidate(cand)
+		node.PrunePending()
+	}
+	ping()
+	if got := testing.AllocsPerRun(100, ping); got != 0 {
+		t.Errorf("a validation ping allocates %v times, want 0", got)
 	}
 }

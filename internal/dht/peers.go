@@ -61,13 +61,13 @@ func compareEndpoints(a, b netaddr.Endpoint) int {
 // must echo a token recently issued to the same endpoint, which proves
 // the announcer can receive at the address it claims (BEP-5's anti-
 // spoofing measure).
-func (n *Node) token(ep netaddr.Endpoint) []byte {
+func (n *Node) token(ep netaddr.Endpoint) [8]byte {
 	var buf [14]byte
 	binary.BigEndian.PutUint32(buf[0:4], uint32(ep.Addr))
 	binary.BigEndian.PutUint16(buf[4:6], ep.Port)
 	binary.BigEndian.PutUint64(buf[6:14], n.tokenSecret)
 	sum := sha1.Sum(buf[:])
-	return sum[:8]
+	return [8]byte(sum[:8])
 }
 
 func (n *Node) validToken(ep netaddr.Endpoint, token []byte) bool {
@@ -91,7 +91,8 @@ func (n *Node) handleGetPeers(from netaddr.Endpoint, m *krpc.Message) {
 	if len(peers) == 0 {
 		nodes = n.table.closest(m.Target, &buf)
 	}
-	n.send.Send(from, krpc.EncodeGetPeersResponse(m.TID, n.cfg.ID, n.token(from), peers, nodes))
+	token := n.token(from)
+	n.transmit(from, krpc.AppendGetPeersResponse(n.bufs.Pop(), m.TID, n.cfg.ID, token[:], peers, nodes))
 }
 
 // handleAnnounce stores an announcing peer. The stored endpoint is the
@@ -99,7 +100,7 @@ func (n *Node) handleGetPeers(from netaddr.Endpoint, m *krpc.Message) {
 // port announces (the NAT-friendly mode), the observed source port.
 func (n *Node) handleAnnounce(from netaddr.Endpoint, m *krpc.Message) {
 	if !n.validToken(from, m.Token) {
-		n.send.Send(from, krpc.EncodeError(m.TID, 203, "Bad token"))
+		n.transmit(from, krpc.AppendError(n.bufs.Pop(), m.TID, 203, "Bad token"))
 		return
 	}
 	ep := netaddr.EndpointOf(from.Addr, m.Port)
@@ -107,7 +108,7 @@ func (n *Node) handleAnnounce(from netaddr.Endpoint, m *krpc.Message) {
 		ep.Port = from.Port
 	}
 	n.peers.add(m.Target, ep)
-	n.send.Send(from, krpc.EncodePingResponse(m.TID, n.cfg.ID))
+	n.transmit(from, krpc.AppendPingResponse(n.bufs.Pop(), m.TID, n.cfg.ID))
 }
 
 // SwarmPeers exposes this node's stored membership for an info-hash.
@@ -133,11 +134,11 @@ func (n *Node) GetPeers(infoHash krpc.NodeID) *GetPeersResult {
 	defer func() { n.currentGetPeers = nil }()
 	var buf [K]krpc.NodeInfo
 	for _, c := range n.table.closest(infoHash, &buf) {
-		tid := n.newTID()
+		tid, tidBytes := n.newTID()
 		if !n.track(tid, pendingOp{kind: pendingGetPeers, ep: c.EP}) {
 			break
 		}
-		n.send.Send(c.EP, krpc.EncodeGetPeers(tid, n.cfg.ID, infoHash))
+		n.transmit(c.EP, krpc.AppendGetPeers(n.bufs.Pop(), tidBytes[:], n.cfg.ID, infoHash))
 	}
 	return res
 }
@@ -154,11 +155,11 @@ func (n *Node) Announce(infoHash krpc.NodeID) []netaddr.Endpoint {
 	}
 	slices.SortFunc(targets, compareEndpoints)
 	for _, ep := range targets {
-		tid := n.newTID()
+		tid, tidBytes := n.newTID()
 		if !n.track(tid, pendingOp{kind: pendingAnnounce, ep: ep}) {
 			break
 		}
-		n.send.Send(ep, krpc.EncodeAnnouncePeer(tid, n.cfg.ID, infoHash, 0, true, res.Tokens[ep]))
+		n.transmit(ep, krpc.AppendAnnouncePeer(n.bufs.Pop(), tidBytes[:], n.cfg.ID, infoHash, 0, true, res.Tokens[ep]))
 	}
 	return res.Peers
 }

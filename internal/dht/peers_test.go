@@ -40,7 +40,7 @@ func TestAnnounceRequiresValidToken(t *testing.T) {
 	w := newPipeWorld()
 	store := w.attach(ep("1.0.0.1:6881"), Config{ID: nid(1), Validate: true, Seed: 1})
 	// Forge an announce without a get_peers first: the token is garbage.
-	forged := krpc.EncodeAnnouncePeer([]byte("xx"), nid(9), ih(0x55), 6881, false, []byte("bogus"))
+	forged := krpc.AppendAnnouncePeer(nil, []byte("xx"), nid(9), ih(0x55), 6881, false, []byte("bogus"))
 	store.HandlePacket(ep("6.6.6.6:6881"), forged)
 	if got := store.SwarmPeers(ih(0x55)); len(got) != 0 {
 		t.Errorf("forged announce stored peers: %v", got)
@@ -50,10 +50,11 @@ func TestAnnounceRequiresValidToken(t *testing.T) {
 func TestTokenBoundToEndpoint(t *testing.T) {
 	n := NewNode(Config{ID: nid(1), Seed: 4}, SenderFunc(func(netaddr.Endpoint, []byte) {}))
 	e1, e2 := ep("1.1.1.1:1000"), ep("1.1.1.1:1001")
-	if n.validToken(e2, n.token(e1)) {
+	tok := n.token(e1)
+	if n.validToken(e2, tok[:]) {
 		t.Error("token issued to e1 must not validate for e2")
 	}
-	if !n.validToken(e1, n.token(e1)) {
+	if !n.validToken(e1, tok[:]) {
 		t.Error("token must validate for its own endpoint")
 	}
 }
@@ -96,7 +97,7 @@ func TestExplicitPortAnnounce(t *testing.T) {
 		t.Fatal("no token gathered")
 	}
 	// Announce an explicit, different port.
-	wire := krpc.EncodeAnnouncePeer([]byte("yy"), a.ID(), ih(0x88), 51413, false, token)
+	wire := krpc.AppendAnnouncePeer(nil, []byte("yy"), a.ID(), ih(0x88), 51413, false, token)
 	a.send.Send(ep("1.0.0.1:6881"), wire)
 	got := store.SwarmPeers(ih(0x88))
 	if len(got) != 1 || got[0] != ep("1.0.0.2:51413") {

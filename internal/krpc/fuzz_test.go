@@ -10,13 +10,13 @@ import (
 // accepted message must re-encode into a parseable form.
 func FuzzParse(f *testing.F) {
 	var id NodeID
-	f.Add(EncodePing([]byte("aa"), id))
-	f.Add(EncodeFindNode([]byte("ab"), id, id))
-	f.Add(EncodePingResponse([]byte("ac"), id))
-	f.Add(EncodeFindNodeResponse([]byte("ad"), id, []NodeInfo{
+	f.Add(AppendPing(nil, []byte("aa"), id))
+	f.Add(AppendFindNode(nil, []byte("ab"), id, id))
+	f.Add(AppendPingResponse(nil, []byte("ac"), id))
+	f.Add(AppendFindNodeResponse(nil, []byte("ad"), id, []NodeInfo{
 		{ID: id, EP: netaddr.MustParseEndpoint("1.2.3.4:6881")},
 	}))
-	f.Add(EncodeError([]byte("ae"), 203, "Protocol Error"))
+	f.Add(AppendError(nil, []byte("ae"), 203, "Protocol Error"))
 	f.Add([]byte("d1:t2:aa1:y1:qe"))
 	f.Add([]byte("garbage"))
 
@@ -31,20 +31,20 @@ func FuzzParse(f *testing.F) {
 		case Query:
 			switch m.Method {
 			case MethodPing:
-				wire = EncodePing(m.TID, m.ID)
+				wire = AppendPing(nil, m.TID, m.ID)
 			case MethodFindNode:
-				wire = EncodeFindNode(m.TID, m.ID, m.Target)
+				wire = AppendFindNode(nil, m.TID, m.ID, m.Target)
 			default:
 				return // foreign methods parse but have no builder
 			}
 		case Response:
 			if m.Nodes != nil {
-				wire = EncodeFindNodeResponse(m.TID, m.ID, m.Nodes)
+				wire = AppendFindNodeResponse(nil, m.TID, m.ID, m.Nodes)
 			} else {
-				wire = EncodePingResponse(m.TID, m.ID)
+				wire = AppendPingResponse(nil, m.TID, m.ID)
 			}
 		case Error:
-			wire = EncodeError(m.TID, m.Code, m.Msg)
+			wire = AppendError(nil, m.TID, m.Code, m.Msg)
 		}
 		if _, err := Parse(wire); err != nil {
 			t.Fatalf("re-encoded message unparseable: %v", err)

@@ -3,6 +3,12 @@
 // UDP, plus the compact node-info encoding that find_node responses use.
 // The paper's crawler (§4.1) speaks exactly this dialect: ping ("bt_ping")
 // and find_node.
+//
+// The encoders follow the strconv.AppendInt convention: Append<Msg>(dst,
+// ...) appends one message to dst and returns the extended slice, and a
+// caller that wants fresh bytes passes nil. A sender encodes into a
+// buffer popped from its own BufStack and pushes it back once the send
+// returns, so a payload is valid only until Send returns.
 package krpc
 
 import (
@@ -83,15 +89,6 @@ func (n NodeInfo) AppendCompact(dst []byte) []byte {
 	return append(dst, byte(n.EP.Port>>8), byte(n.EP.Port))
 }
 
-// EncodeCompactNodes renders a node list in compact form.
-func EncodeCompactNodes(nodes []NodeInfo) []byte {
-	out := make([]byte, 0, len(nodes)*compactNodeLen)
-	for _, n := range nodes {
-		out = n.AppendCompact(out)
-	}
-	return out
-}
-
 // DecodeCompactNodes parses a compact node list. It rejects data whose
 // length is not a multiple of 26.
 func DecodeCompactNodes(data []byte) ([]NodeInfo, error) {
@@ -129,17 +126,6 @@ const (
 
 // compactPeerLen is the wire size of one compact peer entry (IP + port).
 const compactPeerLen = 6
-
-// EncodeCompactPeers renders transport endpoints in the 6-byte compact
-// form get_peers responses use.
-func EncodeCompactPeers(peers []netaddr.Endpoint) [][]byte {
-	out := make([][]byte, 0, len(peers))
-	for _, p := range peers {
-		b := p.Addr.AppendBytes(make([]byte, 0, compactPeerLen))
-		out = append(out, append(b, byte(p.Port>>8), byte(p.Port)))
-	}
-	return out
-}
 
 // DecodeCompactPeer parses one 6-byte compact peer entry.
 func DecodeCompactPeer(b []byte) (netaddr.Endpoint, bool) {
@@ -181,7 +167,7 @@ type Message struct {
 // Errors returned by Parse.
 var ErrMalformed = errors.New("krpc: malformed message")
 
-// The Encode* builders below write the bencoded bytes directly, with the
+// The Append* builders below write the bencoded bytes directly, with the
 // dictionary keys laid out in the sorted order the format mandates. This
 // is byte-identical to encoding a map[string]any through bencode.Encode
 // (TestEncodersMatchGenericBencode proves it) but skips the map
@@ -209,9 +195,28 @@ func appendInt(dst []byte, n int64) []byte {
 	return append(dst, 'e')
 }
 
-// queryHeader opens a query dictionary up to the start of the "a" args
-// dict; queryFooter closes args and appends the q/t/y entries. Key order:
-// a < q < t < y.
+// appendCompactNodes appends nodes as one bencoded string of compact
+// entries.
+func appendCompactNodes(dst []byte, nodes []NodeInfo) []byte {
+	dst = strconv.AppendInt(dst, int64(len(nodes)*compactNodeLen), 10)
+	dst = append(dst, ':')
+	for _, n := range nodes {
+		dst = n.AppendCompact(dst)
+	}
+	return dst
+}
+
+// queryHeader opens a query dictionary and its "a" args dict through
+// the "id" entry; queryFooter closes args and appends the q/t/y entries.
+// Key order: a < q < t < y.
+func queryHeader(dst []byte, self NodeID) []byte {
+	dst = append(dst, 'd')
+	dst = appendStr(dst, "a")
+	dst = append(dst, 'd')
+	dst = appendStr(dst, "id")
+	return appendBytes(dst, self[:])
+}
+
 func queryFooter(dst []byte, method string, tid []byte) []byte {
 	dst = append(dst, 'e')
 	dst = appendStr(dst, "q")
@@ -223,31 +228,31 @@ func queryFooter(dst []byte, method string, tid []byte) []byte {
 	return append(dst, 'e')
 }
 
-// EncodePing renders a ping query.
-func EncodePing(tid []byte, self NodeID) []byte {
-	b := make([]byte, 0, 64+len(tid))
-	b = append(b, 'd')
-	b = appendStr(b, "a")
-	b = append(b, 'd')
-	b = appendStr(b, "id")
-	b = appendBytes(b, self[:])
-	return queryFooter(b, MethodPing, tid)
+// AppendPing appends a ping query to dst.
+func AppendPing(dst, tid []byte, self NodeID) []byte {
+	dst = queryHeader(dst, self)
+	return queryFooter(dst, MethodPing, tid)
 }
 
-// EncodeFindNode renders a find_node query.
-func EncodeFindNode(tid []byte, self, target NodeID) []byte {
-	b := make([]byte, 0, 96+len(tid))
-	b = append(b, 'd')
-	b = appendStr(b, "a")
-	b = append(b, 'd')
-	b = appendStr(b, "id")
-	b = appendBytes(b, self[:])
-	b = appendStr(b, "target")
-	b = appendBytes(b, target[:])
-	return queryFooter(b, MethodFindNode, tid)
+// AppendFindNode appends a find_node query to dst.
+func AppendFindNode(dst, tid []byte, self, target NodeID) []byte {
+	dst = queryHeader(dst, self)
+	dst = appendStr(dst, "target")
+	dst = appendBytes(dst, target[:])
+	return queryFooter(dst, MethodFindNode, tid)
 }
 
-// responseFooter appends the t/y entries closing a response dictionary.
+// responseHeader opens a response dictionary and its "r" body dict
+// through the "id" entry; responseFooter appends the t/y entries closing
+// the response.
+func responseHeader(dst []byte, self NodeID) []byte {
+	dst = append(dst, 'd')
+	dst = appendStr(dst, "r")
+	dst = append(dst, 'd')
+	dst = appendStr(dst, "id")
+	return appendBytes(dst, self[:])
+}
+
 func responseFooter(dst, tid []byte) []byte {
 	dst = appendStr(dst, "t")
 	dst = appendBytes(dst, tid)
@@ -256,122 +261,122 @@ func responseFooter(dst, tid []byte) []byte {
 	return append(dst, 'e')
 }
 
-// EncodePingResponse renders a response to ping.
-func EncodePingResponse(tid []byte, self NodeID) []byte {
-	b := make([]byte, 0, 64+len(tid))
-	b = append(b, 'd')
-	b = appendStr(b, "r")
-	b = append(b, 'd')
-	b = appendStr(b, "id")
-	b = appendBytes(b, self[:])
-	b = append(b, 'e')
-	return responseFooter(b, tid)
+// AppendPingResponse appends a response to ping to dst.
+func AppendPingResponse(dst, tid []byte, self NodeID) []byte {
+	dst = responseHeader(dst, self)
+	dst = append(dst, 'e')
+	return responseFooter(dst, tid)
 }
 
-// EncodeFindNodeResponse renders a response to find_node carrying up to
-// eight compact contacts.
-func EncodeFindNodeResponse(tid []byte, self NodeID, nodes []NodeInfo) []byte {
-	b := make([]byte, 0, 96+len(tid)+len(nodes)*compactNodeLen)
-	b = append(b, 'd')
-	b = appendStr(b, "r")
-	b = append(b, 'd')
-	b = appendStr(b, "id")
-	b = appendBytes(b, self[:])
-	b = appendStr(b, "nodes")
-	b = strconv.AppendInt(b, int64(len(nodes)*compactNodeLen), 10)
-	b = append(b, ':')
-	for _, n := range nodes {
-		b = n.AppendCompact(b)
-	}
-	b = append(b, 'e')
-	return responseFooter(b, tid)
+// AppendFindNodeResponse appends a response to find_node carrying up to
+// eight compact contacts to dst.
+func AppendFindNodeResponse(dst, tid []byte, self NodeID, nodes []NodeInfo) []byte {
+	dst = responseHeader(dst, self)
+	dst = appendStr(dst, "nodes")
+	dst = appendCompactNodes(dst, nodes)
+	dst = append(dst, 'e')
+	return responseFooter(dst, tid)
 }
 
-// EncodeGetPeers renders a get_peers query for an info-hash.
-func EncodeGetPeers(tid []byte, self, infoHash NodeID) []byte {
-	b := make([]byte, 0, 96+len(tid))
-	b = append(b, 'd')
-	b = appendStr(b, "a")
-	b = append(b, 'd')
-	b = appendStr(b, "id")
-	b = appendBytes(b, self[:])
-	b = appendStr(b, "info_hash")
-	b = appendBytes(b, infoHash[:])
-	return queryFooter(b, MethodGetPeers, tid)
+// AppendGetPeers appends a get_peers query for an info-hash to dst.
+func AppendGetPeers(dst, tid []byte, self, infoHash NodeID) []byte {
+	dst = queryHeader(dst, self)
+	dst = appendStr(dst, "info_hash")
+	dst = appendBytes(dst, infoHash[:])
+	return queryFooter(dst, MethodGetPeers, tid)
 }
 
-// EncodeGetPeersResponse renders a get_peers response carrying known
-// peers (values), fallback contacts (nodes), and a write token.
-func EncodeGetPeersResponse(tid []byte, self NodeID, token []byte, peers []netaddr.Endpoint, nodes []NodeInfo) []byte {
-	b := make([]byte, 0, 128+len(tid)+len(token)+len(peers)*compactPeerLen+len(nodes)*compactNodeLen)
-	b = append(b, 'd')
-	b = appendStr(b, "r")
-	b = append(b, 'd')
-	b = appendStr(b, "id")
-	b = appendBytes(b, self[:])
+// AppendGetPeersResponse appends a get_peers response carrying known
+// peers (values), fallback contacts (nodes), and a write token to dst.
+func AppendGetPeersResponse(dst, tid []byte, self NodeID, token []byte, peers []netaddr.Endpoint, nodes []NodeInfo) []byte {
+	dst = responseHeader(dst, self)
 	if len(peers) > 0 {
 		// Key order: id < token < values.
-		b = appendStr(b, "token")
-		b = appendBytes(b, token)
-		b = appendStr(b, "values")
-		b = append(b, 'l')
+		dst = appendStr(dst, "token")
+		dst = appendBytes(dst, token)
+		dst = appendStr(dst, "values")
+		dst = append(dst, 'l')
 		for _, p := range peers {
-			b = append(b, '6', ':')
-			b = p.Addr.AppendBytes(b)
-			b = append(b, byte(p.Port>>8), byte(p.Port))
+			dst = append(dst, '6', ':')
+			dst = p.Addr.AppendBytes(dst)
+			dst = append(dst, byte(p.Port>>8), byte(p.Port))
 		}
-		b = append(b, 'e')
+		dst = append(dst, 'e')
 	} else {
 		// Key order: id < nodes < token.
-		b = appendStr(b, "nodes")
-		b = strconv.AppendInt(b, int64(len(nodes)*compactNodeLen), 10)
-		b = append(b, ':')
-		for _, n := range nodes {
-			b = n.AppendCompact(b)
-		}
-		b = appendStr(b, "token")
-		b = appendBytes(b, token)
+		dst = appendStr(dst, "nodes")
+		dst = appendCompactNodes(dst, nodes)
+		dst = appendStr(dst, "token")
+		dst = appendBytes(dst, token)
 	}
-	b = append(b, 'e')
-	return responseFooter(b, tid)
+	dst = append(dst, 'e')
+	return responseFooter(dst, tid)
 }
 
-// EncodeAnnouncePeer renders an announce_peer query.
-func EncodeAnnouncePeer(tid []byte, self, infoHash NodeID, port uint16, impliedPort bool, token []byte) []byte {
+// AppendAnnouncePeer appends an announce_peer query to dst.
+func AppendAnnouncePeer(dst, tid []byte, self, infoHash NodeID, port uint16, impliedPort bool, token []byte) []byte {
 	implied := int64(0)
 	if impliedPort {
 		implied = 1
 	}
-	b := make([]byte, 0, 160+len(tid)+len(token))
-	b = append(b, 'd')
-	b = appendStr(b, "a")
-	b = append(b, 'd')
 	// Key order: id < implied_port < info_hash < port < token.
-	b = appendStr(b, "id")
-	b = appendBytes(b, self[:])
-	b = appendStr(b, "implied_port")
-	b = appendInt(b, implied)
-	b = appendStr(b, "info_hash")
-	b = appendBytes(b, infoHash[:])
-	b = appendStr(b, "port")
-	b = appendInt(b, int64(port))
-	b = appendStr(b, "token")
-	b = appendBytes(b, token)
-	return queryFooter(b, MethodAnnouncePeer, tid)
+	dst = queryHeader(dst, self)
+	dst = appendStr(dst, "implied_port")
+	dst = appendInt(dst, implied)
+	dst = appendStr(dst, "info_hash")
+	dst = appendBytes(dst, infoHash[:])
+	dst = appendStr(dst, "port")
+	dst = appendInt(dst, int64(port))
+	dst = appendStr(dst, "token")
+	dst = appendBytes(dst, token)
+	return queryFooter(dst, MethodAnnouncePeer, tid)
 }
 
-// EncodeError renders a KRPC error message.
-func EncodeError(tid []byte, code int64, msg string) []byte {
-	b := make([]byte, 0, 64+len(tid)+len(msg))
-	b = append(b, 'd')
-	b = appendStr(b, "e")
-	b = append(b, 'l')
-	b = appendInt(b, code)
-	b = appendStr(b, msg)
-	b = append(b, 'e')
-	b = appendStr(b, "t")
-	b = appendBytes(b, tid)
-	b = appendStr(b, "y")
-	b = appendStr(b, "e")
-	return append(b, 'e')
+// AppendError appends a KRPC error message to dst.
+func AppendError(dst, tid []byte, code int64, msg string) []byte {
+	dst = append(dst, 'd')
+	dst = appendStr(dst, "e")
+	dst = append(dst, 'l')
+	dst = appendInt(dst, code)
+	dst = appendStr(dst, msg)
+	dst = append(dst, 'e')
+	dst = appendStr(dst, "t")
+	dst = appendBytes(dst, tid)
+	dst = appendStr(dst, "y")
+	dst = appendStr(dst, "e")
+	return append(dst, 'e')
+}
+
+// bufCap is a fresh encode buffer's capacity: room for the largest
+// message a DHT node sends, a get_peers response carrying eight compact
+// contacts and an 8-byte token under a 4-byte transaction ID (285
+// bytes). A longer message grows the buffer, which keeps the growth.
+const bufCap = 320
+
+// BufStack is one sender's stack of encode buffers. A send pops a
+// buffer, encodes into it and pushes it back once the transport's Send
+// returns. Delivery can be synchronous, so the receiver may answer, and
+// the sender send again, before that Send returns: the nested send pops
+// the next buffer, and no payload is overwritten while a Send that
+// carries it is still running. A stack grows to its owner's deepest
+// nesting, allocating each buffer on first use. It belongs to one owner
+// on one goroutine; the zero value is an empty stack.
+type BufStack struct {
+	free [][]byte
+}
+
+// Pop returns an empty buffer to encode into.
+func (s *BufStack) Pop() []byte {
+	n := len(s.free)
+	if n == 0 {
+		return make([]byte, 0, bufCap)
+	}
+	b := s.free[n-1]
+	s.free = s.free[:n-1]
+	return b[:0]
+}
+
+// Push returns a buffer from Pop, once nothing reads it any more.
+func (s *BufStack) Push(b []byte) {
+	s.free = append(s.free, b)
 }

@@ -101,7 +101,7 @@ func TestCompactNodesBadLength(t *testing.T) {
 
 func TestPingRoundTrip(t *testing.T) {
 	self := id(0x11)
-	wire := EncodePing([]byte("aa"), self)
+	wire := AppendPing(nil, []byte("aa"), self)
 	m, err := Parse(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestPingRoundTrip(t *testing.T) {
 
 func TestFindNodeRoundTrip(t *testing.T) {
 	self, target := id(0x11), id(0x22)
-	m, err := Parse(EncodeFindNode([]byte("xy"), self, target))
+	m, err := Parse(AppendFindNode(nil, []byte("xy"), self, target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFindNodeRoundTrip(t *testing.T) {
 }
 
 func TestPingResponseRoundTrip(t *testing.T) {
-	m, err := Parse(EncodePingResponse([]byte("aa"), id(0x33)))
+	m, err := Parse(AppendPingResponse(nil, []byte("aa"), id(0x33)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFindNodeResponseRoundTrip(t *testing.T) {
 		{ID: id(0x44), EP: netaddr.MustParseEndpoint("10.0.0.1:6881")},
 		{ID: id(0x55), EP: netaddr.MustParseEndpoint("100.64.3.9:51413")},
 	}
-	m, err := Parse(EncodeFindNodeResponse([]byte("zz"), id(0x33), nodes))
+	m, err := Parse(AppendFindNodeResponse(nil, []byte("zz"), id(0x33), nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFindNodeResponseRoundTrip(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	m, err := Parse(EncodeError([]byte("e1"), 203, "Protocol Error"))
+	m, err := Parse(AppendError(nil, []byte("e1"), 203, "Protocol Error"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestParseRejectsShortIDs(t *testing.T) {
 		t.Errorf("short id error = %v", err)
 	}
 	// find_node without target.
-	wire = EncodePing([]byte("aa"), id(1))
+	wire = AppendPing(nil, []byte("aa"), id(1))
 	wire = bytes.Replace(wire, []byte("4:ping"), []byte("9:find_node"), 1)
 	if _, err := Parse(wire); !errors.Is(err, ErrMalformed) {
 		t.Errorf("find_node without target error = %v", err)
@@ -203,7 +203,7 @@ func TestParseResponseWithBadNodes(t *testing.T) {
 }
 
 func TestGetPeersRoundTrip(t *testing.T) {
-	m, err := Parse(EncodeGetPeers([]byte("gp"), id(0x11), id(0x22)))
+	m, err := Parse(AppendGetPeers(nil, []byte("gp"), id(0x11), id(0x22)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestGetPeersResponseWithValues(t *testing.T) {
 		netaddr.MustParseEndpoint("10.0.0.5:6881"),
 		netaddr.MustParseEndpoint("198.51.100.9:51413"),
 	}
-	wire := EncodeGetPeersResponse([]byte("gp"), id(0x33), []byte("tok"), peers, nil)
+	wire := AppendGetPeersResponse(nil, []byte("gp"), id(0x33), []byte("tok"), peers, nil)
 	m, err := Parse(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestGetPeersResponseWithValues(t *testing.T) {
 
 func TestGetPeersResponseWithNodes(t *testing.T) {
 	nodes := []NodeInfo{{ID: id(0x44), EP: netaddr.MustParseEndpoint("9.9.9.9:6881")}}
-	m, err := Parse(EncodeGetPeersResponse([]byte("gp"), id(0x33), []byte("t2"), nil, nodes))
+	m, err := Parse(AppendGetPeersResponse(nil, []byte("gp"), id(0x33), []byte("t2"), nil, nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestGetPeersResponseWithNodes(t *testing.T) {
 }
 
 func TestAnnouncePeerRoundTrip(t *testing.T) {
-	wire := EncodeAnnouncePeer([]byte("an"), id(0x11), id(0x22), 6881, true, []byte("tok"))
+	wire := AppendAnnouncePeer(nil, []byte("an"), id(0x11), id(0x22), 6881, true, []byte("tok"))
 	m, err := Parse(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestAnnouncePeerRoundTrip(t *testing.T) {
 		t.Errorf("parsed = %+v", m)
 	}
 	// Explicit-port variant.
-	m, err = Parse(EncodeAnnouncePeer([]byte("an"), id(0x11), id(0x22), 9999, false, []byte("t")))
+	m, err = Parse(AppendAnnouncePeer(nil, []byte("an"), id(0x11), id(0x22), 9999, false, []byte("t")))
 	if err != nil || m.ImpliedPort || m.Port != 9999 {
 		t.Errorf("explicit-port parse = %+v, %v", m, err)
 	}

@@ -23,16 +23,16 @@ func corpusMessages() [][]byte {
 		nodes[i].EP = netaddr.EndpointOf(netaddr.Addr(rng.Uint32()), uint16(1024+i))
 	}
 	return [][]byte{
-		EncodePing([]byte("aa"), id),
-		EncodePingResponse([]byte("aa"), id),
-		EncodeFindNode([]byte("ab"), id, target),
-		EncodeFindNodeResponse([]byte("ab"), id, nodes),
-		EncodeGetPeers([]byte("ac"), id, target),
-		EncodeGetPeersResponse([]byte("ac"), id, []byte("tok"), nil, nodes),
-		EncodeGetPeersResponse([]byte("ac"), id, []byte("tok"),
+		AppendPing(nil, []byte("aa"), id),
+		AppendPingResponse(nil, []byte("aa"), id),
+		AppendFindNode(nil, []byte("ab"), id, target),
+		AppendFindNodeResponse(nil, []byte("ab"), id, nodes),
+		AppendGetPeers(nil, []byte("ac"), id, target),
+		AppendGetPeersResponse(nil, []byte("ac"), id, []byte("tok"), nil, nodes),
+		AppendGetPeersResponse(nil, []byte("ac"), id, []byte("tok"),
 			[]netaddr.Endpoint{netaddr.MustParseEndpoint("1.2.3.4:80"), netaddr.MustParseEndpoint("10.0.0.9:6881")}, nil),
-		EncodeAnnouncePeer([]byte("ad"), id, target, 6881, true, []byte("tok")),
-		EncodeError([]byte("ae"), 201, "Generic Error"),
+		AppendAnnouncePeer(nil, []byte("ad"), id, target, 6881, true, []byte("tok")),
+		AppendError(nil, []byte("ae"), 201, "Generic Error"),
 		// Hand-built edge cases.
 		[]byte("d1:t2:aa1:y1:qe"),                      // query without method
 		[]byte("d1:ad2:id3:xyze1:q4:ping1:t0:1:y1:qe"), // bad id length
@@ -83,7 +83,7 @@ func FuzzParseMatchesGeneric(f *testing.F) {
 		f.Add(wire)
 	}
 	var id NodeID
-	prefill := EncodeGetPeersResponse([]byte("pf"), id, []byte("tok"),
+	prefill := AppendGetPeersResponse(nil, []byte("pf"), id, []byte("tok"),
 		[]netaddr.Endpoint{netaddr.MustParseEndpoint("1.2.3.4:80")}, []NodeInfo{{ID: id, EP: netaddr.MustParseEndpoint("5.6.7.8:6881")}})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, gotErr := Parse(data)
