@@ -208,3 +208,75 @@ func BenchmarkNATFirstInbound(b *testing.B) {
 		})
 	}
 }
+
+// shardedBenchTable fills a sharded NAT over a lanes-IP pool with
+// benchMappings live UDP mappings, one per subscriber, and returns it with
+// their handles and external endpoints in creation order, which visits
+// the lanes in hash order.
+func shardedBenchTable(b *testing.B, lanes int) (*Sharded, []MappingRef, []netaddr.Endpoint) {
+	b.Helper()
+	const benchMappings = 1 << 14
+	cfg := shardedConfig(lanes)
+	cfg.Type = FullCone
+	cfg.PortLo, cfg.PortHi = 1024, 65535
+	s := NewSharded(cfg, 1)
+	refs := make([]MappingRef, benchMappings)
+	exts := make([]netaddr.Endpoint, benchMappings)
+	for j := range refs {
+		out, r, v := s.TranslateOutRef(flowUDP(netaddr.EndpointOf(subAddr(j), 4000), dstEP), t0)
+		if v != Ok {
+			b.Fatalf("creation %d: %v", j, v)
+		}
+		refs[j], exts[j] = r, out.Src
+	}
+	return s, refs, exts
+}
+
+// BenchmarkShardedRefresh measures Sharded.Refresh, which routes each
+// handle to its lane by the mapping's external IP, at a fixed live
+// count over pools of 4, 64 and 256 IPs. The per-call cost should not
+// grow with the pool.
+func BenchmarkShardedRefresh(b *testing.B) {
+	for _, lanes := range []int{4, 64, 256} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			s, refs, _ := shardedBenchTable(b, lanes)
+			now := t0.Add(time.Second)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !s.Refresh(refs[i%len(refs)], dstEP, now) {
+					b.Fatalf("refresh %d reported stale", i)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkShardedTranslateIn measures Sharded.TranslateIn, which routes
+// each reply to its lane by the destination IP, over the same tables as
+// BenchmarkShardedRefresh. Every lane's inbound index is built before the
+// timer starts.
+func BenchmarkShardedTranslateIn(b *testing.B) {
+	for _, lanes := range []int{4, 64, 256} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			s, _, exts := shardedBenchTable(b, lanes)
+			replies := make([]netaddr.Flow, len(exts))
+			for j, ext := range exts {
+				replies[j] = flowUDP(dstEP, ext)
+			}
+			now := t0.Add(time.Second)
+			for _, f := range replies {
+				if _, v := s.TranslateIn(f, now); v != Ok {
+					b.Fatalf("reply to %v: %v", f.Dst, v)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, v := s.TranslateIn(replies[i%len(replies)], now); v != Ok {
+					b.Fatalf("reply %d: %v", i, v)
+				}
+			}
+		})
+	}
+}

@@ -64,6 +64,11 @@ func TestConcurrentNATInstances(t *testing.T) {
 // methods must be clean once workers have joined the barrier. It also
 // re-checks shard-count invariance under real concurrency by digesting
 // against a sequentially driven shards=1 twin fed the same schedule.
+//
+// Each shard count runs twice: once on each lane through Lane(l), as the
+// traffic kernel drives it, and once through the façade's routed
+// TranslateOutRef, TranslateIn and Refresh, as perfbench's nat-table
+// does, so shard goroutines read the pool index concurrently.
 func TestConcurrentShardedFacade(t *testing.T) {
 	cfg := shardedConfig(8)
 	cfg.Type = Symmetric
@@ -71,7 +76,14 @@ func TestConcurrentShardedFacade(t *testing.T) {
 	const subsPerLane = 24
 	const ticks = 40
 
-	run := func(shards int) *Sharded {
+	// engine is what a shard goroutine calls: a lane, or the façade,
+	// which resolves the lane itself on every call.
+	type engine interface {
+		TranslateOutRef(netaddr.Flow, time.Time) (netaddr.Flow, MappingRef, Verdict)
+		TranslateIn(netaddr.Flow, time.Time) (netaddr.Flow, Verdict)
+		Refresh(MappingRef, netaddr.Endpoint, time.Time) bool
+	}
+	run := func(shards int, routed bool) *Sharded {
 		s := NewSharded(cfg, shards)
 		// Partition subscribers by owning lane up front so every engine
 		// call below touches exactly one shard's lanes.
@@ -86,17 +98,20 @@ func TestConcurrentShardedFacade(t *testing.T) {
 		shardTick := func(shard, tick int, now time.Time) {
 			s.SweepShard(shard, now)
 			for l := shard; l < s.NumLanes(); l += s.NumShards() {
-				lane := s.Lane(l)
+				var e engine = s.Lane(l)
+				if routed {
+					e = s
+				}
 				for j, a := range laneSubs[l] {
 					src := netaddr.EndpointOf(a, uint16(3000+tick*7+j))
 					dst := netaddr.EndpointOf(netaddr.AddrFrom4(8, 8, byte(tick%5), byte(j+1)), 443)
-					out, r, v := lane.TranslateOutRef(flowUDP(src, dst), now)
+					out, r, v := e.TranslateOutRef(flowUDP(src, dst), now)
 					if v != Ok {
 						continue
 					}
-					lane.TranslateIn(flowUDP(dst, out.Src), now)
+					e.TranslateIn(flowUDP(dst, out.Src), now)
 					if tick%3 == j%3 {
-						lane.Refresh(r, netaddr.Endpoint{}, now)
+						e.Refresh(r, netaddr.Endpoint{}, now)
 					}
 				}
 			}
@@ -119,18 +134,19 @@ func TestConcurrentShardedFacade(t *testing.T) {
 			}
 			// Aggregation between barriers, as the traffic engine does.
 			if st := s.PortStats(); st.InUse != s.NumMappings() {
-				t.Errorf("shards=%d tick %d: InUse=%d, mappings=%d", shards, tick, st.InUse, s.NumMappings())
+				t.Errorf("shards=%d routed=%v tick %d: InUse=%d, mappings=%d", shards, routed, tick, st.InUse, s.NumMappings())
 			}
 			now = now.Add(5 * time.Second)
 		}
 		return s
 	}
 
-	seq := run(1)
-	for _, shards := range []int{2, 4, 8} {
-		par := run(shards)
-		if got, want := par.StateDigest(), seq.StateDigest(); got != want {
-			t.Errorf("shards=%d digest %s, want shards=1 digest %s", shards, got, want)
+	want := run(1, false).StateDigest()
+	for _, routed := range []bool{false, true} {
+		for _, shards := range []int{2, 4, 8} {
+			if got := run(shards, routed).StateDigest(); got != want {
+				t.Errorf("shards=%d routed=%v digest %s, want shards=1 digest %s", shards, routed, got, want)
+			}
 		}
 	}
 }

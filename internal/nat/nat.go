@@ -30,6 +30,7 @@ package nat
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cgn/internal/fastrand"
@@ -710,12 +711,18 @@ func (h *timeHeap) pop() int64 {
 }
 
 // New builds a NAT from cfg. It panics if the configuration is unusable
-// (no external IPs, bad chunk size): configs come from the world generator
-// or test code, where a bad config is a programming error.
+// (no external IPs, an IP listed twice, bad chunk size): configs come from
+// the world generator or test code, where a bad config is a programming
+// error.
 func New(cfg Config) *NAT {
 	c := cfg.withDefaults()
 	if len(c.ExternalIPs) == 0 {
 		panic("nat: config needs at least one external IP")
+	}
+	for i, ip := range c.ExternalIPs {
+		if slices.Contains(c.ExternalIPs[:i], ip) {
+			panic(dupPoolIP(ip))
+		}
 	}
 	if c.PortLo >= c.PortHi {
 		panic(fmt.Sprintf("nat: invalid port range [%d,%d]", c.PortLo, c.PortHi))
@@ -758,6 +765,12 @@ func New(cfg Config) *NAT {
 		n.portRefs = make(map[uint64]uint32)
 	}
 	return n
+}
+
+// dupPoolIP is the panic message for a pool that lists ip twice: the
+// IP's port space would be counted, and on a Sharded allocated, twice.
+func dupPoolIP(ip netaddr.Addr) string {
+	return fmt.Sprintf("nat: external IP %v listed twice in the pool", ip)
 }
 
 // Config returns the NAT's effective configuration (defaults applied).

@@ -2,7 +2,6 @@ package nat
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"cgn/internal/netaddr"
@@ -15,8 +14,9 @@ import (
 // share no mutable state whatsoever. Subscribers map to lanes by a hash
 // of their internal address (the sharded analogue of Paired pooling:
 // every subscriber is pinned to one external IP, so chooseExternalIP is
-// stable by construction), and inbound packets route by their external
-// destination IP, which names the owning lane directly.
+// stable by construction), and inbound packets, refreshes and hairpins
+// route by their external IP through an index from pool IP to lane,
+// built once with the façade.
 //
 // Shards are an execution grouping on top: shard s owns lanes l with
 // l % Shards == s, and a shard's lanes are always driven in ascending
@@ -35,8 +35,12 @@ import (
 // traffic engine calls them between tick barriers.
 type Sharded struct {
 	// cfg holds the full pool: lane l owns cfg.ExternalIPs[l].
-	cfg    Config
-	lanes  []*NAT
+	cfg   Config
+	lanes []*NAT
+	// laneOf indexes the pool: laneOf[cfg.ExternalIPs[l]] == l. It is
+	// built with the façade and never written again, so shard goroutines
+	// read it concurrently.
+	laneOf map[netaddr.Addr]int32
 	shards int
 	// down marks lanes taken offline by fault injection (nil until the
 	// first outage, so a fault-free run carries no extra state); numDown
@@ -73,12 +77,22 @@ func NewSharded(cfg Config, shards int) *Sharded {
 }
 
 // newSharded returns the façade over cfg's pool (defaults applied) with
-// its shard count clamped to [1, pool size] and its lanes not yet built.
+// its shard count clamped to [1, pool size], its pool index built and
+// its lanes not yet built. It panics on a pool that lists an IP twice:
+// two lanes would allocate the same external endpoints independently.
 func newSharded(cfg Config, shards int) *Sharded {
 	c := cfg.withDefaults()
+	laneOf := make(map[netaddr.Addr]int32, len(c.ExternalIPs))
+	for l, ip := range c.ExternalIPs {
+		if _, dup := laneOf[ip]; dup {
+			panic(dupPoolIP(ip))
+		}
+		laneOf[ip] = int32(l)
+	}
 	return &Sharded{
 		cfg:    c,
 		lanes:  make([]*NAT, len(c.ExternalIPs)),
+		laneOf: laneOf,
 		shards: min(max(shards, 1), len(c.ExternalIPs)),
 	}
 }
@@ -195,11 +209,10 @@ func (s *Sharded) DownLanes() []bool {
 	return out
 }
 
-// laneOfExt resolves the lane owning external pool IP a, or nil. The
-// pool is linear-scanned like portSpace's segment index: pool sizes are
-// a handful of entries.
+// laneOfExt resolves the lane owning external pool IP a, or nil: one
+// lookup in the pool index, whatever the pool's size.
 func (s *Sharded) laneOfExt(a netaddr.Addr) *NAT {
-	if l := slices.Index(s.cfg.ExternalIPs, a); l >= 0 {
+	if l, ok := s.laneOf[a]; ok {
 		return s.lanes[l]
 	}
 	return nil

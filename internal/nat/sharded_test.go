@@ -1,6 +1,9 @@
 package nat
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -197,6 +200,149 @@ func TestShardedHairpinCrossesLanes(t *testing.T) {
 	}
 	if res.Flow.Dst != srcB {
 		t.Fatalf("hairpin delivered to %v, want %v", res.Flow.Dst, srcB)
+	}
+}
+
+// scatteredPool returns n pool IPs three addresses apart, so that every
+// IP's neighbours lie outside the pool, in a shuffled order. Past 85 IPs
+// the pool spans several /24s.
+func scatteredPool(n int, rng *rand.Rand) []netaddr.Addr {
+	pool := make([]netaddr.Addr, n)
+	for i := range pool {
+		pool[i] = netaddr.MustParseAddr("203.0.113.1") + netaddr.Addr(3*i)
+	}
+	rng.Shuffle(n, func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	return pool
+}
+
+// TestShardedPoolIndexMatchesScan checks the pool index against a scan
+// of the pool: every pool IP resolves to the lane slices.Index names,
+// and an address beside a pool IP or in another /24 to none.
+func TestShardedPoolIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{1, 2, 4, 64, 300} {
+		cfg := shardedConfig(1)
+		cfg.ExternalIPs = scatteredPool(size, rng)
+		s := NewSharded(cfg, 4)
+		for _, ip := range cfg.ExternalIPs {
+			if got, want := s.laneOfExt(ip), s.Lane(slices.Index(cfg.ExternalIPs, ip)); got != want {
+				t.Fatalf("pool of %d: %v resolves to %s, want %s", size, ip, got.Config().Name, want.Config().Name)
+			}
+			for _, near := range []netaddr.Addr{ip - 1, ip + 1} {
+				if lane := s.laneOfExt(near); lane != nil {
+					t.Fatalf("pool of %d: neighbour %v resolves to %s", size, near, lane.Config().Name)
+				}
+			}
+		}
+		for i := 0; i < 256; i++ {
+			a := netaddr.MustParseAddr("198.18.7.0") + netaddr.Addr(i)
+			if lane := s.laneOfExt(a); lane != nil {
+				t.Fatalf("pool of %d: %v resolves to %s", size, a, lane.Config().Name)
+			}
+		}
+	}
+}
+
+// TestShardedRoutedCallsMatchOwningLane drives TranslateIn, Refresh and
+// Hairpin through a 64-IP façade and the same calls on a twin's lanes
+// directly, each on the lane that owns the external IP by a scan of the
+// pool. Every verdict, flow and the final state must agree.
+func TestShardedRoutedCallsMatchOwningLane(t *testing.T) {
+	cfg := shardedConfig(1)
+	cfg.ExternalIPs = scatteredPool(64, rand.New(rand.NewSource(2)))
+	cfg.Type = FullCone
+	cfg.Hairpin = HairpinTranslate
+	s, twin := NewSharded(cfg, 4), NewSharded(cfg, 4)
+	owner := func(a netaddr.Addr) *NAT { return twin.Lane(slices.Index(cfg.ExternalIPs, a)) }
+	sender := func(a netaddr.Addr) *NAT { return twin.Lane(twin.LaneFor(a)) }
+
+	const subs = 512
+	outs := make([]netaddr.Flow, subs)
+	refs := make([]MappingRef, subs)
+	twinRefs := make([]MappingRef, subs)
+	for i := range outs {
+		f := flowUDP(netaddr.EndpointOf(subAddr(i), 4000), dstEP)
+		out, r, v := s.TranslateOutRef(f, t0)
+		tout, tr, tv := sender(f.Src.Addr).TranslateOutRef(f, t0)
+		if v != Ok || tv != Ok || out != tout {
+			t.Fatalf("sub %d outbound: %v %v, twin %v %v", i, out, v, tout, tv)
+		}
+		outs[i], refs[i], twinRefs[i] = out, r, tr
+	}
+	now := t0.Add(time.Second)
+	delivered := 0
+	for i, out := range outs {
+		reply := out.Reverse()
+		in, v := s.TranslateIn(reply, now)
+		tin, tv := owner(reply.Dst.Addr).TranslateIn(reply, now)
+		if in != tin || v != tv {
+			t.Fatalf("sub %d inbound: %v %v, owning lane %v %v", i, in, v, tin, tv)
+		}
+		// A port the owning lane never handed out, and an address beside
+		// the pool IP.
+		stray := netaddr.FlowOf(netaddr.UDP, dstEP, netaddr.EndpointOf(out.Src.Addr, out.Src.Port^1))
+		in, v = s.TranslateIn(stray, now)
+		tin, tv = owner(stray.Dst.Addr).TranslateIn(stray, now)
+		if in != tin || v != tv {
+			t.Fatalf("sub %d stray inbound: %v %v, owning lane %v %v", i, in, v, tin, tv)
+		}
+		off := netaddr.FlowOf(netaddr.UDP, dstEP, netaddr.EndpointOf(out.Src.Addr+1, out.Src.Port))
+		if _, v := s.TranslateIn(off, now); v != DropNoMapping {
+			t.Fatalf("sub %d inbound beside the pool: %v, want DropNoMapping", i, v)
+		}
+		if ok, tok := s.Refresh(refs[i], dstEP2, now), owner(out.Src.Addr).Refresh(twinRefs[i], dstEP2, now); ok != tok || !ok {
+			t.Fatalf("sub %d refresh: %v, owning lane %v", i, ok, tok)
+		}
+		// Subscriber i hairpins to the next one's external endpoint: the
+		// outbound half on the sender's lane, the inbound half on the
+		// lane owning the target.
+		hf := flowUDP(netaddr.EndpointOf(subAddr(i), 4001), outs[(i+1)%subs].Src)
+		res, v := s.Hairpin(hf, now)
+		hout, tv := sender(hf.Src.Addr).TranslateOut(hf, now)
+		var hin netaddr.Flow
+		if tv == Ok {
+			hin, tv = owner(hout.Dst.Addr).TranslateIn(hout, now)
+		}
+		if res.Flow != hin || v != tv {
+			t.Fatalf("sub %d hairpin: %v %v, owning lanes %v %v", i, res.Flow, v, hin, tv)
+		}
+		if v == Ok {
+			delivered++
+		}
+	}
+	if delivered != subs {
+		t.Fatalf("%d of %d hairpins delivered", delivered, subs)
+	}
+	if got, want := s.StateDigest(), twin.StateDigest(); got != want {
+		t.Fatalf("façade digest %s, want twin digest %s", got, want)
+	}
+}
+
+// TestRepeatedPoolIPPanics pins the refusal of a pool that lists an IP
+// twice. Two lanes on one IP would each allocate its ports, so two
+// subscribers could hold one external endpoint and an inbound packet for
+// the second reach the first; one NAT would count the IP's capacity
+// twice.
+func TestRepeatedPoolIPPanics(t *testing.T) {
+	cfg := shardedConfig(4)
+	dup := cfg.ExternalIPs[1]
+	cfg.ExternalIPs = append(cfg.ExternalIPs, dup)
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"New", func() { New(cfg) }},
+		{"NewSharded", func() { NewSharded(cfg, 2) }},
+		{"NewShardedFromSnapshot", func() { NewShardedFromSnapshot(cfg, 2, make([]*Snapshot, len(cfg.ExternalIPs))) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, dup.String()) {
+					t.Errorf("panic %q, want one naming %v", msg, dup)
+				}
+			}()
+			tc.build()
+		})
 	}
 }
 

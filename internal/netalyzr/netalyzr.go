@@ -86,7 +86,9 @@ func (s Session) ExternalIPs() []netaddr.Addr {
 	return out
 }
 
-// Servers is the deployed measurement-server fleet.
+// Servers is the deployed measurement-server fleet. Sessions against one
+// fleet run one at a time: they share its simnet hosts and its STUN
+// transaction-ID generator.
 type Servers struct {
 	EchoHost *simnet.Host
 	STUN     *stun.Server
@@ -96,6 +98,10 @@ type Servers struct {
 	Config ServersConfig
 	// EchoTCPCount counts flows served, for sanity checks.
 	EchoTCPCount int
+
+	// stunRand draws STUN transaction IDs, re-seeded per session by
+	// stunRNG; nil until the first STUN session.
+	stunRand *rand.Rand
 }
 
 // ServersConfig places the fleet in the public realm.
@@ -164,6 +170,18 @@ func (s *Servers) STUNPrimary() netaddr.Endpoint {
 	return s.STUN.Config().Endpoint(stun.SocketID{})
 }
 
+// stunRNG returns the fleet's STUN generator seeded from a session's host
+// address. Seed resets the source and the Read position, so the stream is
+// the one rand.New(rand.NewSource(int64(a))) would give, without a 4.9 KB
+// source per session.
+func (s *Servers) stunRNG(a netaddr.Addr) *rand.Rand {
+	if s.stunRand == nil {
+		s.stunRand = rand.New(rand.NewSource(0))
+	}
+	s.stunRand.Seed(int64(a))
+	return s.stunRand
+}
+
 type sockSender struct{ sock *simnet.Socket }
 
 func (ss sockSender) Send(dst netaddr.Endpoint, payload []byte) { ss.sock.Send(dst, payload) }
@@ -227,7 +245,7 @@ func RunSession(host *simnet.Host, servers *Servers, cfg ClientConfig) Session {
 
 	if cfg.RunSTUN {
 		rt := newSimRoundTripper(host)
-		res, err := stun.Classify(rt, servers.STUNPrimary(), rand.New(rand.NewSource(int64(host.Addr()))))
+		res, err := stun.Classify(rt, servers.STUNPrimary(), servers.stunRNG(host.Addr()))
 		rt.Close()
 		if err == nil {
 			sess.STUNRan = true

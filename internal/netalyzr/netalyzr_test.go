@@ -172,6 +172,25 @@ func TestDirectSession(t *testing.T) {
 	}
 }
 
+// TestSTUNRandReseeded pins the fleet's retained STUN generator to the
+// stream a fresh per-host source gives. A session's 12-byte transaction
+// IDs leave the generator mid-way through a Read, so the next host's
+// stream matches only if re-seeding resets the Read position too.
+func TestSTUNRandReseeded(t *testing.T) {
+	l := buildLab(t)
+	RunSession(l.direct, l.servers, ClientConfig{ASN: 65003, RunSTUN: true})
+	if l.servers.stunRand == nil {
+		t.Fatal("a STUN session left no generator on the fleet")
+	}
+	next := l.cell.Addr()
+	var got, want [64]byte
+	l.servers.stunRNG(next).Read(got[:])
+	rand.New(rand.NewSource(int64(next))).Read(want[:])
+	if got != want {
+		t.Errorf("re-seeded for %v: read %x, want a fresh source's %x", next, got, want)
+	}
+}
+
 func TestSequentialLocalPorts(t *testing.T) {
 	l := buildLab(t)
 	sess := RunSession(l.direct, l.servers, ClientConfig{ASN: 65003})
