@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"cgn/internal/krpc"
-	"cgn/internal/metrics"
 	"cgn/internal/netaddr"
 	"cgn/internal/routing"
 	"cgn/internal/simnet"
@@ -176,12 +175,6 @@ type Crawler struct {
 
 	// bufs holds the buffers the crawler encodes its packets into.
 	bufs krpc.BufStack
-
-	// Metrics counts crawl activity. The counters below are hoisted out
-	// of it at construction, so an event costs no by-name lookup.
-	Metrics                       *metrics.Set
-	cInbound, cQueried, cLearned  *metrics.Counter
-	cInternalSeen, cPingResponded *metrics.Counter
 }
 
 // New builds a crawler on a simulated host. The global routing table
@@ -197,19 +190,13 @@ func New(host *simnet.Host, global *routing.Global, cfg Config) *Crawler {
 // transports deliver through Poll.
 func NewWithTransport(tr Transport, global *routing.Global, cfg Config) *Crawler {
 	c := &Crawler{
-		cfg:     cfg,
-		tr:      tr,
-		global:  global,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ds:      NewDataset(),
-		queued:  make(map[netaddr.Endpoint]bool),
-		Metrics: metrics.NewSet(),
+		cfg:    cfg,
+		tr:     tr,
+		global: global,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		ds:     NewDataset(),
+		queued: make(map[netaddr.Endpoint]bool),
 	}
-	c.cInbound = c.Metrics.Counter("inbound_queries")
-	c.cQueried = c.Metrics.Counter("peers_queried")
-	c.cLearned = c.Metrics.Counter("peers_learned")
-	c.cInternalSeen = c.Metrics.Counter("internal_peers_seen")
-	c.cPingResponded = c.Metrics.Counter("peers_ping_responded")
 	if st, ok := tr.(*simTransport); ok {
 		st.sock.OnRecv(c.HandlePacket)
 	}
@@ -241,7 +228,6 @@ func (c *Crawler) HandlePacket(from netaddr.Endpoint, payload []byte) {
 		// Participate: answer pings and find_node (with an empty node
 		// list — the crawler does not re-propagate contacts), and enqueue
 		// the source: a peer that reached us is reachable in return.
-		c.cInbound.Inc()
 		switch m.Method {
 		case krpc.MethodPing:
 			c.transmit(from, krpc.AppendPingResponse(c.bufs.Pop(), m.TID, c.cfg.ID))
@@ -345,13 +331,11 @@ func (c *Crawler) crawlPeer(ep netaddr.Endpoint) bool {
 				leakerKey = PeerKey{EP: ep, ID: m.ID}
 				c.ds.Queried[leakerKey] = true
 				c.ds.QueriedASN[leakerKey] = leakerASN
-				c.cQueried.Inc()
 			}
 			for _, n := range m.Nodes {
 				key := PeerKey{EP: n.EP, ID: n.ID}
 				if !c.ds.Learned[key] {
 					c.ds.Learned[key] = true
-					c.cLearned.Inc()
 					if c.cfg.PingLearned {
 						c.pingPeer(key)
 					}
@@ -364,7 +348,6 @@ func (c *Crawler) crawlPeer(ep netaddr.Endpoint) bool {
 					c.ds.Leaks = append(c.ds.Leaks, LeakRecord{
 						Leaker: leakerKey, LeakerASN: leakerASN, Internal: key,
 					})
-					c.cInternalSeen.Inc()
 				} else {
 					c.enqueue(n.EP)
 				}
@@ -391,6 +374,5 @@ func (c *Crawler) pingPeer(key PeerKey) {
 	m, ok := c.call(key.EP, krpc.AppendPing(c.bufs.Pop(), tid[:], c.cfg.ID))
 	if ok && m.ID == key.ID {
 		c.ds.PingResponded[key] = true
-		c.cPingResponded.Inc()
 	}
 }

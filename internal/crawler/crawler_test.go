@@ -97,7 +97,7 @@ func TestLeakEscalation(t *testing.T) {
 	}
 	// Escalation: the leaking peer must have been asked more than the
 	// base five queries.
-	if got := l.cr.Metrics.Counter("internal_peers_seen").Value(); got < 6 {
+	if got := len(ds.Leaks); got < 6 {
 		t.Errorf("internal peers seen = %d, want all 6 (escalation)", got)
 	}
 	seen := map[netaddr.Addr]bool{}
@@ -133,9 +133,6 @@ func TestInboundQueryJoinsFrontier(t *testing.T) {
 	ds := l.cr.Run() // no explicit seed: the inbound source is the seed
 	if len(ds.Queried) == 0 {
 		t.Fatal("crawler did not crawl the inbound peer")
-	}
-	if l.cr.Metrics.Counter("inbound_queries").Value() == 0 {
-		t.Error("inbound query not counted")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,9 +80,12 @@ func probeDigest(w *internet.World) string {
 // stateDigestInto writes the network metrics and every NAT's state
 // digest into h.
 func stateDigestInto(h interface{ Write([]byte) (int, error) }, w *internet.World) {
-	fmt.Fprintf(h, "netmetrics %+v\n", w.Net.Metrics.Snapshot())
+	fmt.Fprintf(h, "netmetrics %+v\n", maps.Collect(w.Net.Metrics.Counters()))
 	for _, d := range w.Net.Devices() {
-		fmt.Fprintf(h, "dev %s %s %+v\n", d.Name, d.NAT.StateDigest(), d.NAT.Metrics.Snapshot())
+		// mappings_live is the key the golden was recorded with.
+		m := maps.Collect(d.NAT.Metrics.Counters())
+		m["mappings_live"] = uint64(d.NAT.NumMappings())
+		fmt.Fprintf(h, "dev %s %s %+v\n", d.Name, d.NAT.StateDigest(), m)
 	}
 }
 

@@ -1,15 +1,19 @@
-// Package metrics provides tiny counter/gauge instrumentation used by the
-// NAT engine, the DHT crawler and the simulator, and the one writer of
-// the Prometheus text exposition format the fleet daemon serves. The
+// Package metrics provides the single-writer counter cells the NAT engine
+// and the simnet network count into, and the one writer of the
+// Prometheus text exposition format the fleet daemon serves. The
 // counters mirror the packet-counter style of kernel dataplane
-// observability: cheap cells registered in a set and read back by name.
+// observability: each owner keeps its cells in one fixed array, bumps
+// them at constant indexes, and names them through a Set so callers
+// read them back by name.
 //
 // The cells are single-writer plain integers, not atomics. A Set and its
 // cells belong to the goroutine that drives the Set's owner (a NAT lane,
-// a simnet Network, a crawler): only that goroutine registers, adds or
-// sets. Any other goroutine reads only after synchronizing with the
-// owner — a join, a channel barrier, a mutex — never while it runs.
+// a simnet Network): only that goroutine adds to them. Any other
+// goroutine reads only after synchronizing with the owner — a join, a
+// channel barrier, a mutex — never while it runs.
 package metrics
+
+import "iter"
 
 // Counter is a monotonically increasing counter. The zero value is ready to
 // use.
@@ -31,73 +35,43 @@ func (c *Counter) Value() uint64 { return c.v }
 // them); live instrumentation should only ever Inc/Add.
 func (c *Counter) Store(n uint64) { c.v = n }
 
-// Gauge is a settable instantaneous value. The zero value is ready to use.
-type Gauge struct {
-	v int64
-}
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v = n }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v += delta }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
-
-// Set is a named collection of counters and gauges.
+// Set is a name table over counters its owner keeps: names[i] names
+// cells[i]. It never creates a counter, so the owner's declaration is
+// the whole list.
 type Set struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	names []string
+	cells []Counter
 }
 
-// NewSet returns an empty metric set.
-func NewSet() *Set {
-	return &Set{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
+// NewSet names the owner's cells. It panics unless there is exactly one
+// name per cell: the two lists are declared together in the owner's
+// source.
+func NewSet(names []string, cells []Counter) Set {
+	if len(names) != len(cells) {
+		panic("metrics: NewSet needs one name per counter")
 	}
+	return Set{names: names, cells: cells}
 }
 
-// Counter returns the counter with the given name, creating it on first use.
-func (s *Set) Counter(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
+// Counter returns the owner's counter with the given name, or nil if the
+// owner declared none by that name.
+func (s Set) Counter(name string) *Counter {
+	for i, n := range s.names {
+		if n == name {
+			return &s.cells[i]
+		}
 	}
-	return c
+	return nil
 }
 
-// Gauge returns the gauge with the given name, creating it on first use.
-func (s *Set) Gauge(name string) *Gauge {
-	g, ok := s.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		s.gauges[name] = g
+// Counters yields every counter's name and current value, in the order
+// the owner declared them.
+func (s Set) Counters() iter.Seq2[string, uint64] {
+	return func(yield func(string, uint64) bool) {
+		for i, n := range s.names {
+			if !yield(n, s.cells[i].v) {
+				return
+			}
+		}
 	}
-	return g
-}
-
-// Counters returns the current value of every registered counter by
-// name. Unlike Snapshot it excludes gauges, so a serialize/restore
-// round-trip through Store cannot turn a gauge into a counter.
-func (s *Set) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(s.counters))
-	for name, c := range s.counters {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// Snapshot returns all metric values by name.
-func (s *Set) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(s.counters)+len(s.gauges))
-	for name, c := range s.counters {
-		out[name] = int64(c.Value())
-	}
-	for name, g := range s.gauges {
-		out[name] = g.Value()
-	}
-	return out
 }

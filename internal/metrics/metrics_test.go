@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -15,68 +16,65 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Errorf("Value = %d, want 7", g.Value())
+// TestSetNamesOwnerCells pins the name table: a declared name returns
+// the owner's own cell, an undeclared one returns nil, Counters reports
+// every cell in declaration order, the set refuses a name list that does
+// not match its cells, and a value read by name renders through the
+// exposition writer.
+func TestSetNamesOwnerCells(t *testing.T) {
+	var cells [3]Counter
+	s := NewSet([]string{"b", "a", "c"}, cells[:])
+	if s.Counter("a") != &cells[1] {
+		t.Error("Counter(a) is not the owner's cell")
 	}
-}
-
-func TestSetReusesByName(t *testing.T) {
-	s := NewSet()
-	s.Counter("pkts").Inc()
-	s.Counter("pkts").Inc()
-	if s.Counter("pkts").Value() != 2 {
-		t.Error("same name must return the same counter")
+	cells[0].Add(2)
+	s.Counter("a").Inc()
+	if got := s.Counter("b").Value(); got != 2 {
+		t.Errorf("Counter(b) = %d, want the owner's 2", got)
 	}
-	s.Gauge("mappings").Set(9)
-	if s.Gauge("mappings").Value() != 9 {
-		t.Error("same name must return the same gauge")
+	if s.Counter("d") != nil {
+		t.Error("an undeclared name returned a counter")
 	}
-}
-
-func TestSnapshotAndString(t *testing.T) {
-	s := NewSet()
-	s.Counter("b").Add(2)
-	s.Counter("a").Add(1)
-	s.Gauge("c").Set(-5)
-	snap := s.Snapshot()
-	if snap["a"] != 1 || snap["b"] != 2 || snap["c"] != -5 {
-		t.Errorf("Snapshot = %v", snap)
+	var got []string
+	for name, v := range s.Counters() {
+		got = append(got, fmt.Sprintf("%s=%d", name, v))
 	}
-	// The set's values render through the exposition writer as they
-	// read: counters at full width, gauges signed.
+	if want := "b=2 a=1 c=0"; strings.Join(got, " ") != want {
+		t.Errorf("Counters = %q, want %q", strings.Join(got, " "), want)
+	}
 	str := render(func(w *Writer) {
 		w.Family(Family{Name: "a", Type: TypeCounter, Help: "A."})
 		w.Sample("", Uint(s.Counter("a").Value()))
-		w.Family(Family{Name: "c", Type: TypeGauge, Help: "C."})
-		w.Sample("", Int(int(s.Gauge("c").Value())))
 	})
-	if !strings.Contains(str, "\na 1\n") || !strings.Contains(str, "\nc -5\n") {
+	if !strings.Contains(str, "\na 1\n") {
 		t.Errorf("exposition = %q", str)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSet accepted two names for one cell")
+		}
+	}()
+	NewSet([]string{"x", "y"}, cells[:1])
 }
 
 // TestConcurrentCounters pins the single-writer contract: each Set is
 // driven by one goroutine, and a reader that has synchronized with that
 // goroutine (here, the join) sees every update. Eight goroutines drive
-// their own Sets at once, registering cells as they go; the test
-// goroutine reads all of them after the join. Run it under -race.
+// their own Sets at once; the test goroutine reads all of them after the
+// join. Run it under -race.
 func TestConcurrentCounters(t *testing.T) {
-	sets := make([]*Set, 8)
+	cells := make([][2]Counter, 8)
+	sets := make([]Set, 8)
 	var wg sync.WaitGroup
 	for i := range sets {
-		s := NewSet()
+		s := NewSet([]string{"n", "owner"}, cells[i][:])
 		sets[i] = s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, g := s.Counter("n"), s.Gauge("live")
+			c := s.Counter("n")
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
 			}
 			s.Counter("owner").Add(uint64(i))
 		}()
@@ -85,9 +83,6 @@ func TestConcurrentCounters(t *testing.T) {
 	for i, s := range sets {
 		if got := s.Counter("n").Value(); got != 1000 {
 			t.Errorf("set %d: count = %d, want 1000", i, got)
-		}
-		if got := s.Gauge("live").Value(); got != 1000 {
-			t.Errorf("set %d: gauge = %d, want 1000", i, got)
 		}
 		if got := s.Counter("owner").Value(); got != uint64(i) {
 			t.Errorf("set %d: owner counter = %d, want %d", i, got, i)

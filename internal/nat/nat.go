@@ -525,18 +525,47 @@ type NAT struct {
 	// mapping count changes (SetSessionHook).
 	sessionHook func(a netaddr.Addr, from, to int32)
 
-	Metrics *metrics.Set
-	// Counters below are hoisted out of Metrics at construction: the
-	// translation hot path increments one or two per packet, and the
-	// by-name lookup (a mutex plus a string-map access) costs more than
-	// the translation itself at forwarding-engine speeds.
-	cPktsOut, cPktsIn, cHairpin            *metrics.Counter
-	cMapCreated, cMapExpired               *metrics.Counter
-	cDropSession, cDropQuota, cDropNoPorts *metrics.Counter
-	cDropNoMapping, cDropFiltered          *metrics.Counter
-	cDropHairpin                           *metrics.Counter
-	cDropRateLimited, cEvicted             *metrics.Counter
-	gLive                                  *metrics.Gauge
+	// Metrics reads the engine's counters back by name (counterNames
+	// lists them). The live mapping count is NumMappings.
+	Metrics metrics.Set
+	// ctr holds the counters; the hot paths bump them at the constant
+	// indexes below.
+	ctr [numCounters]metrics.Counter
+}
+
+// Indexes into NAT.ctr.
+const (
+	cPktsOut = iota
+	cPktsIn
+	cHairpin
+	cMapCreated
+	cMapExpired
+	cDropSession
+	cDropQuota
+	cDropNoPorts
+	cDropNoMapping
+	cDropFiltered
+	cDropHairpin
+	cDropRateLimited
+	cEvicted
+	numCounters
+)
+
+// counterNames names NAT.ctr's cells in Metrics.
+var counterNames = [numCounters]string{
+	cPktsOut:         "pkts_out",
+	cPktsIn:          "pkts_in",
+	cHairpin:         "pkts_hairpin",
+	cMapCreated:      "mappings_created",
+	cMapExpired:      "mappings_expired",
+	cDropSession:     "drop_session_limit",
+	cDropQuota:       "drop_port_quota",
+	cDropNoPorts:     "drop_no_ports",
+	cDropNoMapping:   "drop_no_mapping",
+	cDropFiltered:    "drop_filtered",
+	cDropHairpin:     "drop_hairpin",
+	cDropRateLimited: "drop_rate_limited",
+	cEvicted:         "mappings_evicted",
 }
 
 // expEntry schedules one mapping for expiry at the deadline its bucket
@@ -733,27 +762,13 @@ func New(cfg Config) *NAT {
 		panic(fmt.Sprintf("nat: chunk size %d is not a power of two in [1, 32768]", c.ChunkSize))
 	}
 	n := &NAT{
-		cfg:     c,
-		rng:     fastrand.Rand(uint64(c.Seed)),
-		Metrics: metrics.NewSet(),
+		cfg: c,
+		rng: fastrand.Rand(uint64(c.Seed)),
 	}
+	n.Metrics = metrics.NewSet(counterNames[:], n.ctr[:])
 	n.byInt.init()
 	n.subs.init()
 	n.exp.init()
-	n.cPktsOut = n.Metrics.Counter("pkts_out")
-	n.cPktsIn = n.Metrics.Counter("pkts_in")
-	n.cHairpin = n.Metrics.Counter("pkts_hairpin")
-	n.cMapCreated = n.Metrics.Counter("mappings_created")
-	n.cMapExpired = n.Metrics.Counter("mappings_expired")
-	n.cDropSession = n.Metrics.Counter("drop_session_limit")
-	n.cDropQuota = n.Metrics.Counter("drop_port_quota")
-	n.cDropNoPorts = n.Metrics.Counter("drop_no_ports")
-	n.cDropNoMapping = n.Metrics.Counter("drop_no_mapping")
-	n.cDropFiltered = n.Metrics.Counter("drop_filtered")
-	n.cDropHairpin = n.Metrics.Counter("drop_hairpin")
-	n.cDropRateLimited = n.Metrics.Counter("drop_rate_limited")
-	n.cEvicted = n.Metrics.Counter("mappings_evicted")
-	n.gLive = n.Metrics.Gauge("mappings_live")
 	n.ports = newPortSpace(c.PortLo, c.PortHi)
 	// Two transport protocols (UDP, TCP) each carry a full port range per
 	// external IP; InUse/Peak count across every (IP, proto) segment.
@@ -831,8 +846,7 @@ func (n *NAT) drop(m *Mapping) {
 		n.sessionHook(m.Int.Addr, e.sessions+1, e.sessions)
 	}
 	n.notePortFreed(i, m.Int.Addr, m.Ext.Port)
-	n.cMapExpired.Inc()
-	n.gLive.Set(int64(n.byInt.n))
+	n.ctr[cMapExpired].Inc()
 	n.freeMaps = append(n.freeMaps, m)
 }
 
@@ -965,7 +979,7 @@ func (n *NAT) Refresh(r MappingRef, dst netaddr.Endpoint, now time.Time) bool {
 		m.noteDst(dst)
 	}
 	m.lastActive = nowNano
-	n.cPktsOut.Inc()
+	n.ctr[cPktsOut].Inc()
 	return true
 }
 
@@ -991,11 +1005,11 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 		// (pooling pin, held ports, token bucket) the features read.
 		e, eSlot := n.subs.ensure(f.Src.Addr)
 		if lim := n.cfg.MaxSessionsPerSubscriber; lim > 0 && int(e.sessions) >= lim {
-			n.cDropSession.Inc()
+			n.ctr[cDropSession].Inc()
 			return nil, DropSessionLimit
 		}
 		if n.cfg.AllocRatePerSec > 0 && !n.tbAllow(n.subs.coldAt(eSlot), nowNano) {
-			n.cDropRateLimited.Inc()
+			n.ctr[cDropRateLimited].Inc()
 			return nil, DropRateLimited
 		}
 		var ext netaddr.Endpoint
@@ -1013,7 +1027,7 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 				n.ports.take(ip, f.Proto, f.Src.Port)
 				ext, ok = netaddr.EndpointOf(ip, f.Src.Port), true
 			} else {
-				n.cDropQuota.Inc()
+				n.ctr[cDropQuota].Inc()
 				return nil, DropPortQuota
 			}
 		} else {
@@ -1024,7 +1038,7 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 			if !ok {
 				// Counted once, after any eviction retry: an eviction
 				// followed by a successful retry is not a failure.
-				n.cDropNoPorts.Inc()
+				n.ctr[cDropNoPorts].Inc()
 				return nil, DropNoPorts
 			}
 		}
@@ -1048,13 +1062,12 @@ func (n *NAT) translateOut(f netaddr.Flow, now time.Time) (*Mapping, Verdict) {
 			n.subs.seen++
 		}
 		n.exp.push(nowNano+int64(n.timeout(f.Proto)), m, m.gen)
-		n.cMapCreated.Inc()
-		n.gLive.Set(int64(n.byInt.n))
+		n.ctr[cMapCreated].Inc()
 	}
 	m.noteDst(f.Dst)
 	m.lastActive = nowNano
 	n.lastOut = m
-	n.cPktsOut.Inc()
+	n.ctr[cPktsOut].Inc()
 	return m, Ok
 }
 
@@ -1072,18 +1085,18 @@ func (n *NAT) TranslateIn(f netaddr.Flow, now time.Time) (netaddr.Flow, Verdict)
 		m = nil
 	}
 	if m == nil {
-		n.cDropNoMapping.Inc()
+		n.ctr[cDropNoMapping].Inc()
 		return netaddr.Flow{}, DropNoMapping
 	}
 	if !n.allowInbound(m, f.Src) {
-		n.cDropFiltered.Inc()
+		n.ctr[cDropFiltered].Inc()
 		return netaddr.Flow{}, DropFiltered
 	}
 	if n.cfg.RefreshOnInbound {
 		m.lastActive = now.UnixNano()
 	}
 	n.lastIn = m
-	n.cPktsIn.Inc()
+	n.ctr[cPktsIn].Inc()
 	return netaddr.Flow{Proto: f.Proto, Src: f.Src, Dst: m.Int}, Ok
 }
 
@@ -1117,7 +1130,7 @@ type HairpinResult struct {
 // internal destination, applying the configured hairpin source behavior.
 func (n *NAT) Hairpin(f netaddr.Flow, now time.Time) (HairpinResult, Verdict) {
 	if n.cfg.Hairpin == HairpinOff {
-		n.cDropHairpin.Inc()
+		n.ctr[cDropHairpin].Inc()
 		return HairpinResult{}, DropHairpin
 	}
 	out, v := n.TranslateOut(f, now)
@@ -1134,7 +1147,7 @@ func (n *NAT) Hairpin(f netaddr.Flow, now time.Time) (HairpinResult, Verdict) {
 		res.Flow.Src = f.Src
 		res.SourcePreserved = true
 	}
-	n.cHairpin.Inc()
+	n.ctr[cHairpin].Inc()
 	return res, Ok
 }
 
@@ -1283,7 +1296,7 @@ func (n *NAT) evictOldest() bool {
 			m := bucket[victim].m
 			n.exp.release(bucket)
 			n.drop(m)
-			n.cEvicted.Inc()
+			n.ctr[cEvicted].Inc()
 			return true
 		}
 		n.exp.release(bucket)
@@ -1407,8 +1420,8 @@ func (s PortStats) Utilization() float64 {
 
 // PortStats snapshots the NAT's port-resource state. Capacity is cached
 // at construction (the pool and port range are immutable) and the
-// counters are the hoisted hot-path cells, so a snapshot costs a few
-// loads — the traffic engine takes one per realm per tick.
+// counters are cells of the engine's own array, so a snapshot costs a
+// few loads — the traffic engine takes one per realm per tick.
 func (n *NAT) PortStats() PortStats {
 	return PortStats{
 		ExternalIPs: len(n.cfg.ExternalIPs),
@@ -1416,12 +1429,12 @@ func (n *NAT) PortStats() PortStats {
 		InUse:       n.ports.inUse,
 		Peak:        n.ports.peak,
 		Subscribers: n.subs.seen,
-		Allocs:      n.cMapCreated.Value(),
-		NoPorts:     n.cDropNoPorts.Value(),
-		QuotaDrops:  n.cDropQuota.Value(),
-		RateLimited: n.cDropRateLimited.Value(),
-		Evictions:   n.cEvicted.Value(),
-		Expired:     n.cMapExpired.Value(),
+		Allocs:      n.ctr[cMapCreated].Value(),
+		NoPorts:     n.ctr[cDropNoPorts].Value(),
+		QuotaDrops:  n.ctr[cDropQuota].Value(),
+		RateLimited: n.ctr[cDropRateLimited].Value(),
+		Evictions:   n.ctr[cEvicted].Value(),
+		Expired:     n.ctr[cMapExpired].Value(),
 	}
 }
 

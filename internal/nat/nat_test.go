@@ -2,6 +2,7 @@ package nat
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 	"testing/quick"
@@ -475,7 +476,7 @@ func TestMetricsCounters(t *testing.T) {
 	n.TranslateIn(flowUDP(dstEP, out.Src), t0)
 	stranger := netaddr.MustParseEndpoint("198.51.100.1:1")
 	n.TranslateIn(flowUDP(stranger, out.Src), t0)
-	snap := n.Metrics.Snapshot()
+	snap := maps.Collect(n.Metrics.Counters())
 	if snap["mappings_created"] != 1 || snap["pkts_out"] != 1 ||
 		snap["pkts_in"] != 1 || snap["drop_filtered"] != 1 {
 		t.Errorf("metrics = %v", snap)

@@ -260,7 +260,7 @@ func (s *Sharded) Refresh(r MappingRef, dst netaddr.Endpoint, now time.Time) boo
 func (s *Sharded) Hairpin(f netaddr.Flow, now time.Time) (HairpinResult, Verdict) {
 	src := s.lanes[s.ActiveLaneFor(f.Src.Addr)]
 	if s.cfg.Hairpin == HairpinOff {
-		src.cDropHairpin.Inc()
+		src.ctr[cDropHairpin].Inc()
 		return HairpinResult{}, DropHairpin
 	}
 	out, v := src.TranslateOut(f, now)
@@ -269,7 +269,7 @@ func (s *Sharded) Hairpin(f netaddr.Flow, now time.Time) (HairpinResult, Verdict
 	}
 	dstLane := s.laneOfExt(out.Dst.Addr)
 	if dstLane == nil {
-		src.cDropNoMapping.Inc()
+		src.ctr[cDropNoMapping].Inc()
 		return HairpinResult{}, DropNoMapping
 	}
 	in, v := dstLane.TranslateIn(out, now)
@@ -281,7 +281,7 @@ func (s *Sharded) Hairpin(f netaddr.Flow, now time.Time) (HairpinResult, Verdict
 		res.Flow.Src = f.Src
 		res.SourcePreserved = true
 	}
-	src.cHairpin.Inc()
+	src.ctr[cHairpin].Inc()
 	return res, Ok
 }
 

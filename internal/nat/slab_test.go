@@ -20,6 +20,18 @@ func openMappings(t *testing.T, n *NAT, first, k int, now time.Time) {
 	}
 }
 
+// TestNewAllocs pins nat.New's fixed cost for a one-IP pool, the shape
+// built per traffic lane and per simnet device: the NAT struct with its
+// counters inline, the first slots of the translation (two arrays),
+// subscriber and expiry tables, and the port space. A per-NAT registry
+// or another eagerly built table shows here as a higher count.
+func TestNewAllocs(t *testing.T) {
+	cfg := baseConfig()
+	if got := testing.AllocsPerRun(100, func() { natSink = New(cfg) }); got != 6 {
+		t.Errorf("nat.New allocates %v times, want 6", got)
+	}
+}
+
 // TestSlabFollowsPeak pins how much Mapping storage a NAT carves: slabs
 // start at firstSlab structs and double the carved total up to
 // mappingSlab, so a NAT that never holds more than k mappings carves at

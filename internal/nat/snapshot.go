@@ -304,10 +304,16 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 		}
 		g.seq, g.seeded = cs.Seq, true
 	}
-	for _, c := range s.CounterList {
-		n.Metrics.Counter(c.Name).Store(c.Value)
+	for i, c := range s.CounterList {
+		ctr := n.Metrics.Counter(c.Name)
+		if ctr == nil {
+			return nil, fmt.Errorf("nat: restore: unknown counter %q", c.Name)
+		}
+		if slices.ContainsFunc(s.CounterList[:i], func(p CounterState) bool { return p.Name == c.Name }) {
+			return nil, fmt.Errorf("nat: restore: counter %q listed twice", c.Name)
+		}
+		ctr.Store(c.Value)
 	}
-	n.gLive.Set(int64(n.byInt.n))
 	return n, nil
 }
 
@@ -341,6 +347,9 @@ func (s *Sharded) Snapshot() []*Snapshot {
 // engine is byte-identical to the original at every shard count.
 func NewShardedFromSnapshot(cfg Config, shards int, lanes []*Snapshot) (*Sharded, error) {
 	s := newSharded(cfg, shards)
+	if len(s.lanes) == 0 {
+		return nil, fmt.Errorf("nat: restore: config needs at least one external IP")
+	}
 	if len(lanes) != len(s.lanes) {
 		return nil, fmt.Errorf("nat: restore: %d lane snapshots for a %d-IP pool", len(lanes), len(s.lanes))
 	}

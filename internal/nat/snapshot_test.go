@@ -150,14 +150,8 @@ func TestSnapshotContinuation(t *testing.T) {
 			if got, want := restored.PortStats(), ref.PortStats(); got != want {
 				t.Fatalf("port stats diverge: %+v vs %+v", got, want)
 			}
-			if got, want := restored.Metrics.Counters(), ref.Metrics.Counters(); len(got) != len(want) {
-				t.Fatalf("counter sets diverge: %v vs %v", got, want)
-			} else {
-				for k, v := range want {
-					if got[k] != v {
-						t.Fatalf("counter %s diverges: %d vs %d", k, got[k], v)
-					}
-				}
+			if got, want := maps.Collect(restored.Metrics.Counters()), maps.Collect(ref.Metrics.Counters()); !maps.Equal(got, want) {
+				t.Fatalf("counters diverge: %v vs %v", got, want)
 			}
 		})
 	}
@@ -182,6 +176,17 @@ func TestSnapshotShardedContinuation(t *testing.T) {
 	driveOps(restored, ops, cut, 24)
 	if got, want := restored.StateDigest(), ref.StateDigest(); got != want {
 		t.Fatalf("sharded digest diverges after continuation:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestShardedRestoreRefusesEmptyPool pins that a sharded restore over a
+// pool with no external IPs is an error, as it is a panic in NewSharded:
+// the façade would have no lane to hash a subscriber onto.
+func TestShardedRestoreRefusesEmptyPool(t *testing.T) {
+	cfg := snapshotConfigs()["preservation-paired"]
+	cfg.ExternalIPs = nil
+	if s, err := NewShardedFromSnapshot(cfg, 2, nil); err == nil {
+		t.Fatalf("restore over an empty pool returned %d lanes and no error", s.NumLanes())
 	}
 }
 
@@ -211,9 +216,10 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 
 // TestSnapshotRejectsCorruptState pins the internal-consistency checks:
 // duplicated external endpoints, mappings for unknown subscribers,
-// impossible high-water marks and sequential cursors no engine could
+// impossible high-water marks, sequential cursors no engine could
 // hold — off the pool, on a protocol it never maps, out of range or
-// twice for one segment — are all refused with errors.
+// twice for one segment — and counters the engine does not have or
+// listed twice are all refused with errors.
 func TestSnapshotRejectsCorruptState(t *testing.T) {
 	cfg := snapshotConfigs()["sequential-arbitrary"]
 	n := New(cfg)
@@ -259,6 +265,8 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 		"cursor-unknown-proto": func(s *Snapshot) { s.Cursors[0].Proto = 99 },
 		"cursor-repeated":      func(s *Snapshot) { s.Cursors = append(s.Cursors, s.Cursors[0]) },
 		"subscriber-repeated":  func(s *Snapshot) { s.Subscribers = append(s.Subscribers, s.Subscribers[0]) },
+		"counter-unknown":      func(s *Snapshot) { s.CounterList = append(s.CounterList, CounterState{Name: "bogus", Value: 5}) },
+		"counter-repeated":     func(s *Snapshot) { s.CounterList = append(s.CounterList, CounterState{Name: "pkts_out", Value: 99}) },
 	} {
 		bad := n.Snapshot()
 		mutate(bad)

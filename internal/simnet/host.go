@@ -139,7 +139,7 @@ func (h *Host) SendTTL(proto netaddr.Proto, srcPort uint16, dst netaddr.Endpoint
 	if !w.consume(h.extraHops, "router:", h.name, "-access") {
 		return n.dropTTL(w)
 	}
-	n.cSent.Inc()
+	n.ctr[cSent].Inc()
 	return n.walk(h, f, w, payload)
 }
 
@@ -158,10 +158,10 @@ func (h *Host) deliver(f netaddr.Flow, payload []byte, w *walker, n *Network) Re
 	}
 	fn, ok := h.handlerFor(hostPort{f.Proto, f.Dst.Port})
 	if !ok {
-		n.cNoListener.Inc()
+		n.ctr[cNoListener].Inc()
 		return Result{Reason: DropNoPort, Hops: w.hops}
 	}
-	n.cDelivered.Inc()
+	n.ctr[cDelivered].Inc()
 	fn(f.Src, f.Dst, f.Proto, payload)
 	return Result{Reason: Delivered, Hops: w.hops}
 }

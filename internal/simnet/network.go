@@ -25,13 +25,12 @@ type Network struct {
 	// deterministic.
 	lossRate float64
 	lossRNG  *rand.Rand
-	// Metrics counts forwarding outcomes network-wide.
-	Metrics *metrics.Set
-	// Counters below are hoisted out of Metrics at construction; the
-	// forwarding path increments them per packet and a name lookup per
-	// increment is measurable at campaign scale.
-	cSent, cUnreachable, cNATDropped, cLost, cTTLExpired *metrics.Counter
-	cDelivered, cNoListener                              *metrics.Counter
+	// Metrics reads the network-wide forwarding-outcome counters back
+	// by name (counterNames lists them).
+	Metrics metrics.Set
+	// ctr holds the counters; the forwarding walk bumps them at the
+	// constant indexes below.
+	ctr [numCounters]metrics.Counter
 
 	// realms and devices list every realm and NAT device in creation
 	// order, for deterministic enumeration and state digests.
@@ -39,20 +38,36 @@ type Network struct {
 	devices []*NATDev
 }
 
+// Indexes into Network.ctr.
+const (
+	cSent = iota
+	cUnreachable
+	cNATDropped
+	cLost
+	cTTLExpired
+	cDelivered
+	cNoListener
+	numCounters
+)
+
+// counterNames names Network.ctr's cells in Metrics.
+var counterNames = [numCounters]string{
+	cSent:        "pkts_sent",
+	cUnreachable: "pkts_unreachable",
+	cNATDropped:  "pkts_nat_dropped",
+	cLost:        "pkts_lost",
+	cTTLExpired:  "pkts_ttl_expired",
+	cDelivered:   "pkts_delivered",
+	cNoListener:  "pkts_no_listener",
+}
+
 // New creates an empty network with a public realm.
 func New() *Network {
 	n := &Network{
-		clock:   NewClock(),
-		global:  routing.NewGlobal(),
-		Metrics: metrics.NewSet(),
+		clock:  NewClock(),
+		global: routing.NewGlobal(),
 	}
-	n.cSent = n.Metrics.Counter("pkts_sent")
-	n.cUnreachable = n.Metrics.Counter("pkts_unreachable")
-	n.cNATDropped = n.Metrics.Counter("pkts_nat_dropped")
-	n.cLost = n.Metrics.Counter("pkts_lost")
-	n.cTTLExpired = n.Metrics.Counter("pkts_ttl_expired")
-	n.cDelivered = n.Metrics.Counter("pkts_delivered")
-	n.cNoListener = n.Metrics.Counter("pkts_no_listener")
+	n.Metrics = metrics.NewSet(counterNames[:], n.ctr[:])
 	n.public = &Realm{name: "public", attach: make(map[netaddr.Addr]attachment)}
 	n.realms = append(n.realms, n.public)
 	return n
@@ -323,7 +338,7 @@ func (n *Network) walk(src *Host, f netaddr.Flow, w *walker, payload []byte) Res
 		}
 		dev := realm.up
 		if dev == nil {
-			n.cUnreachable.Inc()
+			n.ctr[cUnreachable].Inc()
 			return Result{Reason: DropUnreachable, Hops: w.hops}
 		}
 		if !w.consume(dev.innerHops, "router:", dev.Name, "-inner") {
@@ -338,7 +353,7 @@ func (n *Network) walk(src *Host, f netaddr.Flow, w *walker, payload []byte) Res
 			// Hairpin: the packet turns around inside this NAT.
 			res, v := dev.NAT.Hairpin(f, now)
 			if v != nat.Ok {
-				n.cNATDropped.Inc()
+				n.ctr[cNATDropped].Inc()
 				return Result{Reason: DropNAT, NATVerdict: v, Hops: w.hops}
 			}
 			if !w.consume(1, "nat:", dev.Name, " (hairpin)") {
@@ -349,14 +364,14 @@ func (n *Network) walk(src *Host, f netaddr.Flow, w *walker, payload []byte) Res
 			}
 			att, ok := realm.attach[res.Flow.Dst.Addr]
 			if !ok {
-				n.cUnreachable.Inc()
+				n.ctr[cUnreachable].Inc()
 				return Result{Reason: DropUnreachable, Hops: w.hops}
 			}
 			return n.descend(att, res.Flow, w, payload)
 		}
 		out, v := dev.NAT.TranslateOut(f, now)
 		if v != nat.Ok {
-			n.cNATDropped.Inc()
+			n.ctr[cNATDropped].Inc()
 			return Result{Reason: DropNAT, NATVerdict: v, Hops: w.hops}
 		}
 		f = out
@@ -387,7 +402,7 @@ func (n *Network) descend(att attachment, f netaddr.Flow, w *walker, payload []b
 			// refresh) happens before the TTL check.
 			in, v := a.NAT.TranslateIn(f, n.clock.Now())
 			if v != nat.Ok {
-				n.cNATDropped.Inc()
+				n.ctr[cNATDropped].Inc()
 				return Result{Reason: DropNAT, NATVerdict: v, Hops: w.hops}
 			}
 			f = in
@@ -399,7 +414,7 @@ func (n *Network) descend(att attachment, f netaddr.Flow, w *walker, payload []b
 			}
 			next, ok := a.inner.attach[f.Dst.Addr]
 			if !ok {
-				n.cUnreachable.Inc()
+				n.ctr[cUnreachable].Inc()
 				return Result{Reason: DropUnreachable, Hops: w.hops}
 			}
 			att = next
@@ -413,9 +428,9 @@ func (n *Network) descend(att attachment, f netaddr.Flow, w *walker, payload []b
 // ate the packet, to TTL expiry otherwise.
 func (n *Network) dropTTL(w *walker) Result {
 	if w.lost {
-		n.cLost.Inc()
+		n.ctr[cLost].Inc()
 		return Result{Reason: DropLoss, Hops: w.hops}
 	}
-	n.cTTLExpired.Inc()
+	n.ctr[cTTLExpired].Inc()
 	return Result{Reason: DropTTLExpired, Hops: w.hops}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -743,9 +744,12 @@ func renderForwarding(t *testing.T, loss float64) string {
 		fmt.Fprintln(&b, line)
 	}
 	// %v prints maps in sorted key order.
-	fmt.Fprintf(&b, "net %v\n", w.net.Metrics.Snapshot())
+	fmt.Fprintf(&b, "net %v\n", maps.Collect(w.net.Metrics.Counters()))
 	for _, d := range w.net.Devices() {
-		fmt.Fprintf(&b, "dev %s %s %v\n", d.Name, d.NAT.StateDigest(), d.NAT.Metrics.Snapshot())
+		// mappings_live is the key the golden was recorded with.
+		m := maps.Collect(d.NAT.Metrics.Counters())
+		m["mappings_live"] = uint64(d.NAT.NumMappings())
+		fmt.Fprintf(&b, "dev %s %s %v\n", d.Name, d.NAT.StateDigest(), m)
 	}
 	return b.String()
 }
