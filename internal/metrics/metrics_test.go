@@ -16,25 +16,44 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-// TestSetNamesOwnerCells pins the name table: a declared name returns
-// the owner's own cell, an undeclared one returns nil, Counters reports
-// every cell in declaration order, the set refuses a name list that does
-// not match its cells, and a value read by name renders through the
-// exposition writer.
-func TestSetNamesOwnerCells(t *testing.T) {
+// TestSetReusesByName pins the name table: a declared name returns the
+// owner's own cell, the same cell on every call, an undeclared name
+// returns nil, and the set refuses a name list that does not match its
+// cells.
+func TestSetReusesByName(t *testing.T) {
 	var cells [3]Counter
 	s := NewSet([]string{"b", "a", "c"}, cells[:])
 	if s.Counter("a") != &cells[1] {
 		t.Error("Counter(a) is not the owner's cell")
 	}
-	cells[0].Add(2)
 	s.Counter("a").Inc()
+	s.Counter("a").Inc()
+	cells[0].Add(2)
+	if got := s.Counter("a").Value(); got != 2 {
+		t.Errorf("Counter(a) = %d, want 2: same name must return the same counter", got)
+	}
 	if got := s.Counter("b").Value(); got != 2 {
 		t.Errorf("Counter(b) = %d, want the owner's 2", got)
 	}
 	if s.Counter("d") != nil {
 		t.Error("an undeclared name returned a counter")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSet accepted two names for one cell")
+		}
+	}()
+	NewSet([]string{"x", "y"}, cells[:1])
+}
+
+// TestSnapshotAndString pins the set's read-back: Counters reports every
+// cell's value in declaration order, and a value read by name renders
+// through the exposition writer as it reads.
+func TestSnapshotAndString(t *testing.T) {
+	var cells [3]Counter
+	s := NewSet([]string{"b", "a", "c"}, cells[:])
+	s.Counter("b").Add(2)
+	s.Counter("a").Add(1)
 	var got []string
 	for name, v := range s.Counters() {
 		got = append(got, fmt.Sprintf("%s=%d", name, v))
@@ -49,12 +68,6 @@ func TestSetNamesOwnerCells(t *testing.T) {
 	if !strings.Contains(str, "\na 1\n") {
 		t.Errorf("exposition = %q", str)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSet accepted two names for one cell")
-		}
-	}()
-	NewSet([]string{"x", "y"}, cells[:1])
 }
 
 // TestConcurrentCounters pins the single-writer contract: each Set is
