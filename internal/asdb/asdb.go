@@ -7,7 +7,6 @@ package asdb
 
 import (
 	"fmt"
-	"sort"
 
 	"cgn/internal/netaddr"
 )
@@ -128,9 +127,6 @@ func (db *DB) Add(as *AS) {
 	db.order = append(db.order, as.ASN)
 }
 
-// Get returns the AS with the given ASN, or nil.
-func (db *DB) Get(asn uint32) *AS { return db.byASN[asn] }
-
 // Len returns the number of registered ASes.
 func (db *DB) Len() int { return len(db.order) }
 
@@ -139,17 +135,6 @@ func (db *DB) All() []*AS {
 	out := make([]*AS, len(db.order))
 	for i, asn := range db.order {
 		out[i] = db.byASN[asn]
-	}
-	return out
-}
-
-// Select returns ASes matching the filter, in insertion order.
-func (db *DB) Select(keep func(*AS) bool) []*AS {
-	var out []*AS
-	for _, asn := range db.order {
-		if as := db.byASN[asn]; keep(as) {
-			out = append(out, as)
-		}
 	}
 	return out
 }
@@ -166,16 +151,6 @@ func (p Population) Contains(asn uint32) bool { return p.ASNs[asn] }
 
 // Size returns the population size.
 func (p Population) Size() int { return len(p.ASNs) }
-
-// Sorted returns the member ASNs in ascending order.
-func (p Population) Sorted() []uint32 {
-	out := make([]uint32, 0, len(p.ASNs))
-	for asn := range p.ASNs {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // RoutedPopulation returns all ASes (the "routed ASes" column of Table 5).
 func (db *DB) RoutedPopulation() Population {

@@ -17,11 +17,8 @@ func newAS(asn uint32, kind Kind, region RIR, pbl, apnic int) *AS {
 func TestAddGet(t *testing.T) {
 	db := NewDB()
 	db.Add(newAS(65001, Eyeball, RIPE, 4096, 2000))
-	if got := db.Get(65001); got == nil || got.ASN != 65001 {
-		t.Fatalf("Get = %+v", got)
-	}
-	if db.Get(65002) != nil {
-		t.Error("Get of absent ASN should be nil")
+	if all := db.All(); len(all) != 1 || all[0].ASN != 65001 {
+		t.Fatalf("All = %+v", all)
 	}
 	if db.Len() != 1 {
 		t.Errorf("Len = %d", db.Len())
@@ -47,17 +44,6 @@ func TestAllInsertionOrder(t *testing.T) {
 	all := db.All()
 	if all[0].ASN != 30 || all[1].ASN != 10 || all[2].ASN != 20 {
 		t.Errorf("All order = %v,%v,%v", all[0].ASN, all[1].ASN, all[2].ASN)
-	}
-}
-
-func TestSelect(t *testing.T) {
-	db := NewDB()
-	db.Add(newAS(1, Eyeball, RIPE, 0, 0))
-	db.Add(newAS(2, Cellular, APNIC, 0, 0))
-	db.Add(newAS(3, Transit, ARIN, 0, 0))
-	cell := db.Select(func(a *AS) bool { return a.Kind == Cellular })
-	if len(cell) != 1 || cell[0].ASN != 2 {
-		t.Errorf("Select cellular = %v", cell)
 	}
 }
 
@@ -100,14 +86,6 @@ func TestPopulations(t *testing.T) {
 	}
 	if p := db.CellularPopulation(); p.Size() != 1 || !p.Contains(3) {
 		t.Errorf("cellular population = %v", p.ASNs)
-	}
-}
-
-func TestPopulationSorted(t *testing.T) {
-	p := Population{ASNs: map[uint32]bool{5: true, 1: true, 3: true}}
-	got := p.Sorted()
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Errorf("Sorted = %v", got)
 	}
 }
 

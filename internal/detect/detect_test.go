@@ -202,8 +202,10 @@ func TestCellularDetection(t *testing.T) {
 	if res.PerAS[5].CGN {
 		t.Error("AS5 (below session floor) must not be positive")
 	}
-	if res.PerAS[1].Mix() != MixInternalOnly || res.PerAS[2].Mix() != MixPublicOnly {
-		t.Error("assignment mixes wrong")
+	// AS1's six sessions were all translated, AS2's six none.
+	if as1, as2 := res.PerAS[1], res.PerAS[2]; as1.Sessions != 6 || as1.Translated != 6 || as2.Sessions != 6 || as2.Translated != 0 {
+		t.Errorf("translated sessions: AS1 %d of %d, AS2 %d of %d; want 6 of 6 and 0 of 6",
+			as1.Translated, as1.Sessions, as2.Translated, as2.Sessions)
 	}
 	// Table 4 column 2 categories.
 	if res.DevCategories[netaddr.CatPrivate] != 7 { // 6 from AS1 + 1 from AS5
@@ -363,11 +365,5 @@ func TestScoreAgainstTruth(t *testing.T) {
 	empty := NewMethodView("e", nil, nil).ScoreAgainstTruth(nil)
 	if empty.Precision() != 1 || empty.Recall() != 1 {
 		t.Error("empty score should be perfect")
-	}
-}
-
-func TestAssignmentMixStrings(t *testing.T) {
-	if MixInternalOnly.String() == "" || MixPublicOnly.String() == "" || MixBoth.String() == "" {
-		t.Error("mix names must render")
 	}
 }

@@ -66,45 +66,6 @@ type CellularAS struct {
 	CGN bool
 }
 
-// AssignmentMix buckets a cellular AS the way §4.2 reports them.
-type AssignmentMix uint8
-
-// Cellular address assignment mixes.
-const (
-	// MixInternalOnly: every session got a translated address.
-	MixInternalOnly AssignmentMix = iota
-	// MixPublicOnly: every session got an untranslated public address.
-	MixPublicOnly
-	// MixBoth: some sessions translated, some not.
-	MixBoth
-)
-
-// String names the mix.
-func (m AssignmentMix) String() string {
-	switch m {
-	case MixInternalOnly:
-		return "internal only"
-	case MixPublicOnly:
-		return "public only"
-	case MixBoth:
-		return "mixed"
-	default:
-		return "mix(?)"
-	}
-}
-
-// Mix classifies the AS's assignment behavior.
-func (a *CellularAS) Mix() AssignmentMix {
-	switch {
-	case a.Translated == a.Sessions:
-		return MixInternalOnly
-	case a.Translated == 0:
-		return MixPublicOnly
-	default:
-		return MixBoth
-	}
-}
-
 // CellularResult is the cellular pipeline outcome.
 type CellularResult struct {
 	Cfg   NLConfig

@@ -9,7 +9,7 @@ import (
 // The Figure 3 contrast in miniature: home NATs leak isolated pairs,
 // CGN pooling links many public addresses to one shared internal
 // population.
-func ExampleBipartite_Largest() {
+func ExampleBipartite_Components() {
 	home := graph.NewBipartite[string, string]()
 	home.AddEdge("pub1", "int-a")
 	home.AddEdge("pub2", "int-b")
@@ -20,10 +20,10 @@ func ExampleBipartite_Largest() {
 			cgnlike.AddEdge(pub, internal)
 		}
 	}
-	h := home.Largest()
-	c := cgnlike.Largest()
-	fmt.Printf("home: largest cluster %dx%d of %d components\n", len(h.Left), len(h.Right), len(home.Components()))
-	fmt.Printf("cgn:  largest cluster %dx%d of %d components\n", len(c.Left), len(c.Right), len(cgnlike.Components()))
+	h := home.Components()
+	c := cgnlike.Components()
+	fmt.Printf("home: largest cluster %dx%d of %d components\n", len(h[0].Left), len(h[0].Right), len(h))
+	fmt.Printf("cgn:  largest cluster %dx%d of %d components\n", len(c[0].Left), len(c[0].Right), len(c))
 	// Output:
 	// home: largest cluster 1x1 of 2 components
 	// cgn:  largest cluster 3x2 of 1 components

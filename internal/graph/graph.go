@@ -16,7 +16,6 @@ type Bipartite[L comparable, R comparable] struct {
 	lefts    []L
 	rights   []R
 	dsu      []int // union-find over left vertices then right vertices
-	edges    int
 }
 
 // NewBipartite returns an empty graph.
@@ -45,17 +44,7 @@ func (b *Bipartite[L, R]) AddEdge(l L, r R) {
 		b.dsu = append(b.dsu, ri)
 	}
 	b.union(li, ri)
-	b.edges++
 }
-
-// NumLeft and NumRight return vertex counts; NumEdges counts AddEdge calls.
-func (b *Bipartite[L, R]) NumLeft() int { return len(b.lefts) }
-
-// NumRight returns the right-side vertex count.
-func (b *Bipartite[L, R]) NumRight() int { return len(b.rights) }
-
-// NumEdges returns the number of AddEdge calls (duplicates included).
-func (b *Bipartite[L, R]) NumEdges() int { return b.edges }
 
 func (b *Bipartite[L, R]) find(x int) int {
 	for b.dsu[x] != x {
@@ -77,9 +66,6 @@ type Component[L comparable, R comparable] struct {
 	Left  []L
 	Right []R
 }
-
-// Size returns the total vertex count.
-func (c Component[L, R]) Size() int { return len(c.Left) + len(c.Right) }
 
 // Components returns all connected clusters, largest first (by left
 // size, then right size). Within a component, vertex order follows
@@ -115,13 +101,4 @@ func (b *Bipartite[L, R]) Components() []Component[L, R] {
 		return len(out[i].Right) > len(out[j].Right)
 	})
 	return out
-}
-
-// Largest returns the biggest connected cluster (zero value when empty).
-func (b *Bipartite[L, R]) Largest() Component[L, R] {
-	comps := b.Components()
-	if len(comps) == 0 {
-		return Component[L, R]{}
-	}
-	return comps[0]
 }

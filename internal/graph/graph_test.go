@@ -10,10 +10,6 @@ func TestEmptyGraph(t *testing.T) {
 	if len(b.Components()) != 0 {
 		t.Error("empty graph should have no components")
 	}
-	lg := b.Largest()
-	if lg.Size() != 0 {
-		t.Error("largest of empty graph should be empty")
-	}
 }
 
 func TestSingleEdge(t *testing.T) {
@@ -35,10 +31,11 @@ func TestIsolatedVsClustered(t *testing.T) {
 	iso.AddEdge("pub1", "int1")
 	iso.AddEdge("pub2", "int2")
 	iso.AddEdge("pub3", "int3")
-	if got := len(iso.Components()); got != 3 {
+	isoComps := iso.Components()
+	if got := len(isoComps); got != 3 {
 		t.Errorf("isolated graph components = %d, want 3", got)
 	}
-	if lg := iso.Largest(); len(lg.Left) != 1 || len(lg.Right) != 1 {
+	if lg := isoComps[0]; len(lg.Left) != 1 || len(lg.Right) != 1 {
 		t.Errorf("isolated largest = %d x %d, want 1 x 1", len(lg.Left), len(lg.Right))
 	}
 
@@ -48,10 +45,11 @@ func TestIsolatedVsClustered(t *testing.T) {
 			cgn.AddEdge(pub, internal)
 		}
 	}
-	if got := len(cgn.Components()); got != 1 {
+	cgnComps := cgn.Components()
+	if got := len(cgnComps); got != 1 {
 		t.Errorf("clustered graph components = %d, want 1", got)
 	}
-	if lg := cgn.Largest(); len(lg.Left) != 3 || len(lg.Right) != 4 {
+	if lg := cgnComps[0]; len(lg.Left) != 3 || len(lg.Right) != 4 {
 		t.Errorf("clustered largest = %d x %d, want 3 x 4", len(lg.Left), len(lg.Right))
 	}
 }
@@ -76,14 +74,8 @@ func TestDuplicateEdges(t *testing.T) {
 	b := NewBipartite[string, string]()
 	b.AddEdge("pub1", "int1")
 	b.AddEdge("pub1", "int1")
-	if b.NumLeft() != 1 || b.NumRight() != 1 {
-		t.Errorf("vertices = %d x %d", b.NumLeft(), b.NumRight())
-	}
-	if b.NumEdges() != 2 {
-		t.Errorf("edges = %d", b.NumEdges())
-	}
-	if lg := b.Largest(); len(lg.Left) != 1 || len(lg.Right) != 1 {
-		t.Errorf("largest = %+v", lg)
+	if comps := b.Components(); len(comps) != 1 || len(comps[0].Left) != 1 || len(comps[0].Right) != 1 {
+		t.Errorf("components = %+v, want one 1 x 1", comps)
 	}
 }
 
@@ -131,7 +123,11 @@ func TestComponentsPartitionProperty(t *testing.T) {
 				rightSeen[r] = ci
 			}
 		}
-		if len(leftSeen) != b.NumLeft() || len(rightSeen) != b.NumRight() {
+		lefts, rights := map[int]bool{}, map[int]bool{}
+		for _, e := range edges {
+			lefts[e.l], rights[e.r] = true, true
+		}
+		if len(leftSeen) != len(lefts) || len(rightSeen) != len(rights) {
 			t.Fatal("components lose vertices")
 		}
 		for _, e := range edges {

@@ -304,11 +304,13 @@ func TestShardedFailureLaneSum(t *testing.T) {
 	sn := NewSharded(cfg, 3)
 	for i := 0; i < 40; i++ {
 		now := t0.Add(time.Duration(i) * 5 * time.Second)
-		sn.Sweep(now)
+		for l := 0; l < sn.NumLanes(); l++ {
+			sn.Lane(l).Sweep(now)
+		}
 		for s := 0; s < 24; s++ {
 			for k := 0; k < 3; k++ {
 				src := ep(fmt.Sprintf("100.64.1.%d", s), uint16(2000+i*13+s*17+k*41))
-				sn.TranslateOut(flowUDP(src, dstEP), now)
+				sn.Lane(sn.ActiveLaneFor(src.Addr)).TranslateOut(flowUDP(src, dstEP), now)
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func TestSetLaneDownDropsMappingsAndFailsOver(t *testing.T) {
 	for i := 0; i < 96; i++ {
 		a := subAddr(i)
 		src := netaddr.EndpointOf(a, uint16(4000+i))
-		if _, v := s.TranslateOut(flowUDP(src, dstEP), t0); v != Ok {
+		if _, v := s.Lane(s.ActiveLaneFor(a)).TranslateOut(flowUDP(src, dstEP), t0); v != Ok {
 			t.Fatalf("sub %d: verdict %v", i, v)
 		}
 		if s.LaneFor(a) == victim {
@@ -95,7 +95,7 @@ func TestSetLaneDownDropsMappingsAndFailsOver(t *testing.T) {
 		if fl == victim {
 			t.Fatalf("sub %v still routed to the downed lane", a)
 		}
-		out, v := s.TranslateOut(flowUDP(netaddr.EndpointOf(a, 9000), dstEP2), t0)
+		out, v := s.Lane(fl).TranslateOut(flowUDP(netaddr.EndpointOf(a, 9000), dstEP2), t0)
 		if v != Ok {
 			t.Fatalf("failover translate for %v: verdict %v", a, v)
 		}
@@ -127,8 +127,8 @@ func TestSetLaneDownDropsMappingsAndFailsOver(t *testing.T) {
 	if !s.Refresh(r, netaddr.Endpoint{}, t0.Add(time.Second)) {
 		t.Fatal("Refresh reported the failover mapping stale")
 	}
-	if ep, ok := s.ExternalFor(f, t0.Add(time.Second)); !ok || ep.Addr == cfg.ExternalIPs[victim] {
-		t.Fatalf("ExternalFor = (%v, %v), want the failover lane's IP", ep, ok)
+	if ep, ok := s.Lane(failover).ExternalFor(f, t0.Add(time.Second)); !ok || ep.Addr != cfg.ExternalIPs[failover] {
+		t.Fatalf("ExternalFor = (%v, %v), want the failover lane's IP %v", ep, ok, cfg.ExternalIPs[failover])
 	}
 }
 
@@ -228,7 +228,7 @@ func TestLaneOutageDigestShardInvariant(t *testing.T) {
 		now := t0
 		for i := 0; i < 80; i++ {
 			src := netaddr.EndpointOf(subAddr(i), uint16(4000+i))
-			if _, v := s.TranslateOut(flowUDP(src, dstEP), now); v != Ok {
+			if _, v := s.Lane(s.ActiveLaneFor(src.Addr)).TranslateOut(flowUDP(src, dstEP), now); v != Ok {
 				t.Fatalf("flow %d: verdict %v", i, v)
 			}
 			now = now.Add(100 * time.Millisecond)
@@ -236,7 +236,7 @@ func TestLaneOutageDigestShardInvariant(t *testing.T) {
 		s.SetLaneDown(2)
 		for i := 0; i < 80; i++ {
 			src := netaddr.EndpointOf(subAddr(i), uint16(6000+i))
-			if _, v := s.TranslateOut(flowUDP(src, dstEP2), now); v != Ok {
+			if _, v := s.Lane(s.ActiveLaneFor(src.Addr)).TranslateOut(flowUDP(src, dstEP2), now); v != Ok {
 				t.Fatalf("outage flow %d: verdict %v", i, v)
 			}
 			now = now.Add(100 * time.Millisecond)
@@ -244,7 +244,7 @@ func TestLaneOutageDigestShardInvariant(t *testing.T) {
 		s.SetLaneUp(2)
 		for i := 0; i < 40; i++ {
 			src := netaddr.EndpointOf(subAddr(i), uint16(8000+i))
-			if _, v := s.TranslateOut(flowUDP(src, dstEP), now); v != Ok {
+			if _, v := s.Lane(s.ActiveLaneFor(src.Addr)).TranslateOut(flowUDP(src, dstEP), now); v != Ok {
 				t.Fatalf("recovery flow %d: verdict %v", i, v)
 			}
 		}

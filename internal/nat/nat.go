@@ -464,7 +464,7 @@ type NAT struct {
 	// tables specialized for the packed key shapes (table.go). byInt is
 	// authoritative — every live mapping is in it. byExt, the inbound
 	// index, stays unallocated until the first inbound-side call
-	// (TranslateIn, LookupByExternal) builds it from byInt; from then on
+	// (TranslateIn) builds it from byInt; from then on
 	// creation and teardown maintain it eagerly. An outbound-only NAT —
 	// a traffic or fleet lane without scanner probes — therefore carries
 	// no inbound-index state and pays nothing for it on mapping churn.
@@ -1503,15 +1503,6 @@ func (n *NAT) DropMatching(pred func(m *Mapping) bool) int {
 	return len(doomed)
 }
 
-// LookupByExternal returns the live mapping behind an external endpoint.
-func (n *NAT) LookupByExternal(p netaddr.Proto, ext netaddr.Endpoint, now time.Time) (*Mapping, bool) {
-	m := n.inbound().get(extKeyFor(p, ext))
-	if m == nil || n.expiredAt(m, now.UnixNano()) {
-		return nil, false
-	}
-	return m, true
-}
-
 // ExternalFor returns the external endpoint a (proto, internal src, dst)
 // would currently map to, without creating state. Test helpers use it to
 // assert pooling and preservation behavior.
@@ -1524,9 +1515,9 @@ func (n *NAT) ExternalFor(f netaddr.Flow, now time.Time) (netaddr.Endpoint, bool
 }
 
 // View is the read-only introspection surface shared by the sequential
-// *NAT and the sharded façade (*Sharded): everything an observer —
-// the traffic engine's Observer hook, the reports, the differential
-// tests — needs without caring how the state is partitioned.
+// *NAT and the sharded façade (*Sharded): everything an observer — the
+// traffic engine's Observer hook, the differential tests — needs without
+// caring how the state is partitioned.
 type View interface {
 	Config() Config
 	NumMappings() int

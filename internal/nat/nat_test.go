@@ -373,21 +373,6 @@ func TestHairpinToExpiredMapping(t *testing.T) {
 	}
 }
 
-func TestLookupByExternal(t *testing.T) {
-	n := New(baseConfig())
-	out, _ := n.TranslateOut(flowUDP(intEP, dstEP), t0)
-	m, ok := n.LookupByExternal(netaddr.UDP, out.Src, t0)
-	if !ok || m.Int != intEP {
-		t.Errorf("LookupByExternal = %+v, %v", m, ok)
-	}
-	if _, ok := n.LookupByExternal(netaddr.UDP, out.Src, t0.Add(5*time.Minute)); ok {
-		t.Error("expired mapping should not be returned")
-	}
-	if _, ok := n.LookupByExternal(netaddr.TCP, out.Src, t0); ok {
-		t.Error("protocol must be part of the mapping key")
-	}
-}
-
 func TestExternalFor(t *testing.T) {
 	n := New(baseConfig())
 	f := flowUDP(intEP, dstEP)

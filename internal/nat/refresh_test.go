@@ -152,8 +152,8 @@ func TestRefreshKeepsSymmetricSingleDestination(t *testing.T) {
 	if !n.Refresh(ref, other, now.Add(time.Second)) {
 		t.Fatal("refresh failed")
 	}
-	m, ok := n.LookupByExternal(netaddr.UDP, out.Src, now.Add(time.Second))
-	if !ok {
+	m := n.inbound().get(extKeyFor(netaddr.UDP, out.Src))
+	if m == nil {
 		t.Fatal("mapping lost")
 	}
 	if m.SentTo(other) {
@@ -302,8 +302,8 @@ func TestMultiDestinationMapping(t *testing.T) {
 			t.Fatal(v)
 		}
 	}
-	m, ok := n.LookupByExternal(netaddr.UDP, out.Src, now)
-	if !ok {
+	m := n.inbound().get(extKeyFor(netaddr.UDP, out.Src))
+	if m == nil {
 		t.Fatal("mapping lost")
 	}
 	for _, d := range dsts {

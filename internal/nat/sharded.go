@@ -14,9 +14,9 @@ import (
 // share no mutable state whatsoever. Subscribers map to lanes by a hash
 // of their internal address (the sharded analogue of Paired pooling:
 // every subscriber is pinned to one external IP, so chooseExternalIP is
-// stable by construction), and inbound packets, refreshes and hairpins
-// route by their external IP through an index from pool IP to lane,
-// built once with the façade.
+// stable by construction), and inbound packets and refreshes route by
+// their external IP through an index from pool IP to lane, built once
+// with the façade.
 //
 // Shards are an execution grouping on top: shard s owns lanes l with
 // l % Shards == s, and a shard's lanes are always driven in ascending
@@ -30,7 +30,7 @@ import (
 //
 // Concurrency: distinct shards may be driven from distinct goroutines
 // (route calls touch only the lane they resolve to). The aggregation
-// methods (PortStats, StateDigest, Sweep, ForEachMapping, ...) touch
+// methods (PortStats, StateDigest, ForEachMapping, ...) touch
 // every lane and must only run while no shard worker is active — the
 // traffic engine calls them between tick barriers.
 type Sharded struct {
@@ -163,7 +163,7 @@ func (s *Sharded) ActiveLaneFor(a netaddr.Addr) int {
 // survivors until SetLaneUp. Returns the number of mappings dropped and
 // whether the lane went down: the last lane standing refuses (false) —
 // a carrier with its whole pool dark is a disabled carrier, which the
-// caller models by other means. Aggregation-phase only, like Sweep.
+// caller models by other means. Aggregation-phase only, like PortStats.
 func (s *Sharded) SetLaneDown(l int) (dropped int, ok bool) {
 	if s.down == nil {
 		s.down = make([]bool, len(s.lanes))
@@ -218,15 +218,11 @@ func (s *Sharded) laneOfExt(a netaddr.Addr) *NAT {
 	return nil
 }
 
-// TranslateOut routes an outbound flow to the subscriber's active lane
-// (the hash lane, or its failover while that lane is down).
-func (s *Sharded) TranslateOut(f netaddr.Flow, now time.Time) (netaddr.Flow, Verdict) {
-	return s.lanes[s.ActiveLaneFor(f.Src.Addr)].TranslateOut(f, now)
-}
-
-// TranslateOutRef is TranslateOut returning a stable mapping handle;
-// the handle stays valid on the owning lane (Refresh re-routes by the
-// mapping's external IP, so callers need not remember the lane).
+// TranslateOutRef routes an outbound flow to the subscriber's active lane
+// (the hash lane, or its failover while that lane is down) and returns
+// a stable mapping handle; the handle stays valid on the owning lane
+// (Refresh re-routes by the mapping's external IP, so callers need not
+// remember the lane).
 func (s *Sharded) TranslateOutRef(f netaddr.Flow, now time.Time) (netaddr.Flow, MappingRef, Verdict) {
 	return s.lanes[s.ActiveLaneFor(f.Src.Addr)].TranslateOutRef(f, now)
 }
@@ -251,47 +247,6 @@ func (s *Sharded) Refresh(r MappingRef, dst netaddr.Endpoint, now time.Time) boo
 	}
 	// A live handle's external IP always names a pool lane.
 	return s.laneOfExt(m.Ext.Addr).Refresh(r, dst, now)
-}
-
-// Hairpin handles inside-to-pool traffic: the outbound half runs on the
-// sender's lane, the inbound half on the lane owning the target external
-// IP — lanes being one NAT's partitions, hairpinning crosses them
-// freely.
-func (s *Sharded) Hairpin(f netaddr.Flow, now time.Time) (HairpinResult, Verdict) {
-	src := s.lanes[s.ActiveLaneFor(f.Src.Addr)]
-	if s.cfg.Hairpin == HairpinOff {
-		src.ctr[cDropHairpin].Inc()
-		return HairpinResult{}, DropHairpin
-	}
-	out, v := src.TranslateOut(f, now)
-	if v != Ok {
-		return HairpinResult{}, v
-	}
-	dstLane := s.laneOfExt(out.Dst.Addr)
-	if dstLane == nil {
-		src.ctr[cDropNoMapping].Inc()
-		return HairpinResult{}, DropNoMapping
-	}
-	in, v := dstLane.TranslateIn(out, now)
-	if v != Ok {
-		return HairpinResult{}, v
-	}
-	res := HairpinResult{Flow: in}
-	if s.cfg.Hairpin == HairpinPreserveSource {
-		res.Flow.Src = f.Src
-		res.SourcePreserved = true
-	}
-	src.ctr[cHairpin].Inc()
-	return res, Ok
-}
-
-// Sweep expires idle mappings on every lane, in lane order.
-func (s *Sharded) Sweep(now time.Time) int {
-	removed := 0
-	for _, lane := range s.lanes {
-		removed += lane.Sweep(now)
-	}
-	return removed
 }
 
 // SweepShard expires idle mappings on the lanes shard owns, in lane
@@ -332,26 +287,6 @@ func (s *Sharded) ForEachMapping(fn func(m *Mapping)) {
 	for _, lane := range s.lanes {
 		lane.ForEachMapping(fn)
 	}
-}
-
-// ExternalFor resolves a flow's current external endpoint without
-// creating state. The active lane almost always holds the mapping; on a
-// miss the other lanes are probed, because a flow established on a
-// failover lane can outlive the primary's restoration.
-func (s *Sharded) ExternalFor(f netaddr.Flow, now time.Time) (netaddr.Endpoint, bool) {
-	al := s.ActiveLaneFor(f.Src.Addr)
-	if ep, ok := s.lanes[al].ExternalFor(f, now); ok {
-		return ep, true
-	}
-	for l, lane := range s.lanes {
-		if l == al {
-			continue
-		}
-		if ep, ok := lane.ExternalFor(f, now); ok {
-			return ep, true
-		}
-	}
-	return netaddr.Endpoint{}, false
 }
 
 // PortStats aggregates the lanes' snapshots: capacities, occupancy and

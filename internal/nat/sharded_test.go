@@ -43,7 +43,7 @@ func TestShardedLaneRouting(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		src := netaddr.EndpointOf(subAddr(i), uint16(4000+i))
 		lane := s.LaneFor(src.Addr)
-		out, v := s.TranslateOut(flowUDP(src, dstEP), t0)
+		out, v := s.Lane(s.ActiveLaneFor(src.Addr)).TranslateOut(flowUDP(src, dstEP), t0)
 		if v != Ok {
 			t.Fatalf("sub %d: verdict %v", i, v)
 		}
@@ -88,8 +88,8 @@ func TestShardedLaneForStableAcrossShardCounts(t *testing.T) {
 }
 
 // driveSharded runs a deterministic churn script — creations across many
-// subscribers, refreshes, partial expiry, a second wave — entirely
-// through the façade's routing methods.
+// subscribers, refreshes, partial expiry, a second wave — through the
+// façade's routed calls and, as the traffic kernel does, the lanes.
 func driveSharded(t *testing.T, s *Sharded) {
 	t.Helper()
 	now := t0
@@ -112,11 +112,13 @@ func driveSharded(t *testing.T, s *Sharded) {
 		}
 	}
 	now = now.Add(45 * time.Second)
-	s.Sweep(now)
+	for l := 0; l < s.NumLanes(); l++ {
+		s.Lane(l).Sweep(now)
+	}
 	// Second wave after the purge.
 	for i := 0; i < 64; i++ {
 		src := netaddr.EndpointOf(subAddr(i%48), uint16(7000+i))
-		if _, v := s.TranslateOut(flowUDP(src, dstEP2), now); v != Ok {
+		if _, v := s.Lane(s.ActiveLaneFor(src.Addr)).TranslateOut(flowUDP(src, dstEP2), now); v != Ok {
 			t.Fatalf("wave-2 flow %d: verdict %v", i, v)
 		}
 	}
@@ -153,7 +155,7 @@ func TestShardedSweepShardPartition(t *testing.T) {
 	s := NewSharded(cfg, 3)
 	for i := 0; i < 96; i++ {
 		src := netaddr.EndpointOf(subAddr(i), uint16(5000+i))
-		if _, v := s.TranslateOut(flowUDP(src, dstEP), t0); v != Ok {
+		if _, v := s.Lane(s.ActiveLaneFor(src.Addr)).TranslateOut(flowUDP(src, dstEP), t0); v != Ok {
 			t.Fatalf("flow %d: verdict %v", i, v)
 		}
 	}
@@ -171,35 +173,6 @@ func TestShardedSweepShardPartition(t *testing.T) {
 	}
 	if expired := s.PortStats().Expired; expired != uint64(live) {
 		t.Fatalf("PortStats().Expired = %d, want %d", expired, live)
-	}
-}
-
-func TestShardedHairpinCrossesLanes(t *testing.T) {
-	cfg := shardedConfig(4)
-	cfg.Type = FullCone
-	cfg.Hairpin = HairpinTranslate
-	s := NewSharded(cfg, 2)
-	// Find two subscribers pinned to different lanes.
-	a := subAddr(0)
-	b := a
-	for i := 1; ; i++ {
-		if s.LaneFor(subAddr(i)) != s.LaneFor(a) {
-			b = subAddr(i)
-			break
-		}
-	}
-	// b opens a mapping; a hairpins to its external endpoint.
-	srcB := netaddr.EndpointOf(b, 4000)
-	out, v := s.TranslateOut(flowUDP(srcB, dstEP), t0)
-	if v != Ok {
-		t.Fatalf("b outbound verdict %v", v)
-	}
-	res, v := s.Hairpin(flowUDP(netaddr.EndpointOf(a, 4001), out.Src), t0)
-	if v != Ok {
-		t.Fatalf("hairpin verdict %v", v)
-	}
-	if res.Flow.Dst != srcB {
-		t.Fatalf("hairpin delivered to %v, want %v", res.Flow.Dst, srcB)
 	}
 }
 
@@ -243,34 +216,39 @@ func TestShardedPoolIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestShardedRoutedCallsMatchOwningLane drives TranslateIn, Refresh and
-// Hairpin through a 64-IP façade and the same calls on a twin's lanes
-// directly, each on the lane that owns the external IP by a scan of the
-// pool. Every verdict, flow and the final state must agree.
+// TestShardedRoutedCallsMatchOwningLane drives TranslateIn and Refresh
+// through a 64-IP façade and the same calls on a twin's lanes directly,
+// each on the lane that owns the external IP by a scan of the pool. A
+// second round runs the rest of nat-table's cycle: the façade sweeps
+// shard by shard and the twin lane by lane, and every refresh that fails
+// re-opens through TranslateOutRef. Every verdict, flow, swept count and
+// the final state must agree.
 func TestShardedRoutedCallsMatchOwningLane(t *testing.T) {
 	cfg := shardedConfig(1)
 	cfg.ExternalIPs = scatteredPool(64, rand.New(rand.NewSource(2)))
 	cfg.Type = FullCone
-	cfg.Hairpin = HairpinTranslate
 	s, twin := NewSharded(cfg, 4), NewSharded(cfg, 4)
 	owner := func(a netaddr.Addr) *NAT { return twin.Lane(slices.Index(cfg.ExternalIPs, a)) }
 	sender := func(a netaddr.Addr) *NAT { return twin.Lane(twin.LaneFor(a)) }
 
 	const subs = 512
+	flows := make([]netaddr.Flow, subs)
 	outs := make([]netaddr.Flow, subs)
 	refs := make([]MappingRef, subs)
 	twinRefs := make([]MappingRef, subs)
-	for i := range outs {
-		f := flowUDP(netaddr.EndpointOf(subAddr(i), 4000), dstEP)
-		out, r, v := s.TranslateOutRef(f, t0)
-		tout, tr, tv := sender(f.Src.Addr).TranslateOutRef(f, t0)
+	open := func(i int, now time.Time) {
+		out, r, v := s.TranslateOutRef(flows[i], now)
+		tout, tr, tv := sender(flows[i].Src.Addr).TranslateOutRef(flows[i], now)
 		if v != Ok || tv != Ok || out != tout {
 			t.Fatalf("sub %d outbound: %v %v, twin %v %v", i, out, v, tout, tv)
 		}
 		outs[i], refs[i], twinRefs[i] = out, r, tr
 	}
+	for i := range flows {
+		flows[i] = flowUDP(netaddr.EndpointOf(subAddr(i), 4000), dstEP)
+		open(i, t0)
+	}
 	now := t0.Add(time.Second)
-	delivered := 0
 	for i, out := range outs {
 		reply := out.Reverse()
 		in, v := s.TranslateIn(reply, now)
@@ -293,25 +271,48 @@ func TestShardedRoutedCallsMatchOwningLane(t *testing.T) {
 		if ok, tok := s.Refresh(refs[i], dstEP2, now), owner(out.Src.Addr).Refresh(twinRefs[i], dstEP2, now); ok != tok || !ok {
 			t.Fatalf("sub %d refresh: %v, owning lane %v", i, ok, tok)
 		}
-		// Subscriber i hairpins to the next one's external endpoint: the
-		// outbound half on the sender's lane, the inbound half on the
-		// lane owning the target.
-		hf := flowUDP(netaddr.EndpointOf(subAddr(i), 4001), outs[(i+1)%subs].Src)
-		res, v := s.Hairpin(hf, now)
-		hout, tv := sender(hf.Src.Addr).TranslateOut(hf, now)
-		var hin netaddr.Flow
-		if tv == Ok {
-			hin, tv = owner(hout.Dst.Addr).TranslateIn(hout, now)
+	}
+
+	// The first of every four subscribers on each lane idles past the
+	// timeout, so every lane has mappings to sweep; the others refresh
+	// halfway through it.
+	mid, later := now.Add(cfg.UDPTimeout/2), now.Add(cfg.UDPTimeout+time.Second)
+	onLane := make([]int, s.NumLanes())
+	idle := 0
+	for i, out := range outs {
+		l := s.LaneFor(flows[i].Src.Addr)
+		onLane[l]++
+		if onLane[l]%4 == 1 {
+			idle++
+			continue
 		}
-		if res.Flow != hin || v != tv {
-			t.Fatalf("sub %d hairpin: %v %v, owning lanes %v %v", i, res.Flow, v, hin, tv)
-		}
-		if v == Ok {
-			delivered++
+		if ok, tok := s.Refresh(refs[i], dstEP, mid), owner(out.Src.Addr).Refresh(twinRefs[i], dstEP, mid); ok != tok || !ok {
+			t.Fatalf("sub %d refresh: %v, owning lane %v", i, ok, tok)
 		}
 	}
-	if delivered != subs {
-		t.Fatalf("%d of %d hairpins delivered", delivered, subs)
+	swept, twinSwept := 0, 0
+	for shard := 0; shard < s.NumShards(); shard++ {
+		swept += s.SweepShard(shard, later)
+	}
+	for l := 0; l < twin.NumLanes(); l++ {
+		twinSwept += twin.Lane(l).Sweep(later)
+	}
+	if swept != idle || twinSwept != idle {
+		t.Fatalf("swept %d on the façade and %d on the twin's lanes, want %d", swept, twinSwept, idle)
+	}
+	reopened := 0
+	for i, out := range outs {
+		ok, tok := s.Refresh(refs[i], dstEP, later), owner(out.Src.Addr).Refresh(twinRefs[i], dstEP, later)
+		if ok != tok {
+			t.Fatalf("sub %d refresh after the sweep: %v, owning lane %v", i, ok, tok)
+		}
+		if !ok {
+			open(i, later)
+			reopened++
+		}
+	}
+	if reopened != idle {
+		t.Fatalf("%d refreshes failed after the sweep, want %d", reopened, idle)
 	}
 	if got, want := s.StateDigest(), twin.StateDigest(); got != want {
 		t.Fatalf("façade digest %s, want twin digest %s", got, want)

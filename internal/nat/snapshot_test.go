@@ -162,18 +162,28 @@ func TestSnapshotContinuation(t *testing.T) {
 // under — shards are execution grouping, not state.
 func TestSnapshotShardedContinuation(t *testing.T) {
 	cfg := snapshotConfigs()["preservation-paired"]
-	ops := scriptOps(7, 48, 24, 40)
 	const cut = 10
 
 	ref := NewSharded(cfg, 3)
-	driveOps(ref, ops, 0, cut)
+	// Each lane runs its own subscribers' ops, as the traffic kernel
+	// drives it.
+	laneOps := make([][]snapOp, ref.NumLanes())
+	for _, op := range scriptOps(7, 48, 24, 40) {
+		l := ref.ActiveLaneFor(op.f.Src.Addr)
+		laneOps[l] = append(laneOps[l], op)
+	}
+	for l, ops := range laneOps {
+		driveOps(ref.Lane(l), ops, 0, cut)
+	}
 	snap := ref.Snapshot()
 	restored, err := NewShardedFromSnapshot(cfg, 2, snap)
 	if err != nil {
 		t.Fatalf("NewShardedFromSnapshot: %v", err)
 	}
-	driveOps(ref, ops, cut, 24)
-	driveOps(restored, ops, cut, 24)
+	for l, ops := range laneOps {
+		driveOps(ref.Lane(l), ops, cut, 24)
+		driveOps(restored.Lane(l), ops, cut, 24)
+	}
 	if got, want := restored.StateDigest(), ref.StateDigest(); got != want {
 		t.Fatalf("sharded digest diverges after continuation:\n got %s\nwant %s", got, want)
 	}

@@ -67,11 +67,6 @@ func MustParseAddr(s string) Addr {
 	return a
 }
 
-// Octets returns the four dotted-quad octets of a.
-func (a Addr) Octets() (byte, byte, byte, byte) {
-	return byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)
-}
-
 // Bytes returns the 4-byte big-endian wire representation of a.
 func (a Addr) Bytes() []byte {
 	return []byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}
@@ -163,14 +158,6 @@ func (p Prefix) Bits() int { return int(p.bits) }
 // Contains reports whether a is inside p.
 func (p Prefix) Contains(a Addr) bool {
 	return a&mask(int(p.bits)) == p.addr
-}
-
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.bits <= q.bits {
-		return p.Contains(q.addr)
-	}
-	return q.Contains(p.addr)
 }
 
 // NumAddrs returns the number of addresses covered by the prefix.

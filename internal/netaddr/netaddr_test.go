@@ -10,10 +10,6 @@ func TestAddrFrom4(t *testing.T) {
 	if got := a.String(); got != "192.168.1.42" {
 		t.Errorf("String() = %q, want 192.168.1.42", got)
 	}
-	o1, o2, o3, o4 := a.Octets()
-	if o1 != 192 || o2 != 168 || o3 != 1 || o4 != 42 {
-		t.Errorf("Octets() = %d.%d.%d.%d", o1, o2, o3, o4)
-	}
 }
 
 func TestParseAddr(t *testing.T) {
@@ -145,18 +141,6 @@ func TestParsePrefixErrors(t *testing.T) {
 		if _, err := ParsePrefix(s); err == nil {
 			t.Errorf("ParsePrefix(%q) succeeded, want error", s)
 		}
-	}
-}
-
-func TestPrefixOverlaps(t *testing.T) {
-	ten := MustParsePrefix("10.0.0.0/8")
-	sub := MustParsePrefix("10.5.0.0/16")
-	other := MustParsePrefix("11.0.0.0/8")
-	if !ten.Overlaps(sub) || !sub.Overlaps(ten) {
-		t.Error("nested prefixes must overlap symmetrically")
-	}
-	if ten.Overlaps(other) {
-		t.Error("disjoint prefixes must not overlap")
 	}
 }
 

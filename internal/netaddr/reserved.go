@@ -37,16 +37,6 @@ var rangePrefixes = map[Range]Prefix{
 // order the paper presents them: 192X, 172X, 10X, 100X.
 var ReservedRanges = []Range{Range192, Range172, Range10, Range100}
 
-// RangePrefix returns the CIDR block of a reserved range. It panics for
-// RangePublic, which is not a block.
-func RangePrefix(r Range) Prefix {
-	p, ok := rangePrefixes[r]
-	if !ok {
-		panic("netaddr: RangePrefix of non-reserved range")
-	}
-	return p
-}
-
 // ClassifyRange returns which reserved range a falls in, or RangePublic.
 func ClassifyRange(a Addr) Range {
 	switch {

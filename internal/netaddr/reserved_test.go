@@ -65,7 +65,7 @@ func TestClassifyRangeMatchesPrefixes(t *testing.T) {
 			}
 			return true
 		}
-		return RangePrefix(r).Contains(a)
+		return rangePrefixes[r].Contains(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -79,15 +79,6 @@ func TestReservedRangesOrder(t *testing.T) {
 			t.Errorf("ReservedRanges[%d] = %s, want %s", i, r, want[i])
 		}
 	}
-}
-
-func TestRangePrefixPanicsOnPublic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RangePrefix(RangePublic) should panic")
-		}
-	}()
-	RangePrefix(RangePublic)
 }
 
 func TestCategorize(t *testing.T) {

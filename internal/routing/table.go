@@ -75,59 +75,10 @@ func (t *Table[V]) Lookup(a netaddr.Addr) (V, bool) {
 	return best, found
 }
 
-// LookupPrefix returns the longest installed prefix containing a along with
-// its value.
-func (t *Table[V]) LookupPrefix(a netaddr.Addr) (netaddr.Prefix, V, bool) {
-	var (
-		bestP netaddr.Prefix
-		bestV V
-		found bool
-	)
-	n := t.root
-	u := uint32(a)
-	for i := 0; ; i++ {
-		if n.set {
-			bestP = netaddr.PrefixFrom(a, i)
-			bestV, found = n.val, true
-		}
-		if i == 32 {
-			break
-		}
-		bit := (u >> (31 - uint(i))) & 1
-		if n.child[bit] == nil {
-			break
-		}
-		n = n.child[bit]
-	}
-	return bestP, bestV, found
-}
-
 // Contains reports whether some installed prefix covers a.
 func (t *Table[V]) Contains(a netaddr.Addr) bool {
 	_, ok := t.Lookup(a)
 	return ok
-}
-
-// Remove deletes the exact prefix p. It reports whether p was present.
-// Interior nodes are not pruned; tables in this repository are built once
-// and reused, so transient garbage from removal is irrelevant.
-func (t *Table[V]) Remove(p netaddr.Prefix) bool {
-	n := t.root
-	a := uint32(p.Addr())
-	for i := 0; i < p.Bits(); i++ {
-		bit := (a >> (31 - uint(i))) & 1
-		if n.child[bit] == nil {
-			return false
-		}
-		n = n.child[bit]
-	}
-	if !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	return true
 }
 
 // Walk visits every installed prefix in address order, shortest prefix
@@ -154,16 +105,6 @@ func (t *Table[V]) Walk(fn func(p netaddr.Prefix, v V) bool) {
 	rec(t.root, 0, 0)
 }
 
-// Prefixes returns all installed prefixes in walk order.
-func (t *Table[V]) Prefixes() []netaddr.Prefix {
-	out := make([]netaddr.Prefix, 0, t.size)
-	t.Walk(func(p netaddr.Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
 // String renders the table for debugging.
 func (t *Table[V]) String() string {
 	var b strings.Builder
@@ -186,9 +127,6 @@ func NewGlobal() *Global { return &Global{t: NewTable[uint32]()} }
 
 // Announce installs prefix p as originated by asn.
 func (g *Global) Announce(p netaddr.Prefix, asn uint32) { g.t.Insert(p, asn) }
-
-// Withdraw removes an announced prefix.
-func (g *Global) Withdraw(p netaddr.Prefix) bool { return g.t.Remove(p) }
 
 // Routed reports whether a is covered by any announced prefix. Reserved
 // addresses are never routed, matching their intended use; the paper notes

@@ -223,9 +223,6 @@ type Freq[K comparable] map[K]int
 // Add increments the count of k.
 func (f Freq[K]) Add(k K) { f[k]++ }
 
-// AddN increments the count of k by n.
-func (f Freq[K]) AddN(k K, n int) { f[k] += n }
-
 // Total returns the sum of all counts.
 func (f Freq[K]) Total() int {
 	n := 0
@@ -290,9 +287,4 @@ func Bar(frac float64, w int) string {
 	}
 	n := int(math.Round(frac * float64(w)))
 	return strings.Repeat("#", n) + strings.Repeat(".", w-n)
-}
-
-// Percent formats a fraction as "12.3%".
-func Percent(frac float64) string {
-	return fmt.Sprintf("%.1f%%", frac*100)
 }

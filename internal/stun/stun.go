@@ -26,7 +26,6 @@ const MagicCookie = 0x2112A442
 const (
 	TypeBindingRequest  = 0x0001
 	TypeBindingResponse = 0x0101
-	TypeBindingError    = 0x0111
 )
 
 // Attribute types.

@@ -80,10 +80,12 @@ type Config struct {
 	// pre-fault engine.
 	Faults FaultPlan
 	// Observer, when set, is called after every realm tick with a
-	// read-only view of the realm's sharded NAT. Test hooks only — with
-	// Workers > 1 the observer is called concurrently from worker
-	// goroutines (never concurrently for the same realm), and always
-	// between shard barriers, never while shard workers run.
+	// read-only view of the realm's sharded NAT. Tests check state
+	// through it, and perfbench's traced metro-day run samples
+	// NumMappings and PortStats through it every tick. With Workers > 1
+	// the observer is called concurrently from worker goroutines (never
+	// concurrently for the same realm), and always between shard
+	// barriers, never while shard workers run.
 	Observer func(realm RealmSpec, tick int, now time.Time, n nat.View)
 }
 
