@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -63,6 +64,56 @@ func TestFleetGolden(t *testing.T) {
 		if got != string(want) {
 			t.Fatalf("workers=%d shards=%d: fleet result drifted from %s:\n got:\n%s\nwant:\n%s", tc.workers, tc.shards, path, got, want)
 		}
+	}
+}
+
+// TestCheckpointGolden pins the checkpoint file's bytes: the SHA-256 of
+// (*Checkpoint).encode() after days 5 and 10, for testConfig at one and
+// at three shards and for faultedConfig, against
+// testdata/checkpoint_golden.txt. The body lists every lane's mappings
+// and subscribers in table-slot order, so a change to the engine's hash
+// tables or their growth moves these bytes even where every result and
+// digest stays. Regenerate with `go test ./internal/fleet -run
+// TestCheckpointGolden -update` only for a deliberate, reviewed change
+// to the checkpoint.
+func TestCheckpointGolden(t *testing.T) {
+	var b strings.Builder
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"testConfig(1, 1)", testConfig(1, 1)},
+		{"testConfig(3, 3)", testConfig(3, 3)},
+		{"faultedConfig(1, 1)", faultedConfig(1, 1)},
+	} {
+		s, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, day := range []int{5, 10} {
+			for s.Day() < day {
+				s.StepDay()
+			}
+			data, err := s.Checkpoint().encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s day=%d sha256=%x\n", tc.name, day, sha256.Sum256(data))
+		}
+	}
+	path := filepath.Join("testdata", "checkpoint_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("checkpoint bytes drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
