@@ -16,15 +16,9 @@ type MethodCoverage struct {
 	Positive   int
 }
 
-// CoveredFrac and PositiveFrac are the percentages Table 5 prints.
-func (m MethodCoverage) CoveredFrac() float64 {
-	if m.PopSize == 0 {
-		return 0
-	}
-	return float64(m.Covered) / float64(m.PopSize)
-}
-
-// PositiveFrac is the CGN-positive share among covered ASes.
+// PositiveFrac is the CGN-positive share among covered ASes, 0 when
+// none is covered. Report's shape tests read it; Table 5 prints its
+// percentages from the counts (report's pct).
 func (m MethodCoverage) PositiveFrac() float64 {
 	if m.Covered == 0 {
 		return 0

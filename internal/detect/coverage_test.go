@@ -18,8 +18,8 @@ func popOf(name string, asns ...uint32) asdb.Population {
 // TestCoverageZeroVantageAS pins the accounting for ASes no method ever
 // observed: a zero-vantage AS is neither covered nor positive, it never
 // becomes a false negative in ScoreAgainstTruth (the score is defined
-// over covered ASes only), and empty views divide to zero rather than
-// NaN in the fraction helpers.
+// over covered ASes only), and an empty view's PositiveFrac divides to
+// zero rather than NaN.
 func TestCoverageZeroVantageAS(t *testing.T) {
 	// AS 30 exists in the population and truly deploys CGN, but no
 	// vantage point ever reached it.
@@ -27,11 +27,8 @@ func TestCoverageZeroVantageAS(t *testing.T) {
 	pop := popOf("routed", 10, 20, 30)
 
 	mc := view.Against(pop)
-	if mc.Covered != 2 || mc.Positive != 1 {
-		t.Fatalf("Against = %+v, want covered 2 positive 1", mc)
-	}
-	if got := mc.CoveredFrac(); got != 2.0/3.0 {
-		t.Errorf("CoveredFrac = %v, want 2/3", got)
+	if mc.PopSize != 3 || mc.Covered != 2 || mc.Positive != 1 {
+		t.Fatalf("Against = %+v, want population 3, covered 2, positive 1", mc)
 	}
 
 	truth := map[uint32]bool{10: true, 30: true}
@@ -40,11 +37,12 @@ func TestCoverageZeroVantageAS(t *testing.T) {
 		t.Errorf("zero-vantage AS leaked into the score: %+v", s)
 	}
 
-	// A method with no sessions at all: every fraction must be 0, not NaN.
+	// A method with no sessions at all: its positive share must be 0,
+	// not NaN.
 	empty := NewMethodView("empty", nil, nil)
 	mc = empty.Against(pop)
-	if mc.CoveredFrac() != 0 || mc.PositiveFrac() != 0 {
-		t.Errorf("empty view fractions not zero: %+v", mc)
+	if mc.PositiveFrac() != 0 {
+		t.Errorf("empty view's positive share not zero: %+v", mc)
 	}
 	if s := empty.ScoreAgainstTruth(truth); s != (Score{}) {
 		t.Errorf("empty view scored %+v, want zero", s)

@@ -321,14 +321,11 @@ func TestCoverageTable(t *testing.T) {
 	}
 	pbl := db.PBLPopulation()
 	mc = union.Against(pbl)
-	if mc.Covered != 2 || mc.Positive != 2 {
+	if mc.PopSize != 3 || mc.Covered != 2 || mc.Positive != 2 {
 		t.Errorf("union against PBL = %+v", mc)
 	}
 	if mc.PositiveFrac() != 1.0 {
 		t.Errorf("PositiveFrac = %v", mc.PositiveFrac())
-	}
-	if mc.CoveredFrac() != 2.0/3.0 {
-		t.Errorf("CoveredFrac = %v", mc.CoveredFrac())
 	}
 }
 

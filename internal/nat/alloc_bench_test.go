@@ -2,6 +2,7 @@ package nat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -71,10 +72,10 @@ func BenchmarkPortAllocator(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep measures heap-based expiry at depth: 50k mappings with
-// staggered deadlines, each iteration sweeping one 1-second slice of
-// expirations (~500 mappings) — the virtual-time jumps the simulator
-// performs.
+// BenchmarkSweep measures the deadline-bucketed expiry schedule at
+// depth: 50k mappings with staggered deadlines, each iteration sweeping
+// one 1-second slice of expirations (~500 mappings, one bucket) — the
+// virtual-time jumps the simulator performs.
 func BenchmarkSweep(b *testing.B) {
 	cfg := Config{
 		Type:        Symmetric,
@@ -278,5 +279,113 @@ func BenchmarkShardedTranslateIn(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// laneDay drives one NAT the way the traffic kernel drives a metro lane
+// (internal/traffic/realm.go) through one simulated day: one pool IP
+// behind a symmetric, randomly allocating NAT with a 65 s UDP timeout,
+// 16,384 subscribers, 96 ticks of 30 s under the metro day's diurnal
+// swing and class mix (2% heavy at 8 flows, 60% light at 0.2, the rest
+// at 1, times 0.25 flows a tick), and flows held 1–3 ticks, refreshed
+// every tick they live. Each tick sweeps, walks the live flows'
+// refreshes (re-opening a flow whose mapping is gone) and opens the
+// tick's arrivals. Its flow list is allocated up front, so the NAT's
+// own storage is all a tick allocates.
+type laneDay struct {
+	n     *NAT
+	rng   fastrand.Rand
+	tick  int
+	seq   uint64
+	flows []laneFlow
+}
+
+type laneFlow struct {
+	f         netaddr.Flow
+	ref       MappingRef
+	ticksLeft int
+}
+
+const (
+	laneDaySubs  = 16384
+	laneDayTicks = 96
+)
+
+func newLaneDay(seed uint64) *laneDay {
+	return &laneDay{
+		n: New(Config{
+			Type:        Symmetric,
+			PortAlloc:   Random,
+			Pooling:     Paired,
+			ExternalIPs: []netaddr.Addr{extIP},
+			UDPTimeout:  65 * time.Second,
+			Seed:        int64(seed),
+		}),
+		rng:   fastrand.Rand(seed),
+		flows: make([]laneFlow, 0, 1<<15),
+	}
+}
+
+// now is the current tick's virtual time.
+func (d *laneDay) now() time.Time { return t0.Add(time.Duration(d.tick) * 30 * time.Second) }
+
+// sweep is the tick's first phase.
+func (d *laneDay) sweep() { d.n.Sweep(d.now()) }
+
+// churn is the rest of the tick, the refresh walk and the arrivals,
+// and advances to the next tick.
+func (d *laneDay) churn() {
+	now := d.now()
+	live := d.flows[:0]
+	for _, fl := range d.flows {
+		ok := d.n.Refresh(fl.ref, fl.f.Dst, now)
+		if !ok {
+			var v Verdict
+			_, fl.ref, v = d.n.TranslateOutRef(fl.f, now)
+			ok = v == Ok
+		}
+		if fl.ticksLeft--; ok && fl.ticksLeft > 0 {
+			live = append(live, fl)
+		}
+	}
+	d.flows = live
+	df := 1 + 0.7*math.Sin(2*math.Pi*float64(d.tick%laneDayTicks)/laneDayTicks-math.Pi/2)
+	var expNeg [3]float64
+	for c, rate := range [3]float64{8, 0.2, 1} {
+		expNeg[c] = math.Exp(-0.25 * rate * df)
+	}
+	for j := 0; j < laneDaySubs; j++ {
+		class := 2 // median; in each run of 50 subscribers, 1 heavy and 30 light
+		if c := j % 50; c == 0 {
+			class = 0
+		} else if c <= 30 {
+			class = 1
+		}
+		for k := d.rng.Poisson(expNeg[class]); k > 0; k-- {
+			d.seq++
+			f := flowUDP(
+				netaddr.EndpointOf(netaddr.AddrFrom4(100, 64, byte(j>>8), byte(j)), uint16(1024+d.rng.Intn(64512))),
+				netaddr.EndpointOf(netaddr.AddrFrom4(10, byte(d.seq>>16), byte(d.seq>>8), byte(d.seq)), 443))
+			if _, ref, v := d.n.TranslateOutRef(f, now); v == Ok {
+				d.flows = append(d.flows, laneFlow{f: f, ref: ref, ticksLeft: 1 + int(d.rng.Intn(3))})
+			}
+		}
+	}
+	d.tick++
+}
+
+// BenchmarkNATLaneDay measures one metro lane's day (laneDay) from a
+// fresh NAT: ns/op is the NAT layer's cost of the day at metro working
+// set size, and B/op what its storage allocates through the diurnal
+// ramp — mapping slabs, table growth, expiry blocks and the freelist.
+func BenchmarkNATLaneDay(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := newLaneDay(1)
+		for d.tick < laneDayTicks {
+			d.sweep()
+			d.churn()
+		}
+		natSink = d.n
 	}
 }

@@ -12,9 +12,12 @@
 // processing runs off a deadline-bucketed expiry schedule so Sweep touches
 // only entries whose recorded deadline has passed — never the full table.
 // Mapping structs are slab-allocated and recycled through a freelist with
-// generation-guarded handles, so steady-state churn does not allocate;
-// TranslateOutRef/Refresh give flow-keepalive callers (the traffic
-// engine) an O(1) refresh path that skips the table probe entirely.
+// generation-guarded handles; TranslateOutRef/Refresh give flow-keepalive
+// callers (the traffic engine) an O(1) refresh path that skips the table
+// probe entirely. Expiry buckets and the freelist keep their entries in
+// blocks that double and are reused, never copied to grow, so a lane's
+// diurnal ramp allocates its peak churn storage about once and
+// steady-state churn does not allocate.
 // Storage follows use as well as scale: slabs grow with the mappings a
 // NAT has carved, and a bitmap is kept in 4,096-port blocks allocated by
 // their first take, so a home CPE holding two mappings pays for a few
@@ -30,6 +33,7 @@ package nat
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -514,11 +518,11 @@ type NAT struct {
 
 	// slab and freeMaps make mapping creation allocation-free at steady
 	// state: structs are carved from slabs in batches and dropped
-	// mappings are recycled through the freelist, with Mapping.gen
-	// guarding every stale reference. carved counts the structs carved
-	// so far, which sizes the next slab (newMapping).
+	// mappings are recycled through the freelist, a LIFO stack (mapStack),
+	// with Mapping.gen guarding every stale reference. carved counts the
+	// structs carved so far, which sizes the next slab (newMapping).
 	slab     []Mapping
-	freeMaps []*Mapping
+	freeMaps mapStack
 	carved   int
 
 	// sessionHook, when set, is called wherever a subscriber's live
@@ -589,25 +593,54 @@ type expEntry struct {
 // bucket append instead of an O(log n) sift. Buckets live in a small
 // open-addressing index keyed by deadline (the same probing scheme as
 // the translation tables, with backward-shift deletion when a bucket
-// drains); drained bucket slices are recycled through free, keeping
-// steady-state churn allocation-free.
+// drains).
+//
+// A bucket's entries sit in a chain of blocks, in push order: its first
+// block holds one entry and each next one twice as many, up to
+// expBlockMax, so a bucket of k entries holds fewer than 2k slots
+// whether it stays at one entry (a CPE's mappings rarely share a
+// deadline) or grows to thousands (a lane's tick). Blocks are never
+// copied to grow: a drained bucket's blocks go back to the free list of
+// their size for the next buckets, so a lane's diurnal ramp allocates
+// its peak schedule about once and steady-state churn allocates nothing.
 type expQueue struct {
 	slots []expSlot
 	n     int
 	times timeHeap
-	free  [][]expEntry
+	// blocks holds every block the queue has allocated, addressed by
+	// index; free[c] heads the list of free blocks of 1<<c entries,
+	// linked through expBlock.next.
+	blocks []expBlock
+	free   [expClasses]int32
 }
 
-// expSlot is one bucket-index slot: the deadline key and the entries
-// scheduled for it.
+// expClasses counts the block sizes: 1, 2, 4, ... expBlockMax entries.
+const (
+	expClasses  = 11
+	expBlockMax = 1 << (expClasses - 1)
+)
+
+// expBlock is one block of a bucket's chain, or of a free list: e holds
+// its entries (its capacity is the block size) and next the following
+// block's index, or -1 at the end.
+type expBlock struct {
+	e    []expEntry
+	next int32
+}
+
+// expSlot is one bucket-index slot: the deadline key and the first and
+// last blocks of the entries scheduled for it.
 type expSlot struct {
-	at      int64
-	used    bool
-	entries []expEntry
+	at         int64
+	head, tail int32
+	used       bool
 }
 
 func (q *expQueue) init() {
 	q.slots = make([]expSlot, tableMinSlots)
+	for c := range q.free {
+		q.free[c] = -1
+	}
 }
 
 func (q *expQueue) push(at int64, m *Mapping, gen uint64) {
@@ -625,13 +658,29 @@ func (q *expQueue) push(at int64, m *Mapping, gen uint64) {
 		s.at = at
 		q.n++
 		q.times.push(at)
-		if k := len(q.free) - 1; k >= 0 {
-			s.entries = q.free[k]
-			q.free[k] = nil
-			q.free = q.free[:k]
-		}
+		s.head = q.block(0)
+		s.tail = s.head
 	}
-	s.entries = append(s.entries, expEntry{m: m, gen: gen})
+	b := &q.blocks[s.tail]
+	if len(b.e) == cap(b.e) {
+		next := q.block(min(bits.Len(uint(cap(b.e))), expClasses-1))
+		q.blocks[s.tail].next = next // block may have moved q.blocks
+		s.tail = next
+		b = &q.blocks[next]
+	}
+	b.e = append(b.e, expEntry{m: m, gen: gen})
+}
+
+// block returns an empty block of 1<<c entries, taken from the free
+// list of that size when it has one.
+func (q *expQueue) block(c int) int32 {
+	if b := q.free[c]; b >= 0 {
+		q.free[c] = q.blocks[b].next
+		q.blocks[b].next = -1
+		return b
+	}
+	q.blocks = append(q.blocks, expBlock{e: make([]expEntry, 0, 1<<c), next: -1})
+	return int32(len(q.blocks) - 1)
 }
 
 func (q *expQueue) grow() {
@@ -650,16 +699,19 @@ func (q *expQueue) grow() {
 	}
 }
 
-// takeBucket removes and returns the earliest bucket; the caller owns
-// the slice and must hand it back via release.
-func (q *expQueue) takeBucket() []expEntry {
+// takeBucket removes the earliest bucket from the schedule and returns
+// its first block. The caller walks the chain through blocks[b].next
+// and must hand the first block back via release. Pushes meanwhile
+// never touch the chain, even at the taken deadline: that starts a
+// fresh bucket.
+func (q *expQueue) takeBucket() int32 {
 	at := q.times.pop()
 	mask := uint64(len(q.slots) - 1)
 	i := mix64(uint64(at)) & mask
 	for !q.slots[i].used || q.slots[i].at != at {
 		i = (i + 1) & mask
 	}
-	b := q.slots[i].entries
+	head := q.slots[i].head
 	// Backward-shift deletion, as in the translation tables.
 	j := i
 	for {
@@ -674,15 +726,21 @@ func (q *expQueue) takeBucket() []expEntry {
 	}
 	q.slots[i] = expSlot{}
 	q.n--
-	return b
+	return head
 }
 
-// release recycles a drained bucket's backing array.
-func (q *expQueue) release(b []expEntry) {
-	for i := range b {
-		b[i] = expEntry{} // drop the *Mapping references
+// release returns a drained bucket's chain, from its first block b, to
+// the free lists.
+func (q *expQueue) release(b int32) {
+	for b >= 0 {
+		blk := &q.blocks[b]
+		next := blk.next
+		clear(blk.e) // drop the *Mapping references
+		c := bits.Len(uint(cap(blk.e))) - 1
+		blk.e, blk.next = blk.e[:0], q.free[c]
+		q.free[c] = b
+		b = next
 	}
-	q.free = append(q.free, b[:0])
 }
 
 // timeHeap is a 4-ary min-heap of deadlines, hand-rolled so push/pop
@@ -847,7 +905,7 @@ func (n *NAT) drop(m *Mapping) {
 	}
 	n.notePortFreed(i, m.Int.Addr, m.Ext.Port)
 	n.ctr[cMapExpired].Inc()
-	n.freeMaps = append(n.freeMaps, m)
+	n.freeMaps.push(m)
 }
 
 // inbound returns the inbound index, building it on the first call:
@@ -875,16 +933,13 @@ const (
 	mappingSlab = 256
 )
 
-// newMapping returns a zeroed Mapping, recycling dropped structs through
-// the freelist (gen survives the reset — it is what invalidates stale
-// heap entries and MappingRefs from the previous tenant) and carving
-// fresh ones from slabs that grow with the NAT (firstSlab), so
-// steady-state churn never allocates and a small NAT carves little.
+// newMapping returns a zeroed Mapping, recycling the struct dropped
+// last (gen survives the reset — it is what invalidates stale expiry
+// entries and MappingRefs from the previous tenant) and carving fresh
+// ones from slabs that grow with the NAT (firstSlab), so steady-state
+// churn never allocates and a small NAT carves little.
 func (n *NAT) newMapping() *Mapping {
-	if k := len(n.freeMaps) - 1; k >= 0 {
-		m := n.freeMaps[k]
-		n.freeMaps[k] = nil
-		n.freeMaps = n.freeMaps[:k]
+	if m := n.freeMaps.pop(); m != nil {
 		// Targeted reset: the create path overwrites every other field
 		// (endpoints, key, stamps, subscriber memo), so recycling only
 		// clears the lifecycle flag and the destination overflow — not
@@ -902,6 +957,50 @@ func (n *NAT) newMapping() *Mapping {
 	}
 	m := &n.slab[0]
 	n.slab = n.slab[1:]
+	return m
+}
+
+// mapStack is the freelist of dropped Mapping structs, last in first
+// out: the struct drop pushed last, which the sweep has just touched, is
+// the next one reused. The stack lives in blocks of 1, 2, 4, ...
+// mapBlockMax pointers that stay allocated once grown and are never
+// copied, so a lane's ramp allocates its peak free count about once, the
+// blocks total less than twice that peak, and refilling them allocates
+// nothing.
+type mapStack struct {
+	// blocks[i] holds up to min(1<<i, mapBlockMax) structs. The first
+	// top blocks are in use: all full but the last, which is never empty.
+	blocks [][]*Mapping
+	top    int
+}
+
+const mapBlockMax = 1024
+
+func (s *mapStack) push(m *Mapping) {
+	if s.top == 0 || len(s.blocks[s.top-1]) == cap(s.blocks[s.top-1]) {
+		if s.top == len(s.blocks) {
+			s.blocks = append(s.blocks, make([]*Mapping, 0, min(1<<s.top, mapBlockMax)))
+		}
+		s.top++
+	}
+	b := &s.blocks[s.top-1]
+	*b = append(*b, m)
+}
+
+// pop removes and returns the struct pushed last, or nil when the stack
+// is empty.
+func (s *mapStack) pop() *Mapping {
+	if s.top == 0 {
+		return nil
+	}
+	b := &s.blocks[s.top-1]
+	k := len(*b) - 1
+	m := (*b)[k]
+	(*b)[k] = nil
+	*b = (*b)[:k]
+	if k == 0 {
+		s.top--
+	}
 	return m
 }
 
@@ -1264,42 +1363,43 @@ func (n *NAT) pinnedExternalIP(sub uint32) (netaddr.Addr, bool) {
 // their true deadlines, which is where lazy re-keying would have moved
 // them anyway.
 func (n *NAT) evictOldest() bool {
-	for len(n.exp.times) > 0 {
-		at := n.exp.times[0]
-		bucket := n.exp.takeBucket()
-		victim := -1
-		for i, e := range bucket {
-			if e.m.dead || e.m.gen != e.gen {
-				continue
-			}
-			deadline := e.m.lastActive + int64(n.timeout(e.m.Proto))
-			if deadline > at {
-				// Refreshed since its entry was pushed.
-				n.exp.push(deadline, e.m, e.gen)
-				continue
-			}
-			// Equal-deadline candidates tie-break on the canonical
-			// external-endpoint key, not bucket position: snapshot
-			// restore rebuilds the schedule in mapping-table order, so
-			// insertion order is not resume-stable but the key is.
-			if victim < 0 || evictionKey(e.m) < evictionKey(bucket[victim].m) {
-				if victim >= 0 {
-					v := bucket[victim]
-					n.exp.push(v.m.lastActive+int64(n.timeout(v.m.Proto)), v.m, v.gen)
+	q := &n.exp
+	for len(q.times) > 0 {
+		at := q.times[0]
+		head := q.takeBucket()
+		// The victim so far is live, so its entry's gen is its own.
+		var victim *Mapping
+		for b := head; b >= 0; b = q.blocks[b].next {
+			for _, e := range q.blocks[b].e {
+				if e.m.dead || e.m.gen != e.gen {
+					continue
 				}
-				victim = i
-			} else {
-				n.exp.push(deadline, e.m, e.gen)
+				deadline := e.m.lastActive + int64(n.timeout(e.m.Proto))
+				if deadline > at {
+					// Refreshed since its entry was pushed.
+					q.push(deadline, e.m, e.gen)
+					continue
+				}
+				// Equal-deadline candidates tie-break on the canonical
+				// external-endpoint key, not bucket position: snapshot
+				// restore rebuilds the schedule in mapping-table order, so
+				// insertion order is not resume-stable but the key is.
+				if victim == nil || evictionKey(e.m) < evictionKey(victim) {
+					if victim != nil {
+						q.push(victim.lastActive+int64(n.timeout(victim.Proto)), victim, victim.gen)
+					}
+					victim = e.m
+				} else {
+					q.push(deadline, e.m, e.gen)
+				}
 			}
 		}
-		if victim >= 0 {
-			m := bucket[victim].m
-			n.exp.release(bucket)
-			n.drop(m)
+		q.release(head)
+		if victim != nil {
+			n.drop(victim)
 			n.ctr[cEvicted].Inc()
 			return true
 		}
-		n.exp.release(bucket)
 	}
 	return false
 }
@@ -1343,26 +1443,30 @@ func (n *NAT) chooseExternalIP(sub uint32) netaddr.Addr {
 func (n *NAT) Sweep(now time.Time) int {
 	removed := 0
 	nowNano := now.UnixNano()
-	for len(n.exp.times) > 0 && n.exp.times[0] < nowNano {
-		bucket := n.exp.takeBucket()
-		for _, e := range bucket {
-			// A generation mismatch means the entry outlived its
-			// mapping: the mapping was dropped (and its struct possibly
-			// recycled for a new one, which pushed its own entry).
-			if e.m.dead || e.m.gen != e.gen {
-				continue
+	q := &n.exp
+	for len(q.times) > 0 && q.times[0] < nowNano {
+		head := q.takeBucket()
+		for b := head; b >= 0; b = q.blocks[b].next {
+			for _, e := range q.blocks[b].e {
+				// A generation mismatch means the entry outlived its
+				// mapping: the mapping was dropped (and its struct
+				// possibly recycled for a new one, which pushed its own
+				// entry).
+				if e.m.dead || e.m.gen != e.gen {
+					continue
+				}
+				deadline := e.m.lastActive + int64(n.timeout(e.m.Proto))
+				if nowNano > deadline {
+					n.drop(e.m)
+					removed++
+					continue
+				}
+				// Refreshed since its entry was pushed: re-bucket at the
+				// true deadline.
+				q.push(deadline, e.m, e.gen)
 			}
-			deadline := e.m.lastActive + int64(n.timeout(e.m.Proto))
-			if nowNano > deadline {
-				n.drop(e.m)
-				removed++
-				continue
-			}
-			// Refreshed since its entry was pushed: re-bucket at the
-			// true deadline.
-			n.exp.push(deadline, e.m, e.gen)
 		}
-		n.exp.release(bucket)
+		q.release(head)
 	}
 	return removed
 }

@@ -116,11 +116,15 @@ func configSig(c Config) string {
 // Snapshot captures the engine's complete mutable state. The caller
 // must not be concurrently translating (same rule as StateDigest).
 func (n *NAT) Snapshot() *Snapshot {
+	// The lists are sized once, to the tables' entry counts; gob writes
+	// the same bytes whatever their capacity.
 	s := &Snapshot{
-		ConfigSig: configSig(n.cfg),
-		Rand:      uint64(n.rng),
-		RRNext:    n.rrNext,
-		PortPeak:  n.ports.peak,
+		ConfigSig:   configSig(n.cfg),
+		Rand:        uint64(n.rng),
+		RRNext:      n.rrNext,
+		PortPeak:    n.ports.peak,
+		Mappings:    make([]MappingState, 0, n.byInt.n),
+		Subscribers: make([]SubscriberState, 0, n.subs.n),
 	}
 	for name, v := range n.Metrics.Counters() {
 		s.CounterList = append(s.CounterList, CounterState{Name: name, Value: v})

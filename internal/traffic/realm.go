@@ -678,8 +678,15 @@ func (r *Realm) Repopulate(pop []Member, t *Tally) {
 func (r *Realm) repartition() uint64 {
 	sn, pop := r.sn, r.pop
 	newLane := make([]int32, len(pop))
-	for j := range pop {
-		newLane[j] = int32(sn.ActiveLaneFor(subscriberBase + netaddr.Addr(j)))
+	// rows counts each lane's members by row, so every member list below
+	// is sized once before it fills.
+	rows := make([][numRows]int, len(r.laneSubs))
+	for j, m := range pop {
+		l := sn.ActiveLaneFor(subscriberBase + netaddr.Addr(j))
+		newLane[j] = int32(l)
+		if row, ok := m.row(); ok {
+			rows[l][row]++
+		}
 	}
 	var disrupted uint64
 	for l := 0; l < sn.NumLanes(); l++ {
@@ -694,7 +701,7 @@ func (r *Realm) repartition() uint64 {
 	}
 	for l := range r.laneSubs {
 		for row := range r.laneSubs[l] {
-			r.laneSubs[l][row] = r.laneSubs[l][row][:0]
+			r.laneSubs[l][row] = slices.Grow(r.laneSubs[l][row][:0], rows[l][row])
 		}
 	}
 	// A member's flows sit contiguous on its old lane, so one read
