@@ -2,6 +2,7 @@ package nat
 
 import (
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -218,12 +219,14 @@ func scheduled(q *expQueue) int {
 }
 
 // TestLaneDayStorage ramps one metro-sized lane through a day (laneDay)
-// and bounds what its churn storage allocates. Blocks are never freed,
-// so what they hold is what they cost: the expiry blocks at most twice
-// the most entries ever scheduled at once (2 × peak × 16 B), and the
-// freelist's blocks, 1, 2, 4, ... structs long, at most twice the most
-// structs ever free at once (2 × peak × 8 B). Past the day's peak, a
-// churn tick allocates nothing.
+// and bounds what its churn storage allocates. Expiry blocks are never
+// freed, so what they hold is what they cost: at most twice the most
+// entries ever scheduled at once (2 × peak × 16 B). The freelist holds
+// at most twice the most structs ever free at once (2 × peak × 8 B),
+// and it must have grown by doubling from firstSlab, so the arrays it
+// outgrew add up to less than its final size; append's 1.25× steps
+// would have copied it many times over. Past the day's peak, a churn
+// tick allocates nothing.
 func TestLaneDayStorage(t *testing.T) {
 	d := newLaneDay(1)
 	peakSched, peakFree := 0, 0
@@ -231,11 +234,7 @@ func TestLaneDayStorage(t *testing.T) {
 		d.sweep()
 		// Sweep only drops and newMapping only pops, so the freelist
 		// peaks here.
-		free := 0
-		for _, b := range d.n.freeMaps.blocks[:d.n.freeMaps.top] {
-			free += len(b)
-		}
-		peakSched, peakFree = max(peakSched, scheduled(&d.n.exp)), max(peakFree, free)
+		peakSched, peakFree = max(peakSched, scheduled(&d.n.exp)), max(peakFree, len(d.n.freeMaps))
 		d.churn()
 		peakSched = max(peakSched, scheduled(&d.n.exp))
 	}
@@ -246,21 +245,49 @@ func TestLaneDayStorage(t *testing.T) {
 	if blocks > 2*peakSched {
 		t.Errorf("expiry blocks hold %d entries, above twice the peak of %d scheduled", blocks, peakSched)
 	}
-	stack := 0
-	for i, b := range d.n.freeMaps.blocks {
-		if cap(b) != min(1<<i, mapBlockMax) {
-			t.Errorf("freelist block %d holds %d structs, want %d", i, cap(b), min(1<<i, mapBlockMax))
-		}
-		stack += cap(b)
+	free := cap(d.n.freeMaps)
+	if free%firstSlab != 0 || bits.OnesCount(uint(free/firstSlab)) != 1 {
+		t.Errorf("freelist holds %d structs, not firstSlab (%d) doubled", free, firstSlab)
 	}
-	if stack > 2*peakFree {
-		t.Errorf("freelist blocks hold %d structs, above twice the peak of %d free", stack, peakFree)
+	if free > 2*peakFree {
+		t.Errorf("freelist holds %d structs, above twice the peak of %d free", free, peakFree)
 	}
-	t.Logf("expiry blocks hold %d entries for a peak of %d scheduled; freelist blocks %d structs for a peak of %d free", blocks, peakSched, stack, peakFree)
+	t.Logf("expiry blocks hold %d entries for a peak of %d scheduled; the freelist %d structs for a peak of %d free", blocks, peakSched, free, peakFree)
 	if allocs := testing.AllocsPerRun(24, func() {
 		d.sweep()
 		d.churn()
 	}); allocs != 0 {
 		t.Errorf("a warm churn tick allocates %v times, want 0", allocs)
+	}
+}
+
+// TestFreelistLIFO takes a two-IP NAT holding 70,000 mappings dark with
+// DropMatching(nil), as a lane going down does, and requires newMapping
+// to hand every struct back last in first out, then carve a fresh one.
+func TestFreelistLIFO(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Type, cfg.PortAlloc = Symmetric, Random
+	cfg.ExternalIPs = []netaddr.Addr{extIP, extIP2}
+	n := New(cfg)
+	const k = 70000
+	for i := 0; i < k; i++ {
+		if _, v := n.TranslateOut(flowUDP(netaddr.EndpointOf(subAddr(i), 4000), dstEP), t0); v != Ok {
+			t.Fatalf("mapping %d: %v", i, v)
+		}
+	}
+	var dropped []*Mapping
+	if got := n.DropMatching(func(m *Mapping) bool {
+		dropped = append(dropped, m)
+		return true
+	}); got != k {
+		t.Fatalf("DropMatching dropped %d, want %d", got, k)
+	}
+	for i := k - 1; i >= 0; i-- {
+		if m := n.newMapping(); m != dropped[i] {
+			t.Fatalf("reuse %d returned another struct than the one dropped %d", k-1-i, i)
+		}
+	}
+	if m := n.newMapping(); slices.Contains(dropped, m) {
+		t.Fatal("an empty freelist returned a dropped struct")
 	}
 }

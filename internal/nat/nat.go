@@ -14,10 +14,11 @@
 // Mapping structs are slab-allocated and recycled through a freelist with
 // generation-guarded handles; TranslateOutRef/Refresh give flow-keepalive
 // callers (the traffic engine) an O(1) refresh path that skips the table
-// probe entirely. Expiry buckets and the freelist keep their entries in
-// blocks that double and are reused, never copied to grow, so a lane's
-// diurnal ramp allocates its peak churn storage about once and
-// steady-state churn does not allocate.
+// probe entirely. Expiry buckets keep their entries in blocks that double
+// and are reused, never copied to grow, and the freelist doubles when
+// full rather than in append's small steps, so a lane's diurnal ramp
+// allocates its peak schedule about once and steady-state churn does
+// not allocate.
 // Storage follows use as well as scale: slabs grow with the mappings a
 // NAT has carved, and a bitmap is kept in 4,096-port blocks allocated by
 // their first take, so a home CPE holding two mappings pays for a few
@@ -518,11 +519,12 @@ type NAT struct {
 
 	// slab and freeMaps make mapping creation allocation-free at steady
 	// state: structs are carved from slabs in batches and dropped
-	// mappings are recycled through the freelist, a LIFO stack (mapStack),
-	// with Mapping.gen guarding every stale reference. carved counts the
+	// mappings are recycled through the freelist, last in first out so a
+	// new mapping reuses a struct the sweep has just touched, with
+	// Mapping.gen guarding every stale reference. carved counts the
 	// structs carved so far, which sizes the next slab (newMapping).
 	slab     []Mapping
-	freeMaps mapStack
+	freeMaps []*Mapping
 	carved   int
 
 	// sessionHook, when set, is called wherever a subscriber's live
@@ -905,7 +907,12 @@ func (n *NAT) drop(m *Mapping) {
 	}
 	n.notePortFreed(i, m.Int.Addr, m.Ext.Port)
 	n.ctr[cMapExpired].Inc()
-	n.freeMaps.push(m)
+	// The freelist doubles when full, where append would grow it in
+	// 1.25× steps and re-copy a ramping lane's freelist many times over.
+	if len(n.freeMaps) == cap(n.freeMaps) {
+		n.freeMaps = append(make([]*Mapping, 0, max(2*cap(n.freeMaps), firstSlab)), n.freeMaps...)
+	}
+	n.freeMaps = append(n.freeMaps, m)
 }
 
 // inbound returns the inbound index, building it on the first call:
@@ -939,7 +946,10 @@ const (
 // ones from slabs that grow with the NAT (firstSlab), so steady-state
 // churn never allocates and a small NAT carves little.
 func (n *NAT) newMapping() *Mapping {
-	if m := n.freeMaps.pop(); m != nil {
+	if k := len(n.freeMaps) - 1; k >= 0 {
+		m := n.freeMaps[k]
+		n.freeMaps[k] = nil
+		n.freeMaps = n.freeMaps[:k]
 		// Targeted reset: the create path overwrites every other field
 		// (endpoints, key, stamps, subscriber memo), so recycling only
 		// clears the lifecycle flag and the destination overflow — not
@@ -957,50 +967,6 @@ func (n *NAT) newMapping() *Mapping {
 	}
 	m := &n.slab[0]
 	n.slab = n.slab[1:]
-	return m
-}
-
-// mapStack is the freelist of dropped Mapping structs, last in first
-// out: the struct drop pushed last, which the sweep has just touched, is
-// the next one reused. The stack lives in blocks of 1, 2, 4, ...
-// mapBlockMax pointers that stay allocated once grown and are never
-// copied, so a lane's ramp allocates its peak free count about once, the
-// blocks total less than twice that peak, and refilling them allocates
-// nothing.
-type mapStack struct {
-	// blocks[i] holds up to min(1<<i, mapBlockMax) structs. The first
-	// top blocks are in use: all full but the last, which is never empty.
-	blocks [][]*Mapping
-	top    int
-}
-
-const mapBlockMax = 1024
-
-func (s *mapStack) push(m *Mapping) {
-	if s.top == 0 || len(s.blocks[s.top-1]) == cap(s.blocks[s.top-1]) {
-		if s.top == len(s.blocks) {
-			s.blocks = append(s.blocks, make([]*Mapping, 0, min(1<<s.top, mapBlockMax)))
-		}
-		s.top++
-	}
-	b := &s.blocks[s.top-1]
-	*b = append(*b, m)
-}
-
-// pop removes and returns the struct pushed last, or nil when the stack
-// is empty.
-func (s *mapStack) pop() *Mapping {
-	if s.top == 0 {
-		return nil
-	}
-	b := &s.blocks[s.top-1]
-	k := len(*b) - 1
-	m := (*b)[k]
-	(*b)[k] = nil
-	*b = (*b)[:k]
-	if k == 0 {
-		s.top--
-	}
 	return m
 }
 
